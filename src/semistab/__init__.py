@@ -22,7 +22,7 @@ from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
                           run_theorem_check, run_witness)
 from .linalg import (MatvecOperator, NormContext, NormKind, cumulative_matrix,
                      difference_matrix, operator_norm, weighted_vector_norm)
-from .models import (GROWTH_BOUND, Block, BlockDiagonal, Eigenvalue, Family,
+from .models import (GROWTH_BOUND, BlockDiagonal, Eigenvalue, Family,
                      Model, ModelSpec, build_model, check_truncation,
                      eigenvalues, evolve, evolve_blocks, generator,
                      generator_blocks, required_max_index, resolvent,

@@ -254,8 +254,10 @@ def fit_rate(samples: NormSamples, family: FitFamily,
 class HardyReport:
     """Both sides of the discrete Hardy inequality and their ratio.
 
-    ``ratio`` is lhs / (4 rhs) and never exceeds 1; the zero sequence is
-    reported as all zeros.
+    The inequality is invariant under scaling, so ``lhs`` and ``rhs`` are
+    the two sums for the normalized sequence c / max |c|.  ``ratio`` is
+    lhs / (4 rhs) and never exceeds 1; the zero sequence is reported as all
+    zeros.
     """
 
     lhs: float
@@ -268,19 +270,23 @@ def hardy_check(seq) -> HardyReport:
 
     The input is read as a finitely supported sequence indexed from 1:
     implicit zeros surround it, so the difference sum includes both the
-    |c_1|^2 boundary term and the final drop back to zero.
+    |c_1|^2 boundary term and the final drop back to zero.  Both sums are
+    taken on c / max |c|, which neither overflows nor underflows to 0 / 0.
     """
     c = np.asarray(seq, dtype=complex).ravel()
-    if c.size and (not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag))):
-        raise ValueError("sequence entries must be finite")
-    if c.size == 0 or not np.any(c):
+    if c.size == 0:
         return HardyReport(0.0, 0.0, 0.0)
-    n = np.arange(1, c.size + 1, dtype=float)
+    scale = float(np.max(np.abs(c)))
+    if not math.isfinite(scale):
+        raise ValueError("sequence entries must be finite")
+    if scale == 0.0:
+        return HardyReport(0.0, 0.0, 0.0)
+    # Real division of the interleaved parts: complex division by a
+    # subnormal scale overflows.
+    c = (c.view(float) / scale).view(complex)
+    n =np.arange(1, c.size + 1, dtype=float)
     lhs = float(np.sum(np.abs(c) ** 2 / n ** 2))
     rhs = float(np.sum(np.abs(np.diff(c, prepend=0.0, append=0.0)) ** 2))
-    if rhs == 0.0:
-        # Only reachable through underflow of tiny entries.
-        return HardyReport(lhs, 0.0, 0.0)
     return HardyReport(lhs, rhs, lhs / (4.0 * rhs))
 
 

@@ -135,14 +135,6 @@ _CONFIG_KEYS = (
 _REQUIRED_KEYS = ("model.family", "grid.t_min", "grid.t_max", "grid.points")
 
 
-def _family_dim(family: Family, max_index: int) -> int:
-    if family is Family.DIAG_JORDAN:
-        return 2 * max_index - 1
-    if family is Family.JORDAN_PAIRS:
-        return 2 * (max_index - 1)
-    return max_index - 1
-
-
 def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     """Parse the flat key = value grammar into a validated config.
 
@@ -207,9 +199,9 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
             raise TruncationInadequateError(
                 f"model.max_index {max_index} is inadequate for grid.t_max "
                 f"{grid.t_max}; need max_index >= {need} "
-                f"(dim {_family_dim(family, need)})",
+                f"(dim {models.model_dim(family, need)})",
                 required=need)
-    dim = _family_dim(family, max_index)
+    dim = models.model_dim(family, max_index)
     if max_dim is not None and dim > max_dim:
         raise TruncationInadequateError(
             f"adequate truncation needs dim {dim} > configured cap {max_dim} "
@@ -573,7 +565,7 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         proj_report = spectral.riesz_projection_quadrature(
             model, contour, drift_tol=cfg.tolerances.proj_tol)
         projections.append(_projection_entry(eig.value, contour, proj_report))
-        curve = spectral.hypothesis_b_check(model, contour, ts, env,
+        curve = spectral.hypothesis_b_check(model, proj_report, ts, env,
                                             tol=cfg.tolerances.norm_tol)
         curves.append((eig.value, curve))
         decay_flags.append(curve.decaying)

@@ -1,18 +1,25 @@
 """Three block-diagonal semigroup families on finite truncations.
 
-All families have growth bound 0 and are assembled from 1x1 and upper
-triangular 2x2 blocks, so the semigroup, its generator, and the resolvent
-all have closed forms:
+All families have growth bound 0 and each is one spectral table: the
+eigenvalues of its leading 1x1 blocks, and for each upper triangular 2x2
+block a midpoint ``mid`` and half-gap ``d``, the block being
+[[mid + d, 1], [0, mid - d]].  The semigroup, its generator, the resolvent
+and the sorted spectrum are array expressions over that table; the
+semigroup block is
+
+    exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
+
+with t in place of sinh(t d) / d where d = 0.
 
 * ``DIAG_JORDAN``: one unimodular 1x1 block with eigenvalue i, then Jordan
-  blocks with repeated eigenvalue ik - 1/k (k = 1, ..., max_index - 1).
+  blocks (d = 0) with eigenvalue ik - 1/k (k = 1, ..., max_index - 1).
   The semigroup block is exp((ik - 1/k) t) * [[1, t], [0, 1]].  Measured in
   the Euclidean norm its growth is linear in t while the resolvent product
   stays bounded.
-* ``JORDAN_PAIRS``: 2x2 blocks with simple eigenvalues i(n + 1/n) and
-  i(n - 1/n), n = 2, ..., max_index.  The semigroup block is
-  exp(int) * [[exp(it/n), n sin(t/n)], [0, exp(-it/n)]]; the supremum of the
-  block norms grows like t.
+* ``JORDAN_PAIRS``: 2x2 blocks with mid = in and d = i/n, so simple
+  eigenvalues i(n + 1/n) and i(n - 1/n), n = 2, ..., max_index.  The
+  semigroup block is exp(int) * [[exp(it/n), n sin(t/n)], [0, exp(-it/n)]];
+  the supremum of the block norms grows like t.
 * ``LOG_SPECTRUM``: diagonal with simple eigenvalues i log n,
   n = 2, ..., max_index, measured in the order-N difference-weighted norm,
   where the semigroup norm grows like t^N.
@@ -71,17 +78,10 @@ class ModelSpec:
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         mu = complex(self.mu_default)
-        eigs = _eigenvalue_array(self.family, self.max_index)
+        eigs = _block_eigenvalues(*_spectral_table(self.family, self.max_index))
         if np.min(np.abs(eigs - mu)) < _SPECTRUM_MARGIN:
             raise ValueError(f"mu_default {mu} lies on the spectrum")
         object.__setattr__(self, "mu_default", mu)
-
-
-@dataclass(frozen=True)
-class Block:
-    start: int
-    size: int
-    eigenvalues: tuple
 
 
 @dataclass(frozen=True)
@@ -90,48 +90,89 @@ class Eigenvalue:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
+    """A truncation: its spectral table and the norm it is measured in.
+
+    Coordinates hold the 1x1 blocks (eigenvalues ``scalars``) first, then
+    the 2x2 blocks [[mid + half_gap, 1], [0, mid - half_gap]] in order.
+    ``spectrum`` lists the distinct eigenvalues sorted by (imag, real) and
+    ``multiplicity`` their algebraic multiplicities.
+    """
+
     spec: ModelSpec
-    blocks: tuple
     norm_context: NormContext
+    scalars: np.ndarray
+    mid: np.ndarray
+    half_gap: np.ndarray
+    spectrum: np.ndarray
+    multiplicity: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.norm_context.dim
 
+    @property
+    def upper(self) -> np.ndarray:
+        """Eigenvalue at the first coordinate of each 2x2 block."""
+        return self.mid + self.half_gap
 
-def _eigenvalue_array(family: Family, max_index: int) -> np.ndarray:
-    """Distinct eigenvalues of the truncation, unsorted, one per value."""
+    @property
+    def lower(self) -> np.ndarray:
+        """Eigenvalue at the second coordinate of each 2x2 block."""
+        return self.mid - self.half_gap
+
+
+def _spectral_table(family: Family, max_index: int):
+    """The family's spectrum as arrays (scalars, mid, half_gap).
+
+    This is the one place that spells out a family's eigenvalues.
+    """
     if family is Family.DIAG_JORDAN:
         k = np.arange(1, max_index, dtype=float)
-        return np.concatenate([[1j], 1j * k - 1.0 / k])
+        return np.array([1j]), 1j * k - 1.0 / k, np.zeros(k.size, dtype=complex)
     n = np.arange(2, max_index + 1, dtype=float)
+    none = np.zeros(0, dtype=complex)
     if family is Family.JORDAN_PAIRS:
-        return np.concatenate([1j * (n + 1.0 / n), 1j * (n - 1.0 / n)])
-    return 1j * np.log(n)
+        return none, 1j * n, 1j / n
+    return 1j * np.log(n), none, none
+
+
+def _block_eigenvalues(scalars, mid, half_gap) -> np.ndarray:
+    """Every eigenvalue of a table, repeated by algebraic multiplicity."""
+    return np.concatenate([scalars, mid + half_gap, mid - half_gap])
+
+
+def _table_dim(scalars, mid, half_gap) -> int:
+    return scalars.size + 2 * mid.size
+
+
+def model_dim(family: Family, max_index: int) -> int:
+    """Coordinate dimension of a truncation, without building it.
+
+    Each family adds a fixed number of coordinates per index, so the
+    dimension is affine in max_index and is read off the two smallest tables.
+    """
+    d2, d3 = (_table_dim(*_spectral_table(family, m)) for m in (2, 3))
+    return d2 + (d3 - d2) * (max_index - 2)
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Block layout plus the norm context the family is measured in."""
-    blocks = []
-    if spec.family is Family.DIAG_JORDAN:
-        blocks.append(Block(0, 1, (1j,)))
-        for k in range(1, spec.max_index):
-            lam = 1j * k - 1.0 / k
-            blocks.append(Block(1 + 2 * (k - 1), 2, (lam, lam)))
-        ctx = NormContext.euclidean(2 * spec.max_index - 1)
-    elif spec.family is Family.JORDAN_PAIRS:
-        for n in range(2, spec.max_index + 1):
-            lam_up = 1j * (n + 1.0 / n)
-            lam_dn = 1j * (n - 1.0 / n)
-            blocks.append(Block(2 * (n - 2), 2, (lam_up, lam_dn)))
-        ctx = NormContext.euclidean(2 * (spec.max_index - 1))
+    """Spectral table, sorted spectrum, and the norm the family is measured in.
+
+    Repeated eigenvalues (the Jordan blocks) are produced by one expression,
+    so bitwise grouping of the spectrum is exact.
+    """
+    scalars, mid, half_gap = _spectral_table(spec.family, spec.max_index)
+    values, counts = np.unique(_block_eigenvalues(scalars, mid, half_gap),
+                               return_counts=True)
+    order = np.lexsort((values.real, values.imag))
+    dim = _table_dim(scalars, mid, half_gap)
+    if spec.family is Family.LOG_SPECTRUM:
+        ctx = NormContext.delta_weighted(spec.order, dim)
     else:
-        for n in range(2, spec.max_index + 1):
-            blocks.append(Block(n - 2, 1, (1j * math.log(n),)))
-        ctx = NormContext.delta_weighted(spec.order, spec.max_index - 1)
-    return Model(spec, tuple(blocks), ctx)
+        ctx = NormContext.euclidean(dim)
+    return Model(spec, ctx, scalars, mid, half_gap, values[order], counts[order])
 
 
 @dataclass(frozen=True)
@@ -191,9 +232,9 @@ class BlockDiagonal:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         m = self.scalars.shape[0]
         out[np.arange(m), np.arange(m)] = self.scalars
-        for i in range(self.pairs.shape[0]):
-            s = m + 2 * i
-            out[s:s + 2, s:s + 2] = self.pairs[i]
+        start = (m + 2 * np.arange(self.pairs.shape[0]))[:, None, None]
+        offset = np.arange(2)
+        out[start + offset[:, None], start + offset] = self.pairs
         return out
 
 
@@ -207,81 +248,52 @@ def _sigma_max_2x2(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt((s + disc) / 2.0)
 
 
-def _pair_eigenvalues(spec: ModelSpec):
-    """Per-block eigenvalue arrays (upper, lower) for the 2x2 families."""
-    if spec.family is Family.DIAG_JORDAN:
-        k = np.arange(1, spec.max_index, dtype=float)
-        lam = 1j * k - 1.0 / k
-        return lam, lam
-    n = np.arange(2, spec.max_index + 1, dtype=float)
-    return 1j * (n + 1.0 / n), 1j * (n - 1.0 / n)
-
-
 def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
-    """The semigroup at time t as a block-diagonal operator."""
+    """The semigroup at time t as a block-diagonal operator.
+
+    Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
+    (t in place of sinh(t d) / d where d = 0): the carrier factor keeps the
+    corner accurate where the divided difference of exp(ta) and exp(tb)
+    over nearby eigenvalues a, b would cancel.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    spec = model.spec
-    if spec.family is Family.LOG_SPECTRUM:
-        n = np.arange(2, spec.max_index + 1, dtype=float)
-        return BlockDiagonal(np.exp(1j * t * np.log(n)),
-                             np.zeros((0, 2, 2), dtype=complex))
-    if spec.family is Family.DIAG_JORDAN:
-        k = np.arange(1, spec.max_index, dtype=float)
-        scale = np.exp((1j * k - 1.0 / k) * t)
-        pairs = np.zeros((k.size, 2, 2), dtype=complex)
-        pairs[:, 0, 0] = scale
-        pairs[:, 0, 1] = t * scale
-        pairs[:, 1, 1] = scale
-        return BlockDiagonal(np.array([np.exp(1j * t)]), pairs)
-    n = np.arange(2, spec.max_index + 1, dtype=float)
-    carrier = np.exp(1j * t * n)
-    pairs = np.zeros((n.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = carrier * np.exp(1j * t / n)
-    pairs[:, 0, 1] = carrier * n * np.sin(t / n)
-    pairs[:, 1, 1] = carrier * np.exp(-1j * t / n)
-    return BlockDiagonal(np.zeros(0, dtype=complex), pairs)
+    d = model.half_gap
+    td = t * d
+    jordan = d == 0
+    carrier = np.exp(t * model.mid)
+    pairs = np.zeros((d.size, 2, 2), dtype=complex)
+    pairs[:, 0, 0] = carrier * np.exp(td)
+    pairs[:, 0, 1] = carrier * np.where(jordan, t,
+                                        np.sinh(td) / np.where(jordan, 1.0, d))
+    pairs[:, 1, 1] = carrier * np.exp(-td)
+    return BlockDiagonal(np.exp(t * model.scalars), pairs)
 
 
 def generator_blocks(model: Model) -> BlockDiagonal:
     """The generator as a block-diagonal operator (1 on the superdiagonal)."""
-    spec = model.spec
-    if spec.family is Family.LOG_SPECTRUM:
-        n = np.arange(2, spec.max_index + 1, dtype=float)
-        return BlockDiagonal(1j * np.log(n), np.zeros((0, 2, 2), dtype=complex))
-    lam_up, lam_dn = _pair_eigenvalues(spec)
-    pairs = np.zeros((lam_up.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = lam_up
+    pairs = np.zeros((model.mid.size, 2, 2), dtype=complex)
+    pairs[:, 0, 0] = model.upper
     pairs[:, 0, 1] = 1.0
-    pairs[:, 1, 1] = lam_dn
-    if spec.family is Family.DIAG_JORDAN:
-        return BlockDiagonal(np.array([1j]), pairs)
-    return BlockDiagonal(np.zeros(0, dtype=complex), pairs)
+    pairs[:, 1, 1] = model.lower
+    return BlockDiagonal(model.scalars.copy(), pairs)
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     """(A - mu I)^-1 as a block-diagonal operator, blockwise closed form."""
     mu = complex(mu)
-    eigs = _eigenvalue_array(model.spec.family, model.spec.max_index)
-    dist = float(np.min(np.abs(eigs - mu)))
+    s = model.scalars - mu
+    a = model.upper - mu
+    b = model.lower - mu
+    dist = min(float(np.min(np.abs(x), initial=np.inf)) for x in (s, a, b))
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {mu} is within {dist:.3e} of the spectrum")
-    spec = model.spec
-    if spec.family is Family.LOG_SPECTRUM:
-        n = np.arange(2, spec.max_index + 1, dtype=float)
-        return BlockDiagonal(1.0 / (1j * np.log(n) - mu),
-                             np.zeros((0, 2, 2), dtype=complex))
-    lam_up, lam_dn = _pair_eigenvalues(spec)
-    a = lam_up - mu
-    b = lam_dn - mu
     pairs = np.zeros((a.size, 2, 2), dtype=complex)
     pairs[:, 0, 0] = 1.0 / a
     pairs[:, 0, 1] = -1.0 / (a * b)
     pairs[:, 1, 1] = 1.0 / b
-    if spec.family is Family.DIAG_JORDAN:
-        return BlockDiagonal(np.array([1.0 / (1j - mu)]), pairs)
-    return BlockDiagonal(np.zeros(0, dtype=complex), pairs)
+    return BlockDiagonal(1.0 / s, pairs)
 
 
 def evolve(model: Model, t: float) -> np.ndarray:
@@ -298,19 +310,9 @@ def resolvent(model: Model, mu: complex) -> np.ndarray:
 
 
 def eigenvalues(model: Model) -> list:
-    """Distinct eigenvalues sorted by (imag, real), with multiplicities.
-
-    Repeated eigenvalues (the Jordan blocks) are produced by one expression,
-    so bitwise grouping is exact here.
-    """
-    values = []
-    for block in model.blocks:
-        values.extend(block.eigenvalues)
-    arr = np.asarray(values, dtype=complex)
-    uniq, counts = np.unique(arr, return_counts=True)
-    order = np.lexsort((uniq.real, uniq.imag))
-    return [Eigenvalue(complex(v), int(c))
-            for v, c in zip(uniq[order], counts[order])]
+    """Distinct eigenvalues sorted by (imag, real), with multiplicities."""
+    return [Eigenvalue(value, count) for value, count in
+            zip(model.spectrum.tolist(), model.multiplicity.tolist())]
 
 
 def block_operator_norm(model: Model, blocks: BlockDiagonal,

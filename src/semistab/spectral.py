@@ -42,6 +42,12 @@ DEFAULT_NODES = 64
 
 _TRACE_INT_TOL = 1e-6
 
+#: Eigenvalues closer than this are the same value.
+_SAME_VALUE = 1e-12
+
+#: Projected norms below this multiple of ||P|| are quadrature residue.
+_RESIDUE_REL = 1e-13
+
 
 @dataclass(frozen=True)
 class Contour:
@@ -85,8 +91,7 @@ class DecayCurve:
 
 
 def _contour_margin_check(model: Model, contour: Contour) -> None:
-    eigs = np.array([e.value for e in models.eigenvalues(model)])
-    margins = np.abs(np.abs(eigs - contour.center) - contour.radius)
+    margins = np.abs(np.abs(model.spectrum - contour.center) - contour.radius)
     worst = float(np.min(margins))
     if worst < CONTOUR_MARGIN:
         raise ContourTooCloseError(
@@ -107,8 +112,8 @@ def _quadrature_sum(model: Model, contour: Contour, nodes: int) -> BlockDiagonal
 
 
 def _enclosed_eigenvalues(model: Model, contour: Contour) -> tuple:
-    return tuple(e.value for e in models.eigenvalues(model)
-                 if abs(e.value - contour.center) < contour.radius)
+    inside = np.abs(model.spectrum - contour.center) < contour.radius
+    return tuple(model.spectrum[inside].tolist())
 
 
 def _build_report(model: Model, blocks: BlockDiagonal, enclosed) -> ProjectionReport:
@@ -146,58 +151,46 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
     return _build_report(model, p, _enclosed_eigenvalues(model, contour))
 
 
-def _closed_blocks_for_value(model: Model, lam: complex) -> BlockDiagonal:
-    base = models.evolve_blocks(model, 0.0)
-    scalars = np.zeros_like(base.scalars)
-    pairs = np.zeros_like(base.pairs)
-    si = 0
-    pi = 0
-    for block in model.blocks:
-        if block.size == 1:
-            if abs(block.eigenvalues[0] - lam) < 1e-12:
-                scalars[si] = 1.0
-            si += 1
-            continue
-        a, b = block.eigenvalues
-        hit_a = abs(a - lam) < 1e-12
-        hit_b = abs(b - lam) < 1e-12
-        if hit_a and hit_b:
-            pairs[pi, 0, 0] = 1.0
-            pairs[pi, 1, 1] = 1.0
-        elif hit_a:
-            pairs[pi, 0, 0] = 1.0
-            pairs[pi, 0, 1] = 1.0 / (a - b)
-        elif hit_b:
-            pairs[pi, 0, 1] = -1.0 / (a - b)
-            pairs[pi, 1, 1] = 1.0
-        pi += 1
+def _closed_blocks(model: Model, center: complex, radius: float) -> BlockDiagonal:
+    """Closed-form projection onto the eigenvalues within radius of center.
+
+    A 2x2 block with distinct eigenvalues a, b projects onto a as
+    [[1, 1/(a-b)], [0, 0]] and onto b as the complement; a block with both
+    eigenvalues selected is kept whole.
+    """
+    upper, lower = model.upper, model.lower
+    hit_a = np.abs(upper - center) < radius
+    hit_b = np.abs(lower - center) < radius
+    split = hit_a != hit_b
+    pairs = np.zeros((upper.size, 2, 2), dtype=complex)
+    pairs[:, 0, 0] = hit_a
+    pairs[:, 1, 1] = hit_b
+    pairs[split, 0, 1] = (np.where(hit_a, 1.0, -1.0)[split]
+                          / (upper - lower)[split])
+    scalars = (np.abs(model.scalars - center) < radius).astype(complex)
     return BlockDiagonal(scalars, pairs)
 
 
 def riesz_projection_closed(model: Model, eigenvalue_index: int) -> ProjectionReport:
     """Exact blockwise projection onto one eigenvalue, the quadrature oracle.
 
-    Blocks not containing the eigenvalue contribute zero; a 2x2 block with
-    distinct eigenvalues a, b projects onto a as [[1, 1/(a-b)], [0, 0]] and
-    onto b as the complement; a Jordan block is kept whole.
+    The index counts the distinct eigenvalues in the order of
+    :func:`models.eigenvalues`.  Blocks not containing the eigenvalue
+    contribute zero.
     """
-    eigs = models.eigenvalues(model)
-    if not 0 <= eigenvalue_index < len(eigs):
+    count = model.spectrum.size
+    if not 0 <= eigenvalue_index < count:
         raise IndexError(
-            f"eigenvalue index {eigenvalue_index} out of range (0..{len(eigs) - 1})")
-    lam = eigs[eigenvalue_index].value
-    blocks = _closed_blocks_for_value(model, lam)
-    return _build_report(model, blocks, (lam,))
+            f"eigenvalue index {eigenvalue_index} out of range (0..{count - 1})")
+    lam = complex(model.spectrum[eigenvalue_index])
+    return _build_report(model, _closed_blocks(model, lam, _SAME_VALUE), (lam,))
 
 
 def contour_projection_closed(model: Model, contour: Contour) -> ProjectionReport:
     """Closed-form projection for everything enclosed by the circle."""
     _contour_margin_check(model, contour)
-    enclosed = _enclosed_eigenvalues(model, contour)
-    blocks = BlockDiagonal.zeros_like(models.evolve_blocks(model, 0.0))
-    for lam in enclosed:
-        blocks = blocks + _closed_blocks_for_value(model, lam)
-    return _build_report(model, blocks, enclosed)
+    blocks = _closed_blocks(model, contour.center, contour.radius)
+    return _build_report(model, blocks, _enclosed_eigenvalues(model, contour))
 
 
 def hypothesis_a_check(model: Model, lam: complex,
@@ -208,43 +201,49 @@ def hypothesis_a_check(model: Model, lam: complex,
     The radius is half the distance to the nearest other eigenvalue, capped.
     """
     lam = complex(lam)
-    values = [e.value for e in models.eigenvalues(model)]
-    if min(abs(v - lam) for v in values) > 1e-12:
+    dist = np.abs(model.spectrum - lam)
+    if np.min(dist) > _SAME_VALUE:
         raise ValueError(f"{lam} is not an eigenvalue of the model")
-    others = [abs(v - lam) for v in values if abs(v - lam) > 1e-12]
-    if not others:
+    others = dist[dist > _SAME_VALUE]
+    if not others.size:
         return Contour(lam, radius_cap, nodes)
-    gap = min(others)
+    gap = float(np.min(others))
     if gap < MIN_GAP:
         raise ClusteredSpectrumError(
             f"nearest-neighbor gap {gap:.3e} at {lam} is below {MIN_GAP}")
     return Contour(lam, min(gap / 2.0, radius_cap), nodes)
 
 
-def hypothesis_b_check(model: Model, contour: Contour, ts, envelope,
+def hypothesis_b_check(model: Model, projection: ProjectionReport, ts, envelope,
                        tol: float = linalg.POWER_TOL_DEFAULT) -> DecayCurve:
-    """Decay of t -> ||T(t) P_contour|| / f(t) over the sampled grid.
+    """Decay of t -> ||T(t) P|| / f(t) over the sampled grid.
 
-    ``envelope`` is any callable majorant f(t) > 0.  The verdict is decaying
-    when the log-log least-squares slope is <= -0.5 and the last sample is
-    below a tenth of the first.  An identically-zero curve (contour around
-    nothing) is decaying vacuously.
+    ``projection`` is the spectral projection P, as built by
+    :func:`riesz_projection_quadrature`; ``envelope`` is any callable
+    majorant f(t) > 0.  The verdict is decaying when the log-log
+    least-squares slope is <= -0.5 and the last sample is below a tenth of
+    the first.  A rank-zero projection (contour around nothing) decays
+    vacuously.  Samples with ||T(t) P|| below 1e-13 ||P|| are quadrature
+    residue and are left out of the fit, so rescaling f cannot change the
+    verdict.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be a strictly increasing grid of positive times")
-    proj = riesz_projection_quadrature(model, contour).blocks
+    proj = projection.blocks
+    norms = np.empty(ts.size, dtype=float)
     values = np.empty(ts.size, dtype=float)
     for i, t in enumerate(ts):
         prod = models.evolve_blocks(model, float(t)) @ proj
-        values[i] = models.block_operator_norm(model, prod, tol=tol) / float(envelope(t))
-    positive = values > 1e-13
-    if not np.any(positive):
+        norms[i] = models.block_operator_norm(model, prod, tol=tol)
+        values[i] = norms[i] / float(envelope(t))
+    if projection.rank == 0:
         return DecayCurve(ts, values, None, True)
-    if np.count_nonzero(positive) < 2:
+    kept = norms >= _RESIDUE_REL * models.block_operator_norm(model, proj, tol=tol)
+    if np.count_nonzero(kept) < 2:
         # A single surviving sample cannot carry a trend.
         return DecayCurve(ts, values, None, False)
-    design = np.column_stack([np.ones(ts.size), np.log(ts)])[positive]
-    slope = float(np.linalg.lstsq(design, np.log(values[positive]), rcond=None)[0][1])
+    design = np.column_stack([np.ones(ts.size), np.log(ts)])[kept]
+    slope = float(np.linalg.lstsq(design, np.log(values[kept]), rcond=None)[0][1])
     decaying = slope <= -0.5 and values[-1] < 0.1 * values[0]
     return DecayCurve(ts, values, slope, bool(decaying))

@@ -240,6 +240,22 @@ def test_hardy_property(seq):
     assert hardy_check(np.array(seq)).ratio <= 1.0 + 1e-12
 
 
+def test_hardy_extreme_magnitudes():
+    assert hardy_check([1e200, 2e200]).ratio == pytest.approx(
+        hardy_check([1.0, 2.0]).ratio, rel=1e-15)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.just(0j) | st.complex_numbers(min_magnitude=1e-3,
+                                                 max_magnitude=1e8),
+                min_size=1, max_size=64),
+       st.floats(min_value=-150.0, max_value=150.0))
+def test_hardy_ratio_is_scale_invariant(seq, log10_scale):
+    c = np.array(seq)
+    scaled = hardy_check(10.0 ** log10_scale * c).ratio
+    assert math.isclose(scaled, hardy_check(c).ratio, rel_tol=1e-12)
+
+
 # ---------------------------------------------------------------- witness
 
 def test_witness_vector_frozen_tent():

@@ -275,6 +275,21 @@ def test_cli_max_dim_guard(tmp_path, capsys):
     assert "minimal adequate" in capsys.readouterr().err
 
 
+def test_cli_theorem_check_honours_proj_tol(tmp_path, capsys):
+    # At 24 nodes node doubling moves these projections by ~6e-8: inside
+    # the configured proj_tol, so the decay check must not re-judge it
+    # against the 1e-8 default.
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "log_spectrum_n1.cfg")
+    with open(shipped, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    cfg_path = tmp_path / "n1_coarse.cfg"
+    cfg_path.write_text(text + "contour.nodes = 24\ntolerances.proj_tol = 1e-6\n")
+    assert main(["theorem-check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+
+
 def test_cli_hardy_and_witness(tmp_path, capsys):
     assert main(["hardy", "--cases", "200", "--max-len", "32",
                  "--out", str(tmp_path / "h")]) == 0

@@ -1,11 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semistab.errors import SpectrumHitError, TruncationInadequateError
 from semistab.linalg import NormKind, weighted_vector_norm
 from semistab.models import (Family, ModelSpec, build_model, check_truncation,
                              eigenvalues, evolve, evolve_blocks, generator,
-                             required_max_index, resolvent, resolvent_blocks)
+                             model_dim, required_max_index, resolvent,
+                             resolvent_blocks)
+from semistab.spectral import (contour_projection_closed, hypothesis_a_check,
+                               riesz_projection_closed,
+                               riesz_projection_quadrature)
 
 RNG = np.random.default_rng(515)
 
@@ -18,25 +26,25 @@ def test_build_diag_jordan_layout():
     m = _model(Family.DIAG_JORDAN, 3)
     assert m.dim == 5
     assert m.norm_context.kind is NormKind.EUCLIDEAN
-    sizes = [b.size for b in m.blocks]
-    assert sizes == [1, 2, 2]
-    assert m.blocks[0].eigenvalues == (1j,)
-    assert m.blocks[1].eigenvalues == (1j - 1.0, 1j - 1.0)
-    assert m.blocks[2].eigenvalues == (2j - 0.5, 2j - 0.5)
+    assert (m.scalars.size, m.mid.size) == (1, 2)  # block sizes 1, 2, 2
+    assert m.scalars.tolist() == [1j]
+    assert list(zip(m.upper.tolist(), m.lower.tolist())) == [
+        (1j - 1.0, 1j - 1.0), (2j - 0.5, 2j - 0.5)]
 
 
 def test_build_jordan_pairs_layout():
     m = _model(Family.JORDAN_PAIRS, 2)
     assert m.dim == 2
-    assert len(m.blocks) == 1
-    assert m.blocks[0].eigenvalues == (1j * 2.5, 1j * 1.5)
+    assert (m.scalars.size, m.mid.size) == (0, 1)
+    assert (m.upper.tolist(), m.lower.tolist()) == ([1j * 2.5], [1j * 1.5])
 
 
 def test_build_log_spectrum_layout():
     m = _model(Family.LOG_SPECTRUM, 4, order=1)
     assert m.dim == 3
     assert m.norm_context.kind is NormKind.DELTA_WEIGHTED
-    diag = [b.eigenvalues[0] for b in m.blocks]
+    assert m.mid.size == 0
+    diag = m.scalars.tolist()
     assert diag == pytest.approx([1j * np.log(2), 1j * np.log(3), 1j * np.log(4)])
 
 
@@ -85,10 +93,9 @@ def test_spectral_mapping_on_block_diagonals(family):
     m = _model(family, 20)
     t = 3.7
     semi = evolve(m, t)
-    for block in m.blocks:
-        got = np.diag(semi)[block.start:block.start + block.size]
-        expected = [np.exp(lam * t) for lam in block.eigenvalues]
-        assert np.max(np.abs(got - expected)) < 1e-12
+    # Coordinates: the 1x1 blocks, then (upper, lower) of each 2x2 block.
+    lams = np.concatenate([m.scalars, np.column_stack([m.upper, m.lower]).ravel()])
+    assert np.max(np.abs(np.diag(semi) - np.exp(lams * t))) < 1e-12
 
 
 def test_generator_frozen_blocks():
@@ -158,15 +165,16 @@ def test_jordan_pairs_product_matches_displayed_formula():
     m = _model(Family.JORDAN_PAIRS, 8)
     for t in (0.5, 3.0, 17.0):
         prod = evolve(m, t) @ resolvent(m, 0.0)
-        for i, block in enumerate(m.blocks):
+        for i in range(m.mid.size):
             n = i + 2
+            start = m.scalars.size + 2 * i
             pref = 1j * n / (1.0 - n ** 4) * np.exp(1j * t * n)
             oracle = pref * np.array([
                 [(n * n - 1) * np.exp(1j * t / n),
                  (n * n - 1) * n * np.sin(t / n) + 1j * n * np.exp(-1j * t / n)],
                 [0.0, (n * n + 1) * np.exp(-1j * t / n)],
             ])
-            got = prod[block.start:block.start + 2, block.start:block.start + 2]
+            got = prod[start:start + 2, start:start + 2]
             assert np.max(np.abs(got - oracle)) <= 1e-10
 
 
@@ -226,3 +234,44 @@ def test_resolvent_blocks_match_dense_inverse():
     mu = 0.7 - 0.2j
     dense = np.linalg.inv(generator(m) - mu * np.eye(m.dim))
     assert np.max(np.abs(resolvent_blocks(m, mu).to_dense() - dense)) < 1e-11
+
+
+@pytest.mark.parametrize("family", list(Family))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(max_index=st.integers(2, 12), t=st.floats(0.0, 50.0),
+       s=st.floats(0.0, 50.0), mu=st.complex_numbers(max_magnitude=20.0))
+def test_table_oracle_pairs_on_small_truncations(family, max_index, t, s, mu):
+    # The order-1 weighted norm needs two coordinates.
+    assume(family is not Family.LOG_SPECTRUM or max_index > 2)
+    m = _model(family, max_index)
+    assume(np.min(np.abs(m.spectrum - mu)) >= 0.05)
+    assert model_dim(family, max_index) == m.dim
+
+    dense = np.linalg.inv(generator(m) - mu * np.eye(m.dim))
+    got = resolvent_blocks(m, mu).to_dense()
+    assert np.max(np.abs(got - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+
+    law = evolve_blocks(m, t + s) - evolve_blocks(m, t) @ evolve_blocks(m, s)
+    assert law.sup_singular_value() <= 1e-9
+
+    for idx, eig in enumerate(eigenvalues(m)):
+        contour = hypothesis_a_check(m, eig.value)
+        quad = riesz_projection_quadrature(m, contour).blocks
+        for closed in (riesz_projection_closed(m, idx),
+                       contour_projection_closed(m, contour)):
+            assert (quad - closed.blocks).sup_singular_value() <= 1e-8
+            assert closed.rank == eig.multiplicity
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_model_holds_arrays_not_block_objects(family):
+    # One Python object per block costs over 100 bytes per coordinate; the
+    # spectral table and the sorted spectrum need about 40.
+    spec = ModelSpec(family, 20001)
+    tracemalloc.start()
+    try:
+        m = build_model(spec)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / m.dim < 80

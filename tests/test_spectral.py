@@ -79,8 +79,7 @@ def test_closed_projection_jordan_block_is_block_identity():
     report = riesz_projection_closed(m, idx)
     p = report.projection
     lam = eigs[idx].value
-    block = next(b for b in m.blocks if b.size == 2 and b.eigenvalues[0] == lam)
-    s = block.start
+    s = m.scalars.size + 2 * int(np.flatnonzero(m.upper == lam)[0])
     assert np.max(np.abs(p[s:s + 2, s:s + 2] - np.eye(2))) == 0.0
     assert report.rank == 2
 
@@ -172,13 +171,13 @@ def test_hypothesis_a_rejects_non_eigenvalue():
 
 def test_hypothesis_a_clustered_spectrum(monkeypatch):
     # The built-in families stay isolated at small truncations, so shrink a
-    # gap artificially to exercise the error path.
-    from semistab import spectral
-    from semistab.models import Eigenvalue
+    # gap artificially in the spectral table to exercise the error path.
+    from semistab import models
 
-    m = _model(Family.LOG_SPECTRUM, 5)
-    fake = [Eigenvalue(1j, 1), Eigenvalue(1j + 1e-10, 1)]
-    monkeypatch.setattr(spectral.models, "eigenvalues", lambda _m: fake)
+    none = np.zeros(0, dtype=complex)
+    clustered = (np.array([1j, 1j + 1e-10]), none, none)
+    monkeypatch.setattr(models, "_spectral_table", lambda *_: clustered)
+    m = _model(Family.LOG_SPECTRUM, 3)
     with pytest.raises(ClusteredSpectrumError):
         hypothesis_a_check(m, 1j)
 
@@ -187,7 +186,8 @@ def test_hypothesis_b_constant_projected_norm_decays_against_linear():
     m = _model(Family.JORDAN_PAIRS, 3)
     contour = hypothesis_a_check(m, 2.5j)
     ts = np.geomspace(10.0, 1000.0, 12)
-    curve = hypothesis_b_check(m, contour, ts, lambda t: t + 1.0)
+    proj = riesz_projection_quadrature(m, contour)
+    curve = hypothesis_b_check(m, proj, ts, lambda t: t + 1.0)
     oracle = np.sqrt(1.0 + 1.0) / (ts + 1.0)  # ||P|| = sqrt(1 + (n/2)^2), n = 2
     assert np.max(np.abs(curve.values - oracle)) <= 1e-7
     assert curve.decaying
@@ -196,8 +196,9 @@ def test_hypothesis_b_constant_projected_norm_decays_against_linear():
 
 def test_hypothesis_b_empty_contour_curve_is_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
-    curve = hypothesis_b_check(m, Contour(0.5 + 0.0j, 0.1),
-                               np.geomspace(1.0, 100.0, 8), lambda t: t + 1.0)
+    proj = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
+    curve = hypothesis_b_check(m, proj, np.geomspace(1.0, 100.0, 8),
+                               lambda t: t + 1.0)
     assert np.max(curve.values) <= 1e-13  # quadrature residue of the zero map
     assert curve.decaying
     assert curve.slope is None
@@ -207,8 +208,22 @@ def test_hypothesis_b_log_spectrum_against_power_envelope():
     m = _model(Family.LOG_SPECTRUM, 20)
     contour = hypothesis_a_check(m, 1j * np.log(3))
     ts = np.geomspace(1.0, 100.0, 10)
-    curve = hypothesis_b_check(m, contour, ts, lambda t: 5.0 * t + 1.0)
+    proj = riesz_projection_quadrature(m, contour)
+    curve = hypothesis_b_check(m, proj, ts, lambda t: 5.0 * t + 1.0)
     assert curve.decaying
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e14])
+def test_hypothesis_b_verdict_ignores_envelope_scale(scale):
+    # ||T(t) P|| is constant, so no rescaling of a constant envelope may
+    # turn the curve into a (vacuous) decay.
+    m = _model(Family.JORDAN_PAIRS, 500)
+    contour = hypothesis_a_check(m, eigenvalues(m)[0].value)
+    proj = riesz_projection_quadrature(m, contour)
+    curve = hypothesis_b_check(m, proj, np.geomspace(1.0, 10.0, 12),
+                               lambda t: scale)
+    assert not curve.decaying
+    assert curve.slope == pytest.approx(0.0, abs=1e-6)
 
 
 def test_contour_projection_closed_matches_quadrature_for_pairs():

@@ -67,15 +67,21 @@ class NormSamples:
         object.__setattr__(self, "values", values)
 
 
-def _norm_curve(model: Model, ts: np.ndarray, mu, tol: float, with_resolvent: bool):
-    res = models.resolvent_blocks(model, mu) if with_resolvent else None
+def norm_curve(model: Model, ts: np.ndarray, right, tol: float) -> np.ndarray:
+    """t -> ||T(t) right|| in the model's norm; ``right = None`` gives ||T(t)||."""
     out = np.empty(ts.size, dtype=float)
     for i, t in enumerate(ts):
         op = models.evolve_blocks(model, float(t))
-        if res is not None:
-            op = op @ res
+        if right is not None:
+            op = op @ right
         out[i] = models.block_operator_norm(model, op, tol=tol)
     return out
+
+
+def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
+    """Least-squares slope of log(values) against log(ts)."""
+    design = np.column_stack([np.ones(ts.size), np.log(ts)])
+    return float(np.linalg.lstsq(design, np.log(values), rcond=None)[0][1])
 
 
 def sample_norms(model: Model, ts, quantity: Quantity, mu: complex | None = None,
@@ -94,13 +100,11 @@ def sample_norms(model: Model, ts, quantity: Quantity, mu: complex | None = None
     models.check_truncation(model, float(ts[-1]))
     mu = model.spec.mu_default if mu is None else complex(mu)
     if quantity is Quantity.SEMIGROUP_NORM:
-        values = _norm_curve(model, ts, mu, tol, with_resolvent=False)
-    elif quantity is Quantity.RESOLVENT_PRODUCT_NORM:
-        values = _norm_curve(model, ts, mu, tol, with_resolvent=True)
+        values = norm_curve(model, ts, None, tol)
     else:
-        semi = _norm_curve(model, ts, mu, tol, with_resolvent=False)
-        prod = _norm_curve(model, ts, mu, tol, with_resolvent=True)
-        values = prod / semi
+        values = norm_curve(model, ts, models.resolvent_blocks(model, mu), tol)
+        if quantity is Quantity.RATIO:
+            values = values / norm_curve(model, ts, None, tol)
     return NormSamples(quantity, ts, values)
 
 

@@ -22,33 +22,19 @@ def _load_config(args):
     return parse_config(text, max_dim=args.max_dim)
 
 
-def _finish(report):
-    print(render_report(report.to_dict()))
-    return 0 if report.all_passed() else 1
-
-
-def _cmd_simulate(args):
-    return _finish(run_simulate(_load_config(args), out_dir=args.out))
-
-
-def _cmd_theorem_check(args):
-    return _finish(run_theorem_check(_load_config(args), out_dir=args.out))
+def _show(report: dict) -> int:
+    print(render_report(report))
+    return report_exit_code(report)
 
 
 def _cmd_hardy(args):
-    return _finish(run_hardy(args.cases, max_len=args.max_len, seed=args.seed,
-                             out_dir=args.out))
+    return _show(run_hardy(args.cases, max_len=args.max_len, seed=args.seed,
+                           out_dir=args.out).to_dict())
 
 
 def _cmd_witness(args):
     ts = [float(part) for part in args.t.split(",") if part.strip()]
-    return _finish(run_witness(ts, dim=args.dim, out_dir=args.out))
-
-
-def _cmd_report(args):
-    report = load_report(args.path)
-    print(render_report(report))
-    return report_exit_code(report)
+    return _show(run_witness(ts, dim=args.dim, out_dir=args.out).to_dict())
 
 
 def _build_parser():
@@ -59,7 +45,7 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_command(name, func, help_text):
+    def add_config_command(name, runner, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", default=None,
@@ -67,13 +53,14 @@ def _build_parser():
         cmd.add_argument("--max-dim", type=int, default=200_000,
                          help="reject configs whose truncation exceeds this "
                               "coordinate dimension")
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=lambda args: _show(
+            runner(_load_config(args), out_dir=args.out).to_dict()))
         return cmd
 
-    add_config_command("simulate", _cmd_simulate,
+    add_config_command("simulate", run_simulate,
                        "sample semigroup / resolvent-product norms and "
                        "judge the family's growth and decay laws")
-    add_config_command("theorem-check", _cmd_theorem_check,
+    add_config_command("theorem-check", run_theorem_check,
                        "run the full decay-criterion pipeline: envelope, "
                        "projections, and conclusion decay")
 
@@ -97,7 +84,7 @@ def _build_parser():
     report = sub.add_parser("report", help="render a stored report and exit "
                                            "with its verdict status")
     report.add_argument("path")
-    report.set_defaults(func=_cmd_report)
+    report.set_defaults(func=lambda args: _show(load_report(args.path)))
     return parser
 
 

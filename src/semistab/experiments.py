@@ -25,7 +25,7 @@ from . import asymptotics, models, spectral
 from ._version import __version__
 from .asymptotics import (FitFamily, NormSamples, Quantity, concave_envelope,
                           envelope_translation_check, fit_rate, hardy_check,
-                          sample_norms, witness_lower_bound)
+                          loglog_slope, sample_norms, witness_lower_bound)
 from .errors import (ClusteredSpectrumError, ConfigError,
                      InsufficientSamplesError, SemistabError,
                      TruncationInadequateError)
@@ -46,6 +46,9 @@ SPREAD_BOUND = 3.0
 TREND_SLOPE_BOUND = 0.15
 
 _ENVELOPE_DEFECT_TOL = 1e-12
+
+#: Largest accepted ``grid.points``; the grid is allocated before any run.
+MAX_GRID_POINTS = 100_000
 
 
 class Spacing(enum.Enum):
@@ -139,8 +142,10 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     """Parse the flat key = value grammar into a validated config.
 
     ``model.max_index = auto`` resolves to the minimal adequate truncation
-    for the grid's t_max; an explicit value below that is rejected, as is
-    any truncation whose coordinate dimension exceeds ``max_dim``.
+    for the grid's t_max; an explicit value below that is rejected, as are
+    any truncation whose coordinate dimension exceeds ``max_dim``, a
+    LOG_SPECTRUM truncation below ``order + 2`` (too small for its weighted
+    norm), and more than ``MAX_GRID_POINTS`` grid points.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -182,10 +187,14 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     family = convert("model.family", lambda s: Family[s])
     order = convert("model.order", int, 1)
     mu = convert("model.mu", _parse_complex, 1.0 + 0.0j)
+    points = convert("grid.points", int)
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"line {entries['grid.points'][0]}: grid.points "
+                          f"{points} exceeds the cap {MAX_GRID_POINTS}")
     grid = TimeGrid(
         t_min=convert("grid.t_min", float),
         t_max=convert("grid.t_max", float),
-        points=convert("grid.points", int),
+        points=points,
         spacing=convert("grid.spacing", lambda s: Spacing[s], Spacing.GEOMETRIC),
     )
 
@@ -202,6 +211,12 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
                 f"(dim {models.model_dim(family, need)})",
                 required=need)
     dim = models.model_dim(family, max_index)
+    if family is Family.LOG_SPECTRUM and max_index < order + 2:
+        # The order-N difference weighting needs dim >= N + 1.
+        raise TruncationInadequateError(
+            f"model.max_index {max_index} (dim {dim}) cannot carry the "
+            f"order-{order} weighted norm; need max_index >= {order + 2}",
+            required=order + 2)
     if max_dim is not None and dim > max_dim:
         raise TruncationInadequateError(
             f"adequate truncation needs dim {dim} > configured cap {max_dim} "
@@ -281,15 +296,20 @@ def _skipped(reason: str, **metrics) -> Verdict:
     return Verdict(SKIPPED, reason, metrics)
 
 
+def _passed(statuses) -> bool:
+    """The exit rule: every verdict status is PASS or SKIPPED."""
+    return all(s in (PASS, SKIPPED) for s in statuses)
+
+
 @dataclass
 class RunReport:
     command: str
     config_text: str
-    samples: dict
-    fits: dict
-    projections: list
     verdicts: dict
-    timings: dict
+    samples: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
+    projections: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)
     version: str = __version__
 
     def to_dict(self) -> dict:
@@ -309,7 +329,7 @@ class RunReport:
         }
 
     def all_passed(self) -> bool:
-        return all(v.status in (PASS, SKIPPED) for v in self.verdicts.values())
+        return _passed(v.status for v in self.verdicts.values())
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -344,12 +364,27 @@ def write_json(path: str, obj) -> None:
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit(report: RunReport, out_dir: str, formats, csv_files: dict) -> None:
+def _finish(report: RunReport, started: float, out_dir: str, formats,
+            csv_files: dict) -> RunReport:
+    """Stamp the total time, write the run's files, and return the report."""
+    report.timings["total_s"] = time.perf_counter() - started
     if "CSV" in formats:
         for name, (header, rows) in csv_files.items():
             write_csv(os.path.join(out_dir, name), header, rows)
     if "JSON" in formats:
         write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    return report
+
+
+def _sample(cfg: ExperimentConfig):
+    """The model, the time grid, and the semigroup and product curves on it."""
+    model = build_model(cfg.model)
+    ts = cfg.grid.values()
+    semi = sample_norms(model, ts, Quantity.SEMIGROUP_NORM,
+                        tol=cfg.tolerances.norm_tol)
+    prod = sample_norms(model, ts, Quantity.RESOLVENT_PRODUCT_NORM,
+                        tol=cfg.tolerances.norm_tol)
+    return model, ts, semi, prod
 
 
 def _samples_dict(*curves: NormSamples) -> dict:
@@ -374,11 +409,6 @@ def _fit_dict(fit) -> dict:
 
 def _spread(values: np.ndarray) -> float:
     return float(np.max(values) / np.min(values))
-
-
-def _trend_slope(ts: np.ndarray, values: np.ndarray) -> float:
-    design = np.column_stack([np.ones(ts.size), np.log(ts)])
-    return float(np.linalg.lstsq(design, np.log(values), rcond=None)[0][1])
 
 
 def _growth_verdict(model: Model, semi: NormSamples) -> Verdict:
@@ -430,7 +460,7 @@ def _ratio_verdict(model: Model, ratio: NormSamples):
         fits["ratio_inverse_log"] = _fit_dict(fit)
         mask = ratio.ts >= fit.window[0]
         compensated = ratio.values[mask] * np.log(ratio.ts[mask])
-        slope = _trend_slope(ratio.ts[mask], compensated)
+        slope = loglog_slope(ratio.ts[mask], compensated)
         ok = fit.exponent_or_scale <= SPREAD_BOUND and abs(slope) <= TREND_SLOPE_BOUND
         return _verdict(ok, f"ratio * log t: spread {fit.exponent_or_scale:.4f}, "
                             f"trend slope {slope:.4f}",
@@ -449,39 +479,24 @@ def _ratio_verdict(model: Model, ratio: NormSamples):
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
     """Sample the three monitored curves and judge the family's claims."""
-    clock = time.perf_counter
-    started = clock()
-    model = build_model(cfg.model)
-    ts = cfg.grid.values()
-    semi = sample_norms(model, ts, Quantity.SEMIGROUP_NORM,
-                        tol=cfg.tolerances.norm_tol)
-    prod = sample_norms(model, ts, Quantity.RESOLVENT_PRODUCT_NORM,
-                        tol=cfg.tolerances.norm_tol)
+    started = time.perf_counter()
+    model, ts, semi, prod = _sample(cfg)
+    timings = {"sampling_s": time.perf_counter() - started}
     ratio = NormSamples(Quantity.RATIO, ts, prod.values / semi.values)
-    sampled = clock()
 
     verdicts = {"semigroup_growth": _growth_verdict(model, semi),
                 "resolvent_product_bounded": _bounded_verdict(model, prod)}
     ratio_verdict, fits = _ratio_verdict(model, ratio)
     verdicts["ratio_decay"] = ratio_verdict
-    finished = clock()
 
-    report = RunReport(
-        command="simulate",
-        config_text=render_config(cfg),
-        samples=_samples_dict(semi, prod, ratio),
-        fits=fits,
-        projections=[],
-        verdicts=verdicts,
-        timings={"sampling_s": sampled - started,
-                 "verdicts_s": finished - sampled,
-                 "total_s": finished - started},
-    )
+    report = RunReport("simulate", render_config(cfg), verdicts,
+                       samples=_samples_dict(semi, prod, ratio), fits=fits,
+                       timings=timings)
     rows = list(zip(ts, semi.values, prod.values, ratio.values))
-    _emit(report, out_dir or cfg.output.directory, cfg.output.formats,
-          {"samples.csv": (["t", "semigroup_norm", "resolvent_product_norm",
-                            "ratio"], rows)})
-    return report
+    return _finish(report, started, out_dir or cfg.output.directory,
+                   cfg.output.formats,
+                   {"samples.csv": (["t", "semigroup_norm",
+                                     "resolvent_product_norm", "ratio"], rows)})
 
 
 def _envelope_verdict(env, semi: NormSamples) -> Verdict:
@@ -528,16 +543,10 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
     if cfg.grid.points < 3:
         raise ConfigError("theorem-check needs a grid of at least 3 points "
                           "to build an envelope")
-    clock = time.perf_counter
-    started = clock()
-    model = build_model(cfg.model)
-    ts = cfg.grid.values()
-    semi = sample_norms(model, ts, Quantity.SEMIGROUP_NORM,
-                        tol=cfg.tolerances.norm_tol)
-    prod = sample_norms(model, ts, Quantity.RESOLVENT_PRODUCT_NORM,
-                        tol=cfg.tolerances.norm_tol)
+    started = time.perf_counter()
+    model, ts, semi, prod = _sample(cfg)
+    timings = {"sampling_s": time.perf_counter() - started}
     env = concave_envelope(semi)
-    sampled = clock()
 
     verdicts = {"envelope_conditions": _envelope_verdict(env, semi)}
 
@@ -549,25 +558,23 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         end_ratio=float(translation.ratios[-1]),
         shift=cfg.translation_shift)
 
-    eigs = models.eigenvalues(model)[:cfg.top_k]
     projections = []
     curves = []
     decay_flags = []
     skipped_eigs = []
-    for eig in eigs:
+    for lam in model.spectrum[:cfg.top_k].tolist():
         try:
             contour = spectral.hypothesis_a_check(
-                model, eig.value, radius_cap=cfg.radius_cap,
-                nodes=cfg.contour_nodes)
+                model, lam, radius_cap=cfg.radius_cap, nodes=cfg.contour_nodes)
         except ClusteredSpectrumError as exc:
-            skipped_eigs.append((eig.value, str(exc)))
+            skipped_eigs.append((lam, str(exc)))
             continue
         proj_report = spectral.riesz_projection_quadrature(
             model, contour, drift_tol=cfg.tolerances.proj_tol)
-        projections.append(_projection_entry(eig.value, contour, proj_report))
+        projections.append(_projection_entry(lam, contour, proj_report))
         curve = spectral.hypothesis_b_check(model, proj_report, ts, env,
                                             tol=cfg.tolerances.norm_tol)
-        curves.append((eig.value, curve))
+        curves.append((lam, curve))
         decay_flags.append(curve.decaying)
     skipped_values = [format_complex(v) for v, _ in skipped_eigs]
     if not decay_flags:
@@ -585,7 +592,7 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
             skipped_eigenvalues=skipped_values)
 
     conclusion = prod.values / env.value(ts)
-    slope = _trend_slope(ts, conclusion)
+    slope = loglog_slope(ts, conclusion)
     drop = float(conclusion[-1] / conclusion[0])
     verdicts["conclusion_decay"] = _verdict(
         slope <= CONCLUSION_SLOPE_MAX and drop <= CONCLUSION_DROP_MAX,
@@ -593,36 +600,28 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         f"end/start {drop:.4f}",
         trend_slope=slope, end_over_start=drop,
         slope_bound=CONCLUSION_SLOPE_MAX, drop_bound=CONCLUSION_DROP_MAX)
-    finished = clock()
 
     samples = _samples_dict(semi, prod)
     samples["envelope_knots"] = {
         "t": [float(x) for x in env.knot_ts],
         "log_value": [float(y) for y in env.knot_log_values],
     }
-    report = RunReport(
-        command="theorem-check",
-        config_text=render_config(cfg),
-        samples=samples,
-        fits={},
-        projections=projections,
-        verdicts=verdicts,
-        timings={"sampling_s": sampled - started,
-                 "checks_s": finished - sampled,
-                 "total_s": finished - started},
-    )
+    report = RunReport("theorem-check", render_config(cfg), verdicts,
+                       samples=samples, projections=projections,
+                       timings=timings)
     curve_rows = list(zip(ts, semi.values, prod.values, env.value(ts), conclusion))
     hyp_rows = [(format_complex(lam), t, v)
                 for lam, curve in curves
                 for t, v in zip(curve.ts, curve.values)]
-    _emit(report, out_dir or cfg.output.directory, cfg.output.formats, {
+    csv_files = {
         "theorem_curves.csv": (["t", "semigroup_norm", "resolvent_product_norm",
                                 "envelope", "conclusion_curve"], curve_rows),
         "hypothesis_b.csv": (["eigenvalue", "t", "value"], hyp_rows),
         "envelope_knots.csv": (["t", "log_value"],
                                list(zip(env.knot_ts, env.knot_log_values))),
-    })
-    return report
+    }
+    return _finish(report, started, out_dir or cfg.output.directory,
+                   cfg.output.formats, csv_files)
 
 
 def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
@@ -650,7 +649,6 @@ def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
             worst_ratio = ratio
             worst_seq = seq
             worst_case = case
-    finished = time.perf_counter()
 
     config_text = (f"hardy.cases = {cases}\nhardy.max_len = {max_len}\n"
                    f"hardy.seed = {seed}\n")
@@ -659,18 +657,10 @@ def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
                        f"(seed {seed}, case {worst_case})",
                        worst_ratio=worst_ratio, cases=cases,
                        max_len=max_len, seed=seed, worst_case=worst_case)
-    report = RunReport(
-        command="hardy",
-        config_text=config_text,
-        samples={},
-        fits={},
-        projections=[],
-        verdicts={"hardy_bound": verdict},
-        timings={"total_s": finished - started},
-    )
     rows = [(i + 1, z.real, z.imag) for i, z in enumerate(worst_seq)]
-    _emit(report, out_dir, formats, {"hardy_worst.csv": (["n", "re", "im"], rows)})
-    return report
+    return _finish(RunReport("hardy", config_text, {"hardy_bound": verdict}),
+                   started, out_dir, formats,
+                   {"hardy_worst.csv": (["n", "re", "im"], rows)})
 
 
 def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
@@ -685,7 +675,6 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
     spec = ModelSpec(Family.LOG_SPECTRUM, dim + 1, order=1)
     model = build_model(spec)
     bounds = [witness_lower_bound(model, t) for t in ts]
-    finished = time.perf_counter()
 
     normalized = np.array([b.normalized for b in bounds])
     raw = np.array([b.raw_ratio for b in bounds])
@@ -706,20 +695,13 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
     config_text = (f"witness.t = {','.join(repr(t) for t in ts)}\n"
                    f"witness.dim = {dim}\n")
     report = RunReport(
-        command="witness",
-        config_text=config_text,
+        "witness", config_text, verdicts,
         samples={"witness": {"t": list(ts),
                              "raw_ratio": [float(r) for r in raw],
-                             "normalized": [float(v) for v in normalized]}},
-        fits={},
-        projections=[],
-        verdicts=verdicts,
-        timings={"total_s": finished - started},
-    )
+                             "normalized": [float(v) for v in normalized]}})
     rows = list(zip(ts, raw, normalized))
-    _emit(report, out_dir, formats,
-          {"witness.csv": (["t", "raw_ratio", "normalized"], rows)})
-    return report
+    return _finish(report, started, out_dir, formats,
+                   {"witness.csv": (["t", "raw_ratio", "normalized"], rows)})
 
 
 def load_report(path: str) -> dict:
@@ -764,5 +746,5 @@ def render_report(report: dict) -> str:
 
 
 def report_exit_code(report: dict) -> int:
-    statuses = [v.get("status") for v in report.get("verdicts", {}).values()]
-    return 0 if all(s in (PASS, SKIPPED) for s in statuses) else 1
+    verdicts = report.get("verdicts", {}).values()
+    return 0 if _passed(v.get("status") for v in verdicts) else 1

@@ -204,15 +204,6 @@ class BlockDiagonal:
         return BlockDiagonal(self.scalars * other.scalars,
                              np.matmul(self.pairs, other.pairs))
 
-    @classmethod
-    def zeros_like(cls, other):
-        return cls(np.zeros_like(other.scalars), np.zeros_like(other.pairs))
-
-    @classmethod
-    def identity_like(cls, other):
-        eye = np.broadcast_to(np.eye(2, dtype=complex), other.pairs.shape).copy()
-        return cls(np.ones_like(other.scalars), eye)
-
     def trace(self) -> complex:
         t = complex(self.scalars.sum()) if self.scalars.size else 0.0 + 0.0j
         if self.pairs.size:

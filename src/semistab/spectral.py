@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, models
+from .asymptotics import loglog_slope, norm_curve
 from .errors import (ClusteredSpectrumError, ContourTooCloseError,
                      NonconvergedError)
 from .models import BlockDiagonal, Model
@@ -103,7 +104,8 @@ def _quadrature_sum(model: Model, contour: Contour, nodes: int) -> BlockDiagonal
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     weights = np.exp(1j * theta)
     mus = contour.center + contour.radius * weights
-    acc = BlockDiagonal.zeros_like(models.evolve_blocks(model, 0.0))
+    acc = BlockDiagonal(np.zeros(model.scalars.size, dtype=complex),
+                        np.zeros((model.mid.size, 2, 2), dtype=complex))
     scale = contour.radius / nodes
     for mu, w in zip(mus, weights):
         # (mu I - A)^-1 = -(A - mu I)^-1, hence the minus sign.
@@ -231,19 +233,14 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport, ts, envelope,
     if ts.ndim != 1 or ts.size < 2 or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be a strictly increasing grid of positive times")
     proj = projection.blocks
-    norms = np.empty(ts.size, dtype=float)
-    values = np.empty(ts.size, dtype=float)
-    for i, t in enumerate(ts):
-        prod = models.evolve_blocks(model, float(t)) @ proj
-        norms[i] = models.block_operator_norm(model, prod, tol=tol)
-        values[i] = norms[i] / float(envelope(t))
+    norms = norm_curve(model, ts, proj, tol)
+    values = norms / np.array([float(envelope(t)) for t in ts])
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(model, proj, tol=tol)
     if np.count_nonzero(kept) < 2:
         # A single surviving sample cannot carry a trend.
         return DecayCurve(ts, values, None, False)
-    design = np.column_stack([np.ones(ts.size), np.log(ts)])[kept]
-    slope = float(np.linalg.lstsq(design, np.log(values[kept]), rcond=None)[0][1])
+    slope = loglog_slope(ts[kept], values[kept])
     decaying = slope <= -0.5 and values[-1] < 0.1 * values[0]
     return DecayCurve(ts, values, slope, bool(decaying))

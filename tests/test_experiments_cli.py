@@ -6,10 +6,10 @@ import pytest
 
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
-from semistab.experiments import (FAIL, PASS, SKIPPED, Spacing, TimeGrid,
-                                  config_hash, parse_config, render_config,
-                                  run_hardy, run_simulate, run_theorem_check,
-                                  run_witness, write_csv)
+from semistab.experiments import (FAIL, MAX_GRID_POINTS, PASS, SKIPPED,
+                                  Spacing, TimeGrid, config_hash, parse_config,
+                                  render_config, run_hardy, run_simulate,
+                                  run_theorem_check, run_witness, write_csv)
 from semistab.models import Family
 
 JP_TEXT = """\
@@ -32,6 +32,20 @@ grid.points = 12
 checks.top_k = 3
 output.directory = {out}
 """
+
+
+# Order-2 LOG_SPECTRUM on a short window: cheap (dim 161), and several of
+# its verdicts FAIL under both config runners.
+FAILING_TEXT = """\
+model.family = LOG_SPECTRUM
+model.order = 2
+grid.t_min = 7.389056098930650
+grid.t_max = 20.0
+grid.points = 10
+"""
+
+REPORT_KEYS = {"config", "samples", "fits", "projections", "verdicts",
+               "timings", "version"}
 
 
 def _read(path):
@@ -92,6 +106,39 @@ def test_config_max_dim_cap():
     with pytest.raises(TruncationInadequateError) as info:
         parse_config(JP_TEXT.format(out="x"), max_dim=100)
     assert "minimal adequate max_index 2000" in str(info.value)
+
+
+def test_config_rejects_oversized_grid(tmp_path, capsys):
+    text = JP_TEXT.format(out=tmp_path / "o").replace(
+        "grid.points = 14", "grid.points = 1000000000000000")
+    with pytest.raises(ConfigError, match="line 6: grid.points"):
+        parse_config(text)
+    at_cap = JP_TEXT.format(out="x").replace(
+        "grid.points = 14", f"grid.points = {MAX_GRID_POINTS}")
+    assert parse_config(at_cap).grid.points == MAX_GRID_POINTS
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, required", [
+    ("grid.t_min = 0.01\ngrid.t_max = 0.1\n", 3),
+    ("grid.t_min = 0.1\ngrid.t_max = 0.5\n"
+     "model.order = 5\nmodel.max_index = 6\n", 7),
+], ids=["auto_dim_1", "order_5_max_index_6"])
+def test_config_rejects_truncation_below_weight_order(tmp_path, capsys,
+                                                      extra, required):
+    text = "model.family = LOG_SPECTRUM\ngrid.points = 4\n" + extra
+    with pytest.raises(TruncationInadequateError) as info:
+        parse_config(text)
+    assert info.value.required == required
+    assert f"need max_index >= {required}" in str(info.value)
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"need max_index >= {required}" in capsys.readouterr().err
 
 
 def test_time_grid_values():
@@ -213,6 +260,30 @@ def test_run_witness_outputs(tmp_path):
     assert len(lines) == 3
 
 
+_RUNNERS = {
+    "simulate": lambda out: run_simulate(parse_config(JP_TEXT.format(out=out))),
+    "theorem-check": lambda out: run_theorem_check(
+        parse_config(LS_TEXT.format(order=1, out=out))),
+    "hardy": lambda out: run_hardy(50, max_len=16, out_dir=str(out)),
+    "witness": lambda out: run_witness([10.0, 20.0], out_dir=str(out)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNNERS))
+def test_every_runner_writes_the_documented_report(tmp_path, command):
+    report = _RUNNERS[command](tmp_path / "o")
+    stored = json.loads(_read(tmp_path / "o" / "report.json"))
+    assert set(stored) == REPORT_KEYS
+    assert stored["config"]["command"] == command
+    timing_keys = {"total_s"}
+    if command in ("simulate", "theorem-check"):
+        timing_keys.add("sampling_s")
+    assert set(stored["timings"]) == timing_keys
+    assert stored["timings"] == report.timings
+    assert all(value >= 0.0 for value in report.timings.values())
+    assert report.timings.get("sampling_s", 0.0) <= report.timings["total_s"]
+
+
 def test_write_csv_is_atomic_and_round_trips_floats(tmp_path):
     path = tmp_path / "data.csv"
     rows = [(0.1 + 0.2, 1.0 / 3.0)]
@@ -297,3 +368,29 @@ def test_cli_hardy_and_witness(tmp_path, capsys):
     assert main(["witness", "--t", "10,20", "--out", str(tmp_path / "w")]) == 0
     capsys.readouterr()
     assert (tmp_path / "w" / "witness.csv").exists()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simulate", "--config", "{jp}"], 0),
+    (["theorem-check", "--config", "{ls}"], 0),
+    (["simulate", "--config", "{bad}"], 1),
+    (["theorem-check", "--config", "{bad}"], 1),
+    (["hardy", "--cases", "50", "--max-len", "16"], 0),
+    (["witness", "--t", "10,20"], 0),
+    (["witness", "--t", "10"], 0),
+], ids=["simulate", "theorem-check", "simulate-fail", "theorem-check-fail",
+        "hardy", "witness", "witness-single"])
+def test_cli_exit_code_matches_stored_report(tmp_path, capsys, argv, expected):
+    configs = {"jp": JP_TEXT.format(out="unused"),
+               "ls": LS_TEXT.format(order=1, out="unused"),
+               "bad": FAILING_TEXT}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / f"{name}.cfg")
+                          for name in configs}) for arg in argv]
+    out_dir = tmp_path / "run"
+    code = main(argv + ["--out", str(out_dir)])
+    shown = capsys.readouterr().out
+    assert code == expected
+    assert main(["report", str(out_dir / "report.json")]) == code
+    assert capsys.readouterr().out == shown

@@ -3,9 +3,11 @@ import pytest
 
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
+from semistab import models
 from semistab.linalg import NormContext, operator_norm
 from semistab.models import Family, ModelSpec, build_model, eigenvalues
-from semistab.spectral import (Contour, contour_projection_closed,
+from semistab.spectral import (COMMUTATION_TIMES, Contour,
+                               contour_projection_closed,
                                hypothesis_a_check, hypothesis_b_check,
                                riesz_projection_closed,
                                riesz_projection_quadrature)
@@ -13,6 +15,19 @@ from semistab.spectral import (Contour, contour_projection_closed,
 
 def _model(family, max_index, **kw):
     return build_model(ModelSpec(family, max_index, **kw))
+
+
+def _record_calls(monkeypatch, name):
+    """Replace models.<name> by a wrapper; returns the list of its arguments."""
+    calls = []
+    original = getattr(models, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, name, recorded)
+    return calls
 
 
 def test_contour_validation():
@@ -235,3 +250,31 @@ def test_contour_projection_closed_matches_quadrature_for_pairs():
     closed = contour_projection_closed(m, contour)
     assert (quad.blocks - closed.blocks).sup_singular_value() <= 1e-8
     assert quad.rank == closed.rank == 2
+
+
+def test_quadrature_evaluates_semigroup_only_for_commutation(monkeypatch):
+    # The quadrature accumulator starts from zeros shaped by the spectral
+    # table; the semigroup is evaluated only at the commutation probes.
+    m = _model(Family.JORDAN_PAIRS, 6)
+    contour = hypothesis_a_check(m, 2.5j)
+    calls = _record_calls(monkeypatch, "evolve_blocks")
+    riesz_projection_quadrature(m, contour)
+    assert [t for (t,) in calls] == list(COMMUTATION_TIMES)
+
+
+def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
+    m = _model(Family.LOG_SPECTRUM, 20)
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j * np.log(3)))
+    ts = np.geomspace(1.0, 100.0, 10)
+    expected = [models.block_operator_norm(
+        m, models.evolve_blocks(m, float(t)) @ proj.blocks) / (5.0 * t + 1.0)
+        for t in ts]
+    evolves = _record_calls(monkeypatch, "evolve_blocks")
+    norms = _record_calls(monkeypatch, "block_operator_norm")
+    asked = []
+    curve = hypothesis_b_check(
+        m, proj, ts, lambda t: asked.append(t) or 5.0 * t + 1.0)
+    assert curve.values.tolist() == expected  # bitwise
+    assert asked == list(ts)
+    assert len(evolves) == ts.size
+    assert len(norms) == ts.size + 1  # one more for ||P||

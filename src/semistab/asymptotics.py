@@ -320,6 +320,15 @@ class WitnessBound:
     normalized: float
 
 
+def check_witness_dim(dim: int, t: float) -> None:
+    """Raise unless ``dim`` coordinates carry the witness at time t."""
+    if dim < WITNESS_DIM_FACTOR * t:
+        raise TruncationInadequateError(
+            f"dim {dim} inadequate for witness at t {t}; need dim >= "
+            f"{math.ceil(WITNESS_DIM_FACTOR * t)}",
+            required=math.ceil(WITNESS_DIM_FACTOR * t) + 1)
+
+
 def witness_lower_bound(model: Model, t: float) -> WitnessBound:
     """Growth certificate ||T(t) A^-1 x|| / ||x|| for the tent vector x.
 
@@ -330,11 +339,7 @@ def witness_lower_bound(model: Model, t: float) -> WitnessBound:
     if model.spec.family is not Family.LOG_SPECTRUM or model.spec.order != 1:
         raise ValueError("witness bound requires the LOG_SPECTRUM family at order 1")
     dim = model.dim
-    if dim < WITNESS_DIM_FACTOR * t:
-        raise TruncationInadequateError(
-            f"dim {dim} inadequate for witness at t {t}; need dim >= "
-            f"{math.ceil(WITNESS_DIM_FACTOR * t)}",
-            required=math.ceil(WITNESS_DIM_FACTOR * t) + 1)
+    check_witness_dim(dim, t)
     x, x_norm = witness_vector(t, dim)
     n = np.arange(2, dim + 2, dtype=float)
     y = x * np.exp(1j * t * np.log(n)) / (1j * np.log(n))

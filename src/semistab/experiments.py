@@ -191,39 +191,39 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     if points > MAX_GRID_POINTS:
         raise ConfigError(f"line {entries['grid.points'][0]}: grid.points "
                           f"{points} exceeds the cap {MAX_GRID_POINTS}")
-    grid = TimeGrid(
-        t_min=convert("grid.t_min", float),
-        t_max=convert("grid.t_max", float),
-        points=points,
-        spacing=convert("grid.spacing", lambda s: Spacing[s], Spacing.GEOMETRIC),
-    )
-
-    need = models.required_max_index(family, grid.t_max)
-    raw_mi = take("model.max_index", "auto")
-    if raw_mi == "auto":
-        max_index = need
-    else:
-        max_index = convert("model.max_index", int)
-        if max_index < need:
-            raise TruncationInadequateError(
-                f"model.max_index {max_index} is inadequate for grid.t_max "
-                f"{grid.t_max}; need max_index >= {need} "
-                f"(dim {models.model_dim(family, need)})",
-                required=need)
-    dim = models.model_dim(family, max_index)
-    if family is Family.LOG_SPECTRUM and max_index < order + 2:
-        # The order-N difference weighting needs dim >= N + 1.
-        raise TruncationInadequateError(
-            f"model.max_index {max_index} (dim {dim}) cannot carry the "
-            f"order-{order} weighted norm; need max_index >= {order + 2}",
-            required=order + 2)
-    if max_dim is not None and dim > max_dim:
-        raise TruncationInadequateError(
-            f"adequate truncation needs dim {dim} > configured cap {max_dim} "
-            f"(minimal adequate max_index {need})",
-            required=need)
-
     try:
+        grid = TimeGrid(
+            t_min=convert("grid.t_min", float),
+            t_max=convert("grid.t_max", float),
+            points=points,
+            spacing=convert("grid.spacing", lambda s: Spacing[s], Spacing.GEOMETRIC),
+        )
+
+        need = models.required_max_index(family, grid.t_max)
+        raw_mi = take("model.max_index", "auto")
+        if raw_mi == "auto":
+            max_index = need
+        else:
+            max_index = convert("model.max_index", int)
+            if max_index < need:
+                raise TruncationInadequateError(
+                    f"model.max_index {max_index} is inadequate for grid.t_max "
+                    f"{grid.t_max}; need max_index >= {need} "
+                    f"(dim {models.model_dim(family, need)})",
+                    required=need)
+        dim = models.model_dim(family, max_index)
+        if family is Family.LOG_SPECTRUM and max_index < order + 2:
+            # The order-N difference weighting needs dim >= N + 1.
+            raise TruncationInadequateError(
+                f"model.max_index {max_index} (dim {dim}) cannot carry the "
+                f"order-{order} weighted norm; need max_index >= {order + 2}",
+                required=order + 2)
+        if max_dim is not None and dim > max_dim:
+            raise TruncationInadequateError(
+                f"adequate truncation needs dim {dim} > configured cap {max_dim} "
+                f"(minimal adequate max_index {need})",
+                required=need)
+
         spec = ModelSpec(family, max_index, order=order, mu_default=mu)
         tolerances = Tolerances(
             norm_tol=convert("tolerances.norm_tol", float, 1e-10),
@@ -671,6 +671,7 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
         raise ConfigError("need at least one t value")
     if dim is None:
         dim = math.ceil(asymptotics.WITNESS_DIM_FACTOR * max(ts))
+    asymptotics.check_witness_dim(dim, ts[-1])
     started = time.perf_counter()
     spec = ModelSpec(Family.LOG_SPECTRUM, dim + 1, order=1)
     model = build_model(spec)

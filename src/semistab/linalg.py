@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,11 +201,20 @@ def _transformed_matvecs(op, domain, codomain):
 
 
 def _gram_power_iteration(mv, rmv, n, tol, cap):
-    # Deterministic start: normalized all-ones.  The Rayleigh estimates of
-    # the Gram operator are nondecreasing and their increments are roughly
-    # geometric, so the extrapolated tail delta * rho / (1 - rho) bounds the
-    # remaining error; stop once it stays below tol * sigma.
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    # Seeded start a (x) b cut to n entries, a and b complex Gaussian of
+    # length ceil(sqrt(n)): <x, a (x) b> is a nonzero bilinear form for any
+    # x != 0, so unlike all-ones it is almost surely not orthogonal to the top
+    # singular vector; 2 sqrt(n) draws, no numpy.random (about 6 MB).
+    rng = random.Random(0)
+    m = math.isqrt(n - 1) + 1
+    a, b = (np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                      for _ in range(m)]) for _ in range(2))
+    v = np.outer(a, b).ravel()[:n]
+    v /= np.linalg.norm(v)
+    # The Rayleigh estimates of the Gram operator are nondecreasing and their
+    # increments are roughly geometric, so the extrapolated tail
+    # delta * rho / (1 - rho) bounds the remaining error; stop once it stays
+    # below tol * sigma.
     prev = None
     prev_delta = None
     streak = 0
@@ -244,8 +254,8 @@ def operator_norm(op, domain: NormContext, codomain: NormContext | None = None,
 
     Computed as the largest singular value of ``D_cod @ op @ L_dom``.  With
     ``method="auto"`` dense inputs of dimension <= 512 use a full SVD and
-    everything else uses power iteration on the Gram operator (deterministic
-    all-ones start, iteration cap ``10 * max(m, n)`` unless overridden).  A
+    everything else uses power iteration on the Gram operator (fixed-seed
+    random start, iteration cap ``10 * max(m, n)`` unless overridden).  A
     dense input whose power iteration hits the cap falls back to the SVD when
     small enough; otherwise :class:`IllConditionedError` is raised.
     """

@@ -24,8 +24,10 @@ with t in place of sinh(t d) / d where d = 0.
   n = 2, ..., max_index, measured in the order-N difference-weighted norm,
   where the semigroup norm grows like t^N.
 
-Everything here is a pure function of its inputs; block constructors are
-vectorized over blocks and the dense assemblers exist for moderate sizes.
+Everything here is a pure function of its inputs.  Every operator derived
+from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
+stores three entries per block; block constructors are vectorized over
+blocks and the dense assemblers exist for moderate sizes.
 """
 
 from __future__ import annotations
@@ -177,66 +179,58 @@ def build_model(spec: ModelSpec) -> Model:
 
 @dataclass(frozen=True)
 class BlockDiagonal:
-    """Block-diagonal operator: leading 1x1 entries, then stacked 2x2 blocks.
-
-    ``scalars`` has shape (m,), ``pairs`` shape (k, 2, 2); coordinates are
-    laid out scalars first.  Supports the small algebra the package needs
-    (sums, scalar multiples, products, spectral norm, trace, densify).
+    """Block-diagonal operator: 1x1 blocks ``scalars``, then 2x2 blocks
+    [[upper, corner], [0, lower]]; all four fields are 1-d arrays and the
+    coordinates hold the scalars first.  Differences, scalar multiples and
+    products (the algebra below) keep the blocks upper triangular.
     """
 
     scalars: np.ndarray
-    pairs: np.ndarray
+    upper: np.ndarray
+    corner: np.ndarray
+    lower: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.scalars.shape[0] + 2 * self.pairs.shape[0]
-
-    def __add__(self, other):
-        return BlockDiagonal(self.scalars + other.scalars, self.pairs + other.pairs)
+        return self.scalars.size + 2 * self.upper.size
 
     def __sub__(self, other):
-        return BlockDiagonal(self.scalars - other.scalars, self.pairs - other.pairs)
+        return BlockDiagonal(self.scalars - other.scalars, self.upper - other.upper,
+                             self.corner - other.corner, self.lower - other.lower)
 
     def __rmul__(self, c):
-        return BlockDiagonal(c * self.scalars, c * self.pairs)
+        return BlockDiagonal(c * self.scalars, c * self.upper, c * self.corner,
+                             c * self.lower)
 
     def __matmul__(self, other):
-        return BlockDiagonal(self.scalars * other.scalars,
-                             np.matmul(self.pairs, other.pairs))
+        return BlockDiagonal(self.scalars * other.scalars, self.upper * other.upper,
+                             self.upper * other.corner + self.corner * other.lower,
+                             self.lower * other.lower)
 
     def trace(self) -> complex:
-        t = complex(self.scalars.sum()) if self.scalars.size else 0.0 + 0.0j
-        if self.pairs.size:
-            t += complex(np.trace(self.pairs, axis1=1, axis2=2).sum())
-        return t
+        return complex(self.scalars.sum() + (self.upper + self.lower).sum())
 
     def sup_singular_value(self) -> float:
-        """Euclidean spectral norm: the supremum of block norms."""
-        best = 0.0
-        if self.scalars.size:
-            best = float(np.max(np.abs(self.scalars)))
-        if self.pairs.size:
-            best = max(best, float(np.max(_sigma_max_2x2(self.pairs))))
-        return best
+        """Euclidean spectral norm: the supremum of block norms.
+
+        A block's singular values satisfy s1 +- s2 = hypot(|u| +- |l|, |c|),
+        from s1 s2 = |u l| and s1^2 + s2^2 = |u|^2 + |c|^2 + |l|^2; their
+        mean avoids the cancellation in sqrt(s^2 - 4 |det|^2).
+        """
+        u, c, l = np.abs(self.upper), np.abs(self.corner), np.abs(self.lower)
+        blocks = (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
+        return float(max(np.max(np.abs(self.scalars), initial=0.0),
+                         np.max(blocks, initial=0.0)))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        m = self.scalars.shape[0]
-        out[np.arange(m), np.arange(m)] = self.scalars
-        start = (m + 2 * np.arange(self.pairs.shape[0]))[:, None, None]
-        offset = np.arange(2)
-        out[start + offset[:, None], start + offset] = self.pairs
+        diag = np.arange(self.scalars.size)
+        out[diag, diag] = self.scalars
+        first = self.scalars.size + 2 * np.arange(self.upper.size)
+        out[first, first] = self.upper
+        out[first, first + 1] = self.corner
+        out[first + 1, first + 1] = self.lower
         return out
-
-
-def _sigma_max_2x2(blocks: np.ndarray) -> np.ndarray:
-    # Largest singular value of each 2x2 block from the Frobenius norm and
-    # determinant: sigma^2 = (s + sqrt(s^2 - 4 |det|^2)) / 2.
-    s = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-    det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
-    p = np.abs(det) ** 2
-    disc = np.sqrt(np.maximum(s * s - 4.0 * p, 0.0))
-    return np.sqrt((s + disc) / 2.0)
 
 
 def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
@@ -253,21 +247,15 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     td = t * d
     jordan = d == 0
     carrier = np.exp(t * model.mid)
-    pairs = np.zeros((d.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = carrier * np.exp(td)
-    pairs[:, 0, 1] = carrier * np.where(jordan, t,
-                                        np.sinh(td) / np.where(jordan, 1.0, d))
-    pairs[:, 1, 1] = carrier * np.exp(-td)
-    return BlockDiagonal(np.exp(t * model.scalars), pairs)
+    corner = np.where(jordan, t, np.sinh(td) / np.where(jordan, 1.0, d))
+    return BlockDiagonal(np.exp(t * model.scalars), carrier * np.exp(td),
+                         carrier * corner, carrier * np.exp(-td))
 
 
 def generator_blocks(model: Model) -> BlockDiagonal:
     """The generator as a block-diagonal operator (1 on the superdiagonal)."""
-    pairs = np.zeros((model.mid.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = model.upper
-    pairs[:, 0, 1] = 1.0
-    pairs[:, 1, 1] = model.lower
-    return BlockDiagonal(model.scalars.copy(), pairs)
+    return BlockDiagonal(model.scalars.copy(), model.upper,
+                         np.ones(model.mid.size, dtype=complex), model.lower)
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
@@ -280,11 +268,7 @@ def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {mu} is within {dist:.3e} of the spectrum")
-    pairs = np.zeros((a.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = 1.0 / a
-    pairs[:, 0, 1] = -1.0 / (a * b)
-    pairs[:, 1, 1] = 1.0 / b
-    return BlockDiagonal(1.0 / s, pairs)
+    return BlockDiagonal(1.0 / s, 1.0 / a, -1.0 / (a * b), 1.0 / b)
 
 
 def evolve(model: Model, t: float) -> np.ndarray:

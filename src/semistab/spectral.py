@@ -104,8 +104,9 @@ def _quadrature_sum(model: Model, contour: Contour, nodes: int) -> BlockDiagonal
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     weights = np.exp(1j * theta)
     mus = contour.center + contour.radius * weights
+    zero = np.zeros(model.mid.size, dtype=complex)
     acc = BlockDiagonal(np.zeros(model.scalars.size, dtype=complex),
-                        np.zeros((model.mid.size, 2, 2), dtype=complex))
+                        zero, zero, zero)
     scale = contour.radius / nodes
     for mu, w in zip(mus, weights):
         # (mu I - A)^-1 = -(A - mu I)^-1, hence the minus sign.
@@ -163,14 +164,11 @@ def _closed_blocks(model: Model, center: complex, radius: float) -> BlockDiagona
     upper, lower = model.upper, model.lower
     hit_a = np.abs(upper - center) < radius
     hit_b = np.abs(lower - center) < radius
-    split = hit_a != hit_b
-    pairs = np.zeros((upper.size, 2, 2), dtype=complex)
-    pairs[:, 0, 0] = hit_a
-    pairs[:, 1, 1] = hit_b
-    pairs[split, 0, 1] = (np.where(hit_a, 1.0, -1.0)[split]
-                          / (upper - lower)[split])
-    scalars = (np.abs(model.scalars - center) < radius).astype(complex)
-    return BlockDiagonal(scalars, pairs)
+    sign = hit_a.astype(float) - hit_b
+    corner = sign / np.where(sign != 0, upper - lower, 1.0)
+    scalars = np.abs(model.scalars - center) < radius
+    return BlockDiagonal(scalars.astype(complex), hit_a.astype(complex), corner,
+                         hit_b.astype(complex))
 
 
 def riesz_projection_closed(model: Model, eigenvalue_index: int) -> ProjectionReport:

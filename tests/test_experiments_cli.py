@@ -122,6 +122,15 @@ def test_config_rejects_oversized_grid(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("grid.points = 14", "grid.points = 1", "grid needs >= 2 points"),
+    ("grid.t_min = 1.0", "grid.t_min = 0", "geometric grids need t_min > 0"),
+], ids=["one_point", "geometric_from_zero"])
+def test_config_rejects_bad_grid(old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(JP_TEXT.format(out="x").replace(old, new))
+
+
 @pytest.mark.parametrize("extra, required", [
     ("grid.t_min = 0.01\ngrid.t_max = 0.1\n", 3),
     ("grid.t_min = 0.1\ngrid.t_max = 0.5\n"
@@ -359,6 +368,15 @@ def test_cli_theorem_check_honours_proj_tol(tmp_path, capsys):
     assert main(["theorem-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
+
+
+def test_witness_rejects_small_dim_before_building(tmp_path, capsys):
+    with pytest.raises(TruncationInadequateError) as info:
+        run_witness([10.0], dim=1, out_dir=str(tmp_path / "w"))
+    assert info.value.required == 81
+    assert main(["witness", "--t", "10", "--dim", "1",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert "need dim >= 80" in capsys.readouterr().err
 
 
 def test_cli_hardy_and_witness(tmp_path, capsys):

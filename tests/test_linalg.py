@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semistab.errors import IllConditionedError
 from semistab.linalg import (MatvecOperator, NormContext, NormKind,
@@ -216,6 +218,45 @@ def test_power_iteration_matches_dense_svd(dim):
     ctx = NormContext.euclidean(dim)
     p = operator_norm(mat, ctx, tol=tol, method="power")
     s = operator_norm(mat, ctx, tol=tol, method="svd")
+    assert p == pytest.approx(s, rel=10.0 * tol)
+
+
+def _planted(n, weight, floor):
+    """weight * u u^H + floor * I, with u = (e0 - e1) / sqrt(2) orthogonal to ones."""
+    u = np.zeros(n, dtype=complex)
+    u[:2] = [1.0, -1.0]
+    u /= math.sqrt(2.0)
+    return weight * np.outer(u, u.conj()) + floor * np.eye(n)
+
+
+@pytest.mark.parametrize("weight, floor, expected", [(3.0, 0.5, 3.5),
+                                                     (1.0, 0.0, 1.0)])
+def test_power_iteration_finds_direction_orthogonal_to_ones(weight, floor,
+                                                            expected):
+    # Above the dense-SVD cutoff; an all-ones start gave 0.5 and 0.0 here.
+    n = 600
+    mat = _planted(n, weight, floor)
+    got = operator_norm(mat, NormContext.euclidean(n))
+    assert got == pytest.approx(expected, rel=1e-10)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dim=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.floats(0.0, 1.0), planted=st.floats(0.0, 10.0),
+       order=st.integers(0, 2))
+def test_power_iteration_matches_dense_svd_property(dim, seed, noise, planted,
+                                                    order):
+    assume(order < dim)
+    tol = 1e-10
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mat = noise * gauss + _planted(dim, planted, 0.0)
+    ctx = (NormContext.euclidean(dim) if order == 0
+           else NormContext.delta_weighted(order, dim))
+    # A matrix-free operator has no dense-SVD fallback to hide a miss.
+    op = MatvecOperator((dim, dim), mat.__matmul__, mat.conj().T.__matmul__)
+    p = operator_norm(op, ctx, tol=tol, method="power", max_iter=100 * dim)
+    s = operator_norm(mat, ctx, method="svd")
     assert p == pytest.approx(s, rel=10.0 * tol)
 
 

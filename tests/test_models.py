@@ -2,15 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semistab.errors import SpectrumHitError, TruncationInadequateError
 from semistab.linalg import NormKind, weighted_vector_norm
-from semistab.models import (Family, ModelSpec, build_model, check_truncation,
-                             eigenvalues, evolve, evolve_blocks, generator,
-                             model_dim, required_max_index, resolvent,
-                             resolvent_blocks)
+from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
+                             check_truncation, eigenvalues, evolve,
+                             evolve_blocks, generator, model_dim,
+                             required_max_index, resolvent, resolvent_blocks)
 from semistab.spectral import (contour_projection_closed, hypothesis_a_check,
                                riesz_projection_closed,
                                riesz_projection_quadrature)
@@ -217,16 +217,82 @@ def test_check_truncation_raises_with_required_value():
     check_truncation(m, 2.0)  # adequate, no raise
 
 
-def test_block_diagonal_algebra_matches_dense():
-    m = _model(Family.DIAG_JORDAN, 4)
-    t, s = 1.3, 2.1
-    a = evolve_blocks(m, t)
-    b = evolve_blocks(m, s)
-    dense = a.to_dense() @ b.to_dense()
-    assert np.max(np.abs((a @ b).to_dense() - dense)) < 1e-12
+_EPS = np.finfo(float).eps
+
+_PHASES = st.floats(0.0, 2.0 * np.pi)
+
+# Complex entries with magnitudes 1e-8 ... 1e8.
+_ENTRIES = st.builds(lambda e, phase: 10.0 ** e * np.exp(1j * phase),
+                     st.floats(-8.0, 8.0), _PHASES)
+
+
+@st.composite
+def _upper_block(draw):
+    upper = draw(_ENTRIES)
+    if draw(st.booleans()):
+        return upper, draw(_ENTRIES), draw(_ENTRIES)
+    # Nearly equal diagonal and a corner far below it, where
+    # sqrt(s^2 - 4 |det|^2) cancels.
+    lower = upper * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    corner = upper * 10.0 ** draw(st.floats(-12.0, -4.0)) * np.exp(1j * draw(_PHASES))
+    return upper, corner, lower
+
+
+@st.composite
+def _block_operator(draw, scalars, blocks):
+    values = draw(st.lists(_ENTRIES, min_size=scalars, max_size=scalars))
+    rows = draw(st.lists(_upper_block(), min_size=blocks, max_size=blocks))
+    upper, corner, lower = (np.array([row[i] for row in rows], dtype=complex)
+                            for i in range(3))
+    return BlockDiagonal(np.array(values, dtype=complex), upper, corner, lower)
+
+
+_OPERAND_PAIRS = (st.tuples(st.integers(0, 3), st.integers(0, 4))
+                  .filter(lambda shape: sum(shape) > 0)
+                  .flatmap(lambda shape: st.tuples(_block_operator(*shape),
+                                                   _block_operator(*shape))))
+
+
+def _dense_reference(op):
+    """Densify block by block, the loop that ``to_dense`` vectorises."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for i, value in enumerate(op.scalars):
+        out[i, i] = value
+    for k, (u, c, l) in enumerate(zip(op.upper, op.corner, op.lower)):
+        j = op.scalars.size + 2 * k
+        out[j:j + 2, j:j + 2] = [[u, c], [0.0, l]]
+    return out
+
+
+_DJ = _model(Family.DIAG_JORDAN, 4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ops=_OPERAND_PAIRS, c=_ENTRIES)
+@example(ops=(evolve_blocks(_DJ, 1.3), evolve_blocks(_DJ, 2.1)), c=1.0)
+def test_block_diagonal_algebra_matches_dense(ops, c):
+    a, b = ops
+    dense_a, dense_b = a.to_dense(), b.to_dense()
+    assert np.array_equal(dense_a, _dense_reference(a))
+    # Both sides round two complex products and one sum per entry.
+    bound = 16 * _EPS * (np.abs(dense_a) @ np.abs(dense_b))
+    assert np.all(np.abs((a @ b).to_dense() - dense_a @ dense_b) <= bound)
+    assert np.array_equal((a - b).to_dense(), dense_a - dense_b)
+    assert np.array_equal((c * a).to_dense(), c * dense_a)
     assert (a - a).sup_singular_value() == 0.0
+    diag = np.abs(np.diag(dense_a))
+    assert abs(a.trace() - np.trace(dense_a)) <= a.dim * _EPS * diag.sum()
     sup = a.sup_singular_value()
-    assert sup == pytest.approx(np.linalg.norm(a.to_dense(), 2), rel=1e-10)
+    assert sup == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-14)
+
+
+def test_block_norm_keeps_a_small_corner():
+    # sqrt(s^2 - 4 |det|^2) returned exactly 1 here, dropping the corner.
+    op = BlockDiagonal(np.zeros(0, dtype=complex), np.array([1.0 + 0j]),
+                       np.array([1e-8 + 0j]), np.array([1.0 + 0j]))
+    sigma = np.linalg.svd(op.to_dense(), compute_uv=False)[0]
+    assert op.sup_singular_value() == pytest.approx(sigma, rel=1e-14)
+    assert op.sup_singular_value() > 1.0
 
 
 def test_resolvent_blocks_match_dense_inverse():

@@ -140,8 +140,9 @@ def test_disjoint_projections_are_additive():
     p2 = riesz_projection_quadrature(m, c2)
     prod = (p1.blocks @ p2.blocks).sup_singular_value()
     assert prod <= 1e-12
-    combined = p1.blocks + p2.blocks
-    assert round(combined.trace().real) == p1.rank + p2.rank
+    combined = p1.projection + p2.projection
+    assert np.max(np.abs(combined @ combined - combined)) <= 1e-12
+    assert round(np.trace(combined).real) == p1.rank + p2.rank
 
 
 def test_node_doubling_is_negligible():

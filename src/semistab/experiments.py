@@ -10,6 +10,7 @@ byte-reproducible for identical configs and seeds.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import hashlib
 import json
@@ -18,6 +19,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -82,35 +84,28 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm_tol: float = 1e-10
-    proj_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.norm_tol <= 0 or self.proj_tol <= 0:
-            raise ValueError("tolerances must be positive")
+    norm_tol: float
+    proj_tol: float
 
 
 @dataclass(frozen=True)
 class OutputSpec:
-    directory: str = "out"
-    formats: tuple = ("CSV", "JSON")
-
-    def __post_init__(self):
-        bad = set(self.formats) - {"CSV", "JSON"}
-        if bad:
-            raise ValueError(f"unknown output formats: {sorted(bad)}")
+    directory: str
+    formats: tuple
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A fully set run; ``parse_config`` builds it from ``KEY_TABLE``."""
+
     model: ModelSpec
     grid: TimeGrid
-    contour_nodes: int = spectral.DEFAULT_NODES
-    radius_cap: float = spectral.RADIUS_CAP
-    top_k: int = 5
-    translation_shift: float = 1.0
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    output: OutputSpec = field(default_factory=OutputSpec)
+    contour_nodes: int
+    radius_cap: float
+    top_k: int
+    translation_shift: float
+    tolerances: Tolerances
+    output: OutputSpec
 
 
 def format_complex(z: complex) -> str:
@@ -119,98 +114,119 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse complex value {text!r}") from None
+def _checked(parse, ok, failure: str):
+    """``parse``, then reject values failing ``ok`` with ``failure``."""
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(failure)
+        return value
+    return checked
 
 
-_CONFIG_KEYS = (
-    "model.family", "model.max_index", "model.order", "model.mu",
-    "grid.t_min", "grid.t_max", "grid.points", "grid.spacing",
-    "contour.nodes", "contour.radius_cap",
-    "checks.top_k", "checks.translation_shift",
-    "tolerances.norm_tol", "tolerances.proj_tol",
-    "output.directory", "output.formats",
+def _formats(text: str) -> tuple:
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    bad = set(formats) - {"CSV", "JSON"}
+    if bad:
+        raise ValueError(f"unknown output formats: {sorted(bad)}")
+    return formats
+
+
+_FINITE = _checked(float, math.isfinite, "must be finite")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be finite and positive")
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "must be >= 1")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "must be in (0, 1)")
+_POINTS = _checked(_checked(int, lambda n: n >= 2, "grid needs >= 2 points"),
+                   lambda n: n <= MAX_GRID_POINTS, f"exceeds the cap {MAX_GRID_POINTS}")
+
+REQUIRED = object()
+
+#: Every config key in canonical order, as (name, parser, default, path).
+#: The parser raises ValueError on a value outside the key's own range; the
+#: default is a parsed value or REQUIRED; the path is the attribute path of
+#: the value in an ``ExperimentConfig``.  Parsing, defaults, single-key range
+#: rules and ``render_config`` all come from this table.
+KEY_TABLE = (
+    ("model.family", Family, REQUIRED, "model.family"),
+    ("model.max_index", lambda s: s if s == "auto" else int(s), "auto",
+     "model.max_index"),
+    ("model.order", _AT_LEAST_ONE, 1, "model.order"),
+    ("model.mu", _checked(complex, cmath.isfinite, "must be finite"), 1.0 + 0.0j,
+     "model.mu_default"),
+    ("grid.t_min", _FINITE, REQUIRED, "grid.t_min"),
+    ("grid.t_max", _FINITE, REQUIRED, "grid.t_max"),
+    ("grid.points", _POINTS, REQUIRED, "grid.points"),
+    ("grid.spacing", Spacing, Spacing.GEOMETRIC, "grid.spacing"),
+    ("contour.nodes", lambda s: spectral.check_nodes(int(s)), spectral.DEFAULT_NODES,
+     "contour_nodes"),
+    ("contour.radius_cap", _POSITIVE, spectral.RADIUS_CAP, "radius_cap"),
+    ("checks.top_k", _AT_LEAST_ONE, 5, "top_k"),
+    ("checks.translation_shift", _POSITIVE, 1.0, "translation_shift"),
+    ("tolerances.norm_tol", _FRACTION, 1e-10, "tolerances.norm_tol"),
+    ("tolerances.proj_tol", _POSITIVE, 1e-8, "tolerances.proj_tol"),
+    ("output.directory", str, "out", "output.directory"),
+    ("output.formats", _formats, ("CSV", "JSON"), "output.formats"),
 )
-
-_REQUIRED_KEYS = ("model.family", "grid.t_min", "grid.t_max", "grid.points")
 
 
 def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     """Parse the flat key = value grammar into a validated config.
 
-    ``model.max_index = auto`` resolves to the minimal adequate truncation
-    for the grid's t_max; an explicit value below that is rejected, as are
-    any truncation whose coordinate dimension exceeds ``max_dim``, a
-    LOG_SPECTRUM truncation below ``order + 2`` (too small for its weighted
-    norm), and more than ``MAX_GRID_POINTS`` grid points.
+    Each value goes through its ``KEY_TABLE`` parser; one outside its key's
+    range raises a ``ConfigError`` naming the line: floats and ``model.mu``
+    must be finite, ``model.order`` and ``checks.top_k`` >= 1,
+    ``grid.points`` in [2, ``MAX_GRID_POINTS``], ``contour.nodes`` even and
+    >= 16, ``contour.radius_cap``, ``checks.translation_shift`` and
+    ``tolerances.proj_tol`` > 0, ``tolerances.norm_tol`` in (0, 1), and
+    ``output.formats`` within CSV, JSON.  The checks across keys follow:
+    ``TimeGrid``'s rules; ``model.max_index = auto`` resolves to the minimal
+    adequate truncation for ``grid.t_max`` and a smaller explicit value is
+    rejected, as are a LOG_SPECTRUM truncation below ``order + 2``, a
+    dimension above ``max_dim`` and a ``model.mu`` on the spectrum.
     """
-    entries = {}
+    parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in entries:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        name, _, value = (part.strip() for part in line.partition("="))
+        if name not in parsers:
+            raise ConfigError(f"line {lineno}: unknown key {name!r}")
+        if name in values:
+            raise ConfigError(f"line {lineno}: duplicate key {name!r}")
         if not value:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        entries[key] = (lineno, value)
-
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ConfigError(f"missing required key {key!r}")
-
-    def take(key, default=None):
-        if key in entries:
-            return entries[key][1]
-        return default
-
-    def convert(key, conv, default=None):
-        raw = take(key)
-        if raw is None:
-            return default
-        lineno = entries[key][0]
+            raise ConfigError(f"line {lineno}: empty value for {name!r}")
         try:
-            return conv(raw)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+            values[name] = parsers[name](value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lineno}: {name}: bad value {value!r}: {exc}") from None
 
-    family = convert("model.family", lambda s: Family[s])
-    order = convert("model.order", int, 1)
-    mu = convert("model.mu", _parse_complex, 1.0 + 0.0j)
-    points = convert("grid.points", int)
-    if points > MAX_GRID_POINTS:
-        raise ConfigError(f"line {entries['grid.points'][0]}: grid.points "
-                          f"{points} exceeds the cap {MAX_GRID_POINTS}")
+    # Group the values by the object that holds them ("" is the config).
+    fields = {}
+    for name, _, default, path in KEY_TABLE:
+        value = values.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key {name!r}")
+        owner, _, attr = path.rpartition(".")
+        fields.setdefault(owner, {})[attr] = value
+
+    model = fields["model"]
+    family, order, max_index = model["family"], model["order"], model["max_index"]
     try:
-        grid = TimeGrid(
-            t_min=convert("grid.t_min", float),
-            t_max=convert("grid.t_max", float),
-            points=points,
-            spacing=convert("grid.spacing", lambda s: Spacing[s], Spacing.GEOMETRIC),
-        )
-
+        grid = TimeGrid(**fields["grid"])
         need = models.required_max_index(family, grid.t_max)
-        raw_mi = take("model.max_index", "auto")
-        if raw_mi == "auto":
+        if max_index == "auto":
             max_index = need
-        else:
-            max_index = convert("model.max_index", int)
-            if max_index < need:
-                raise TruncationInadequateError(
-                    f"model.max_index {max_index} is inadequate for grid.t_max "
-                    f"{grid.t_max}; need max_index >= {need} "
-                    f"(dim {models.model_dim(family, need)})",
-                    required=need)
+        elif max_index < need:
+            raise TruncationInadequateError(
+                f"model.max_index {max_index} is inadequate for grid.t_max "
+                f"{grid.t_max}; need max_index >= {need} "
+                f"(dim {models.model_dim(family, need)})",
+                required=need)
         dim = models.model_dim(family, max_index)
         if family is Family.LOG_SPECTRUM and max_index < order + 2:
             # The order-N difference weighting needs dim >= N + 1.
@@ -223,54 +239,28 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
                 f"adequate truncation needs dim {dim} > configured cap {max_dim} "
                 f"(minimal adequate max_index {need})",
                 required=need)
-
-        spec = ModelSpec(family, max_index, order=order, mu_default=mu)
-        tolerances = Tolerances(
-            norm_tol=convert("tolerances.norm_tol", float, 1e-10),
-            proj_tol=convert("tolerances.proj_tol", float, 1e-8),
-        )
-        output = OutputSpec(
-            directory=take("output.directory", "out"),
-            formats=tuple(convert(
-                "output.formats",
-                lambda s: [f.strip() for f in s.split(",") if f.strip()],
-                ["CSV", "JSON"])),
-        )
         return ExperimentConfig(
-            model=spec,
-            grid=grid,
-            contour_nodes=convert("contour.nodes", int, spectral.DEFAULT_NODES),
-            radius_cap=convert("contour.radius_cap", float, spectral.RADIUS_CAP),
-            top_k=convert("checks.top_k", int, 5),
-            translation_shift=convert("checks.translation_shift", float, 1.0),
-            tolerances=tolerances,
-            output=output,
-        )
+            model=ModelSpec(**dict(model, max_index=max_index)), grid=grid,
+            tolerances=Tolerances(**fields["tolerances"]),
+            output=OutputSpec(**fields["output"]), **fields[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def _render_value(value) -> str:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, complex):
+        return format_complex(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
+    return str(value)  # a float's str is its shortest round-trip repr
+
+
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config; parsing it back yields an equal config."""
-    lines = [
-        f"model.family = {cfg.model.family.value}",
-        f"model.max_index = {cfg.model.max_index}",
-        f"model.order = {cfg.model.order}",
-        f"model.mu = {format_complex(cfg.model.mu_default)}",
-        f"grid.t_min = {cfg.grid.t_min!r}",
-        f"grid.t_max = {cfg.grid.t_max!r}",
-        f"grid.points = {cfg.grid.points}",
-        f"grid.spacing = {cfg.grid.spacing.value}",
-        f"contour.nodes = {cfg.contour_nodes}",
-        f"contour.radius_cap = {cfg.radius_cap!r}",
-        f"checks.top_k = {cfg.top_k}",
-        f"checks.translation_shift = {cfg.translation_shift!r}",
-        f"tolerances.norm_tol = {cfg.tolerances.norm_tol!r}",
-        f"tolerances.proj_tol = {cfg.tolerances.proj_tol!r}",
-        f"output.directory = {cfg.output.directory}",
-        f"output.formats = {','.join(cfg.output.formats)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {_render_value(attrgetter(path)(cfg))}\n"
+                   for name, _, _, path in KEY_TABLE)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -669,6 +659,8 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
     ts = sorted(float(t) for t in t_values)
     if not ts:
         raise ConfigError("need at least one t value")
+    if ts[0] <= asymptotics.FIT_T_FLOOR:
+        raise ConfigError(f"witness needs every t > e, got t = {ts[0]!r}")
     if dim is None:
         dim = math.ceil(asymptotics.WITNESS_DIM_FACTOR * max(ts))
     asymptotics.check_witness_dim(dim, ts[-1])

@@ -50,6 +50,13 @@ _SAME_VALUE = 1e-12
 _RESIDUE_REL = 1e-13
 
 
+def check_nodes(nodes: int) -> int:
+    """``nodes`` if it is a valid quadrature node count, else ValueError."""
+    if nodes < 16 or nodes % 2 != 0:
+        raise ValueError(f"nodes must be even and >= 16, got {nodes}")
+    return nodes
+
+
 @dataclass(frozen=True)
 class Contour:
     """A counterclockwise circle in C with an even number of quadrature nodes."""
@@ -61,8 +68,7 @@ class Contour:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.nodes < 16 or self.nodes % 2 != 0:
-            raise ValueError(f"nodes must be even and >= 16, got {self.nodes}")
+        check_nodes(self.nodes)
         object.__setattr__(self, "center", complex(self.center))
 
 

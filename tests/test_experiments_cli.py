@@ -1,13 +1,16 @@
 import json
 import os
+import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
-from semistab.experiments import (FAIL, MAX_GRID_POINTS, PASS, SKIPPED,
-                                  Spacing, TimeGrid, config_hash, parse_config,
+from semistab.experiments import (FAIL, KEY_TABLE, MAX_GRID_POINTS, PASS,
+                                  SKIPPED, Spacing, TimeGrid, config_hash,
+                                  parse_config,
                                   render_config, run_hardy, run_simulate,
                                   run_theorem_check, run_witness, write_csv)
 from semistab.models import Family
@@ -44,6 +47,28 @@ grid.t_max = 20.0
 grid.points = 10
 """
 
+# Every key set, each to a value other than its default.
+ALL_KEYS_TEXT = """\
+model.family = LOG_SPECTRUM
+model.max_index = 400
+model.order = 2
+model.mu = 2.5-0.5j
+grid.t_min = 0.5
+grid.t_max = 30.0
+grid.points = 7
+grid.spacing = LINEAR
+contour.nodes = 32
+contour.radius_cap = 0.25
+checks.top_k = 3
+checks.translation_shift = 2.5
+tolerances.norm_tol = 1e-09
+tolerances.proj_tol = 1e-06
+output.directory = somewhere/else
+output.formats = JSON
+"""
+
+CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 REPORT_KEYS = {"config", "samples", "fits", "projections", "verdicts",
                "timings", "version"}
 
@@ -62,10 +87,43 @@ def _strip_timings(path):
 # ------------------------------------------------------------------ config
 
 def test_config_round_trip():
-    cfg = parse_config(JP_TEXT.format(out="somewhere"))
-    again = parse_config(render_config(cfg))
-    assert again == cfg
-    assert config_hash(again) == config_hash(cfg)
+    for text in (JP_TEXT.format(out="somewhere"), ALL_KEYS_TEXT):
+        cfg = parse_config(text)
+        again = parse_config(render_config(cfg))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+    assert render_config(cfg) == ALL_KEYS_TEXT
+    for name, _, default, path in KEY_TABLE:
+        assert attrgetter(path)(cfg) != default, name
+
+
+def test_shipped_config_hashes_are_pinned():
+    # The canonical text is what report.json hashes: reordering or
+    # reformatting KEY_TABLE would silently change every stored hash.
+    pinned = {
+        "diag_jordan.cfg":
+            "2c3c3128e3b1dac15f28ff2ab05253c429455727e57c859a461c7dff3b1eb20a",
+        "jordan_pairs.cfg":
+            "9ccb5602ec001314ae6769ae79be0aee4cb9135f5cf2ee44a1f2c1b33fdded34",
+        "log_spectrum_n1.cfg":
+            "1628fdb5791ea390f3324cce246545cfbb1cb77224ac2794db73195f0ab01e2a",
+        "log_spectrum_n2.cfg":
+            "ac39e561b0c8ae6f3a75be8380b9c2554ef1cb7d23032551e2f3fc6da627fb72",
+    }
+    assert sorted(os.listdir(CONFIGS_DIR)) == sorted(pinned)
+    for name, digest in pinned.items():
+        with open(os.path.join(CONFIGS_DIR, name), "r", encoding="utf-8") as handle:
+            assert config_hash(parse_config(handle.read())) == digest, name
+
+
+def test_readme_config_grammar_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## Config grammar", 1)[1].split("\n## ", 1)[0]
+    listed = [key for row in section.splitlines() if row.startswith("| `")
+              for key in re.findall(r"`([a-z_]+\.[a-z_]+)`", row.split("|")[1])]
+    assert listed == [name for name, *_ in KEY_TABLE]
 
 
 def test_config_defaults():
@@ -91,6 +149,34 @@ def test_config_errors_name_lines():
         parse_config(JP_TEXT.format(out="x") + "contour.nodes = many\n")
     with pytest.raises(ConfigError):
         parse_config(JP_TEXT.format(out="x") + "model.mu = not-a-number\n")
+
+
+@pytest.mark.parametrize("line", [
+    "grid.t_min = nan", "grid.t_max = inf", "model.mu = nan",
+    "model.mu = inf+0j", "model.order = 0", "checks.top_k = -1",
+    "checks.top_k = 0", "grid.points = 0", "tolerances.norm_tol = nan",
+    "tolerances.norm_tol = inf", "tolerances.norm_tol = 1",
+    "tolerances.norm_tol = 0", "tolerances.proj_tol = nan",
+    "tolerances.proj_tol = inf", "tolerances.proj_tol = 0",
+    "contour.radius_cap = nan", "contour.radius_cap = inf",
+    "contour.radius_cap = -0.5", "checks.translation_shift = 0",
+    "checks.translation_shift = nan", "checks.translation_shift = inf",
+    "contour.nodes = -64", "contour.nodes = 17", "contour.nodes = 8",
+    "output.formats = XML",
+])
+def test_config_rejects_out_of_range_value(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    base = [row for row in LS_TEXT.format(order=1, out="x").splitlines()
+            if not row.startswith(key + " ")]
+    text = "\n".join(base + [line]) + "\n"
+    where = f"line {len(base) + 1}: {key}: bad value"
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_config(text)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert main(["theorem-check", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_config_rejects_inadequate_truncation():
@@ -377,6 +463,13 @@ def test_witness_rejects_small_dim_before_building(tmp_path, capsys):
     assert main(["witness", "--t", "10", "--dim", "1",
                  "--out", str(tmp_path / "w")]) == 2
     assert "need dim >= 80" in capsys.readouterr().err
+    # t at or below e has no tent witness; it is named before any sizing.
+    for arg, shown in (("0.1", "0.1"), ("-1", "-1.0"), (repr(np.e), "2.718")):
+        with pytest.raises(ConfigError, match=f"got t = {re.escape(shown)}"):
+            run_witness([10.0, float(arg)], out_dir=str(tmp_path / "w"))
+        assert main(["witness", "--t", arg, "--out", str(tmp_path / "w")]) == 2
+        assert f"got t = {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_hardy_and_witness(tmp_path, capsys):

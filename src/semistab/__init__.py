@@ -20,8 +20,7 @@ from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
                           Tolerances, Verdict, config_hash, parse_config,
                           render_config, run_hardy, run_simulate,
                           run_theorem_check, run_witness)
-from .linalg import (MatvecOperator, NormContext, NormKind, cumulative_matrix,
-                     difference_matrix, operator_norm, weighted_vector_norm)
+from .linalg import MatvecOperator, NormContext, NormKind, operator_norm
 from .models import (GROWTH_BOUND, BlockDiagonal, Eigenvalue, Family,
                      Model, ModelSpec, build_model, check_truncation,
                      eigenvalues, evolve, evolve_blocks, generator,

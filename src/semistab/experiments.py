@@ -181,8 +181,9 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     ``output.formats`` within CSV, JSON.  The checks across keys follow:
     ``TimeGrid``'s rules; ``model.max_index = auto`` resolves to the minimal
     adequate truncation for ``grid.t_max`` and a smaller explicit value is
-    rejected, as are a LOG_SPECTRUM truncation below ``order + 2``, a
-    dimension above ``max_dim`` and a ``model.mu`` on the spectrum.
+    rejected, as are a LOG_SPECTRUM truncation below ``order + 2`` and a
+    dimension above ``max_dim``.  A ``model.mu`` on the spectrum is rejected
+    when the model is built (``SpectrumHitError``).
     """
     parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
     values = {}

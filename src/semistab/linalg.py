@@ -1,4 +1,4 @@
-"""Difference-weighted sequence norms and operator-norm estimation.
+"""Difference-weighted sequence norms and the weighted operator-norm kernel.
 
 The weighted norm of order N is the l2 norm of the N-th backward difference
 of a sequence, with entries before the sequence start treated as zero.  That
@@ -6,11 +6,13 @@ zero-prefix convention makes the truncated difference map injective and
 reproduces the boundary terms (for N = 1, the extra squared modulus of the
 first coefficient).
 
-Operator norms between two norm contexts are largest singular values of the
-similarity-transformed matrix ``D_cod @ M @ L_dom``, where D is the banded
-difference transform and L its lower-triangular inverse.  Small dense
-problems go through a full SVD; everything else runs power iteration on the
-Gram operator with O(order * dim) structured applications of D and L.
+The operator norm of M in a norm context is the largest singular value of
+``D @ M @ L``, where D is the banded difference transform and L its
+lower-triangular inverse (both the identity in the Euclidean context).
+:func:`operator_norm` is the one kernel: power iteration on the Gram
+operator of that product, with M applied matrix-free and D, L and their
+adjoints in O(order * dim).  Dense references for D, L and the norms live in
+the test suite.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -27,11 +29,11 @@ import numpy as np
 
 from .errors import IllConditionedError
 
-#: Largest dimension routed to a dense SVD by default.
-DENSE_SVD_MAX_DIM = 512
-
 #: Default relative tolerance for the power-iteration estimate.
 POWER_TOL_DEFAULT = 1e-10
+
+#: Power-iteration steps allowed per coordinate before giving up.
+POWER_STEPS_PER_DIM = 10
 
 # Consecutive satisfied tail bounds required before accepting the estimate.
 _CONVERGED_STREAK = 2
@@ -54,7 +56,13 @@ class NormContext:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.kind is NormKind.DELTA_WEIGHTED:
-            _validate_weight_params(self.order, self.dim)
+            if self.order == 0:
+                raise ValueError("identity transform not a weighting")
+            if self.order < 0:
+                raise ValueError(f"order must be >= 1, got {self.order}")
+            if self.dim <= self.order:
+                raise ValueError(f"dim must be >= order + 1, got dim={self.dim}, "
+                                 f"order={self.order}")
         elif self.order != 0:
             raise ValueError("order is only meaningful for DELTA_WEIGHTED")
 
@@ -65,44 +73,6 @@ class NormContext:
     @classmethod
     def delta_weighted(cls, order: int, dim: int) -> "NormContext":
         return cls(NormKind.DELTA_WEIGHTED, dim, order)
-
-
-def _validate_weight_params(order: int, dim: int) -> None:
-    if order == 0:
-        raise ValueError("identity transform not a weighting")
-    if order < 0:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if dim <= order:
-        raise ValueError(f"dim must be >= order + 1, got dim={dim}, order={order}")
-
-
-def difference_matrix(order: int, dim: int) -> np.ndarray:
-    """Dense matrix of the order-N backward difference on C^dim.
-
-    Row n carries the alternating binomial band: entry (n, n - j) equals
-    (-1)^j C(N, j) for 0 <= j <= min(n, N).  Entries that would reach before
-    the sequence start are dropped, which encodes the zero-prefix convention.
-    """
-    _validate_weight_params(order, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for j in range(order + 1):
-        idx = np.arange(j, dim)
-        out[idx, idx - j] = (-1) ** j * math.comb(order, j)
-    return out
-
-
-def cumulative_matrix(order: int, dim: int) -> np.ndarray:
-    """Inverse of :func:`difference_matrix`: lower-triangular binomial sums.
-
-    Entry (n, k) for k <= n equals C(n - k + N - 1, N - 1); for N = 1 this is
-    the all-ones partial-sum operator.
-    """
-    _validate_weight_params(order, dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for off in range(dim):
-        rows = np.arange(off, dim)
-        out[rows, rows - off] = math.comb(off + order - 1, order - 1)
-    return out
 
 
 def apply_difference(order: int, vec: np.ndarray) -> np.ndarray:
@@ -135,18 +105,6 @@ def apply_cumulative_adjoint(order: int, vec: np.ndarray) -> np.ndarray:
     return w
 
 
-def weighted_vector_norm(ctx: NormContext, vec: np.ndarray) -> float:
-    """Norm of ``vec`` in the given context."""
-    v = np.asarray(vec, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != ctx.dim:
-        raise ValueError(f"expected a vector of length {ctx.dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    if ctx.kind is NormKind.EUCLIDEAN:
-        return float(np.linalg.norm(v))
-    return float(np.linalg.norm(apply_difference(ctx.order, v)))
-
-
 @dataclass(frozen=True)
 class MatvecOperator:
     """Matrix-free linear operator: a shape plus matvec/rmatvec callables.
@@ -164,40 +122,6 @@ class MatvecOperator:
         dc = np.conj(d)
         n = d.shape[0]
         return cls((n, n), lambda v: d * v, lambda v: dc * v)
-
-
-def _transformed_dense(mat, domain, codomain):
-    g = mat
-    if domain.kind is NormKind.DELTA_WEIGHTED:
-        g = g @ cumulative_matrix(domain.order, domain.dim)
-    if codomain.kind is NormKind.DELTA_WEIGHTED:
-        g = difference_matrix(codomain.order, codomain.dim) @ g
-    return g
-
-
-def _transformed_matvecs(op, domain, codomain):
-    if isinstance(op, np.ndarray):
-        base_mv = op.__matmul__
-        herm = op.conj().T
-        base_rmv = herm.__matmul__
-    else:
-        base_mv = op.matvec
-        base_rmv = op.rmatvec
-
-    dom_weighted = domain.kind is NormKind.DELTA_WEIGHTED
-    cod_weighted = codomain.kind is NormKind.DELTA_WEIGHTED
-
-    def mv(v):
-        w = apply_cumulative(domain.order, v) if dom_weighted else v
-        w = base_mv(w)
-        return apply_difference(codomain.order, w) if cod_weighted else w
-
-    def rmv(u):
-        w = apply_difference_adjoint(codomain.order, u) if cod_weighted else u
-        w = base_rmv(w)
-        return apply_cumulative_adjoint(domain.order, w) if dom_weighted else w
-
-    return mv, rmv
 
 
 def _gram_power_iteration(mv, rmv, n, tol, cap):
@@ -219,9 +143,14 @@ def _gram_power_iteration(mv, rmv, n, tol, cap):
     prev_delta = None
     streak = 0
     sigma = 0.0
-    for _ in range(cap):
+    for step in range(cap):
         u = mv(v)
         sigma = float(np.linalg.norm(u))
+        if not math.isfinite(sigma):
+            # A finite unit vector mapped to a non-finite one: the operator
+            # has non-finite entries or overflows; no further step can help.
+            raise ValueError(f"non-finite norm estimate {sigma!r} at power "
+                             f"step {step + 1}")
         if sigma == 0.0:
             return 0.0
         w = rmv(u)
@@ -247,55 +176,34 @@ def _gram_power_iteration(mv, rmv, n, tol, cap):
     )
 
 
-def operator_norm(op, domain: NormContext, codomain: NormContext | None = None,
-                  tol: float = POWER_TOL_DEFAULT, method: str = "auto",
-                  max_iter: int | None = None) -> float:
-    """Operator norm of ``op`` as a map (C^n, domain) -> (C^m, codomain).
+def operator_norm(op: MatvecOperator, ctx: NormContext,
+                  tol: float = POWER_TOL_DEFAULT) -> float:
+    """Operator norm of ``op`` on (C^dim, ctx).
 
-    Computed as the largest singular value of ``D_cod @ op @ L_dom``.  With
-    ``method="auto"`` dense inputs of dimension <= 512 use a full SVD and
-    everything else uses power iteration on the Gram operator (fixed-seed
-    random start, iteration cap ``10 * max(m, n)`` unless overridden).  A
-    dense input whose power iteration hits the cap falls back to the SVD when
-    small enough; otherwise :class:`IllConditionedError` is raised.
+    Power iteration on the Gram operator of ``D @ op @ L`` from a fixed-seed
+    random start, at most ``POWER_STEPS_PER_DIM * dim`` steps; one step
+    applies ``L``, ``op`` and ``D``, then their adjoints in reverse order.
+    Raises :class:`IllConditionedError` at the step cap and ``ValueError``
+    on a non-finite estimate.
     """
-    codomain = domain if codomain is None else codomain
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if op.shape != (ctx.dim, ctx.dim):
+        raise ValueError(f"operator shape {op.shape} does not match the "
+                         f"context dim {ctx.dim}")
 
-    dense = isinstance(op, np.ndarray)
-    if dense:
-        mat = np.asarray(op, dtype=complex)
-        if mat.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={mat.ndim}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-            raise ValueError("matrix entries must be finite")
-        op = mat
-        m, n = mat.shape
+    if ctx.kind is NormKind.DELTA_WEIGHTED:
+        order = ctx.order
+
+        # The transforms are looked up at call time, so that a tracer that
+        # rebinds them in this module sees one call of each per step.
+        def mv(v):
+            return apply_difference(order, op.matvec(apply_cumulative(order, v)))
+
+        def rmv(u):
+            return apply_cumulative_adjoint(
+                order, op.rmatvec(apply_difference_adjoint(order, u)))
     else:
-        m, n = op.shape
-    if n != domain.dim or m != codomain.dim:
-        raise ValueError(
-            f"operator shape ({m}, {n}) does not match contexts "
-            f"(codomain dim {codomain.dim}, domain dim {domain.dim})")
-
-    if method not in ("auto", "power", "svd"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "svd" if dense and max(m, n) <= DENSE_SVD_MAX_DIM else "power"
-
-    if method == "svd":
-        if not dense:
-            raise ValueError("svd method requires a dense matrix")
-        g = _transformed_dense(op, domain, codomain)
-        return float(np.linalg.svd(g, compute_uv=False)[0])
-
-    mv, rmv = _transformed_matvecs(op, domain, codomain)
-    cap = max_iter if max_iter is not None else 10 * max(m, n)
-    try:
-        return _gram_power_iteration(mv, rmv, n, tol, cap)
-    except IllConditionedError:
-        if dense and max(m, n) <= DENSE_SVD_MAX_DIM:
-            g = _transformed_dense(op, domain, codomain)
-            return float(np.linalg.svd(g, compute_uv=False)[0])
-        raise
+        mv, rmv = op.matvec, op.rmatvec
+    return _gram_power_iteration(mv, rmv, ctx.dim, tol,
+                                 POWER_STEPS_PER_DIM * ctx.dim)

@@ -79,11 +79,7 @@ class ModelSpec:
             raise ValueError(f"max_index must be >= 2, got {self.max_index}")
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        mu = complex(self.mu_default)
-        eigs = _block_eigenvalues(*_spectral_table(self.family, self.max_index))
-        if np.min(np.abs(eigs - mu)) < _SPECTRUM_MARGIN:
-            raise ValueError(f"mu_default {mu} lies on the spectrum")
-        object.__setattr__(self, "mu_default", mu)
+        object.__setattr__(self, "mu_default", complex(self.mu_default))
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,16 @@ def build_model(spec: ModelSpec) -> Model:
     """Spectral table, sorted spectrum, and the norm the family is measured in.
 
     Repeated eigenvalues (the Jordan blocks) are produced by one expression,
-    so bitwise grouping of the spectrum is exact.
+    so bitwise grouping of the spectrum is exact.  Raises
+    :class:`SpectrumHitError` when ``spec.mu_default`` lies on the spectrum.
     """
     scalars, mid, half_gap = _spectral_table(spec.family, spec.max_index)
     values, counts = np.unique(_block_eigenvalues(scalars, mid, half_gap),
                                return_counts=True)
+    dist = float(np.min(np.abs(values - spec.mu_default)))
+    if dist < _SPECTRUM_MARGIN:
+        raise SpectrumHitError(
+            f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
     order = np.lexsort((values.real, values.imag))
     dim = _table_dim(scalars, mid, half_gap)
     if spec.family is Family.LOG_SPECTRUM:
@@ -295,7 +296,7 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     """Operator norm of a block-diagonal operator in the model's norm.
 
     Euclidean contexts reduce to the supremum of block norms; the weighted
-    context runs power iteration on the diagonal with structured transforms.
+    context runs :func:`linalg.operator_norm` on the diagonal.
     """
     ctx = model.norm_context
     if ctx.kind is NormKind.EUCLIDEAN:

@@ -1,18 +1,21 @@
-"""Acceptance suite: the ten checks this project treats as its exit gate.
+"""Acceptance suite: the ten checks this project treats as its exit gate,
+plus a negative control outside the theorem's hypotheses.
 
-Each test prints a single PASS/FAIL line (visible with pytest -s / -rA; the
-per-test verdicts also appear in pytest -v output).  Expected values come
-from closed forms, independent oracles, or bracket statements; nothing here
-is tuned to the implementation under test.
+Each criterion test prints a single PASS/FAIL line (visible with pytest -s
+/ -rA; the per-test verdicts also appear in pytest -v output).  Expected
+values come from closed forms, independent oracles, or bracket statements;
+nothing here is tuned to the implementation under test.
 """
 
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
+from semistab import models
 from semistab.asymptotics import (FitFamily, Quantity, concave_envelope,
                                   fit_rate, sample_norms, witness_lower_bound,
                                   witness_vector)
@@ -235,3 +238,50 @@ def test_criterion_10_structural_suite(tmp_path):
     _announce(10, ok, f"semigroup law {law_defect:.2e}, resolvent identity "
                       f"{res_defect:.2e}, monotone truncation, byte-identical "
                       f"reruns; {elapsed:.1f}s < 900s")
+
+
+
+CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+HYPOTHESES = ("envelope_conditions", "envelope_translation", "hypothesis_b_decay")
+
+
+def test_negative_control_simple_imaginary_spectrum(monkeypatch, tmp_path):
+    # Simple eigenvalues i n in the Euclidean norm: a bounded semigroup with
+    # spectrum on iR, outside the theorem's hypotheses.  ||T(t)|| stays 1
+    # and the ratio stays 1/sqrt(2) at mu = 1, so both laws must fail while
+    # the product stays bounded, and theorem-check must fail hypothesis (b)
+    # and the conclusion.
+    table = models._spectral_table
+
+    def simple_imaginary(family, max_index):
+        if family is Family.JORDAN_PAIRS:
+            none = np.zeros(0, dtype=complex)
+            return 1j * np.arange(1, max_index + 1, dtype=float), none, none
+        return table(family, max_index)
+
+    monkeypatch.setattr(models, "_spectral_table", simple_imaginary)
+    cfg = parse_config("model.family = JORDAN_PAIRS\ngrid.t_min = 1.0\n"
+                       "grid.t_max = 200.0\ngrid.points = 24\n"
+                       f"output.directory = {tmp_path}\n")
+    simulate = run_simulate(cfg)
+    assert {name: v.status for name, v in simulate.verdicts.items()} == {
+        "semigroup_growth": "FAIL", "resolvent_product_bounded": "PASS",
+        "ratio_decay": "FAIL"}
+    assert simulate.verdicts["ratio_decay"].detail == \
+        "ratio power-law exponent 0.0000"
+    theorem = run_theorem_check(cfg)
+    assert {name: v.status for name, v in theorem.verdicts.items()} == {
+        "envelope_conditions": "PASS", "envelope_translation": "PASS",
+        "hypothesis_b_decay": "FAIL", "conclusion_decay": "FAIL"}
+    assert theorem.verdicts["hypothesis_b_decay"].detail == \
+        "0/5 projected curves decay"
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS_DIR)))
+def test_shipped_config_hypotheses_imply_conclusion(name, tmp_path):
+    with open(os.path.join(CONFIGS_DIR, name), "r", encoding="utf-8") as fh:
+        cfg = parse_config(fh.read())
+    report = run_theorem_check(cfg, out_dir=str(tmp_path))
+    statuses = {key: v.status for key, v in report.verdicts.items()}
+    if all(statuses[key] == "PASS" for key in HYPOTHESES):
+        assert statuses["conclusion_decay"] == "PASS", statuses

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_operator_norm
 from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
                                   concave_envelope, envelope_translation_check,
                                   fit_rate, hardy_check, sample_norms,
                                   witness_lower_bound, witness_vector)
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
-from semistab.linalg import NormContext, operator_norm
+from semistab.linalg import NormContext
 from semistab.models import Family, ModelSpec, build_model, evolve, resolvent
 
 RNG = np.random.default_rng(99173)
@@ -298,7 +299,7 @@ def test_witness_lower_bound_bracket_and_bound():
     # Never exceeds the true operator norm of the product (svd oracle).
     dense = evolve(m, 10.0) @ resolvent(m, 0.0)
     ctx = NormContext.delta_weighted(1, m.dim)
-    assert bound.raw_ratio <= operator_norm(dense, ctx) * (1.0 + 1e-9)
+    assert bound.raw_ratio <= dense_operator_norm(dense, ctx) * (1.0 + 1e-9)
 
 
 def test_witness_lower_bound_guards():

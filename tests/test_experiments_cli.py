@@ -441,6 +441,16 @@ def test_cli_max_dim_guard(tmp_path, capsys):
     assert "minimal adequate" in capsys.readouterr().err
 
 
+def test_cli_rejects_mu_on_the_spectrum(tmp_path, capsys):
+    # 1.5j is the lower eigenvalue of the n = 2 block; the model build
+    # rejects it before any output is written.
+    cfg_path = tmp_path / "jp.cfg"
+    cfg_path.write_text(JP_TEXT.format(out=tmp_path / "o") + "model.mu = 0+1.5j\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "of the spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_theorem_check_honours_proj_tol(tmp_path, capsys):
     # At 24 nodes node doubling moves these projections by ~6e-8: inside
     # the configured proj_tol, so the decay check must not re-judge it

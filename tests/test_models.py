@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import weighted_vector_norm
 from semistab.errors import SpectrumHitError, TruncationInadequateError
-from semistab.linalg import NormKind, weighted_vector_norm
+from semistab.linalg import NormKind
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              check_truncation, eigenvalues, evolve,
                              evolve_blocks, generator, model_dim,
@@ -53,10 +54,15 @@ def test_model_spec_validation():
         ModelSpec(Family.JORDAN_PAIRS, 1)
     with pytest.raises(ValueError):
         ModelSpec(Family.LOG_SPECTRUM, 10, order=0)
-    with pytest.raises(ValueError):
-        ModelSpec(Family.JORDAN_PAIRS, 4, mu_default=1.5j)  # on the spectrum
     spec = ModelSpec(Family.LOG_SPECTRUM, 10)
     assert spec.mu_default == 1.0 + 0.0j
+
+
+def test_build_model_rejects_mu_on_the_spectrum():
+    spec = ModelSpec(Family.JORDAN_PAIRS, 4, mu_default=1.5j)
+    with pytest.raises(SpectrumHitError, match="1.5j"):
+        build_model(spec)
+    assert build_model(ModelSpec(Family.JORDAN_PAIRS, 4, mu_default=2j)).dim == 6
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -67,14 +67,22 @@ class NormSamples:
         object.__setattr__(self, "values", values)
 
 
-def norm_curve(model: Model, ts: np.ndarray, right, tol: float) -> np.ndarray:
-    """t -> ||T(t) right|| in the model's norm; ``right = None`` gives ||T(t)||."""
-    out = np.empty(ts.size, dtype=float)
+def norm_curve(model: Model, ts: np.ndarray, rights, tol: float) -> np.ndarray:
+    """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
+    factor gives ||T(t)||.
+
+    T(t) is evaluated once per grid time and released before the norm of
+    its last product, so at most one product is held beside it.
+    """
+    out = np.empty((len(rights), ts.size), dtype=float)
+    last = len(rights) - 1
     for i, t in enumerate(ts):
-        op = models.evolve_blocks(model, float(t))
-        if right is not None:
-            op = op @ right
-        out[i] = models.block_operator_norm(model, op, tol=tol)
+        semi = models.evolve_blocks(model, float(t))
+        for j, right in enumerate(rights):
+            op = semi if right is None else semi @ right
+            if j == last:
+                semi = None
+            out[j, i] = models.block_operator_norm(model, op, tol=tol)
     return out
 
 
@@ -84,13 +92,16 @@ def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, np.log(values), rcond=None)[0][1])
 
 
-def sample_norms(model: Model, ts, quantity: Quantity, mu: complex | None = None,
-                 tol: float = linalg.POWER_TOL_DEFAULT) -> NormSamples:
+def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
+                 tol: float = linalg.POWER_TOL_DEFAULT):
     """Sample ||T(t)||, ||T(t) R_mu||, or their ratio over a time grid.
 
-    The grid must be strictly increasing and nonnegative, and the model's
-    truncation must be adequate for the largest time (hard error otherwise).
-    The ratio is computed pointwise from the other two curves.
+    ``quantity`` is a :class:`Quantity`, giving one :class:`NormSamples`, or
+    a tuple of them, giving a tuple of samples in the same order.  Either
+    way T(t) is evaluated once per grid time, and the ratio is computed
+    pointwise from the other two curves.  The grid must be strictly
+    increasing and nonnegative, and the model's truncation must be adequate
+    for the largest time (hard error otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -99,13 +110,19 @@ def sample_norms(model: Model, ts, quantity: Quantity, mu: complex | None = None
         raise ValueError("ts must be nonnegative and strictly increasing")
     models.check_truncation(model, float(ts[-1]))
     mu = model.spec.mu_default if mu is None else complex(mu)
-    if quantity is Quantity.SEMIGROUP_NORM:
-        values = norm_curve(model, ts, None, tol)
-    else:
-        values = norm_curve(model, ts, models.resolvent_blocks(model, mu), tol)
-        if quantity is Quantity.RATIO:
-            values = values / norm_curve(model, ts, None, tol)
-    return NormSamples(quantity, ts, values)
+    wanted = quantity if isinstance(quantity, tuple) else (quantity,)
+    rights = []
+    if {Quantity.SEMIGROUP_NORM, Quantity.RATIO} & set(wanted):
+        rights.append(None)
+    if {Quantity.RESOLVENT_PRODUCT_NORM, Quantity.RATIO} & set(wanted):
+        rights.append(models.resolvent_blocks(model, mu))
+    rows = norm_curve(model, ts, rights, tol)
+    values = {Quantity.SEMIGROUP_NORM: rows[0],
+              Quantity.RESOLVENT_PRODUCT_NORM: rows[-1]}
+    if Quantity.RATIO in wanted:
+        values[Quantity.RATIO] = rows[-1] / rows[0]
+    samples = tuple(NormSamples(q, ts, values[q]) for q in wanted)
+    return samples if isinstance(quantity, tuple) else samples[0]
 
 
 @dataclass(frozen=True)

@@ -368,13 +368,13 @@ def _finish(report: RunReport, started: float, out_dir: str, formats,
 
 
 def _sample(cfg: ExperimentConfig):
-    """The model, the time grid, and the semigroup and product curves on it."""
+    """The model, the time grid, and the semigroup and product curves on it,
+    from one semigroup evaluation per grid time."""
     model = build_model(cfg.model)
     ts = cfg.grid.values()
-    semi = sample_norms(model, ts, Quantity.SEMIGROUP_NORM,
-                        tol=cfg.tolerances.norm_tol)
-    prod = sample_norms(model, ts, Quantity.RESOLVENT_PRODUCT_NORM,
-                        tol=cfg.tolerances.norm_tol)
+    semi, prod = sample_norms(
+        model, ts, (Quantity.SEMIGROUP_NORM, Quantity.RESOLVENT_PRODUCT_NORM),
+        tol=cfg.tolerances.norm_tol)
     return model, ts, semi, prod
 
 
@@ -515,6 +515,7 @@ def _projection_entry(lam: complex, contour, report) -> dict:
         "center": format_complex(contour.center),
         "radius": contour.radius,
         "nodes": contour.nodes,
+        "drift": report.drift,
         "idempotency_defect": report.idempotency_defect,
         "commutation_defect": report.commutation_defect,
         "rank": report.rank,

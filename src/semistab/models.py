@@ -56,6 +56,12 @@ DIAG_TRUNCATION_FACTOR = 8
 
 _SPECTRUM_MARGIN = 1e-12
 
+#: Share of the largest squared Frobenius norm below which a 2x2 block cannot
+#: attain the supremum of block norms (1/2 in exact arithmetic).
+_KEEP_SHARE = 0.49
+
+_TINY = np.finfo(float).tiny
+
 
 class Family(enum.Enum):
     DIAG_JORDAN = "DIAG_JORDAN"
@@ -216,9 +222,19 @@ class BlockDiagonal:
 
         A block's singular values satisfy s1 +- s2 = hypot(|u| +- |l|, |c|),
         from s1 s2 = |u l| and s1^2 + s2^2 = |u|^2 + |c|^2 + |l|^2; their
-        mean avoids the cancellation in sqrt(s^2 - 4 |det|^2).
+        mean avoids the cancellation in sqrt(s^2 - 4 |det|^2).  Since s1^2
+        lies in [F/2, F] for the squared Frobenius norm F, only blocks with F
+        at least 0.49 of the largest can attain the supremum, and only those
+        are evaluated; the result is the same to the last bit.  Every block
+        is evaluated when the largest F is not a finite normal number.
         """
         u, c, l = np.abs(self.upper), np.abs(self.corner), np.abs(self.lower)
+        with np.errstate(over="ignore"):
+            frob = u * u + c * c + l * l
+        top = np.max(frob, initial=0.0)
+        if np.isfinite(top) and top >= _TINY:
+            keep = frob >= _KEEP_SHARE * top
+            u, c, l = u[keep], c[keep], l[keep]
         blocks = (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
         return float(max(np.max(np.abs(self.scalars), initial=0.0),
                          np.max(blocks, initial=0.0)))
@@ -238,19 +254,23 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """The semigroup at time t as a block-diagonal operator.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
-    (t in place of sinh(t d) / d where d = 0): the carrier factor keeps the
-    corner accurate where the divided difference of exp(ta) and exp(tb)
-    over nearby eigenvalues a, b would cancel.
+    (t in place of sinh(t d) / d where d = 0), from two transcendental
+    calls: with C = exp(t mid) and E = expm1(t d), the block is
+    C [[1 + E, E (2 + E) / (2 (1 + E) d)], [0, 1 / (1 + E)]].  The carrier C
+    keeps the corner free of the cancellation between exp(ta) and exp(tb)
+    at nearby eigenvalues a, b, and expm1 keeps it accurate at small t d.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     d = model.half_gap
-    td = t * d
-    jordan = d == 0
     carrier = np.exp(t * model.mid)
-    corner = np.where(jordan, t, np.sinh(td) / np.where(jordan, 1.0, d))
-    return BlockDiagonal(np.exp(t * model.scalars), carrier * np.exp(td),
-                         carrier * corner, carrier * np.exp(-td))
+    gain = np.expm1(t * d)
+    grow = 1.0 + gain
+    corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
+                       out=np.full(d.shape, t, dtype=complex), where=d != 0)
+    corner *= carrier
+    return BlockDiagonal(np.exp(t * model.scalars), carrier * grow, corner,
+                         carrier / grow)
 
 
 def generator_blocks(model: Model) -> BlockDiagonal:

@@ -1,17 +1,30 @@
-"""Dense references for the matrix-free weighted-norm kernel.
+"""Independent references for the kernels the tests hold to account.
 
 ``semistab.linalg`` applies the difference transform D and its inverse L
 matrix-free and estimates operator norms by power iteration.  These helpers
 build D and L as dense matrices and take norms by a full SVD, so the tests
 can hold the kernel against an independent computation.  Dense, so keep the
 dimensions moderate.
+
+``semistab.spectral`` evaluates the trapezoid rule of a contour as a closed
+rational filter.  Two references stand behind it: the rule summed node by
+node over resolvents, with an a-priori bound on its rounding error, and the
+filter evaluated exactly in rational arithmetic on the float inputs.
+
+``semistab.models.evolve_blocks`` takes two transcendental calls per block,
+and ``BlockDiagonal.sup_singular_value`` evaluates only the blocks that can
+attain the supremum; the four-call form and the every-block formula are
+kept here.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from semistab import models
 from semistab.linalg import MatvecOperator, NormContext, NormKind
+from semistab.models import BlockDiagonal
 
 
 def difference_matrix(order: int, dim: int) -> np.ndarray:
@@ -68,3 +81,144 @@ def as_operator(mat) -> MatvecOperator:
     """A dense matrix as a matrix-free operator (matvec and its adjoint)."""
     mat = np.asarray(mat, dtype=complex)
     return MatvecOperator(mat.shape, mat.__matmul__, mat.conj().T.__matmul__)
+
+
+def trapezoid_node_sum(model, contour):
+    """The trapezoid sum of (1 / 2 pi i) times the contour integral of
+    (mu I - A)^-1, one resolvent per node, and a bound on its rounding error.
+
+    Returns ``(sum, bound)``, two :class:`BlockDiagonal`; ``bound`` holds,
+    entry by entry, eps times the sum over nodes of |term| (N + 4 + 2 kappa),
+    where kappa = |mu| / |lam - mu| summed over the eigenvalues the term
+    divides by: forming mu and lam - mu costs kappa ulps, and the sum N.
+    """
+    nodes = contour.nodes
+    weights = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    scale = contour.radius / nodes
+    sizes = (model.scalars.size,) + (model.mid.size,) * 3
+    total = [np.zeros(n, dtype=complex) for n in sizes]
+    bound = [np.zeros(n) for n in sizes]
+    for w in weights:
+        mu = contour.center + contour.radius * w
+        # (mu I - A)^-1 = -(A - mu I)^-1, hence the minus sign.
+        terms = -(scale * w) * models.resolvent_blocks(model, mu)
+        s, a, b = (np.abs(x - mu) for x in (model.scalars, model.upper,
+                                             model.lower))
+        kappas = (abs(mu) / s, abs(mu) / a, abs(mu) / a + abs(mu) / b,
+                  abs(mu) / b)
+        parts = (terms.scalars, terms.upper, terms.corner, terms.lower)
+        for acc, err, part, kappa in zip(total, bound, parts, kappas):
+            acc += part
+            err += np.abs(part) * (nodes + 4 + 2 * kappa)
+    eps = np.finfo(float).eps
+    return BlockDiagonal(*total), BlockDiagonal(*(eps * x for x in bound))
+
+
+def _gaussian(z, shift: int) -> tuple:
+    """2^shift z as a Gaussian integer (exact for dyadic z)."""
+    parts = (Fraction(z.real) * 2 ** shift, Fraction(z.imag) * 2 ** shift)
+    assert all(p.denominator == 1 for p in parts)
+    return tuple(p.numerator for p in parts)
+
+
+def _mul(x, y):
+    # Three integer products instead of four.
+    k1 = y[0] * (x[0] + x[1])
+    return (k1 - x[1] * (y[0] + y[1]), k1 + x[0] * (y[1] - y[0]))
+
+
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _power(x, n):
+    out, base = None, x
+    while True:
+        if n & 1:
+            out = base if out is None else _mul(out, base)
+        n >>= 1
+        if not n:
+            return (1, 0) if out is None else out
+        # Squaring takes two integer products.
+        base = ((base[0] + base[1]) * (base[0] - base[1]), 2 * base[0] * base[1])
+
+
+def trapezoid_exact(scalars, upper, lower, contour, nodes=None) -> BlockDiagonal:
+    """The N-node trapezoid sum for the given table entries, exactly.
+
+    The sum is the filter h(z) = 1 / (1 - z^N), z = (lam - c) / r, on each
+    eigenvalue and the divided difference h[z_a, z_b] / r on each corner
+    (h'(z_a) / r where z_a = z_b).  Every float input is a dyadic rational
+    (its ``Fraction``), so all of it is scaled by one power of two to
+    Gaussian integers and evaluated without rounding; each entry is an exact
+    ratio of integers, rounded once at the end (int / int rounds correctly).
+    """
+    nodes = contour.nodes if nodes is None else nodes
+    values = {complex(v) for v in np.concatenate([scalars, upper, lower])}
+    floats = [contour.radius, contour.center.real, contour.center.imag]
+    floats += [x for v in values for x in (v.real, v.imag)]
+    shift = max(Fraction(x).denominator.bit_length() - 1 for x in floats)
+    center = _gaussian(contour.center, shift)
+    # With z = a / rad, rad real: h(z) = rad^N / m, m = rad^N - a^N.  Each
+    # value keeps a, a^(N-1), a^N, conj(m) and |m|^2.
+    rad_n = _gaussian(complex(contour.radius), shift)[0] ** nodes
+    terms = {}
+    for v in values:
+        a = _sub(_gaussian(v, shift), center)
+        below = _power(a, nodes - 1)
+        power = _mul(below, a)
+        conj = (rad_n - power[0], power[1])
+        terms[v] = a, below, power, conj, conj[0] ** 2 + conj[1] ** 2
+
+    def h(v):
+        *_, conj, norm = terms[complex(v)]
+        return complex(rad_n * conj[0] / norm, rad_n * conj[1] / norm)
+
+    def corner(u, w):
+        # 2^shift rad^N Q / (m_u m_w), Q the divided difference of a^N over
+        # the two values: sum of a_u^j a_w^(N-1-j), or N a_u^(N-1) if equal.
+        a_u, below, p_u, conj_u, norm_u = terms[complex(u)]
+        a_w, _, p_w, conj_w, norm_w = terms[complex(w)]
+        if a_u == a_w:
+            q = (nodes * below[0], nodes * below[1])
+        else:
+            gap = _sub(a_u, a_w)
+            q = _mul(_sub(p_u, p_w), (gap[0], -gap[1]))
+            size = gap[0] ** 2 + gap[1] ** 2
+            assert q[0] % size == 0 and q[1] % size == 0
+            q = (q[0] // size, q[1] // size)
+        num = _mul(q, _mul(conj_u, conj_w))
+        factor = rad_n << shift
+        den = norm_u * norm_w
+        return complex(factor * num[0] / den, factor * num[1] / den)
+
+    def column(f, *cols):
+        return np.array([f(*v) for v in zip(*cols)], dtype=complex)
+
+    return BlockDiagonal(column(h, scalars), column(h, upper),
+                         column(corner, upper, lower), column(h, lower))
+
+
+def block_norms(op) -> np.ndarray:
+    """|s| for each 1x1 block, then each 2x2 block's norm by the exact
+    formula of ``BlockDiagonal.sup_singular_value``."""
+    u, c, l = np.abs(op.upper), np.abs(op.corner), np.abs(op.lower)
+    blocks = (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
+    return np.concatenate([np.abs(op.scalars), blocks])
+
+
+def sup_block_norm_unpruned(op) -> float:
+    """The supremum of block norms, with the exact formula on every block."""
+    return float(np.max(block_norms(op), initial=0.0))
+
+
+def evolve_four_calls(model, t: float) -> BlockDiagonal:
+    """The semigroup from three complex exp calls and one sinh per block:
+    exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]], t where d = 0."""
+    d = model.half_gap
+    td = t * d
+    jordan = d == 0
+    carrier = np.exp(t * model.mid)
+    corner = np.where(jordan, t, np.sinh(td) / np.where(jordan, 1.0, d))
+    return BlockDiagonal(np.exp(t * model.scalars), carrier * np.exp(td),
+                         carrier * corner, carrier * np.exp(-td))

@@ -466,6 +466,27 @@ def test_cli_theorem_check_honours_proj_tol(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_projection_entries_record_the_node_doubling_drift(tmp_path):
+    # At 24 nodes the drift is ~6e-8, recorded in report.json beside the
+    # contour it belongs to; the default 64 nodes drift far less.
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "log_spectrum_n1.cfg")
+    with open(shipped, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    drifts = {}
+    for nodes in (24, 64):
+        cfg = parse_config(text + f"contour.nodes = {nodes}\n"
+                           "tolerances.proj_tol = 1e-6\n")
+        run_theorem_check(cfg, str(tmp_path / str(nodes)))
+        with open(tmp_path / str(nodes) / "report.json", "r",
+                  encoding="utf-8") as handle:
+            entries = json.load(handle)["projections"]
+        assert all(entry["nodes"] == nodes for entry in entries)
+        drifts[nodes] = [entry["drift"] for entry in entries]
+    assert 1e-8 < max(drifts[24]) <= 1e-6
+    assert max(drifts[64]) < min(drifts[24])
+
+
 def test_witness_rejects_small_dim_before_building(tmp_path, capsys):
     with pytest.raises(TruncationInadequateError) as info:
         run_witness([10.0], dim=1, out_dir=str(tmp_path / "w"))

@@ -1,11 +1,13 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import weighted_vector_norm
+from oracles import (block_norms, evolve_four_calls, sup_block_norm_unpruned,
+                     weighted_vector_norm)
 from semistab.errors import SpectrumHitError, TruncationInadequateError
 from semistab.linalg import NormKind
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
@@ -299,6 +301,86 @@ def test_block_norm_keeps_a_small_corner():
     sigma = np.linalg.svd(op.to_dense(), compute_uv=False)[0]
     assert op.sup_singular_value() == pytest.approx(sigma, rel=1e-14)
     assert op.sup_singular_value() > 1.0
+
+
+# Complex entries with magnitudes 1e-300 ... 1e300, and zero: squared
+# Frobenius norms overflow, underflow and go subnormal.
+_WIDE = (st.builds(lambda e, phase: 10.0 ** e * np.exp(1j * phase),
+                   st.floats(-300.0, 300.0), _PHASES)
+         | st.just(0j))
+
+
+def _operator(scalars, rows) -> BlockDiagonal:
+    upper, corner, lower = (np.array([row[i] for row in rows], dtype=complex)
+                            for i in range(3))
+    return BlockDiagonal(np.array(scalars, dtype=complex), upper, corner, lower)
+
+
+@st.composite
+def _wide_operator(draw):
+    scalars = draw(st.lists(_WIDE, max_size=3))
+    rows = draw(st.lists(st.tuples(_WIDE, _WIDE, _WIDE), max_size=6))
+    if rows and draw(st.booleans()):
+        # Frobenius ties: permuted entries keep a block's F but not its norm.
+        u, c, l = rows[0]
+        rows += [(c, u, l), (u, l, c), (l, c, u), (u, c, l)]
+    if rows and draw(st.booleans()):
+        # A 1x1-like block whose F is a share in [1/2, 1] of the first's:
+        # its norm can still win.
+        share = draw(st.floats(0.5, 1.0))
+        with np.errstate(over="ignore"):
+            frob = sum(abs(x) ** 2 for x in rows[0])
+        if np.isfinite(frob):
+            rows.append((np.sqrt(share * frob), 0j, 0j))
+    return _operator(scalars, rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(op=_wide_operator())
+@example(op=_operator([3j, -1.0], []))  # scalars only
+@example(op=_operator([], []))
+@example(op=_operator([], [(1e-160, 0j, 1e-160), (1e-170, 1e-161, 0j)]))
+@example(op=_operator([1.0], [(2.0, 0j, 0j), (0j, 2.0, 0j), (1.0, 1.0, 1.0)]))
+# F = 1.010025 against 2, yet norm 1.005 against 1.
+@example(op=_operator([], [(1.0, 0j, 1.0), (1.005, 0j, 0j)]))
+def test_pruned_block_norm_is_the_full_formula_bitwise(op):
+    assert op.sup_singular_value() == sup_block_norm_unpruned(op)
+
+
+_EVOLVE_MODELS = {family: _model(family, 500) for family in Family}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(t=st.floats(0.0, 2000.0))
+@example(t=2000.0)
+@example(t=210.0)  # t / n near pi at n = 67
+def test_evolve_matches_four_call_form(family, t):
+    m = _EVOLVE_MODELS[family]
+    want = evolve_four_calls(m, t)
+    diff = evolve_blocks(m, t) - want
+    assert diff.sup_singular_value() <= 1e-14 * want.sup_singular_value()
+    # Blockwise, where exp(t d) is near -1 the corner sinh(t d) / d is near
+    # 0 and E (2 + E) cancels to an absolute error of about 2 eps / |d|,
+    # with |d| >= pi / t there: below the eps t both forms inherit from
+    # rounding t d itself.
+    carrier = np.abs(np.exp(t * np.concatenate([m.scalars, m.mid])))
+    assert np.all(block_norms(diff) <= 1e-14 * block_norms(want)
+                  + _EPS * t * carrier)
+
+
+def test_evolve_corner_is_t_at_small_gaps():
+    # With mid = 0 the carrier is 1 and the corner is sinh(t d) / d, which
+    # is t (1 + (t d)^2 / 6): within 1.7e-17 of t where |t d| <= 1e-8.
+    m = _model(Family.JORDAN_PAIRS, 2001)
+    rng = np.random.default_rng(2000)
+    for t in (1e-6, 1e-3, 1.0, 7.5, 2000.0):
+        d = rng.standard_normal(m.mid.size) + 1j * rng.standard_normal(m.mid.size)
+        d *= 1e-8 / t * rng.uniform(0.0, 1.0, d.size) / np.abs(d)
+        d[:3] = (0.0, 1e-8 / t, 1j * 1e-8 / t)
+        corner = evolve_blocks(replace(m, mid=np.zeros_like(d), half_gap=d),
+                               t).corner
+        assert np.max(np.abs(corner - t)) <= 1e-15 * t
 
 
 def test_resolvent_blocks_match_dense_inverse():

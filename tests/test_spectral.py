@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import dense_operator_norm
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from oracles import dense_operator_norm, trapezoid_exact, trapezoid_node_sum
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
-from semistab import models
+from semistab import models, spectral
+from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import NormContext
-from semistab.models import Family, ModelSpec, build_model, eigenvalues
+from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
+                             eigenvalues)
 from semistab.spectral import (COMMUTATION_TIMES, Contour,
                                contour_projection_closed,
                                hypothesis_a_check, hypothesis_b_check,
@@ -255,13 +260,16 @@ def test_contour_projection_closed_matches_quadrature_for_pairs():
 
 
 def test_quadrature_evaluates_semigroup_only_for_commutation(monkeypatch):
-    # The quadrature accumulator starts from zeros shaped by the spectral
-    # table; the semigroup is evaluated only at the commutation probes.
+    # The trapezoid rule is a closed filter of the spectral table: no
+    # resolvent is evaluated, and the semigroup only at the commutation
+    # probes.
     m = _model(Family.JORDAN_PAIRS, 6)
     contour = hypothesis_a_check(m, 2.5j)
     calls = _record_calls(monkeypatch, "evolve_blocks")
+    resolvents = _record_calls(monkeypatch, "resolvent_blocks")
     riesz_projection_quadrature(m, contour)
     assert [t for (t,) in calls] == list(COMMUTATION_TIMES)
+    assert resolvents == []
 
 
 def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
@@ -280,3 +288,117 @@ def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
     assert asked == list(ts)
     assert len(evolves) == ts.size
     assert len(norms) == ts.size + 1  # one more for ||P||
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _entries(op: BlockDiagonal) -> np.ndarray:
+    return np.concatenate([op.scalars, op.upper, op.corner, op.lower])
+
+
+def _sampled(a: np.ndarray, large: bool) -> np.ndarray:
+    """All of ``a``, or on a large model its first and last six entries."""
+    return np.concatenate([a[:6], a[-6:]]) if large and a.size > 12 else a
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(family=st.sampled_from(list(Family)), max_index=st.integers(2, 40),
+       nodes=st.sampled_from([16, 24, 64, 250]))
+# A contour centred on a Jordan eigenvalue: z_a = z_b = 0 in its block.
+@example(family=Family.DIAG_JORDAN, max_index=4, nodes=16)
+# dim 199998: z^N overflows unless written in w = 1/z outside the circle.
+@example(family=Family.JORDAN_PAIRS, max_index=100000, nodes=64)
+@example(family=Family.JORDAN_PAIRS, max_index=12, nodes=250)
+def test_filter_matches_exact_trapezoid_sum(family, max_index, nodes):
+    """Oracle chain: the closed filter against the exact trapezoid sum and
+    against the node-by-node sum within that sum's rounding bound; the
+    closed-form indicator is the third link, in the tests above."""
+    # The order-1 weighted norm needs two coordinates.
+    assume(family is not Family.LOG_SPECTRUM or max_index > 2)
+    m = _model(family, max_index)
+    large = m.dim > 1000
+    for lam in m.spectrum[:2] if large else m.spectrum:
+        contour = hypothesis_a_check(m, lam, nodes=nodes)
+        p, p2 = spectral._quadrature_sum(m, contour)
+        for op in (p, p2):
+            parts = _entries(op).view(float)
+            assert np.all(np.isfinite(parts))
+            # Subnormal parts would slow every product with P, and are 0.
+            assert not np.any((parts != 0) & (np.abs(parts) < _TINY))
+        exact = trapezoid_exact(*(_sampled(a, large)
+                                  for a in (m.scalars, m.upper, m.lower)),
+                                contour)
+        got = BlockDiagonal(*(_sampled(a, large) for a in (
+            p.scalars, p.upper, p.corner, p.lower)))
+        size = max(1.0, exact.sup_singular_value())
+        assert (got - exact).sup_singular_value() <= 1e-14 * size
+        if not large:
+            node, bound = trapezoid_node_sum(m, contour)
+            assert np.all(np.abs(_entries(node) - _entries(exact))
+                          <= _entries(bound) + 1e-14 * size)
+            assert np.all(np.abs(_entries(p) - _entries(node))
+                          <= _entries(bound) + 1e-14 * size)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_doubled_filter_is_the_exact_2n_sum(family):
+    m = _model(family, 12)
+    for lam in m.spectrum:
+        contour = hypothesis_a_check(m, lam, nodes=24)
+        p, p2 = spectral._quadrature_sum(m, contour)
+        exact = trapezoid_exact(m.scalars, m.upper, m.lower, contour, nodes=48)
+        size = max(1.0, exact.sup_singular_value())
+        assert (p2 - exact).sup_singular_value() <= 1e-14 * size
+        report = riesz_projection_quadrature(m, contour, drift_tol=1.0)
+        assert report.drift == (p - p2).sup_singular_value()
+
+
+def test_filter_at_node_sum_error_scale():
+    # r = 0.005 around a JORDAN_PAIRS pair at n = 200 with 16 nodes: forming
+    # mu - lam costs the node sum about |mu| / r ulps per term, so it strays
+    # from the exact sum far more than the filter does.
+    m = _model(Family.JORDAN_PAIRS, 200)
+    contour = hypothesis_a_check(m, m.spectrum[-1], nodes=16)
+    assert contour.radius == pytest.approx(0.005, rel=0.01)
+    p, _ = spectral._quadrature_sum(m, contour)
+    node, bound = trapezoid_node_sum(m, contour)
+    exact = trapezoid_exact(m.scalars, m.upper, m.lower, contour)
+    node_error = np.max(np.abs(_entries(node) - _entries(exact)))
+    filter_error = np.max(np.abs(_entries(p) - _entries(exact)))
+    assert node_error <= np.max(_entries(bound))
+    assert filter_error <= 1e-14 * max(1.0, exact.sup_singular_value())
+    assert filter_error < node_error / 100
+
+
+_SMALL_RUN = """\
+model.family = JORDAN_PAIRS
+grid.t_min = 1.0
+grid.t_max = 20.0
+grid.points = 9
+grid.spacing = GEOMETRIC
+checks.top_k = 3
+output.formats = JSON
+output.directory = {out}
+"""
+
+
+def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
+                                                          tmp_path):
+    cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
+    resolvents = _record_calls(monkeypatch, "resolvent_blocks")
+    evolves = _record_calls(monkeypatch, "evolve_blocks")
+    report = run_theorem_check(cfg)
+    checked = report.verdicts["hypothesis_b_decay"].metrics["checked"]
+    points = cfg.grid.points
+    assert checked == 3
+    assert len(resolvents) == 1
+    assert len(evolves) == points + checked * (len(COMMUTATION_TIMES) + points)
+
+
+def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,
+                                                             tmp_path):
+    cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "s"))
+    evolves = _record_calls(monkeypatch, "evolve_blocks")
+    run_simulate(cfg)
+    assert len(evolves) == cfg.grid.points

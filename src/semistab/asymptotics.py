@@ -37,7 +37,7 @@ MIN_FIT_SAMPLES = 8
 TRANSLATION_TOL = 0.05
 
 #: Coordinates-per-unit-time required by the witness experiment.
-WITNESS_DIM_FACTOR = models.DIAG_TRUNCATION_FACTOR
+WITNESS_DIM_FACTOR = models.FAMILIES[Family.LOG_SPECTRUM].truncation[0]
 
 
 class Quantity(enum.Enum):

@@ -181,9 +181,9 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     ``output.formats`` within CSV, JSON.  The checks across keys follow:
     ``TimeGrid``'s rules; ``model.max_index = auto`` resolves to the minimal
     adequate truncation for ``grid.t_max`` and a smaller explicit value is
-    rejected, as are a LOG_SPECTRUM truncation below ``order + 2`` and a
-    dimension above ``max_dim``.  A ``model.mu`` on the spectrum is rejected
-    when the model is built (``SpectrumHitError``).
+    rejected, as are a weighted family's truncation below dim ``order + 1``
+    and a dimension above ``max_dim``.  A ``model.mu`` on the spectrum is
+    rejected when the model is built (``SpectrumHitError``).
     """
     parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
     values = {}
@@ -229,12 +229,14 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
                 f"(dim {models.model_dim(family, need)})",
                 required=need)
         dim = models.model_dim(family, max_index)
-        if family is Family.LOG_SPECTRUM and max_index < order + 2:
-            # The order-N difference weighting needs dim >= N + 1.
+        if models.FAMILIES[family].weighted and dim < order + 1:
+            # The order-N weighting needs dim >= N + 1; dim is affine in max_index.
+            step = models.model_dim(family, max_index + 1) - dim
+            least = max_index - (dim - order - 1) // step
             raise TruncationInadequateError(
                 f"model.max_index {max_index} (dim {dim}) cannot carry the "
-                f"order-{order} weighted norm; need max_index >= {order + 2}",
-                required=order + 2)
+                f"order-{order} weighted norm; need max_index >= {least}",
+                required=least)
         if max_dim is not None and dim > max_dim:
             raise TruncationInadequateError(
                 f"adequate truncation needs dim {dim} > configured cap {max_dim} "
@@ -403,19 +405,17 @@ def _spread(values: np.ndarray) -> float:
 
 
 def _growth_verdict(model: Model, semi: NormSamples) -> Verdict:
-    family = model.spec.family
-    if family is Family.LOG_SPECTRUM:
+    t_floor, bracket = models.FAMILIES[model.spec.family].growth
+    if t_floor is None:
         order = model.spec.order
         try:
             fit = fit_rate(semi, FitFamily.POWER)
         except InsufficientSamplesError as exc:
             return _skipped(str(exc))
-        ok = order - 0.2 <= fit.exponent_or_scale <= order + 0.2
+        ok = order - bracket <= fit.exponent_or_scale <= order + bracket
         return _verdict(ok, f"power-law exponent {fit.exponent_or_scale:.4f} "
                             f"vs expected {order}",
                         exponent=fit.exponent_or_scale, expected=float(order))
-    t_floor, bracket = ((20.0, 0.1) if family is Family.JORDAN_PAIRS
-                        else (50.0, 0.2))
     mask = semi.ts >= t_floor
     if not np.any(mask):
         return _skipped(f"no samples with t >= {t_floor}")
@@ -427,45 +427,42 @@ def _growth_verdict(model: Model, semi: NormSamples) -> Verdict:
 
 
 def _bounded_verdict(model: Model, prod: NormSamples) -> Verdict:
-    if model.spec.family is Family.LOG_SPECTRUM:
+    t_from = models.FAMILIES[model.spec.family].bounded_from
+    if t_from is None:
         return _skipped("resolvent product is unbounded for this family; "
                         "the ratio law verdict covers it")
-    mask = prod.ts >= 10.0
+    mask = prod.ts >= t_from
     if np.count_nonzero(mask) < 2:
-        return _skipped("need >= 2 samples with t >= 10")
+        return _skipped(f"need >= 2 samples with t >= {t_from:g}")
     spread = _spread(prod.values[mask])
     return _verdict(spread <= SPREAD_BOUND,
                     f"sup/inf of the resolvent product = {spread:.4f} "
-                    f"over t >= 10",
+                    f"over t >= {t_from:g}",
                     spread=spread, bound=SPREAD_BOUND)
 
 
 def _ratio_verdict(model: Model, ratio: NormSamples):
     """Family-appropriate decay law of the ratio; returns (verdict, fits)."""
-    fits = {}
-    if model.spec.family is Family.LOG_SPECTRUM:
-        try:
-            fit = fit_rate(ratio, FitFamily.INVERSE_LOG)
-        except InsufficientSamplesError as exc:
-            return _skipped(str(exc)), fits
-        fits["ratio_inverse_log"] = _fit_dict(fit)
-        mask = ratio.ts >= fit.window[0]
-        compensated = ratio.values[mask] * np.log(ratio.ts[mask])
-        slope = loglog_slope(ratio.ts[mask], compensated)
-        ok = fit.exponent_or_scale <= SPREAD_BOUND and abs(slope) <= TREND_SLOPE_BOUND
-        return _verdict(ok, f"ratio * log t: spread {fit.exponent_or_scale:.4f}, "
-                            f"trend slope {slope:.4f}",
-                        spread=fit.exponent_or_scale, trend_slope=slope,
-                        spread_bound=SPREAD_BOUND,
-                        slope_bound=TREND_SLOPE_BOUND), fits
+    bracket = models.FAMILIES[model.spec.family].ratio_exponent
+    law = FitFamily.INVERSE_LOG if bracket is None else FitFamily.POWER
     try:
-        fit = fit_rate(ratio, FitFamily.POWER)
+        fit = fit_rate(ratio, law)
     except InsufficientSamplesError as exc:
-        return _skipped(str(exc)), fits
-    fits["ratio_power"] = _fit_dict(fit)
-    ok = -1.1 <= fit.exponent_or_scale <= -0.9
-    return _verdict(ok, f"ratio power-law exponent {fit.exponent_or_scale:.4f}",
-                    exponent=fit.exponent_or_scale), fits
+        return _skipped(str(exc)), {}
+    fits = {f"ratio_{law.value.lower()}": _fit_dict(fit)}
+    if bracket is not None:
+        ok = bracket[0] <= fit.exponent_or_scale <= bracket[1]
+        return _verdict(ok, f"ratio power-law exponent {fit.exponent_or_scale:.4f}",
+                        exponent=fit.exponent_or_scale), fits
+    mask = ratio.ts >= fit.window[0]
+    compensated = ratio.values[mask] * np.log(ratio.ts[mask])
+    slope = loglog_slope(ratio.ts[mask], compensated)
+    ok = fit.exponent_or_scale <= SPREAD_BOUND and abs(slope) <= TREND_SLOPE_BOUND
+    return _verdict(ok, f"ratio * log t: spread {fit.exponent_or_scale:.4f}, "
+                        f"trend slope {slope:.4f}",
+                    spread=fit.exponent_or_scale, trend_slope=slope,
+                    spread_bound=SPREAD_BOUND,
+                    slope_bound=TREND_SLOPE_BOUND), fits
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport:
@@ -659,6 +656,9 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
                 formats: tuple = ("CSV", "JSON")) -> RunReport:
     """Witness-vector lower-bound experiment on the weighted diagonal model."""
     ts = sorted(float(t) for t in t_values)
+    for t in ts:
+        if not math.isfinite(t):
+            raise ConfigError(f"witness needs finite t values, got t = {t!r}")
     if not ts:
         raise ConfigError("need at least one t value")
     if ts[0] <= asymptotics.FIT_T_FLOOR:

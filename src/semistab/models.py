@@ -1,6 +1,7 @@
 """Three block-diagonal semigroup families on finite truncations.
 
-All families have growth bound 0 and each is one spectral table: the
+All families have growth bound 0.  Each is one row of ``FAMILIES``: its
+norm, truncation rule, expected laws and spectral table, which holds the
 eigenvalues of its leading 1x1 blocks, and for each upper triangular 2x2
 block a midpoint ``mid`` and half-gap ``d``, the block being
 [[mid + d, 1], [0, mid - d]].  The semigroup, its generator, the resolvent
@@ -10,19 +11,6 @@ semigroup block is
     exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
 
 with t in place of sinh(t d) / d where d = 0.
-
-* ``DIAG_JORDAN``: one unimodular 1x1 block with eigenvalue i, then Jordan
-  blocks (d = 0) with eigenvalue ik - 1/k (k = 1, ..., max_index - 1).
-  The semigroup block is exp((ik - 1/k) t) * [[1, t], [0, 1]].  Measured in
-  the Euclidean norm its growth is linear in t while the resolvent product
-  stays bounded.
-* ``JORDAN_PAIRS``: 2x2 blocks with mid = in and d = i/n, so simple
-  eigenvalues i(n + 1/n) and i(n - 1/n), n = 2, ..., max_index.  The
-  semigroup block is exp(int) * [[exp(it/n), n sin(t/n)], [0, exp(-it/n)]];
-  the supremum of the block norms grows like t.
-* ``LOG_SPECTRUM``: diagonal with simple eigenvalues i log n,
-  n = 2, ..., max_index, measured in the order-N difference-weighted norm,
-  where the semigroup norm grows like t^N.
 
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
@@ -35,24 +23,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .errors import SpectrumHitError, TruncationInadequateError
 from .linalg import MatvecOperator, NormContext, NormKind
-
-#: Exponential growth bound shared by all three families: block norms carry
-#: no e^{wt} factor with w > 0, only polynomial-in-t envelopes.
-GROWTH_BOUND = 0.0
-
-#: Minimal blocks-per-unit-time for the block families (sup over blocks is
-#: attained near, or beyond, block index t).
-BLOCK_TRUNCATION_FACTOR = 50
-
-#: Minimal coordinates-per-unit-time for LOG_SPECTRUM (the norm witness is
-#: supported on indices up to 4t).
-DIAG_TRUNCATION_FACTOR = 8
 
 _SPECTRUM_MARGIN = 1e-12
 
@@ -127,28 +104,63 @@ class Model:
         return self.mid - self.half_gap
 
 
-def _spectral_table(family: Family, max_index: int):
-    """The family's spectrum as arrays (scalars, mid, half_gap).
+def _diag_jordan_table(max_index: int):
+    """One unimodular 1x1 block with eigenvalue i, then Jordan blocks (d = 0)
+    with eigenvalue ik - 1/k, k = 1, ..., max_index - 1: the semigroup block
+    is exp((ik - 1/k) t) * [[1, t], [0, 1]]."""
+    k = np.arange(1, max_index, dtype=float)
+    return np.array([1j]), 1j * k - 1.0 / k, np.zeros(k.size, dtype=complex)
 
-    This is the one place that spells out a family's eigenvalues.
-    """
-    if family is Family.DIAG_JORDAN:
-        k = np.arange(1, max_index, dtype=float)
-        return np.array([1j]), 1j * k - 1.0 / k, np.zeros(k.size, dtype=complex)
+
+def _jordan_pairs_table(max_index: int):
+    """2x2 blocks with mid = in and d = i/n, n = 2, ..., max_index: simple
+    eigenvalues i(n + 1/n) and i(n - 1/n), and the semigroup block
+    exp(int) * [[exp(it/n), n sin(t/n)], [0, exp(-it/n)]]."""
+    n = np.arange(2, max_index + 1, dtype=float)
+    return np.zeros(0, dtype=complex), 1j * n, 1j / n
+
+
+def _log_spectrum_table(max_index: int):
+    """Diagonal, with simple eigenvalues i log n, n = 2, ..., max_index."""
     n = np.arange(2, max_index + 1, dtype=float)
     none = np.zeros(0, dtype=complex)
-    if family is Family.JORDAN_PAIRS:
-        return none, 1j * n, 1j / n
     return 1j * np.log(n), none, none
 
 
-def _block_eigenvalues(scalars, mid, half_gap) -> np.ndarray:
-    """Every eigenvalue of a table, repeated by algebraic multiplicity."""
-    return np.concatenate([scalars, mid + half_gap, mid - half_gap])
+@dataclass(frozen=True)
+class FamilyRow:
+    """One family: ``table(max_index)`` gives its arrays (scalars, mid,
+    half_gap); ``weighted`` picks the order-N difference-weighted norm over
+    the Euclidean; max_index >= ceil(a t) + b, for ``truncation = (a, b)``,
+    is adequate out to time t.  The rest are the laws ``simulate`` expects:
+    ``growth = (t_floor, bracket)`` bounds |norm(t)/t - 1| by bracket over
+    t >= t_floor, or with t_floor None the norm's power-law exponent to
+    N +- bracket; the resolvent product is bounded over t >= ``bounded_from``
+    (None: unbounded); ``ratio_exponent`` brackets the ratio's power-law
+    exponent (None: the ratio decays like 1/log t).
+
+    The defaults are what the two block families share.  They need 50 blocks
+    per unit time because the supremum over blocks is attained near, or
+    beyond, block index t.
+    """
+
+    table: Callable[[int], tuple]
+    growth: tuple
+    weighted: bool = False
+    truncation: tuple = (50, 0)
+    bounded_from: float | None = 10.0
+    ratio_exponent: tuple | None = (-1.1, -0.9)
 
 
-def _table_dim(scalars, mid, half_gap) -> int:
-    return scalars.size + 2 * mid.size
+#: The one description of each family.  LOG_SPECTRUM needs 8 coordinates
+#: per unit time because the norm witness is supported on indices up to 4t.
+FAMILIES = {
+    Family.DIAG_JORDAN: FamilyRow(_diag_jordan_table, growth=(50.0, 0.2)),
+    Family.JORDAN_PAIRS: FamilyRow(_jordan_pairs_table, growth=(20.0, 0.1)),
+    Family.LOG_SPECTRUM: FamilyRow(_log_spectrum_table, growth=(None, 0.2),
+                                   weighted=True, truncation=(8, 1),
+                                   bounded_from=None, ratio_exponent=None),
+}
 
 
 def model_dim(family: Family, max_index: int) -> int:
@@ -157,7 +169,8 @@ def model_dim(family: Family, max_index: int) -> int:
     Each family adds a fixed number of coordinates per index, so the
     dimension is affine in max_index and is read off the two smallest tables.
     """
-    d2, d3 = (_table_dim(*_spectral_table(family, m)) for m in (2, 3))
+    tables = [FAMILIES[family].table(m) for m in (2, 3)]
+    d2, d3 = (scalars.size + 2 * mid.size for scalars, mid, _ in tables)
     return d2 + (d3 - d2) * (max_index - 2)
 
 
@@ -168,19 +181,19 @@ def build_model(spec: ModelSpec) -> Model:
     so bitwise grouping of the spectrum is exact.  Raises
     :class:`SpectrumHitError` when ``spec.mu_default`` lies on the spectrum.
     """
-    scalars, mid, half_gap = _spectral_table(spec.family, spec.max_index)
-    values, counts = np.unique(_block_eigenvalues(scalars, mid, half_gap),
-                               return_counts=True)
+    row = FAMILIES[spec.family]
+    scalars, mid, half_gap = row.table(spec.max_index)
+    # Every eigenvalue, repeated by algebraic multiplicity: one per coordinate.
+    eigs = np.concatenate([scalars, mid + half_gap, mid - half_gap])
+    values, counts = np.unique(eigs, return_counts=True)
     dist = float(np.min(np.abs(values - spec.mu_default)))
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
     order = np.lexsort((values.real, values.imag))
-    dim = _table_dim(scalars, mid, half_gap)
-    if spec.family is Family.LOG_SPECTRUM:
-        ctx = NormContext.delta_weighted(spec.order, dim)
-    else:
-        ctx = NormContext.euclidean(dim)
+    dim = eigs.size
+    ctx = (NormContext.delta_weighted(spec.order, dim) if row.weighted
+           else NormContext.euclidean(dim))
     return Model(spec, ctx, scalars, mid, half_gap, values[order], counts[order])
 
 
@@ -329,11 +342,8 @@ def required_max_index(family: Family, t_max: float) -> int:
     """Minimal adequate truncation for norms sampled out to time t_max."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    if family is Family.LOG_SPECTRUM:
-        need = math.ceil(DIAG_TRUNCATION_FACTOR * t_max) + 1
-    else:
-        need = math.ceil(BLOCK_TRUNCATION_FACTOR * t_max)
-    return max(need, 2)
+    per_time, offset = FAMILIES[family].truncation
+    return max(math.ceil(per_time * t_max) + offset, 2)
 
 
 def check_truncation(model: Model, t_max: float) -> None:

@@ -1,5 +1,6 @@
 """Acceptance suite: the ten checks this project treats as its exit gate,
-plus a negative control outside the theorem's hypotheses.
+plus a negative control outside the theorem's hypotheses and an imaginary
+shift of the spectrum that must change no norm and no verdict.
 
 Each criterion test prints a single PASS/FAIL line (visible with pytest -s
 / -rA; the per-test verdicts also appear in pytest -v output).  Expected
@@ -7,20 +8,26 @@ values come from closed forms, independent oracles, or bracket statements;
 nothing here is tuned to the implementation under test.
 """
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semistab import models
 from semistab.asymptotics import (FitFamily, Quantity, concave_envelope,
                                   fit_rate, sample_norms, witness_lower_bound,
                                   witness_vector)
-from semistab.experiments import (parse_config, run_hardy, run_simulate,
-                                  run_theorem_check)
+from semistab.experiments import (format_complex, parse_config, run_hardy,
+                                  run_simulate, run_theorem_check)
 from semistab.models import (Family, ModelSpec, build_model, eigenvalues,
                              evolve_blocks, resolvent_blocks)
 from semistab.spectral import (hypothesis_a_check, riesz_projection_closed,
@@ -251,15 +258,13 @@ def test_negative_control_simple_imaginary_spectrum(monkeypatch, tmp_path):
     # and the ratio stays 1/sqrt(2) at mu = 1, so both laws must fail while
     # the product stays bounded, and theorem-check must fail hypothesis (b)
     # and the conclusion.
-    table = models._spectral_table
+    def simple_imaginary(max_index):
+        none = np.zeros(0, dtype=complex)
+        return 1j * np.arange(1, max_index + 1, dtype=float), none, none
 
-    def simple_imaginary(family, max_index):
-        if family is Family.JORDAN_PAIRS:
-            none = np.zeros(0, dtype=complex)
-            return 1j * np.arange(1, max_index + 1, dtype=float), none, none
-        return table(family, max_index)
-
-    monkeypatch.setattr(models, "_spectral_table", simple_imaginary)
+    row = models.FAMILIES[Family.JORDAN_PAIRS]
+    monkeypatch.setitem(models.FAMILIES, Family.JORDAN_PAIRS,
+                        dataclasses.replace(row, table=simple_imaginary))
     cfg = parse_config("model.family = JORDAN_PAIRS\ngrid.t_min = 1.0\n"
                        "grid.t_max = 200.0\ngrid.points = 24\n"
                        f"output.directory = {tmp_path}\n")
@@ -275,6 +280,64 @@ def test_negative_control_simple_imaginary_spectrum(monkeypatch, tmp_path):
         "hypothesis_b_decay": "FAIL", "conclusion_decay": "FAIL"}
     assert theorem.verdicts["hypothesis_b_decay"].detail == \
         "0/5 projected curves decay"
+
+
+#: Desk-size grids on which every simulate verdict is PASS, except the
+#: LOG_SPECTRUM product law, which is SKIPPED by design.
+SHIFT_GRIDS = {
+    Family.DIAG_JORDAN: "grid.t_min = 1.0\ngrid.t_max = 60.0\ngrid.points = 16\n",
+    Family.JORDAN_PAIRS: "grid.t_min = 1.0\ngrid.t_max = 60.0\ngrid.points = 16\n",
+    Family.LOG_SPECTRUM: f"grid.t_min = {E2!r}\ngrid.t_max = 60.0\ngrid.points = 12\n",
+}
+
+
+def _shifted_row(row, omega):
+    """The row with i omega added to every eigenvalue."""
+    def table(max_index):
+        scalars, mid, half_gap = row.table(max_index)
+        return scalars + 1j * omega, mid + 1j * omega, half_gap
+    return dataclasses.replace(row, table=table)
+
+
+def _shift_runs(family, omega):
+    """simulate and theorem-check of the family shifted by i omega, at
+    mu = 1 + i omega; no files are kept."""
+    row = _shifted_row(models.FAMILIES[family], omega)
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.dict(models.FAMILIES, {family: row}):
+        cfg = parse_config(f"model.family = {family.value}\n"
+                           f"model.mu = {format_complex(1.0 + 1j * omega)}\n"
+                           f"{SHIFT_GRIDS[family]}output.directory = {out}\n")
+        return cfg, run_simulate(cfg), run_theorem_check(cfg)
+
+
+@functools.lru_cache(maxsize=None)
+def _unshifted_runs(family):
+    return _shift_runs(family, 0.0)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(omega=st.floats(-1000.0, 1000.0))
+@example(omega=1000.0)
+def test_imaginary_shift_changes_no_norm_and_no_verdict(family, omega):
+    # A -> A + i omega I with mu -> mu + i omega multiplies T(t) by the
+    # unimodular e^{i omega t} and leaves the resolvent product's norm alone,
+    # so every curve matches within rounding and every verdict stays, while
+    # every contour moves by i omega.
+    cfg, simulate, theorem = _unshifted_runs(family)
+    _, shifted_simulate, shifted_theorem = _shift_runs(family, omega)
+    for name, curve in simulate.samples.items():
+        base = np.array(curve["value"])
+        moved = np.array(shifted_simulate.samples[name]["value"])
+        assert np.max(np.abs(moved / base - 1.0)) <= 10 * cfg.tolerances.norm_tol
+    for base, moved in ((simulate, shifted_simulate), (theorem, shifted_theorem)):
+        assert {k: v.status for k, v in moved.verdicts.items()} == \
+            {k: v.status for k, v in base.verdicts.items()}
+    for base, moved in zip(theorem.projections, shifted_theorem.projections,
+                           strict=True):
+        drift = complex(moved["center"]) - complex(base["center"]) - 1j * omega
+        assert abs(drift) <= 1e-12 * (1.0 + abs(omega))
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS_DIR)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 from operator import attrgetter
@@ -13,7 +14,7 @@ from semistab.experiments import (FAIL, KEY_TABLE, MAX_GRID_POINTS, PASS,
                                   parse_config,
                                   render_config, run_hardy, run_simulate,
                                   run_theorem_check, run_witness, write_csv)
-from semistab.models import Family
+from semistab.models import Family, ModelSpec, build_model, check_truncation
 
 JP_TEXT = """\
 # small run
@@ -236,6 +237,33 @@ def test_config_rejects_truncation_below_weight_order(tmp_path, capsys,
     assert f"need max_index >= {required}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_parse_accepts_exactly_what_builds(family):
+    # parse_config derives the weighted minimum from model_dim and the
+    # norm's dim >= N + 1 rule; it must draw the line where building the
+    # model and gating its truncation for grid.t_max do.
+    outcomes = set()
+    for order in range(1, 7):
+        for max_index in range(2, 11):
+            text = (f"model.family = {family.value}\nmodel.order = {order}\n"
+                    f"model.max_index = {max_index}\ngrid.t_min = 0.01\n"
+                    "grid.t_max = 0.1\ngrid.points = 4\n")
+            try:
+                parse_config(text)
+                parsed = True
+            except TruncationInadequateError:
+                parsed = False
+            try:
+                spec = ModelSpec(family, max_index, order=order)
+                check_truncation(build_model(spec), 0.1)
+                built = True
+            except (ValueError, TruncationInadequateError):
+                built = False
+            assert parsed == built, (order, max_index)
+            outcomes.add(parsed)
+    assert outcomes == {True, False}
+
+
 def test_time_grid_values():
     geo = TimeGrid(1.0, 100.0, 3, Spacing.GEOMETRIC).values()
     assert geo == pytest.approx([1.0, 10.0, 100.0])
@@ -427,8 +455,15 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["hardy", "--cases", "0"]) == 2
     capsys.readouterr()
-    assert main(["witness", "--t", "abc"]) == 2
-    capsys.readouterr()
+    for bad_t in ("abc", "inf", "nan"):
+        assert main(["witness", "--t", bad_t]) == 2
+        assert bad_t in capsys.readouterr().err
+    # Non-finite times are rejected, and named, before any dimension is
+    # computed from them.
+    for bad_t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match=f"got t = {bad_t!r}"):
+            run_witness([10.0, bad_t], out_dir=str(tmp_path / "w"))
+    assert not (tmp_path / "w").exists()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
 

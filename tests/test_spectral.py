@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,11 +196,11 @@ def test_hypothesis_a_rejects_non_eigenvalue():
 def test_hypothesis_a_clustered_spectrum(monkeypatch):
     # The built-in families stay isolated at small truncations, so shrink a
     # gap artificially in the spectral table to exercise the error path.
-    from semistab import models
-
     none = np.zeros(0, dtype=complex)
     clustered = (np.array([1j, 1j + 1e-10]), none, none)
-    monkeypatch.setattr(models, "_spectral_table", lambda *_: clustered)
+    row = models.FAMILIES[Family.LOG_SPECTRUM]
+    monkeypatch.setitem(models.FAMILIES, Family.LOG_SPECTRUM,
+                        dataclasses.replace(row, table=lambda _: clustered))
     m = _model(Family.LOG_SPECTRUM, 3)
     with pytest.raises(ClusteredSpectrumError):
         hypothesis_a_check(m, 1j)

@@ -20,11 +20,10 @@ from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
                           Tolerances, Verdict, config_hash, parse_config,
                           render_config, run_hardy, run_simulate,
                           run_theorem_check, run_witness)
-from .linalg import MatvecOperator, NormContext, NormKind, operator_norm
+from .linalg import NormContext, operator_norm
 from .models import (BlockDiagonal, Eigenvalue, Family, Model, ModelSpec,
-                     build_model, check_truncation, eigenvalues, evolve,
-                     evolve_blocks, generator, generator_blocks,
-                     required_max_index, resolvent, resolvent_blocks)
+                     build_model, check_truncation, eigenvalues, evolve_blocks,
+                     generator_blocks, required_max_index, resolvent_blocks)
 from .spectral import (Contour, DecayCurve, ProjectionReport,
                        contour_projection_closed, hypothesis_a_check,
                        hypothesis_b_check, riesz_projection_closed,

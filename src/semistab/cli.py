@@ -11,7 +11,7 @@ import sys
 
 from ._version import __version__
 from .errors import SemistabError
-from .experiments import (load_report, parse_config, render_report,
+from .experiments import (MAX_DIM, load_report, parse_config, render_report,
                           report_exit_code, run_hardy, run_simulate,
                           run_theorem_check, run_witness)
 
@@ -50,7 +50,7 @@ def _build_parser():
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out", default=None,
                          help="output directory (overrides the config)")
-        cmd.add_argument("--max-dim", type=int, default=200_000,
+        cmd.add_argument("--max-dim", type=int, default=MAX_DIM,
                          help="reject configs whose truncation exceeds this "
                               "coordinate dimension")
         cmd.set_defaults(func=lambda args: _show(
@@ -77,7 +77,8 @@ def _build_parser():
     witness.add_argument("--t", required=True,
                          help="comma-separated time values, e.g. 10,20,40,80")
     witness.add_argument("--dim", type=int, default=None,
-                         help="truncation dimension (default: 8 * max t)")
+                         help="truncation dimension (default: 8 * max t, "
+                              f"at most {MAX_DIM})")
     witness.add_argument("--out", default="out")
     witness.set_defaults(func=_cmd_witness)
 

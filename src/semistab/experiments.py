@@ -52,6 +52,10 @@ _ENVELOPE_DEFECT_TOL = 1e-12
 #: Largest accepted ``grid.points``; the grid is allocated before any run.
 MAX_GRID_POINTS = 100_000
 
+#: Default cap on the coordinate dimension: the CLI's ``--max-dim`` for the
+#: config commands, and the cap on the dimension ``witness`` derives from t.
+MAX_DIM = 200_000
+
 
 class Spacing(enum.Enum):
     LINEAR = "LINEAR"
@@ -654,7 +658,9 @@ def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
 
 def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
                 formats: tuple = ("CSV", "JSON")) -> RunReport:
-    """Witness-vector lower-bound experiment on the weighted diagonal model."""
+    """Witness-vector lower-bound experiment on the weighted diagonal model.
+
+    A ``dim`` derived from t (``dim=None``) is capped at ``MAX_DIM``."""
     ts = sorted(float(t) for t in t_values)
     for t in ts:
         if not math.isfinite(t):
@@ -664,7 +670,11 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
     if ts[0] <= asymptotics.FIT_T_FLOOR:
         raise ConfigError(f"witness needs every t > e, got t = {ts[0]!r}")
     if dim is None:
-        dim = math.ceil(asymptotics.WITNESS_DIM_FACTOR * max(ts))
+        dim = math.ceil(asymptotics.WITNESS_DIM_FACTOR * ts[-1])
+        if dim > MAX_DIM:
+            raise TruncationInadequateError(
+                f"witness at t = {ts[-1]!r} needs dim {dim:.6g} > cap "
+                f"{MAX_DIM}; pass --dim to choose a dimension", required=dim + 1)
     asymptotics.check_witness_dim(dim, ts[-1])
     started = time.perf_counter()
     spec = ModelSpec(Family.LOG_SPECTRUM, dim + 1, order=1)
@@ -700,14 +710,32 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
 
 
 def load_report(path: str) -> dict:
-    """Read a report JSON; raises ConfigError on malformed content."""
+    """Read a report JSON; raises ConfigError naming the file and the first
+    bad key that :func:`render_report` or :func:`report_exit_code` reads."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             report = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed report {path}: {exc}") from None
-    if not isinstance(report, dict) or "verdicts" not in report:
-        raise ConfigError(f"malformed report {path}: missing 'verdicts'")
+
+    def check(ok: bool, key: str) -> None:
+        if not ok:
+            raise ConfigError(f"malformed report {path}: bad or missing {key}")
+
+    check(isinstance(report, dict)
+          and isinstance(report.get("verdicts"), dict), "'verdicts'")
+    check(isinstance(report.get("config", {}), dict), "'config'")
+    fits = report.get("fits", {})
+    check(isinstance(fits, dict), "'fits'")
+    for name, verdict in report["verdicts"].items():
+        check(isinstance(verdict, dict)
+              and isinstance(verdict.get("status"), str),
+              f"'status' of verdict {name!r}")
+    for name, fit in fits.items():
+        for key in ("family", "coefficient", "exponent_or_scale", "residual"):
+            kind = str if key == "family" else (int, float)
+            check(isinstance(fit, dict) and isinstance(fit.get(key), kind),
+                  f"{key!r} of fit {name!r}")
     return report
 
 

@@ -6,24 +6,24 @@ zero-prefix convention makes the truncated difference map injective and
 reproduces the boundary terms (for N = 1, the extra squared modulus of the
 first coefficient).
 
+Order 0 is the Euclidean norm: the 0-th difference is the identity.
+
 The operator norm of M in a norm context is the largest singular value of
 ``D @ M @ L``, where D is the banded difference transform and L its
-lower-triangular inverse (both the identity in the Euclidean context).
-:func:`operator_norm` is the one kernel: power iteration on the Gram
-operator of that product, with M applied matrix-free and D, L and their
-adjoints in O(order * dim).  Dense references for D, L and the norms live in
-the test suite.
+lower-triangular inverse.  :func:`operator_norm` is the one kernel: power
+iteration on the Gram operator of that product, with M applied through its
+``matvec`` and ``rmatvec`` (a ``models.BlockDiagonal`` in the instrument)
+and D, L and their adjoints in O(order * dim).  Dense references for D, L
+and the norms live in the test suite.
 
 All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,40 +39,19 @@ POWER_STEPS_PER_DIM = 10
 _CONVERGED_STREAK = 2
 
 
-class NormKind(enum.Enum):
-    EUCLIDEAN = "EUCLIDEAN"
-    DELTA_WEIGHTED = "DELTA_WEIGHTED"
-
-
 @dataclass(frozen=True)
 class NormContext:
-    """A norm on C^dim: plain l2, or l2 of the order-N backward difference."""
+    """A norm on C^dim: l2 of the order-N backward difference (order 0: l2)."""
 
-    kind: NormKind
     dim: int
     order: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.kind is NormKind.DELTA_WEIGHTED:
-            if self.order == 0:
-                raise ValueError("identity transform not a weighting")
-            if self.order < 0:
-                raise ValueError(f"order must be >= 1, got {self.order}")
-            if self.dim <= self.order:
-                raise ValueError(f"dim must be >= order + 1, got dim={self.dim}, "
-                                 f"order={self.order}")
-        elif self.order != 0:
-            raise ValueError("order is only meaningful for DELTA_WEIGHTED")
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "NormContext":
-        return cls(NormKind.EUCLIDEAN, dim)
-
-    @classmethod
-    def delta_weighted(cls, order: int, dim: int) -> "NormContext":
-        return cls(NormKind.DELTA_WEIGHTED, dim, order)
+        if self.order < 0:
+            raise ValueError(f"order must be >= 0, got {self.order}")
+        if self.dim <= self.order:
+            raise ValueError(f"dim must be >= order + 1, got dim={self.dim}, "
+                             f"order={self.order}")
 
 
 def apply_difference(order: int, vec: np.ndarray) -> np.ndarray:
@@ -103,25 +82,6 @@ def apply_cumulative_adjoint(order: int, vec: np.ndarray) -> np.ndarray:
     for _ in range(order):
         w = np.cumsum(w[::-1])[::-1]
     return w
-
-
-@dataclass(frozen=True)
-class MatvecOperator:
-    """Matrix-free linear operator: a shape plus matvec/rmatvec callables.
-
-    ``rmatvec`` must apply the conjugate transpose.
-    """
-
-    shape: tuple
-    matvec: Callable
-    rmatvec: Callable
-
-    @classmethod
-    def from_diagonal(cls, diag: np.ndarray) -> "MatvecOperator":
-        d = np.asarray(diag, dtype=complex)
-        dc = np.conj(d)
-        n = d.shape[0]
-        return cls((n, n), lambda v: d * v, lambda v: dc * v)
 
 
 def _gram_power_iteration(mv, rmv, n, tol, cap):
@@ -176,34 +136,33 @@ def _gram_power_iteration(mv, rmv, n, tol, cap):
     )
 
 
-def operator_norm(op: MatvecOperator, ctx: NormContext,
+def operator_norm(op, ctx: NormContext,
                   tol: float = POWER_TOL_DEFAULT) -> float:
     """Operator norm of ``op`` on (C^dim, ctx).
 
-    Power iteration on the Gram operator of ``D @ op @ L`` from a fixed-seed
-    random start, at most ``POWER_STEPS_PER_DIM * dim`` steps; one step
-    applies ``L``, ``op`` and ``D``, then their adjoints in reverse order.
-    Raises :class:`IllConditionedError` at the step cap and ``ValueError``
-    on a non-finite estimate.
+    ``op`` is any linear operator with ``dim``, ``matvec`` and ``rmatvec``
+    (the conjugate transpose).  Power iteration on the Gram operator of
+    ``D @ op @ L`` from a fixed-seed random start, at most
+    ``POWER_STEPS_PER_DIM * dim`` steps; one step applies ``L``, ``op`` and
+    ``D``, then their adjoints in reverse order (at order 0 the transforms
+    return their input).  Raises :class:`IllConditionedError` at the step
+    cap and ``ValueError`` on a non-finite estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if op.shape != (ctx.dim, ctx.dim):
-        raise ValueError(f"operator shape {op.shape} does not match the "
+    if op.dim != ctx.dim:
+        raise ValueError(f"operator dim {op.dim} does not match the "
                          f"context dim {ctx.dim}")
+    order = ctx.order
 
-    if ctx.kind is NormKind.DELTA_WEIGHTED:
-        order = ctx.order
+    # The transforms are looked up at call time, so that a tracer that
+    # rebinds them in this module sees one call of each per step.
+    def mv(v):
+        return apply_difference(order, op.matvec(apply_cumulative(order, v)))
 
-        # The transforms are looked up at call time, so that a tracer that
-        # rebinds them in this module sees one call of each per step.
-        def mv(v):
-            return apply_difference(order, op.matvec(apply_cumulative(order, v)))
+    def rmv(u):
+        return apply_cumulative_adjoint(
+            order, op.rmatvec(apply_difference_adjoint(order, u)))
 
-        def rmv(u):
-            return apply_cumulative_adjoint(
-                order, op.rmatvec(apply_difference_adjoint(order, u)))
-    else:
-        mv, rmv = op.matvec, op.rmatvec
     return _gram_power_iteration(mv, rmv, ctx.dim, tol,
                                  POWER_STEPS_PER_DIM * ctx.dim)

@@ -15,12 +15,15 @@ with t in place of sinh(t d) / d where d = 0.
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
-blocks and the dense assemblers exist for moderate sizes.
+blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
+:mod:`linalg` applies it through ``matvec`` and ``rmatvec``, and
+``to_dense`` serves moderate sizes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SpectrumHitError, TruncationInadequateError
-from .linalg import MatvecOperator, NormContext, NormKind
+from .linalg import NormContext
 
 _SPECTRUM_MARGIN = 1e-12
 
@@ -192,8 +195,7 @@ def build_model(spec: ModelSpec) -> Model:
             f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
     order = np.lexsort((values.real, values.imag))
     dim = eigs.size
-    ctx = (NormContext.delta_weighted(spec.order, dim) if row.weighted
-           else NormContext.euclidean(dim))
+    ctx = NormContext(dim, spec.order if row.weighted else 0)
     return Model(spec, ctx, scalars, mid, half_gap, values[order], counts[order])
 
 
@@ -252,6 +254,31 @@ class BlockDiagonal:
         return float(max(np.max(np.abs(self.scalars), initial=0.0),
                          np.max(blocks, initial=0.0)))
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector of length ``dim``."""
+        k = self.scalars.size
+        out = np.empty(self.dim, dtype=complex)
+        np.multiply(self.scalars, v[:k], out=out[:k])
+        np.multiply(self.lower, v[k + 1::2], out=out[k + 1::2])
+        out[k::2] = self.upper * v[k::2] + self.corner * v[k + 1::2]
+        return out
+
+    def rmatvec(self, w: np.ndarray) -> np.ndarray:
+        """The conjugate transpose applied to a vector of length ``dim``."""
+        scalars, upper, corner, lower = self._conjugates
+        k = scalars.size
+        out = np.empty(self.dim, dtype=complex)
+        np.multiply(scalars, w[:k], out=out[:k])
+        np.multiply(upper, w[k::2], out=out[k::2])
+        out[k + 1::2] = corner * w[k::2] + lower * w[k + 1::2]
+        return out
+
+    @functools.cached_property
+    def _conjugates(self) -> tuple:
+        # Formed once per operator, not once per power step.
+        return tuple(np.conj(a) for a in (self.scalars, self.upper,
+                                          self.corner, self.lower))
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         diag = np.arange(self.scalars.size)
@@ -305,19 +332,6 @@ def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     return BlockDiagonal(1.0 / s, 1.0 / a, -1.0 / (a * b), 1.0 / b)
 
 
-def evolve(model: Model, t: float) -> np.ndarray:
-    """Dense matrix of the semigroup at time t (moderate dims only)."""
-    return evolve_blocks(model, t).to_dense()
-
-
-def generator(model: Model) -> np.ndarray:
-    return generator_blocks(model).to_dense()
-
-
-def resolvent(model: Model, mu: complex) -> np.ndarray:
-    return resolvent_blocks(model, mu).to_dense()
-
-
 def eigenvalues(model: Model) -> list:
     """Distinct eigenvalues sorted by (imag, real), with multiplicities."""
     return [Eigenvalue(value, count) for value, count in
@@ -328,14 +342,13 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
                         tol: float = linalg.POWER_TOL_DEFAULT) -> float:
     """Operator norm of a block-diagonal operator in the model's norm.
 
-    Euclidean contexts reduce to the supremum of block norms; the weighted
-    context runs :func:`linalg.operator_norm` on the diagonal.
+    At order 0 (the Euclidean norm) it is the supremum of block norms; at
+    higher orders :func:`linalg.operator_norm` takes the operator whole.
     """
     ctx = model.norm_context
-    if ctx.kind is NormKind.EUCLIDEAN:
+    if ctx.order == 0:
         return blocks.sup_singular_value()
-    return linalg.operator_norm(MatvecOperator.from_diagonal(blocks.scalars),
-                                ctx, tol=tol)
+    return linalg.operator_norm(blocks, ctx, tol=tol)
 
 
 def required_max_index(family: Family, t_max: float) -> int:

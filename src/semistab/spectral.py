@@ -91,10 +91,6 @@ class ProjectionReport:
     enclosed: tuple
     drift: float = 0.0
 
-    @property
-    def projection(self) -> np.ndarray:
-        return self.blocks.to_dense()
-
 
 @dataclass(frozen=True)
 class DecayCurve:

@@ -1,9 +1,11 @@
 """Independent references for the kernels the tests hold to account.
 
 ``semistab.linalg`` applies the difference transform D and its inverse L
-matrix-free and estimates operator norms by power iteration.  These helpers
-build D and L as dense matrices and take norms by a full SVD, so the tests
-can hold the kernel against an independent computation.  Dense, so keep the
+matrix-free and estimates operator norms by power iteration on any operator
+with ``dim``, ``matvec`` and ``rmatvec``.  These helpers build D and L as
+dense matrices (the identity at order 0) and take norms by a full SVD, so
+the tests can hold the kernel against an independent computation; a dense
+matrix goes through the kernel as :func:`as_operator`.  Dense, so keep the
 dimensions moderate.
 
 ``semistab.spectral`` evaluates the trapezoid rule of a contour as a closed
@@ -19,11 +21,12 @@ kept here.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from semistab import models
-from semistab.linalg import MatvecOperator, NormContext, NormKind
+from semistab.linalg import NormContext
 from semistab.models import BlockDiagonal
 
 
@@ -34,7 +37,7 @@ def difference_matrix(order: int, dim: int) -> np.ndarray:
     (-1)^j C(N, j) for 0 <= j <= min(n, N).  Entries that would reach before
     the sequence start are dropped, which encodes the zero-prefix convention.
     """
-    NormContext.delta_weighted(order, dim)  # same parameter checks
+    NormContext(dim, order)  # same parameter checks
     out = np.zeros((dim, dim), dtype=complex)
     for j in range(order + 1):
         idx = np.arange(j, dim)
@@ -46,9 +49,11 @@ def cumulative_matrix(order: int, dim: int) -> np.ndarray:
     """Inverse of :func:`difference_matrix`: lower-triangular binomial sums.
 
     Entry (n, k) for k <= n equals C(n - k + N - 1, N - 1); for N = 1 this is
-    the all-ones partial-sum operator.
+    the all-ones partial-sum operator; for N = 0 it is the identity.
     """
-    NormContext.delta_weighted(order, dim)
+    NormContext(dim, order)
+    if order == 0:
+        return np.eye(dim, dtype=complex)
     out = np.zeros((dim, dim), dtype=complex)
     for off in range(dim):
         rows = np.arange(off, dim)
@@ -63,24 +68,22 @@ def weighted_vector_norm(ctx: NormContext, vec) -> float:
         raise ValueError(f"expected a vector of length {ctx.dim}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    if ctx.kind is NormKind.EUCLIDEAN:
-        return float(np.linalg.norm(v))
     return float(np.linalg.norm(difference_matrix(ctx.order, ctx.dim) @ v))
 
 
 def dense_operator_norm(mat, ctx: NormContext) -> float:
     """Largest singular value of ``D @ mat @ L`` by a full SVD."""
-    g = np.asarray(mat, dtype=complex)
-    if ctx.kind is NormKind.DELTA_WEIGHTED:
-        g = (difference_matrix(ctx.order, ctx.dim) @ g
-             @ cumulative_matrix(ctx.order, ctx.dim))
+    g = (difference_matrix(ctx.order, ctx.dim) @ np.asarray(mat, dtype=complex)
+         @ cumulative_matrix(ctx.order, ctx.dim))
     return float(np.linalg.svd(g, compute_uv=False)[0])
 
 
-def as_operator(mat) -> MatvecOperator:
-    """A dense matrix as a matrix-free operator (matvec and its adjoint)."""
+def as_operator(mat) -> SimpleNamespace:
+    """A square dense matrix as an operator the kernel takes: ``dim``,
+    ``matvec`` and ``rmatvec`` (its conjugate transpose)."""
     mat = np.asarray(mat, dtype=complex)
-    return MatvecOperator(mat.shape, mat.__matmul__, mat.conj().T.__matmul__)
+    return SimpleNamespace(dim=mat.shape[0], matvec=mat.__matmul__,
+                           rmatvec=mat.conj().T.__matmul__)
 
 
 def trapezoid_node_sum(model, contour):

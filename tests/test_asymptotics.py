@@ -13,7 +13,8 @@ from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
 from semistab.linalg import NormContext
-from semistab.models import Family, ModelSpec, build_model, evolve, resolvent
+from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
+                             resolvent_blocks)
 
 RNG = np.random.default_rng(99173)
 
@@ -297,8 +298,9 @@ def test_witness_lower_bound_bracket_and_bound():
     bound = witness_lower_bound(m, 10.0)
     assert bound.normalized == bound.raw_ratio * math.log(10.0) / 10.0
     # Never exceeds the true operator norm of the product (svd oracle).
-    dense = evolve(m, 10.0) @ resolvent(m, 0.0)
-    ctx = NormContext.delta_weighted(1, m.dim)
+    dense = (evolve_blocks(m, 10.0).to_dense()
+             @ resolvent_blocks(m, 0.0).to_dense())
+    ctx = NormContext(m.dim, 1)
     assert bound.raw_ratio <= dense_operator_norm(dense, ctx) * (1.0 + 1e-9)
 
 

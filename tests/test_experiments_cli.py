@@ -7,13 +7,14 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from semistab import experiments
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
-from semistab.experiments import (FAIL, KEY_TABLE, MAX_GRID_POINTS, PASS,
-                                  SKIPPED, Spacing, TimeGrid, config_hash,
-                                  parse_config,
-                                  render_config, run_hardy, run_simulate,
-                                  run_theorem_check, run_witness, write_csv)
+from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
+                                  PASS, SKIPPED, Spacing, TimeGrid,
+                                  config_hash, parse_config, render_config,
+                                  run_hardy, run_simulate, run_theorem_check,
+                                  run_witness, write_csv)
 from semistab.models import Family, ModelSpec, build_model, check_truncation
 
 JP_TEXT = """\
@@ -448,6 +449,45 @@ def test_cli_report_exit_codes(tmp_path, capsys):
     }))
     assert main(["report", str(failing)]) == 1
     assert "thing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content, key", [
+    ({"verdicts": []}, "'verdicts'"),
+    ({"verdicts": {"x": "PASS"}}, "'x'"),
+    ({"verdicts": {}, "fits": {"ratio_power": {
+        "family": "POWER", "exponent_or_scale": -1.0, "residual": 0.0}}},
+     "'coefficient'"),
+], ids=["verdicts-list", "verdict-string", "fit-without-coefficient"])
+def test_cli_report_rejects_malformed_files(tmp_path, capsys, content, key):
+    # Each was an uncaught AttributeError or KeyError with exit code 1.
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(content))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize("t", ["1e300", "1e6"])
+def test_cli_witness_caps_the_dimension_it_derives(t, tmp_path, capsys,
+                                                  monkeypatch):
+    # 1e300 ended in numpy's bare "Maximum allowed size exceeded"; 1e6
+    # built a dim-8e6 model.  Both now stop before building anything.
+    def unexpected(spec):
+        raise AssertionError(f"built {spec}")
+    monkeypatch.setattr(experiments, "build_model", unexpected)
+    assert main(["witness", "--t", t, "--out", str(tmp_path / "w")]) == 2
+    assert MAX_DIM == 200_000 and "200000" in capsys.readouterr().err
+    with pytest.raises(TruncationInadequateError, match="200000"):
+        run_witness([float(t)], out_dir=str(tmp_path / "w"))
+    assert not (tmp_path / "w").exists()
+
+
+def test_witness_explicit_dim_is_not_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "MAX_DIM", 100)
+    with pytest.raises(TruncationInadequateError, match="needs dim 160 > cap 100"):
+        run_witness([10.0, 20.0], out_dir=str(tmp_path / "a"))
+    report = run_witness([10.0, 20.0], dim=200, out_dir=str(tmp_path / "b"))
+    assert "witness.dim = 200" in report.config_text
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -10,16 +10,22 @@ from oracles import (as_operator, cumulative_matrix, dense_operator_norm,
                      difference_matrix, weighted_vector_norm)
 from semistab import linalg
 from semistab.errors import IllConditionedError
-from semistab.linalg import (MatvecOperator, NormContext, NormKind,
-                             apply_cumulative, apply_cumulative_adjoint,
-                             apply_difference, apply_difference_adjoint,
-                             operator_norm)
+from semistab.linalg import (NormContext, apply_cumulative,
+                             apply_cumulative_adjoint, apply_difference,
+                             apply_difference_adjoint, operator_norm)
+from semistab.models import BlockDiagonal
 
 RNG = np.random.default_rng(20240817)
 
 
 def _random_complex(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+
+
+def _diagonal(diag) -> BlockDiagonal:
+    """A diagonal operator: 1x1 blocks only."""
+    none = np.zeros(0, dtype=complex)
+    return BlockDiagonal(np.asarray(diag, dtype=complex), none, none, none)
 
 
 def test_difference_matrix_order1():
@@ -41,18 +47,23 @@ def test_difference_matrix_constant_sequence():
     assert np.array_equal(out, np.array([1.0, 0.0]))
 
 
-def test_difference_matrix_rejects_order_zero():
-    with pytest.raises(ValueError, match="identity transform not a weighting"):
-        difference_matrix(0, 5)
-    with pytest.raises(ValueError, match="identity transform not a weighting"):
-        NormContext.delta_weighted(0, 5)
+def test_difference_matrix_order_zero_is_identity():
+    # The 0-th difference is the identity, so order 0 is the Euclidean norm.
+    eye = np.eye(5, dtype=complex)
+    assert np.array_equal(difference_matrix(0, 5), eye)
+    assert np.array_equal(cumulative_matrix(0, 5), eye)
+    v = np.array([1.0, -2.0, 3j, 0.5, -1j])
+    for apply in (apply_difference, apply_difference_adjoint,
+                  apply_cumulative, apply_cumulative_adjoint):
+        assert np.array_equal(apply(0, v), v)
+    assert NormContext(5) == NormContext(5, 0)
 
 
 def test_difference_matrix_rejects_small_dim():
     with pytest.raises(ValueError):
         difference_matrix(3, 3)
     with pytest.raises(ValueError):
-        NormContext.delta_weighted(2, 2)
+        NormContext(2, 2)
 
 
 def test_cumulative_matrix_order1_is_partial_sums():
@@ -119,30 +130,30 @@ def test_weighted_norm_tent_is_42():
     dim = 60
     n = np.arange(2, dim + 2, dtype=float)
     tent = np.where(n <= 20, n, np.where(n <= 40, 40 - n, 0.0))
-    ctx = NormContext.delta_weighted(1, dim)
+    ctx = NormContext(dim, 1)
     assert weighted_vector_norm(ctx, tent.astype(complex)) ** 2 == pytest.approx(42.0)
 
 
 def test_weighted_norm_first_basis_vector():
-    ctx = NormContext.delta_weighted(1, 5)
+    ctx = NormContext(5, 1)
     v = np.zeros(5, dtype=complex)
     v[0] = 1.0
     assert weighted_vector_norm(ctx, v) == pytest.approx(math.sqrt(2.0))
 
 
 def test_euclidean_norm():
-    ctx = NormContext.euclidean(2)
+    ctx = NormContext(2)
     assert weighted_vector_norm(ctx, np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_weighted_norm_dimension_mismatch():
-    ctx = NormContext.euclidean(3)
+    ctx = NormContext(3)
     with pytest.raises(ValueError):
         weighted_vector_norm(ctx, np.ones(4))
 
 
 def test_weighted_norm_positive_definite():
-    ctx = NormContext.delta_weighted(2, 30)
+    ctx = NormContext(30, 2)
     for _ in range(25):
         v = _random_complex(30)
         assert weighted_vector_norm(ctx, v) > 0.0
@@ -150,22 +161,20 @@ def test_weighted_norm_positive_definite():
 
 
 def test_weighted_norm_rejects_nonfinite():
-    ctx = NormContext.euclidean(2)
+    ctx = NormContext(2)
     with pytest.raises(ValueError):
         weighted_vector_norm(ctx, np.array([1.0, np.nan]))
     # The kernel stops at the first non-finite estimate instead of running
     # its whole step cap into a convergence failure.
     for bad in (np.inf, np.nan):
-        for weighted in (NormContext.euclidean(2000),
-                         NormContext.delta_weighted(2, 2000)):
+        for weighted in (NormContext(2000), NormContext(2000, 2)):
             diag = np.ones(2000, dtype=complex)
             diag[7] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                operator_norm(MatvecOperator.from_diagonal(diag), weighted)
+                operator_norm(_diagonal(diag), weighted)
 
 
-@pytest.mark.parametrize("ctx", [NormContext.euclidean(6),
-                                 NormContext.delta_weighted(2, 6)])
+@pytest.mark.parametrize("ctx", [NormContext(6), NormContext(6, 2)])
 @pytest.mark.parametrize("method", ["svd", "power"])
 def test_operator_norm_identity_is_one(ctx, method):
     eye = np.eye(6, dtype=complex)
@@ -180,7 +189,7 @@ def test_operator_norm_2x2_bracket():
     n, t = 10, 5.0
     mat = np.array([[np.exp(1j * t / n), n * np.sin(t / n)],
                     [0.0, np.exp(-1j * t / n)]])
-    value = operator_norm(as_operator(mat), NormContext.euclidean(2))
+    value = operator_norm(as_operator(mat), NormContext(2))
     lo = n * np.sin(t / n)
     assert lo <= value <= lo + 1.0
     s = np.sum(np.abs(mat) ** 2)
@@ -195,15 +204,15 @@ def test_operator_norm_weighted_diagonal_growth():
     for t in (5.0, 10.0, 20.0):
         dim = int(8 * t)
         n = np.arange(2, dim + 2, dtype=float)
-        op = MatvecOperator.from_diagonal(np.exp(1j * t * np.log(n)))
-        ctx = NormContext.delta_weighted(1, dim)
+        op = _diagonal(np.exp(1j * t * np.log(n)))
+        ctx = NormContext(dim, 1)
         value = operator_norm(op, ctx)
         assert value >= 1.0 - 1e-12
         assert value <= 5.0 * t + 1.0
 
 
 def test_operator_norm_adjoint_symmetry():
-    ctx = NormContext.euclidean(12)
+    ctx = NormContext(12)
     for _ in range(5):
         mat = _random_complex(12, 12)
         a = operator_norm(as_operator(mat), ctx)
@@ -213,7 +222,7 @@ def test_operator_norm_adjoint_symmetry():
 
 def test_operator_norm_submultiplicative():
     tol = 1e-10
-    ctx = NormContext.euclidean(10)
+    ctx = NormContext(10)
     for _ in range(10):
         a = _random_complex(10, 10)
         b = _random_complex(10, 10)
@@ -227,7 +236,7 @@ def test_operator_norm_submultiplicative():
 def test_power_iteration_matches_dense_svd(dim):
     tol = 1e-8
     mat = _random_complex(dim, dim)
-    ctx = NormContext.euclidean(dim)
+    ctx = NormContext(dim)
     p = operator_norm(as_operator(mat), ctx, tol=tol)
     s = dense_operator_norm(mat, ctx)
     assert p == pytest.approx(s, rel=10.0 * tol)
@@ -248,7 +257,7 @@ def test_power_iteration_finds_direction_orthogonal_to_ones(weight, floor,
     # An all-ones start gave 0.5 and 0.0 here.
     n = 600
     mat = _planted(n, weight, floor)
-    got = operator_norm(as_operator(mat), NormContext.euclidean(n))
+    got = operator_norm(as_operator(mat), NormContext(n))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -263,8 +272,7 @@ def test_power_iteration_matches_dense_svd_property(dim, seed, noise, planted,
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = noise * gauss + _planted(dim, planted, 0.0)
-    ctx = (NormContext.euclidean(dim) if order == 0
-           else NormContext.delta_weighted(order, dim))
+    ctx = NormContext(dim, order)
     # Random matrices can have close top singular values; allow 100 * dim
     # steps so that the comparison, not the step cap, decides.
     with mock.patch.object(linalg, "POWER_STEPS_PER_DIM", 100):
@@ -277,15 +285,71 @@ def test_power_iteration_matches_svd_weighted():
     tol = 1e-8
     dim = 40
     diag = np.exp(1j * 7.0 * np.log(np.arange(2, dim + 2)))
-    dom = NormContext.delta_weighted(2, dim)
-    p = operator_norm(MatvecOperator.from_diagonal(diag), dom, tol=tol)
+    dom = NormContext(dim, 2)
+    p = operator_norm(_diagonal(diag), dom, tol=tol)
     s = dense_operator_norm(np.diag(diag), dom)
     assert p == pytest.approx(s, rel=10.0 * tol)
 
 
+_EPS = np.finfo(float).eps
+
+# Complex entries 10^e e^(i theta), e in [-3, 3].
+_ENTRY = st.builds(lambda e, theta: 10.0 ** e * np.exp(1j * theta),
+                   st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * np.pi))
+
+
+@st.composite
+def _block_operators(draw):
+    """0-6 scalars, then 0-6 upper triangular 2x2 blocks."""
+    scalars = draw(st.lists(_ENTRY, max_size=6))
+    rows = draw(st.lists(st.tuples(_ENTRY, _ENTRY, _ENTRY), max_size=6))
+    upper, corner, lower = (np.array([row[i] for row in rows], dtype=complex)
+                            for i in range(3))
+    return BlockDiagonal(np.array(scalars, dtype=complex), upper, corner, lower)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(op=_block_operators(), order=st.integers(1, 3))
+def test_power_iteration_matches_dense_svd_on_block_operators(op, order):
+    assume(op.dim > order)
+    dense = op.to_dense()
+    rng = np.random.default_rng(op.dim)
+    v, w = (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+            for _ in range(2))
+    # Each output entry rounds at most two complex products and one sum.
+    assert np.all(np.abs(op.matvec(v) - dense @ v)
+                  <= 16 * _EPS * np.abs(dense) @ np.abs(v))
+    assert np.all(np.abs(op.rmatvec(w) - dense.conj().T @ w)
+                  <= 16 * _EPS * np.abs(dense).T @ np.abs(w))
+    assert abs(np.vdot(w, op.matvec(v)) - np.vdot(op.rmatvec(w), v)) <= \
+        16 * op.dim * _EPS * np.abs(w) @ np.abs(dense) @ np.abs(v)
+
+    ctx = NormContext(op.dim, order)
+    want = dense_operator_norm(dense, ctx)
+    try:
+        got = operator_norm(op, ctx)
+    except IllConditionedError:
+        return  # the kernel's contract: a named failure, not a wrong number
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.xfail(strict=True, reason="the power iteration's stop rule is a "
+                   "heuristic (ROADMAP open item 2)")
+def test_power_iteration_stops_short_at_close_singular_values():
+    # Blocks [[1, 1], [0, 1000]] and [[1, 0.1], [0, 1000]]: top singular
+    # values 1000.0005 and 1000.000005.  The kernel returns 1000.00041368,
+    # 8.6e-8 below, against tol 1e-10.  Only the block property's order 0
+    # draws found it; the instrument takes order-0 norms in closed form.
+    op = BlockDiagonal(np.zeros(0, dtype=complex), np.array([1.0, 1.0]) + 0j,
+                       np.array([1.0, 0.1]) + 0j, np.array([1e3, 1e3]) + 0j)
+    ctx = NormContext(op.dim)
+    want = dense_operator_norm(op.to_dense(), ctx)
+    assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-8)
+
+
 def test_operator_norm_consistent_with_vector_norms():
     tol = 1e-10
-    ctx = NormContext.delta_weighted(1, 25)
+    ctx = NormContext(25, 1)
     mat = _random_complex(25, 25)
     bound = operator_norm(as_operator(mat), ctx, tol=tol)
     for _ in range(20):
@@ -300,8 +364,8 @@ def test_matvec_operator_cap_raises_ill_conditioned():
     # a step when the cap of 10 * dim steps is reached.
     diag = np.linspace(1.0, 2.0, 30).astype(complex)
     diag[-2] = 2.0 - 1e-4
-    op = MatvecOperator.from_diagonal(diag)
-    ctx = NormContext.euclidean(30)
+    op = _diagonal(diag)
+    ctx = NormContext(30)
     with pytest.raises(IllConditionedError,
                        match=f"within {linalg.POWER_STEPS_PER_DIM * 30} ") as info:
         operator_norm(op, ctx, tol=1e-15)
@@ -309,7 +373,7 @@ def test_matvec_operator_cap_raises_ill_conditioned():
 
 
 def test_operator_norm_rejects_bad_inputs():
-    ctx = NormContext.euclidean(3)
+    ctx = NormContext(3)
     with pytest.raises(ValueError):
         operator_norm(as_operator(np.eye(3)), ctx, tol=0.0)
     with pytest.raises(ValueError):
@@ -327,15 +391,14 @@ def test_weighted_norm_counts_one_cumulative_pair_per_step(order, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(linalg, name, counted)
     diag = np.exp(1j * 5.0 * np.log(np.arange(2, 202)))
-    operator_norm(MatvecOperator.from_diagonal(diag),
-                  NormContext.delta_weighted(order, 200))
+    operator_norm(_diagonal(diag), NormContext(200, order))
     assert calls["apply_cumulative"] == calls["apply_cumulative_adjoint"] >= 1
 
 
 def test_norm_context_validation():
     with pytest.raises(ValueError):
-        NormContext(NormKind.EUCLIDEAN, 0)
-    with pytest.raises(ValueError):
-        NormContext(NormKind.EUCLIDEAN, 4, order=1)
-    ctx = NormContext.delta_weighted(2, 10)
+        NormContext(0)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        NormContext(4, order=-1)
+    ctx = NormContext(10, 2)
     assert ctx.order == 2 and ctx.dim == 10

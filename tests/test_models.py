@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_norms, evolve_four_calls, sup_block_norm_unpruned,
-                     weighted_vector_norm)
+from oracles import (block_norms, dense_operator_norm, evolve_four_calls,
+                     sup_block_norm_unpruned, weighted_vector_norm)
+from semistab import models
 from semistab.errors import SpectrumHitError, TruncationInadequateError
-from semistab.linalg import NormKind
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
-                             check_truncation, eigenvalues, evolve,
-                             evolve_blocks, generator, model_dim,
-                             required_max_index, resolvent, resolvent_blocks)
+                             check_truncation, eigenvalues, evolve_blocks,
+                             generator_blocks, model_dim, required_max_index,
+                             resolvent_blocks)
 from semistab.spectral import (contour_projection_closed, hypothesis_a_check,
                                riesz_projection_closed,
                                riesz_projection_quadrature)
@@ -28,7 +28,7 @@ def _model(family, max_index, **kw):
 def test_build_diag_jordan_layout():
     m = _model(Family.DIAG_JORDAN, 3)
     assert m.dim == 5
-    assert m.norm_context.kind is NormKind.EUCLIDEAN
+    assert m.norm_context.order == 0
     assert (m.scalars.size, m.mid.size) == (1, 2)  # block sizes 1, 2, 2
     assert m.scalars.tolist() == [1j]
     assert list(zip(m.upper.tolist(), m.lower.tolist())) == [
@@ -45,7 +45,7 @@ def test_build_jordan_pairs_layout():
 def test_build_log_spectrum_layout():
     m = _model(Family.LOG_SPECTRUM, 4, order=1)
     assert m.dim == 3
-    assert m.norm_context.kind is NormKind.DELTA_WEIGHTED
+    assert m.norm_context.order == 1
     assert m.mid.size == 0
     diag = m.scalars.tolist()
     assert diag == pytest.approx([1j * np.log(2), 1j * np.log(3), 1j * np.log(4)])
@@ -70,17 +70,18 @@ def test_build_model_rejects_mu_on_the_spectrum():
 @pytest.mark.parametrize("family", list(Family))
 def test_evolve_at_zero_is_identity(family):
     m = _model(family, 12)
-    assert np.max(np.abs(evolve(m, 0.0) - np.eye(m.dim))) < 1e-14
+    semi = evolve_blocks(m, 0.0).to_dense()
+    assert np.max(np.abs(semi - np.eye(m.dim))) < 1e-14
 
 
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
-        evolve(_model(Family.JORDAN_PAIRS, 4), -1.0)
+        evolve_blocks(_model(Family.JORDAN_PAIRS, 4), -1.0)
 
 
 def test_jordan_pairs_block_at_pi():
     m = _model(Family.JORDAN_PAIRS, 2)
-    block = evolve(m, np.pi)
+    block = evolve_blocks(m, np.pi).to_dense()
     expected = np.array([[1j, 2.0], [0.0, -1j]])
     assert np.max(np.abs(block - expected)) < 1e-12
 
@@ -100,7 +101,7 @@ def test_semigroup_law(family):
 def test_spectral_mapping_on_block_diagonals(family):
     m = _model(family, 20)
     t = 3.7
-    semi = evolve(m, t)
+    semi = evolve_blocks(m, t).to_dense()
     # Coordinates: the 1x1 blocks, then (upper, lower) of each 2x2 block.
     lams = np.concatenate([m.scalars, np.column_stack([m.upper, m.lower]).ravel()])
     assert np.max(np.abs(np.diag(semi) - np.exp(lams * t))) < 1e-12
@@ -109,13 +110,13 @@ def test_spectral_mapping_on_block_diagonals(family):
 def test_generator_frozen_blocks():
     mj = _model(Family.JORDAN_PAIRS, 2)
     expected = np.array([[2.5j, 1.0], [0.0, 1.5j]])
-    assert np.max(np.abs(generator(mj) - expected)) < 1e-14
+    assert np.max(np.abs(generator_blocks(mj).to_dense() - expected)) < 1e-14
 
     ml = _model(Family.LOG_SPECTRUM, 3)
-    assert generator(ml)[0, 0] == pytest.approx(1j * np.log(2))
+    assert generator_blocks(ml).to_dense()[0, 0] == pytest.approx(1j * np.log(2))
 
     md = _model(Family.DIAG_JORDAN, 2)
-    a = generator(md)
+    a = generator_blocks(md).to_dense()
     assert a[0, 0] == 1j
     assert np.max(np.abs(a[1:3, 1:3] - np.array([[1j - 1, 1], [0, 1j - 1]]))) < 1e-14
 
@@ -123,10 +124,10 @@ def test_generator_frozen_blocks():
 @pytest.mark.parametrize("family", list(Family))
 def test_generator_is_time_derivative_of_semigroup(family):
     m = _model(family, 6)
-    a = generator(m)
+    a = generator_blocks(m).to_dense()
     errs = []
     for h in (1e-5, 1e-6):
-        diff = (evolve(m, h) - np.eye(m.dim)) / h
+        diff = (evolve_blocks(m, h).to_dense() - np.eye(m.dim)) / h
         errs.append(np.max(np.abs(diff - a)))
     assert errs[0] < 1e-3
     assert 5.0 <= errs[0] / errs[1] <= 20.0  # first-order truncation error
@@ -136,8 +137,9 @@ def test_generator_is_time_derivative_of_semigroup(family):
 def test_resolvent_inverts_shifted_generator(family):
     m = _model(family, 15)
     for mu in (1.0 + 0.0j, -0.3 + 2.2j):
-        r = resolvent(m, mu)
-        defect = (generator(m) - mu * np.eye(m.dim)) @ r - np.eye(m.dim)
+        r = resolvent_blocks(m, mu).to_dense()
+        shifted = generator_blocks(m).to_dense() - mu * np.eye(m.dim)
+        defect = shifted @ r - np.eye(m.dim)
         assert np.max(np.abs(defect)) <= 1e-12
 
 
@@ -148,8 +150,8 @@ def test_resolvent_identity(family):
     for _ in range(5):
         mu = complex(RNG.uniform(0.5, 2.0), RNG.uniform(-1.0, 1.0))
         nu = complex(RNG.uniform(-2.0, -0.5), RNG.uniform(-1.0, 1.0))
-        r_mu = resolvent(m, mu)
-        r_nu = resolvent(m, nu)
+        r_mu = resolvent_blocks(m, mu).to_dense()
+        r_nu = resolvent_blocks(m, nu).to_dense()
         defect = r_mu - r_nu - (mu - nu) * (r_mu @ r_nu)
         assert np.max(np.abs(defect)) <= 1e-10
 
@@ -157,12 +159,12 @@ def test_resolvent_identity(family):
 def test_resolvent_spectrum_hit():
     m = _model(Family.LOG_SPECTRUM, 6)
     with pytest.raises(SpectrumHitError):
-        resolvent(m, 1j * np.log(3))
+        resolvent_blocks(m, 1j * np.log(3))
 
 
 def test_log_spectrum_resolvent_at_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
-    r = resolvent(m, 0.0)
+    r = resolvent_blocks(m, 0.0).to_dense()
     n = np.arange(2, 7, dtype=float)
     assert np.max(np.abs(np.diag(r) - (-1j / np.log(n)))) < 1e-14
 
@@ -172,7 +174,8 @@ def test_jordan_pairs_product_matches_displayed_formula():
     # generator, entry by entry, for each 2x2 block.
     m = _model(Family.JORDAN_PAIRS, 8)
     for t in (0.5, 3.0, 17.0):
-        prod = evolve(m, t) @ resolvent(m, 0.0)
+        semi = evolve_blocks(m, t).to_dense()
+        prod = semi @ resolvent_blocks(m, 0.0).to_dense()
         for i in range(m.mid.size):
             n = i + 2
             start = m.scalars.size + 2 * i
@@ -205,7 +208,8 @@ def test_diag_jordan_first_block_is_isometric():
     x = np.zeros(m.dim, dtype=complex)
     x[0] = 1.0 + 1.0j
     for t in (0.0, 1.0, 50.0):
-        assert weighted_vector_norm(m.norm_context, evolve(m, t) @ x) == \
+        y = evolve_blocks(m, t).to_dense() @ x
+        assert weighted_vector_norm(m.norm_context, y) == \
             pytest.approx(weighted_vector_norm(m.norm_context, x))
 
 
@@ -383,10 +387,22 @@ def test_evolve_corner_is_t_at_small_gaps():
         assert np.max(np.abs(corner - t)) <= 1e-15 * t
 
 
+@pytest.mark.parametrize("family", [Family.DIAG_JORDAN, Family.JORDAN_PAIRS])
+def test_weighted_norm_takes_2x2_blocks(family, monkeypatch):
+    # The weighted kernel once saw only the 1x1 blocks and rejected the
+    # operator's shape (0 or 1 against dim 14 or 15).
+    row = models.FAMILIES[family]
+    monkeypatch.setitem(models.FAMILIES, family, replace(row, weighted=True))
+    m = _model(family, 8, order=2)
+    op = evolve_blocks(m, 3.0) @ resolvent_blocks(m, 1.0)
+    want = dense_operator_norm(op.to_dense(), m.norm_context)
+    assert models.block_operator_norm(m, op) == pytest.approx(want, rel=1e-9)
+
+
 def test_resolvent_blocks_match_dense_inverse():
     m = _model(Family.JORDAN_PAIRS, 6)
     mu = 0.7 - 0.2j
-    dense = np.linalg.inv(generator(m) - mu * np.eye(m.dim))
+    dense = np.linalg.inv(generator_blocks(m).to_dense() - mu * np.eye(m.dim))
     assert np.max(np.abs(resolvent_blocks(m, mu).to_dense() - dense)) < 1e-11
 
 
@@ -401,7 +417,7 @@ def test_table_oracle_pairs_on_small_truncations(family, max_index, t, s, mu):
     assume(np.min(np.abs(m.spectrum - mu)) >= 0.05)
     assert model_dim(family, max_index) == m.dim
 
-    dense = np.linalg.inv(generator(m) - mu * np.eye(m.dim))
+    dense = np.linalg.inv(generator_blocks(m).to_dense() - mu * np.eye(m.dim))
     got = resolvent_blocks(m, mu).to_dense()
     assert np.max(np.abs(got - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 

@@ -52,7 +52,7 @@ def test_quadrature_jordan_pairs_single_eigenvalue():
     m = _model(Family.JORDAN_PAIRS, 2)
     report = riesz_projection_quadrature(m, Contour(2.5j, 0.4))
     expected = np.array([[1.0, -1j], [0.0, 0.0]])
-    assert np.max(np.abs(report.projection - expected)) <= 1e-8
+    assert np.max(np.abs(report.blocks.to_dense() - expected)) <= 1e-8
     assert report.rank == 1
     assert report.enclosed == (2.5j,)
     assert report.idempotency_defect <= 1e-10
@@ -64,14 +64,14 @@ def test_quadrature_log_spectrum_coordinate_projection():
     report = riesz_projection_quadrature(m, Contour(1j * np.log(2), 0.1))
     expected = np.zeros((m.dim, m.dim))
     expected[0, 0] = 1.0
-    assert np.max(np.abs(report.projection - expected)) <= 1e-10
+    assert np.max(np.abs(report.blocks.to_dense() - expected)) <= 1e-10
     assert report.rank == 1
 
 
 def test_quadrature_empty_contour_is_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
     report = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
-    assert np.max(np.abs(report.projection)) <= 1e-10
+    assert np.max(np.abs(report.blocks.to_dense())) <= 1e-10
     assert report.rank == 0
     assert report.enclosed == ()
 
@@ -100,7 +100,7 @@ def test_closed_projection_jordan_block_is_block_identity():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if e.multiplicity == 2)
     report = riesz_projection_closed(m, idx)
-    p = report.projection
+    p = report.blocks.to_dense()
     lam = eigs[idx].value
     s = m.scalars.size + 2 * int(np.flatnonzero(m.upper == lam)[0])
     assert np.max(np.abs(p[s:s + 2, s:s + 2] - np.eye(2))) == 0.0
@@ -112,9 +112,10 @@ def test_closed_projection_jordan_pairs_upper():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if abs(e.value - 4.25j) < 1e-12)
     report = riesz_projection_closed(m, idx)
-    block = report.projection[4:6, 4:6]
+    dense = report.blocks.to_dense()
+    block = dense[4:6, 4:6]
     assert np.max(np.abs(block - np.array([[1.0, -2j], [0.0, 0.0]]))) < 1e-12
-    norm = dense_operator_norm(report.projection, NormContext.euclidean(m.dim))
+    norm = dense_operator_norm(dense, NormContext(m.dim))
     assert norm == pytest.approx(np.sqrt(5.0), rel=1e-10)
 
 
@@ -148,7 +149,7 @@ def test_disjoint_projections_are_additive():
     p2 = riesz_projection_quadrature(m, c2)
     prod = (p1.blocks @ p2.blocks).sup_singular_value()
     assert prod <= 1e-12
-    combined = p1.projection + p2.projection
+    combined = p1.blocks.to_dense() + p2.blocks.to_dense()
     assert np.max(np.abs(combined @ combined - combined)) <= 1e-12
     assert round(np.trace(combined).real) == p1.rank + p2.rank
 

@@ -565,8 +565,11 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         proj_report = spectral.riesz_projection_quadrature(
             model, contour, drift_tol=cfg.tolerances.proj_tol)
         projections.append(_projection_entry(lam, contour, proj_report))
-        curve = spectral.hypothesis_b_check(model, proj_report, ts, env,
+        curve = spectral.hypothesis_b_check(model, proj_report, semi, env,
                                             tol=cfg.tolerances.norm_tol)
+        # Only one projection is held at a time, none during the next
+        # quadrature.
+        del proj_report
         curves.append((lam, curve))
         decay_flags.append(curve.decaying)
     skipped_values = [format_complex(v) for v, _ in skipped_eigs]

@@ -58,29 +58,35 @@ def apply_difference(order: int, vec: np.ndarray) -> np.ndarray:
     """Order-N backward difference of a vector, zero-prefix convention."""
     w = np.asarray(vec, dtype=complex)
     for _ in range(order):
-        w = np.diff(w, prepend=0.0)
+        # One fresh array per order: numpy would buffer an in-place
+        # difference, whose operands overlap.
+        out = np.empty_like(w)
+        out[:1] = w[:1]
+        np.subtract(w[1:], w[:-1], out=out[1:])
+        w = out
     return w
 
 
 def apply_difference_adjoint(order: int, vec: np.ndarray) -> np.ndarray:
-    w = np.asarray(vec, dtype=complex)
+    w = np.array(vec, dtype=complex)
     for _ in range(order):
-        w = np.concatenate([w[:-1] - w[1:], w[-1:]])
+        np.subtract(w[:-1], w[1:], out=w[:-1])
     return w
 
 
 def apply_cumulative(order: int, vec: np.ndarray) -> np.ndarray:
     """Order-N repeated partial sums; inverse of :func:`apply_difference`."""
-    w = np.asarray(vec, dtype=complex)
+    w = np.array(vec, dtype=complex)
     for _ in range(order):
-        w = np.cumsum(w)
+        np.cumsum(w, out=w)
     return w
 
 
 def apply_cumulative_adjoint(order: int, vec: np.ndarray) -> np.ndarray:
-    w = np.asarray(vec, dtype=complex)
+    w = np.array(vec, dtype=complex)
+    backward = w[::-1]
     for _ in range(order):
-        w = np.cumsum(w[::-1])[::-1]
+        np.cumsum(backward, out=backward)
     return w
 
 

@@ -199,6 +199,11 @@ def build_model(spec: ModelSpec) -> Model:
     return Model(spec, ctx, scalars, mid, half_gap, values[order], counts[order])
 
 
+def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Largest singular values of the blocks [[u, c], [0, l]], u, c, l >= 0."""
+    return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
+
+
 @dataclass(frozen=True)
 class BlockDiagonal:
     """Block-diagonal operator: 1x1 blocks ``scalars``, then 2x2 blocks
@@ -250,9 +255,18 @@ class BlockDiagonal:
         if np.isfinite(top) and top >= _TINY:
             keep = frob >= _KEEP_SHARE * top
             u, c, l = u[keep], c[keep], l[keep]
-        blocks = (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
         return float(max(np.max(np.abs(self.scalars), initial=0.0),
-                         np.max(blocks, initial=0.0)))
+                         np.max(_pair_norms(u, c, l), initial=0.0)))
+
+    def block_norms(self) -> np.ndarray:
+        """The norm of every block, the 1x1 blocks first."""
+        return np.concatenate([np.abs(self.scalars), _pair_norms(
+            np.abs(self.upper), np.abs(self.corner), np.abs(self.lower))])
+
+    def take(self, scalars, blocks) -> "BlockDiagonal":
+        """The operator on the given 1x1 blocks and 2x2 blocks only."""
+        return BlockDiagonal(self.scalars[scalars], self.upper[blocks],
+                             self.corner[blocks], self.lower[blocks])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """The operator applied to a vector of length ``dim``."""
@@ -302,14 +316,20 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    d = model.half_gap
-    carrier = np.exp(t * model.mid)
+    return _evolve_table(model.scalars, model.mid, model.half_gap, t)
+
+
+def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
+                  t: float) -> BlockDiagonal:
+    """The body of :func:`evolve_blocks` on any part of a spectral table."""
+    d = half_gap
+    carrier = np.exp(t * mid)
     gain = np.expm1(t * d)
     grow = 1.0 + gain
     corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
                        out=np.full(d.shape, t, dtype=complex), where=d != 0)
     corner *= carrier
-    return BlockDiagonal(np.exp(t * model.scalars), carrier * grow, corner,
+    return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
                          carrier / grow)
 
 

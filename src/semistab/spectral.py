@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, models
-from .asymptotics import loglog_slope, norm_curve
+from .asymptotics import NormSamples, Quantity, loglog_slope, norm_curve
 from .errors import (ClusteredSpectrumError, ContourTooCloseError,
                      NonconvergedError)
 from .models import BlockDiagonal, Model
@@ -302,25 +302,84 @@ def hypothesis_a_check(model: Model, lam: complex,
     return Contour(lam, min(gap / 2.0, radius_cap), nodes)
 
 
-def hypothesis_b_check(model: Model, projection: ProjectionReport, ts, envelope,
+def _restricted_norm(model: Model, proj: BlockDiagonal, idx: np.ndarray,
+                     t: float) -> float:
+    """Euclidean norm of T(t) P on the blocks ``idx`` only: an ascending
+    index over the 1x1 blocks, then the 2x2 blocks."""
+    split = np.searchsorted(idx, model.scalars.size)
+    scalars, blocks = idx[:split], idx[split:] - model.scalars.size
+    semi = models._evolve_table(model.scalars[scalars], model.mid[blocks],
+                                model.half_gap[blocks], t)
+    return (semi @ proj.take(scalars, blocks)).sup_singular_value()
+
+
+def _certified_curve(model: Model, proj: BlockDiagonal,
+                     semi: NormSamples) -> np.ndarray:
+    """t -> ||T(t) P|| in the Euclidean norm, with T(t) P evaluated only on
+    the blocks that can attain it.
+
+    Block k of T(t) P has norm at most ||T(t)|| ||P_k||.  The head, the
+    blocks with ||P_k|| at least half the largest, is evaluated at every
+    time; beside its supremum v, every other block with
+    2 ||P_k|| ||T(t)|| >= v is evaluated too, the factor 2 absorbing the
+    rounding of the sampled ||T(t)|| and of the products.  The blocks left
+    out cannot reach v, so the result is the supremum over all blocks.
+    With v = 0 every block is evaluated.
+    """
+    norms = proj.block_norms()
+    # NaN block norms fall into the head.
+    in_head = ~(norms < 0.5 * np.max(norms, initial=0.0))
+    head, rest = np.flatnonzero(in_head), np.flatnonzero(~in_head)
+    rest_norms = norms[rest]
+    out = np.empty(semi.ts.size)
+    for i, (t, bound) in enumerate(zip(semi.ts.tolist(), semi.values.tolist())):
+        v = _restricted_norm(model, proj, head, t)
+        tail = rest[rest_norms * (2.0 * bound) >= v]
+        if tail.size:
+            v = max(v, _restricted_norm(model, proj, tail, t))
+        out[i] = v
+    return out
+
+
+def hypothesis_b_check(model: Model, projection: ProjectionReport,
+                       semi: NormSamples, envelope,
                        tol: float = linalg.POWER_TOL_DEFAULT) -> DecayCurve:
-    """Decay of t -> ||T(t) P|| / f(t) over the sampled grid.
+    """Decay of t -> ||T(t) P|| / f(t) over the grid of ``semi``.
 
     ``projection`` is the spectral projection P, as built by
-    :func:`riesz_projection_quadrature`; ``envelope`` is any callable
-    majorant f(t) > 0.  The verdict is decaying when the log-log
-    least-squares slope is <= -0.5 and the last sample is below a tenth of
-    the first.  A rank-zero projection (contour around nothing) decays
-    vacuously.  Samples with ||T(t) P|| below 1e-13 ||P|| are quadrature
-    residue and are left out of the fit, so rescaling f cannot change the
-    verdict.
+    :func:`riesz_projection_quadrature`; ``semi`` holds the model's
+    ``SEMIGROUP_NORM`` samples ||T(t)|| on a grid of at least two positive
+    times, as from :func:`asymptotics.sample_norms`; ``envelope`` is any
+    callable majorant f(t), which must be finite and positive on the grid
+    (``ValueError`` naming the first t where it is not).  In the Euclidean
+    norm, T(t) P is evaluated only on the blocks of P that can attain its
+    norm, which ||T(t)|| certifies (the value is the full supremum); the
+    weighted norms take the whole product.
+
+    The verdict is decaying when the log-log least-squares slope is <= -0.5
+    and the last sample is below a tenth of the first.  A rank-zero
+    projection (contour around nothing) decays vacuously.  Samples with
+    ||T(t) P|| below 1e-13 ||P|| are quadrature residue and are left out of
+    the fit, so rescaling f cannot change the verdict.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size < 2 or np.any(ts <= 0) or np.any(np.diff(ts) <= 0):
+    if semi.quantity is not Quantity.SEMIGROUP_NORM:
+        raise ValueError(f"hypothesis (b) needs SEMIGROUP_NORM samples, "
+                         f"got {semi.quantity.value}")
+    ts = semi.ts
+    if ts.size < 2 or ts[0] <= 0:
         raise ValueError("ts must be a strictly increasing grid of positive times")
+    f = np.array([float(envelope(t)) for t in ts])
+    bad = ~(np.isfinite(f) & (f > 0))
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
+                         f"is not finite and positive")
     proj = projection.blocks
-    norms = norm_curve(model, ts, (proj,), tol)[0]
-    values = norms / np.array([float(envelope(t)) for t in ts])
+    if model.norm_context.order == 0:
+        norms = _certified_curve(model, proj, semi)
+    else:
+        norms = norm_curve(model, ts, (proj,), tol)[0]
+    values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(model, proj, tol=tol)

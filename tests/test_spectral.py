@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from oracles import dense_operator_norm, trapezoid_exact, trapezoid_node_sum
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import models, spectral
+from semistab.asymptotics import NormSamples, Quantity, norm_curve
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
-from semistab.linalg import NormContext
+from semistab.linalg import POWER_TOL_DEFAULT, NormContext
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              eigenvalues)
 from semistab.spectral import (COMMUTATION_TIMES, Contour,
@@ -36,6 +38,26 @@ def _record_calls(monkeypatch, name):
 
     monkeypatch.setattr(models, name, recorded)
     return calls
+
+
+def _record_tables(monkeypatch):
+    """Record the spectral tables the semigroup is evaluated on."""
+    calls = []
+    original = models._evolve_table
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(models, "_evolve_table", recorded)
+    return calls
+
+
+def _semi(model, ts):
+    """||T(t)|| samples on ts; unlike sample_norms, at any truncation."""
+    ts = np.asarray(ts, dtype=float)
+    return NormSamples(Quantity.SEMIGROUP_NORM, ts,
+                       norm_curve(model, ts, (None,), POWER_TOL_DEFAULT)[0])
 
 
 def test_contour_validation():
@@ -212,7 +234,7 @@ def test_hypothesis_b_constant_projected_norm_decays_against_linear():
     contour = hypothesis_a_check(m, 2.5j)
     ts = np.geomspace(10.0, 1000.0, 12)
     proj = riesz_projection_quadrature(m, contour)
-    curve = hypothesis_b_check(m, proj, ts, lambda t: t + 1.0)
+    curve = hypothesis_b_check(m, proj, _semi(m, ts), lambda t: t + 1.0)
     oracle = np.sqrt(1.0 + 1.0) / (ts + 1.0)  # ||P|| = sqrt(1 + (n/2)^2), n = 2
     assert np.max(np.abs(curve.values - oracle)) <= 1e-7
     assert curve.decaying
@@ -222,7 +244,7 @@ def test_hypothesis_b_constant_projected_norm_decays_against_linear():
 def test_hypothesis_b_empty_contour_curve_is_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
     proj = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
-    curve = hypothesis_b_check(m, proj, np.geomspace(1.0, 100.0, 8),
+    curve = hypothesis_b_check(m, proj, _semi(m, np.geomspace(1.0, 100.0, 8)),
                                lambda t: t + 1.0)
     assert np.max(curve.values) <= 1e-13  # quadrature residue of the zero map
     assert curve.decaying
@@ -234,7 +256,7 @@ def test_hypothesis_b_log_spectrum_against_power_envelope():
     contour = hypothesis_a_check(m, 1j * np.log(3))
     ts = np.geomspace(1.0, 100.0, 10)
     proj = riesz_projection_quadrature(m, contour)
-    curve = hypothesis_b_check(m, proj, ts, lambda t: 5.0 * t + 1.0)
+    curve = hypothesis_b_check(m, proj, _semi(m, ts), lambda t: 5.0 * t + 1.0)
     assert curve.decaying
 
 
@@ -245,10 +267,89 @@ def test_hypothesis_b_verdict_ignores_envelope_scale(scale):
     m = _model(Family.JORDAN_PAIRS, 500)
     contour = hypothesis_a_check(m, eigenvalues(m)[0].value)
     proj = riesz_projection_quadrature(m, contour)
-    curve = hypothesis_b_check(m, proj, np.geomspace(1.0, 10.0, 12),
+    curve = hypothesis_b_check(m, proj, _semi(m, np.geomspace(1.0, 10.0, 12)),
                                lambda t: scale)
     assert not curve.decaying
     assert curve.slope == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_hypothesis_b_rejects_an_envelope_that_is_not_finite_and_positive(bad):
+    # Such an envelope used to give inf, nan, negative or zero values and a
+    # silent FAIL verdict.
+    m = _model(Family.JORDAN_PAIRS, 3)
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 2.5j))
+    ts = np.geomspace(1.0, 10.0, 6)
+    with pytest.raises(ValueError, match=re.escape(f"at t = {ts[3]!r}")):
+        hypothesis_b_check(m, proj, _semi(m, ts),
+                           lambda t: bad if t > 3.0 else 1.0)
+
+
+def test_hypothesis_b_needs_semigroup_norm_samples():
+    m = _model(Family.JORDAN_PAIRS, 3)
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 2.5j))
+    semi = _semi(m, np.geomspace(1.0, 10.0, 6))
+    ratio = NormSamples(Quantity.RATIO, semi.ts, semi.values)
+    with pytest.raises(ValueError, match="SEMIGROUP_NORM"):
+        hypothesis_b_check(m, proj, ratio, lambda t: 1.0)
+
+
+def _assert_full_curve(model, proj, semi):
+    """The certified curve against T(t) P evaluated on every block."""
+    curve = hypothesis_b_check(model, proj, semi, lambda t: 1.0)
+    full = norm_curve(model, semi.ts, (proj.blocks,), POWER_TOL_DEFAULT)[0]
+    assert np.all(np.abs(curve.values - full) <= 4 * _EPS * full)
+    return full
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(family=st.sampled_from(list(Family)), max_index=st.integers(3, 12),
+       t_first=st.floats(0.01, 10.0), span=st.floats(1.5, 1e3),
+       points=st.integers(2, 12))
+def test_certified_curve_matches_full_evaluation(family, max_index, t_first,
+                                                 span, points):
+    # Every family in the Euclidean norm, where the certified route runs.
+    m = _model(family, max_index)
+    m = dataclasses.replace(m, norm_context=NormContext(m.dim, 0))
+    semi = _semi(m, np.geomspace(t_first, t_first * span, points))
+    for lam in m.spectrum.tolist():
+        proj = riesz_projection_quadrature(m, hypothesis_a_check(m, lam))
+        _assert_full_curve(m, proj, semi)
+
+
+def test_certified_curve_takes_a_growing_tail_block(monkeypatch):
+    # P is 1 on the first coordinate and residue of about 2^-64 on the
+    # second, whose eigenvalue has real part 0.05: from t near 900 on, that
+    # tail block of T(t) P carries the norm.
+    none = np.zeros(0, dtype=complex)
+    table = (np.array([1j, 0.05 + 1.6j]), none, none)
+    row = models.FAMILIES[Family.JORDAN_PAIRS]
+    monkeypatch.setitem(models.FAMILIES, Family.JORDAN_PAIRS,
+                        dataclasses.replace(row, table=lambda _: table))
+    m = _model(Family.JORDAN_PAIRS, 2)
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j))
+    assert 0 < abs(proj.blocks.scalars[1]) < 1e-18
+    full = _assert_full_curve(m, proj, _semi(m, np.geomspace(1.0, 2000.0, 16)))
+    assert full[0] == pytest.approx(1.0)
+    assert full[-1] > 1e20
+
+
+def test_certified_curve_widens_the_tail_as_the_head_decays(monkeypatch):
+    # The Jordan block of i - 1 decays like t e^-t; by t = 60 the residue
+    # that P leaves on the unimodular 1x1 block (about 2^-64) exceeds it.
+    m = _model(Family.DIAG_JORDAN, 6)
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j - 1.0))
+    ts = np.geomspace(1.0, 60.0, 12)
+    semi = _semi(m, ts)
+    full = _assert_full_curve(m, proj, semi)
+    assert full[-1] > 1e3 * 60.0 * np.exp(-60.0)
+    tables = _record_tables(monkeypatch)
+    hypothesis_b_check(m, proj, semi, lambda t: 1.0)
+    widened = [t for scalars, mid, _, t in tables if scalars.size + mid.size > 1]
+    assert widened == [ts[-1]]
 
 
 def test_contour_projection_closed_matches_quadrature_for_pairs():
@@ -282,11 +383,12 @@ def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
     expected = [models.block_operator_norm(
         m, models.evolve_blocks(m, float(t)) @ proj.blocks) / (5.0 * t + 1.0)
         for t in ts]
+    semi = _semi(m, ts)
     evolves = _record_calls(monkeypatch, "evolve_blocks")
     norms = _record_calls(monkeypatch, "block_operator_norm")
     asked = []
     curve = hypothesis_b_check(
-        m, proj, ts, lambda t: asked.append(t) or 5.0 * t + 1.0)
+        m, proj, semi, lambda t: asked.append(t) or 5.0 * t + 1.0)
     assert curve.values.tolist() == expected  # bitwise
     assert asked == list(ts)
     assert len(evolves) == ts.size
@@ -388,15 +490,26 @@ output.directory = {out}
 
 def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
                                                           tmp_path):
+    # The projected curves evaluate T(t) P on the head block of P alone:
+    # the whole semigroup is evaluated only for ||T(t)|| and the
+    # commutation probes.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
     resolvents = _record_calls(monkeypatch, "resolvent_blocks")
     evolves = _record_calls(monkeypatch, "evolve_blocks")
+    tables = _record_tables(monkeypatch)
     report = run_theorem_check(cfg)
     checked = report.verdicts["hypothesis_b_decay"].metrics["checked"]
     points = cfg.grid.points
     assert checked == 3
     assert len(resolvents) == 1
-    assert len(evolves) == points + checked * (len(COMMUTATION_TIMES) + points)
+    assert len(evolves) == points + checked * len(COMMUTATION_TIMES)
+    m = build_model(cfg.model)
+    restricted = [c for c in tables if c[1].size < m.mid.size]
+    assert len(restricted) == checked * points
+    lowest = m.spectrum[:checked]
+    for scalars, mid, half_gap, _ in restricted:
+        assert scalars.size == 0 and mid.size == 1
+        assert np.any(np.isin(lowest, [mid[0] + half_gap[0], mid[0] - half_gap[0]]))
 
 
 def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,

@@ -2,8 +2,8 @@
 
 Builds three block-diagonal semigroup families on finite truncations,
 measures them in Euclidean or difference-weighted norms, computes spectral
-projections by contour quadrature with closed-form oracles, and verifies
-growth / decay claims as finite-window trend and bracket tests.
+projections by contour quadrature, and verifies growth / decay claims as
+finite-window trend and bracket tests.
 """
 
 from ._version import __version__
@@ -23,10 +23,9 @@ from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
 from .linalg import NormContext, operator_norm
 from .models import (BlockDiagonal, Eigenvalue, Family, Model, ModelSpec,
                      build_model, check_truncation, eigenvalues, evolve_blocks,
-                     generator_blocks, required_max_index, resolvent_blocks)
+                     required_max_index, resolvent_blocks)
 from .spectral import (Contour, DecayCurve, ProjectionReport,
-                       contour_projection_closed, hypothesis_a_check,
-                       hypothesis_b_check, riesz_projection_closed,
+                       hypothesis_a_check, hypothesis_b_check,
                        riesz_projection_quadrature)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

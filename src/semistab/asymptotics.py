@@ -67,22 +67,65 @@ class NormSamples:
         object.__setattr__(self, "values", values)
 
 
-def norm_curve(model: Model, ts: np.ndarray, rights, tol: float) -> np.ndarray:
+def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
+               bound: np.ndarray | None = None) -> np.ndarray:
     """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
-    factor gives ||T(t)||.
+    factor gives ||T(t)||, which ``bound`` holds when already sampled.
 
-    T(t) is evaluated once per grid time and released before the norm of
-    its last product, so at most one product is held beside it.
-    """
-    out = np.empty((len(rights), ts.size), dtype=float)
-    last = len(rights) - 1
+    T(t) is evaluated whole once per grid time, and released before the norm
+    of its last product.  In the Euclidean norm (order 0) only ||T(t)|| is
+    taken whole, unless ``bound`` holds it, and every other factor X goes
+    through :func:`_certified_curve`; the weighted norms ignore ``bound``."""
+    euclidean = model.norm_context.order == 0
+    if euclidean and bound is not None:
+        return np.array([bound if right is None
+                         else _certified_curve(model, right, ts, bound)
+                         for right in rights])
+    whole = (None,) if euclidean else rights
+    out = np.empty((len(whole), ts.size), dtype=float)
+    last = len(whole) - 1
     for i, t in enumerate(ts):
         semi = models.evolve_blocks(model, float(t))
-        for j, right in enumerate(rights):
+        for j, right in enumerate(whole):
             op = semi if right is None else semi @ right
             if j == last:
                 semi = None
             out[j, i] = models.block_operator_norm(model, op, tol=tol)
+    return norm_curve(model, ts, rights, tol, bound=out[0]) if euclidean else out
+
+
+def _restricted_norm(model: Model, factor: models.BlockDiagonal,
+                     idx: np.ndarray, t: float) -> float:
+    """Euclidean norm of T(t) X on the blocks ``idx``, ascending, 1x1 first."""
+    split = np.searchsorted(idx, model.scalars.size)
+    scalars, blocks = idx[:split], idx[split:] - model.scalars.size
+    semi = models._evolve_table(model.scalars[scalars], model.mid[blocks],
+                                model.half_gap[blocks], t)
+    return (semi @ factor.take(scalars, blocks)).sup_singular_value()
+
+
+def _certified_curve(model: Model, factor: models.BlockDiagonal,
+                     ts: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """t -> ||T(t) X|| in the Euclidean norm, from ``bound`` = ||T(t)||.
+
+    Block k of T(t) X has norm at most ||T(t)|| ||X_k||.  The head, the
+    blocks with ||X_k|| at least half the largest, is evaluated at every
+    time; beside its supremum v, so is every other block with
+    2 ||X_k|| ||T(t)|| >= v, the factor 2 absorbing rounding.  The blocks
+    left out cannot reach v, so the result is the supremum over all blocks.
+    """
+    norms = factor.block_norms()
+    # NaN block norms fall into the head.
+    in_head = ~(norms < 0.5 * np.max(norms, initial=0.0))
+    head, rest = np.flatnonzero(in_head), np.flatnonzero(~in_head)
+    rest_norms = norms[rest]
+    out = np.empty(ts.size)
+    for i, (t, top) in enumerate(zip(ts.tolist(), bound.tolist())):
+        v = _restricted_norm(model, factor, head, t)
+        tail = rest[rest_norms * (2.0 * top) >= v]
+        if tail.size:
+            v = max(v, _restricted_norm(model, factor, tail, t))
+        out[i] = v
     return out
 
 
@@ -98,10 +141,10 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
 
     ``quantity`` is a :class:`Quantity`, giving one :class:`NormSamples`, or
     a tuple of them, giving a tuple of samples in the same order.  Either
-    way T(t) is evaluated once per grid time, and the ratio is computed
-    pointwise from the other two curves.  The grid must be strictly
-    increasing and nonnegative, and the model's truncation must be adequate
-    for the largest time (hard error otherwise).
+    way T(t) is evaluated whole once per grid time (:func:`norm_curve`),
+    and the ratio is computed pointwise from the other two curves.  The
+    grid must be strictly increasing and nonnegative, and the model's
+    truncation must be adequate for the largest time (hard error otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:

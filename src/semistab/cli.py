@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed (or were skipped), 1 at least one check
-failed, 2 usage / configuration / IO error.
+failed, 2 usage / configuration / IO error or out of memory.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def _build_parser():
     hardy = sub.add_parser("hardy", help="randomized discrete Hardy "
                                          "inequality check")
     hardy.add_argument("--cases", type=int, default=10_000)
-    hardy.add_argument("--max-len", type=int, default=512)
+    hardy.add_argument("--max-len", type=int, default=512,
+                       help=f"longest sequence drawn (at most {MAX_DIM})")
     hardy.add_argument("--seed", type=int, default=42)
     hardy.add_argument("--out", default="out")
     hardy.set_defaults(func=_cmd_hardy)
@@ -99,6 +100,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (SemistabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

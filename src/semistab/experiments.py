@@ -361,8 +361,8 @@ def write_json(path: str, obj) -> None:
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _finish(report: RunReport, started: float, out_dir: str, formats,
-            csv_files: dict) -> RunReport:
+def _finish(report: RunReport, started: float, out_dir: str, csv_files: dict,
+            formats=("CSV", "JSON")) -> RunReport:
     """Stamp the total time, write the run's files, and return the report."""
     report.timings["total_s"] = time.perf_counter() - started
     if "CSV" in formats:
@@ -486,9 +486,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport
                        timings=timings)
     rows = list(zip(ts, semi.values, prod.values, ratio.values))
     return _finish(report, started, out_dir or cfg.output.directory,
-                   cfg.output.formats,
                    {"samples.csv": (["t", "semigroup_norm",
-                                     "resolvent_product_norm", "ratio"], rows)})
+                                     "resolvent_product_norm", "ratio"], rows)},
+                   cfg.output.formats)
 
 
 def _envelope_verdict(env, semi: NormSamples) -> Verdict:
@@ -617,21 +617,21 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
                                list(zip(env.knot_ts, env.knot_log_values))),
     }
     return _finish(report, started, out_dir or cfg.output.directory,
-                   cfg.output.formats, csv_files)
+                   csv_files, cfg.output.formats)
 
 
 def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
-              out_dir: str = "out",
-              formats: tuple = ("CSV", "JSON")) -> RunReport:
+              out_dir: str = "out") -> RunReport:
     """Randomized check of the discrete Hardy inequality.
 
     Draws ``cases`` standard complex Gaussian sequences with lengths in
     [2, max_len] and reports the worst ratio together with its witness.
+    ``max_len`` is capped at ``MAX_DIM``.
     """
     if cases < 1:
         raise ConfigError(f"cases must be >= 1, got {cases}")
-    if max_len < 2:
-        raise ConfigError(f"max_len must be >= 2, got {max_len}")
+    if not 2 <= max_len <= MAX_DIM:
+        raise ConfigError(f"max_len must be in [2, {MAX_DIM}], got {max_len}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_ratio = -1.0
@@ -655,12 +655,12 @@ def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
                        max_len=max_len, seed=seed, worst_case=worst_case)
     rows = [(i + 1, z.real, z.imag) for i, z in enumerate(worst_seq)]
     return _finish(RunReport("hardy", config_text, {"hardy_bound": verdict}),
-                   started, out_dir, formats,
+                   started, out_dir,
                    {"hardy_worst.csv": (["n", "re", "im"], rows)})
 
 
-def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
-                formats: tuple = ("CSV", "JSON")) -> RunReport:
+def run_witness(t_values, dim: int | None = None,
+                out_dir: str = "out") -> RunReport:
     """Witness-vector lower-bound experiment on the weighted diagonal model.
 
     A ``dim`` derived from t (``dim=None``) is capped at ``MAX_DIM``."""
@@ -708,7 +708,7 @@ def run_witness(t_values, dim: int | None = None, out_dir: str = "out",
                              "raw_ratio": [float(r) for r in raw],
                              "normalized": [float(v) for v in normalized]}})
     rows = list(zip(ts, raw, normalized))
-    return _finish(report, started, out_dir, formats,
+    return _finish(report, started, out_dir,
                    {"witness.csv": (["t", "raw_ratio", "normalized"], rows)})
 
 

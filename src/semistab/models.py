@@ -4,9 +4,9 @@ All families have growth bound 0.  Each is one row of ``FAMILIES``: its
 norm, truncation rule, expected laws and spectral table, which holds the
 eigenvalues of its leading 1x1 blocks, and for each upper triangular 2x2
 block a midpoint ``mid`` and half-gap ``d``, the block being
-[[mid + d, 1], [0, mid - d]].  The semigroup, its generator, the resolvent
-and the sorted spectrum are array expressions over that table; the
-semigroup block is
+[[mid + d, 1], [0, mid - d]].  The semigroup, the resolvent and the
+sorted spectrum are array expressions over that table; the semigroup block
+is
 
     exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
 
@@ -331,12 +331,6 @@ def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
     corner *= carrier
     return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
                          carrier / grow)
-
-
-def generator_blocks(model: Model) -> BlockDiagonal:
-    """The generator as a block-diagonal operator (1 on the superdiagonal)."""
-    return BlockDiagonal(model.scalars.copy(), model.upper,
-                         np.ones(model.mid.size, dtype=complex), model.lower)
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:

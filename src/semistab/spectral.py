@@ -1,4 +1,4 @@
-"""Spectral projections by contour quadrature, with closed-form oracles.
+"""Spectral projections by contour quadrature.
 
 The projection onto the part of the spectrum enclosed by a circle is
 computed as (1 / 2 pi i) times the contour integral of (mu I - A)^-1,
@@ -242,45 +242,6 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
     return _build_report(model, p, _enclosed_eigenvalues(model, contour), drift)
 
 
-def _closed_blocks(model: Model, center: complex, radius: float) -> BlockDiagonal:
-    """Closed-form projection onto the eigenvalues within radius of center.
-
-    A 2x2 block with distinct eigenvalues a, b projects onto a as
-    [[1, 1/(a-b)], [0, 0]] and onto b as the complement; a block with both
-    eigenvalues selected is kept whole.
-    """
-    upper, lower = model.upper, model.lower
-    hit_a = np.abs(upper - center) < radius
-    hit_b = np.abs(lower - center) < radius
-    sign = hit_a.astype(float) - hit_b
-    corner = sign / np.where(sign != 0, upper - lower, 1.0)
-    scalars = np.abs(model.scalars - center) < radius
-    return BlockDiagonal(scalars.astype(complex), hit_a.astype(complex), corner,
-                         hit_b.astype(complex))
-
-
-def riesz_projection_closed(model: Model, eigenvalue_index: int) -> ProjectionReport:
-    """Exact blockwise projection onto one eigenvalue, the quadrature oracle.
-
-    The index counts the distinct eigenvalues in the order of
-    :func:`models.eigenvalues`.  Blocks not containing the eigenvalue
-    contribute zero.
-    """
-    count = model.spectrum.size
-    if not 0 <= eigenvalue_index < count:
-        raise IndexError(
-            f"eigenvalue index {eigenvalue_index} out of range (0..{count - 1})")
-    lam = complex(model.spectrum[eigenvalue_index])
-    return _build_report(model, _closed_blocks(model, lam, _SAME_VALUE), (lam,))
-
-
-def contour_projection_closed(model: Model, contour: Contour) -> ProjectionReport:
-    """Closed-form projection for everything enclosed by the circle."""
-    _contour_margin_check(model, contour)
-    blocks = _closed_blocks(model, contour.center, contour.radius)
-    return _build_report(model, blocks, _enclosed_eigenvalues(model, contour))
-
-
 def hypothesis_a_check(model: Model, lam: complex,
                        radius_cap: float = RADIUS_CAP,
                        nodes: int = DEFAULT_NODES) -> Contour:
@@ -302,45 +263,6 @@ def hypothesis_a_check(model: Model, lam: complex,
     return Contour(lam, min(gap / 2.0, radius_cap), nodes)
 
 
-def _restricted_norm(model: Model, proj: BlockDiagonal, idx: np.ndarray,
-                     t: float) -> float:
-    """Euclidean norm of T(t) P on the blocks ``idx`` only: an ascending
-    index over the 1x1 blocks, then the 2x2 blocks."""
-    split = np.searchsorted(idx, model.scalars.size)
-    scalars, blocks = idx[:split], idx[split:] - model.scalars.size
-    semi = models._evolve_table(model.scalars[scalars], model.mid[blocks],
-                                model.half_gap[blocks], t)
-    return (semi @ proj.take(scalars, blocks)).sup_singular_value()
-
-
-def _certified_curve(model: Model, proj: BlockDiagonal,
-                     semi: NormSamples) -> np.ndarray:
-    """t -> ||T(t) P|| in the Euclidean norm, with T(t) P evaluated only on
-    the blocks that can attain it.
-
-    Block k of T(t) P has norm at most ||T(t)|| ||P_k||.  The head, the
-    blocks with ||P_k|| at least half the largest, is evaluated at every
-    time; beside its supremum v, every other block with
-    2 ||P_k|| ||T(t)|| >= v is evaluated too, the factor 2 absorbing the
-    rounding of the sampled ||T(t)|| and of the products.  The blocks left
-    out cannot reach v, so the result is the supremum over all blocks.
-    With v = 0 every block is evaluated.
-    """
-    norms = proj.block_norms()
-    # NaN block norms fall into the head.
-    in_head = ~(norms < 0.5 * np.max(norms, initial=0.0))
-    head, rest = np.flatnonzero(in_head), np.flatnonzero(~in_head)
-    rest_norms = norms[rest]
-    out = np.empty(semi.ts.size)
-    for i, (t, bound) in enumerate(zip(semi.ts.tolist(), semi.values.tolist())):
-        v = _restricted_norm(model, proj, head, t)
-        tail = rest[rest_norms * (2.0 * bound) >= v]
-        if tail.size:
-            v = max(v, _restricted_norm(model, proj, tail, t))
-        out[i] = v
-    return out
-
-
 def hypothesis_b_check(model: Model, projection: ProjectionReport,
                        semi: NormSamples, envelope,
                        tol: float = linalg.POWER_TOL_DEFAULT) -> DecayCurve:
@@ -351,10 +273,8 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     ``SEMIGROUP_NORM`` samples ||T(t)|| on a grid of at least two positive
     times, as from :func:`asymptotics.sample_norms`; ``envelope`` is any
     callable majorant f(t), which must be finite and positive on the grid
-    (``ValueError`` naming the first t where it is not).  In the Euclidean
-    norm, T(t) P is evaluated only on the blocks of P that can attain its
-    norm, which ||T(t)|| certifies (the value is the full supremum); the
-    weighted norms take the whole product.
+    (``ValueError`` naming the first t where it is not).  ||T(t) P|| comes
+    from :func:`asymptotics.norm_curve`, with ``semi`` as its bound.
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
@@ -375,10 +295,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
                          f"is not finite and positive")
     proj = projection.blocks
-    if model.norm_context.order == 0:
-        norms = _certified_curve(model, proj, semi)
-    else:
-        norms = norm_curve(model, ts, (proj,), tol)[0]
+    norms = norm_curve(model, ts, (proj,), tol, bound=semi.values)[0]
     values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)

@@ -16,7 +16,13 @@ filter evaluated exactly in rational arithmetic on the float inputs.
 ``semistab.models.evolve_blocks`` takes two transcendental calls per block,
 and ``BlockDiagonal.sup_singular_value`` evaluates only the blocks that can
 attain the supremum; the four-call form and the every-block formula are
-kept here.
+kept here.  ``semistab.asymptotics.norm_curve`` evaluates a Euclidean curve
+t -> ||T(t) X|| only on the blocks that ||T(t)|| cannot rule out;
+:func:`whole_norm_curve` takes the product on every block.
+
+The generator and the closed-form projections (each eigenvalue's blockwise
+indicator) are written out from the spectral table, as the references for
+the resolvent and for the quadrature.
 """
 
 import math
@@ -25,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from semistab import models
+from semistab import models, spectral
 from semistab.linalg import NormContext
 from semistab.models import BlockDiagonal
 
@@ -225,3 +231,58 @@ def evolve_four_calls(model, t: float) -> BlockDiagonal:
     corner = np.where(jordan, t, np.sinh(td) / np.where(jordan, 1.0, d))
     return BlockDiagonal(np.exp(t * model.scalars), carrier * np.exp(td),
                          carrier * corner, carrier * np.exp(-td))
+
+
+def whole_norm_curve(model, ts, factor) -> np.ndarray:
+    """t -> ||T(t) factor|| in the Euclidean norm, the product taken on
+    every block and its norm by the every-block formula."""
+    return np.array([sup_block_norm_unpruned(
+        models.evolve_blocks(model, float(t)) @ factor) for t in ts])
+
+
+def generator_blocks(model) -> BlockDiagonal:
+    """The generator as a block-diagonal operator (1 on the superdiagonal)."""
+    return BlockDiagonal(model.scalars.copy(), model.upper,
+                         np.ones(model.mid.size, dtype=complex), model.lower)
+
+
+def closed_blocks(model, center: complex, radius: float) -> BlockDiagonal:
+    """Closed-form projection onto the eigenvalues within radius of center.
+
+    A 2x2 block with distinct eigenvalues a, b projects onto a as
+    [[1, 1/(a-b)], [0, 0]] and onto b as the complement; a block with both
+    eigenvalues selected is kept whole.
+    """
+    upper, lower = model.upper, model.lower
+    hit_a = np.abs(upper - center) < radius
+    hit_b = np.abs(lower - center) < radius
+    sign = hit_a.astype(float) - hit_b
+    corner = sign / np.where(sign != 0, upper - lower, 1.0)
+    scalars = np.abs(model.scalars - center) < radius
+    return BlockDiagonal(scalars.astype(complex), hit_a.astype(complex), corner,
+                         hit_b.astype(complex))
+
+
+def riesz_projection_closed(model, eigenvalue_index: int):
+    """Exact blockwise projection onto one eigenvalue, with the diagnostics
+    of a quadrature report.
+
+    The index counts the distinct eigenvalues in the order of
+    ``models.eigenvalues``.  Blocks not containing the eigenvalue
+    contribute zero.
+    """
+    count = model.spectrum.size
+    if not 0 <= eigenvalue_index < count:
+        raise IndexError(
+            f"eigenvalue index {eigenvalue_index} out of range (0..{count - 1})")
+    lam = complex(model.spectrum[eigenvalue_index])
+    return spectral._build_report(
+        model, closed_blocks(model, lam, spectral._SAME_VALUE), (lam,))
+
+
+def contour_projection_closed(model, contour):
+    """Closed-form projection for everything enclosed by the circle."""
+    spectral._contour_margin_check(model, contour)
+    blocks = closed_blocks(model, contour.center, contour.radius)
+    return spectral._build_report(
+        model, blocks, spectral._enclosed_eigenvalues(model, contour))

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import riesz_projection_closed
 from semistab import models
 from semistab.asymptotics import (FitFamily, Quantity, concave_envelope,
                                   fit_rate, sample_norms, witness_lower_bound,
@@ -30,8 +31,7 @@ from semistab.experiments import (format_complex, parse_config, run_hardy,
                                   run_simulate, run_theorem_check)
 from semistab.models import (Family, ModelSpec, build_model, eigenvalues,
                              evolve_blocks, resolvent_blocks)
-from semistab.spectral import (hypothesis_a_check, riesz_projection_closed,
-                               riesz_projection_quadrature)
+from semistab.spectral import hypothesis_a_check, riesz_projection_quadrature
 
 E2 = float(np.e) ** 2
 

@@ -7,7 +7,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from semistab import experiments
+from semistab import cli, experiments
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
 from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
@@ -374,6 +374,31 @@ def test_run_hardy_deterministic(tmp_path):
         _read(tmp_path / "h2" / "hardy_worst.csv")
     with pytest.raises(ConfigError):
         run_hardy(0)
+
+
+def test_hardy_rejects_a_max_len_above_the_cap_before_drawing(
+        tmp_path, capsys, monkeypatch):
+    # An oversized --max-len used to die in the draw with an uncaught
+    # MemoryError and exit 1, the code of a failed check.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("run_hardy drew before checking max_len")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigError, match=f"in \\[2, {MAX_DIM}\\]"):
+        run_hardy(1, max_len=MAX_DIM + 1, out_dir=str(tmp_path / "h"))
+    assert main(["hardy", "--max-len", str(MAX_DIM + 1),
+                 "--out", str(tmp_path / "h")]) == 2
+    assert f"got {MAX_DIM + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "h").exists()
+
+
+def test_cli_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 PiB")
+
+    monkeypatch.setattr(cli, "run_hardy", exhausted)
+    assert main(["hardy", "--out", str(tmp_path / "h")]) == 2
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
 
 def test_run_witness_outputs(tmp_path):

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_norms, dense_operator_norm, evolve_four_calls,
-                     sup_block_norm_unpruned, weighted_vector_norm)
+from oracles import (block_norms, contour_projection_closed,
+                     dense_operator_norm, evolve_four_calls, generator_blocks,
+                     riesz_projection_closed, sup_block_norm_unpruned,
+                     weighted_vector_norm)
 from semistab import models
 from semistab.errors import SpectrumHitError, TruncationInadequateError
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              check_truncation, eigenvalues, evolve_blocks,
-                             generator_blocks, model_dim, required_max_index,
-                             resolvent_blocks)
-from semistab.spectral import (contour_projection_closed, hypothesis_a_check,
-                               riesz_projection_closed,
-                               riesz_projection_quadrature)
+                             model_dim, required_max_index, resolvent_blocks)
+from semistab.spectral import hypothesis_a_check, riesz_projection_quadrature
 
 RNG = np.random.default_rng(515)
 

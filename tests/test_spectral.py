@@ -7,20 +7,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_operator_norm, trapezoid_exact, trapezoid_node_sum
+from oracles import (contour_projection_closed, dense_operator_norm,
+                     riesz_projection_closed, trapezoid_exact,
+                     trapezoid_node_sum, whole_norm_curve)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import models, spectral
-from semistab.asymptotics import NormSamples, Quantity, norm_curve
+from semistab.asymptotics import NormSamples, Quantity, norm_curve, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import POWER_TOL_DEFAULT, NormContext
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
-                             eigenvalues)
-from semistab.spectral import (COMMUTATION_TIMES, Contour,
-                               contour_projection_closed,
-                               hypothesis_a_check, hypothesis_b_check,
-                               riesz_projection_closed,
-                               riesz_projection_quadrature)
+                             eigenvalues, required_max_index, resolvent_blocks)
+from semistab.spectral import (COMMUTATION_TIMES, Contour, hypothesis_a_check,
+                               hypothesis_b_check, riesz_projection_quadrature)
 
 
 def _model(family, max_index, **kw):
@@ -297,12 +296,23 @@ def test_hypothesis_b_needs_semigroup_norm_samples():
 def _assert_full_curve(model, proj, semi):
     """The certified curve against T(t) P evaluated on every block."""
     curve = hypothesis_b_check(model, proj, semi, lambda t: 1.0)
-    full = norm_curve(model, semi.ts, (proj.blocks,), POWER_TOL_DEFAULT)[0]
-    assert np.all(np.abs(curve.values - full) <= 4 * _EPS * full)
+    full = whole_norm_curve(model, semi.ts, proj.blocks)
+    _assert_ulps(curve.values, full)
     return full
 
 
 _EPS = np.finfo(float).eps
+
+
+def _assert_ulps(got, want):
+    """``got`` within 4 ulps of ``want``, relative."""
+    assert np.all(np.abs(got - want) <= 4 * _EPS * want)
+
+
+def _euclidean(model):
+    """The model measured in the Euclidean norm, where the certified route
+    runs."""
+    return dataclasses.replace(model, norm_context=NormContext(model.dim, 0))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -311,13 +321,66 @@ _EPS = np.finfo(float).eps
        points=st.integers(2, 12))
 def test_certified_curve_matches_full_evaluation(family, max_index, t_first,
                                                  span, points):
-    # Every family in the Euclidean norm, where the certified route runs.
-    m = _model(family, max_index)
-    m = dataclasses.replace(m, norm_context=NormContext(m.dim, 0))
+    m = _euclidean(_model(family, max_index))
     semi = _semi(m, np.geomspace(t_first, t_first * span, points))
     for lam in m.spectrum.tolist():
         proj = riesz_projection_quadrature(m, hypothesis_a_check(m, lam))
         _assert_full_curve(m, proj, semi)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(family=st.sampled_from(list(Family)), t_max=st.floats(0.05, 20.0),
+       points=st.integers(1, 12), mu_re=st.floats(0.05, 3.0),
+       mu_im=st.floats(-5.0, 30.0))
+def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
+                                                 mu_re, mu_im):
+    # The order-0 rows of sample_norms at an adequate truncation; Re mu > 0
+    # keeps mu off every spectrum, and mu near i n concentrates R_mu on a
+    # few blocks.
+    m = _euclidean(_model(family, max(required_max_index(family, t_max), 3)))
+    mu = complex(mu_re, mu_im)
+    ts = np.geomspace(t_max / 100.0, t_max, points)
+    semi, prod = sample_norms(
+        m, ts, (Quantity.SEMIGROUP_NORM, Quantity.RESOLVENT_PRODUCT_NORM), mu=mu)
+    one = np.ones(m.mid.size, dtype=complex)
+    identity = BlockDiagonal(np.ones(m.scalars.size, dtype=complex), one,
+                             0.0 * one, one)
+    assert semi.values.tolist() == whole_norm_curve(m, ts, identity).tolist()
+    _assert_ulps(prod.values, whole_norm_curve(m, ts, resolvent_blocks(m, mu)))
+
+
+def _curves(model, ts):
+    """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the hypothesis-(b)
+    curve against f(t) = t + 1."""
+    rows = norm_curve(model, ts, (None, resolvent_blocks(model, 1.0)),
+                      POWER_TOL_DEFAULT)
+    semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, rows[0])
+    checks = [hypothesis_b_check(
+        model, riesz_projection_quadrature(model, hypothesis_a_check(model, lam)),
+        semi, lambda t: t + 1.0) for lam in model.spectrum.tolist()]
+    return rows, checks
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(family=st.sampled_from(list(Family)), max_index=st.integers(3, 40),
+       t_max=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_permutation_moves_no_curve_and_no_verdict(family, max_index,
+                                                         t_max, seed):
+    # Permuting the 2x2 blocks among themselves, and the 1x1 blocks, is a
+    # unitary similarity: it guards the index split of the certified route.
+    m = _euclidean(_model(family, max_index))
+    rng = np.random.default_rng(seed)
+    scalars, blocks = (rng.permutation(n) for n in (m.scalars.size, m.mid.size))
+    shuffled = dataclasses.replace(m, scalars=m.scalars[scalars],
+                                   mid=m.mid[blocks],
+                                   half_gap=m.half_gap[blocks])
+    ts = np.geomspace(t_max / 100.0, t_max, 10)
+    rows, checks = _curves(m, ts)
+    moved_rows, moved_checks = _curves(shuffled, ts)
+    _assert_ulps(moved_rows, rows)
+    for check, moved in zip(checks, moved_checks, strict=True):
+        _assert_ulps(moved.values, check.values)
+        assert moved.decaying == check.decaying
 
 
 def test_certified_curve_takes_a_growing_tail_block(monkeypatch):
@@ -490,13 +553,22 @@ output.directory = {out}
 
 def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
                                                           tmp_path):
-    # The projected curves evaluate T(t) P on the head block of P alone:
-    # the whole semigroup is evaluated only for ||T(t)|| and the
-    # commutation probes.
+    # The resolvent-product curve and the projected curves evaluate T(t) X
+    # only on the blocks of X that can attain its norm: the whole semigroup
+    # is evaluated only for ||T(t)|| and the commutation probes.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
     resolvents = _record_calls(monkeypatch, "resolvent_blocks")
     evolves = _record_calls(monkeypatch, "evolve_blocks")
     tables = _record_tables(monkeypatch)
+    # The first hypothesis-(b) check ends the sampling of ||T(t) R_mu||.
+    started = []
+    check = spectral.hypothesis_b_check
+
+    def recorded_check(*args, **kwargs):
+        started.append(len(tables))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "hypothesis_b_check", recorded_check)
     report = run_theorem_check(cfg)
     checked = report.verdicts["hypothesis_b_decay"].metrics["checked"]
     points = cfg.grid.points
@@ -504,10 +576,17 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     assert len(resolvents) == 1
     assert len(evolves) == points + checked * len(COMMUTATION_TIMES)
     m = build_model(cfg.model)
-    restricted = [c for c in tables if c[1].size < m.mid.size]
-    assert len(restricted) == checked * points
+    sampled, projected = (
+        [c for c in part if c[1].size < m.mid.size]
+        for part in (tables[:started[0]], tables[started[0]:]))
+    grid = cfg.grid.values().tolist()
+    assert points <= len(sampled) <= 2 * points
+    times = [t for *_, t in sampled]
+    assert sorted(set(times)) == grid
+    assert all(times.count(t) <= 2 for t in grid)
+    assert len(projected) == checked * points
     lowest = m.spectrum[:checked]
-    for scalars, mid, half_gap, _ in restricted:
+    for scalars, mid, half_gap, _ in projected:
         assert scalars.size == 0 and mid.size == 1
         assert np.any(np.isin(lowest, [mid[0] + half_gap[0], mid[0] - half_gap[0]]))
 
@@ -518,3 +597,14 @@ def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,
     evolves = _record_calls(monkeypatch, "evolve_blocks")
     run_simulate(cfg)
     assert len(evolves) == cfg.grid.points
+
+
+def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
+        monkeypatch, tmp_path):
+    # The weighted norms take T(t) and T(t) R_mu whole, from one T(t).
+    text = _SMALL_RUN.replace("JORDAN_PAIRS", "LOG_SPECTRUM\nmodel.order = 2")
+    cfg = parse_config(text.format(out=tmp_path / "w"))
+    evolves = _record_calls(monkeypatch, "evolve_blocks")
+    tables = _record_tables(monkeypatch)
+    run_simulate(cfg)
+    assert len(evolves) == len(tables) == cfg.grid.points

@@ -6,10 +6,12 @@ class SemistabError(Exception):
 
 
 class IllConditionedError(SemistabError):
-    """Power iteration hit its iteration cap before the estimate settled.
+    """The Lanczos norm kernel hit its step cap before the Ritz residual
+    of its top Ritz value fell to the tolerance.
 
-    Carries the last singular-value estimate so callers can decide whether
-    the partial answer is still usable.
+    The message names the cap, the last estimate and the last Ritz
+    residual; the last singular-value estimate is also carried, so callers
+    can decide whether the partial answer is still usable.
     """
 
     def __init__(self, message, last_estimate):

@@ -268,28 +268,34 @@ class BlockDiagonal:
         return BlockDiagonal(self.scalars[scalars], self.upper[blocks],
                              self.corner[blocks], self.lower[blocks])
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The operator applied to a vector of length ``dim``."""
+    def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
+        """The operator applied to a vector of length ``dim``, written into
+        ``out`` (which must not overlap ``v``) when it is given."""
         k = self.scalars.size
-        out = np.empty(self.dim, dtype=complex)
+        if out is None:
+            out = np.empty(self.dim, dtype=complex)
         np.multiply(self.scalars, v[:k], out=out[:k])
         np.multiply(self.lower, v[k + 1::2], out=out[k + 1::2])
-        out[k::2] = self.upper * v[k::2] + self.corner * v[k + 1::2]
+        np.multiply(self.upper, v[k::2], out=out[k::2])
+        out[k::2] += self.corner * v[k + 1::2]
         return out
 
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """The conjugate transpose applied to a vector of length ``dim``."""
+    def rmatvec(self, w: np.ndarray, out=None) -> np.ndarray:
+        """The conjugate transpose applied to a vector of length ``dim``,
+        written into ``out`` (which must not overlap ``w``) when given."""
         scalars, upper, corner, lower = self._conjugates
         k = scalars.size
-        out = np.empty(self.dim, dtype=complex)
+        if out is None:
+            out = np.empty(self.dim, dtype=complex)
         np.multiply(scalars, w[:k], out=out[:k])
         np.multiply(upper, w[k::2], out=out[k::2])
-        out[k + 1::2] = corner * w[k::2] + lower * w[k + 1::2]
+        np.multiply(lower, w[k + 1::2], out=out[k + 1::2])
+        out[k + 1::2] += corner * w[k::2]
         return out
 
     @functools.cached_property
     def _conjugates(self) -> tuple:
-        # Formed once per operator, not once per power step.
+        # Formed once per operator, not once per Lanczos step.
         return tuple(np.conj(a) for a in (self.scalars, self.upper,
                                           self.corner, self.lower))
 

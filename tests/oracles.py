@@ -1,12 +1,12 @@
 """Independent references for the kernels the tests hold to account.
 
 ``semistab.linalg`` applies the difference transform D and its inverse L
-matrix-free and estimates operator norms by power iteration on any operator
-with ``dim``, ``matvec`` and ``rmatvec``.  These helpers build D and L as
-dense matrices (the identity at order 0) and take norms by a full SVD, so
-the tests can hold the kernel against an independent computation; a dense
-matrix goes through the kernel as :func:`as_operator`.  Dense, so keep the
-dimensions moderate.
+matrix-free and estimates operator norms by Lanczos on the Gram operator of
+any operator with ``dim``, ``matvec`` and ``rmatvec``.  These helpers build
+D and L as dense matrices (the identity at order 0) and take norms by a full
+SVD, so the tests can hold the kernel against an independent computation; a
+dense matrix goes through the kernel as :func:`as_operator`.  Dense, so keep
+the dimensions moderate.
 
 ``semistab.spectral`` evaluates the trapezoid rule of a contour as a closed
 rational filter.  Two references stand behind it: the rule summed node by
@@ -86,10 +86,14 @@ def dense_operator_norm(mat, ctx: NormContext) -> float:
 
 def as_operator(mat) -> SimpleNamespace:
     """A square dense matrix as an operator the kernel takes: ``dim``,
-    ``matvec`` and ``rmatvec`` (its conjugate transpose)."""
+    ``matvec`` and ``rmatvec`` (its conjugate transpose), each with an
+    optional ``out``."""
     mat = np.asarray(mat, dtype=complex)
-    return SimpleNamespace(dim=mat.shape[0], matvec=mat.__matmul__,
-                           rmatvec=mat.conj().T.__matmul__)
+    adjoint = mat.conj().T
+    return SimpleNamespace(
+        dim=mat.shape[0],
+        matvec=lambda v, out=None: np.matmul(mat, v, out=out),
+        rmatvec=lambda w, out=None: np.matmul(adjoint, w, out=out))
 
 
 def trapezoid_node_sum(model, contour):

@@ -10,7 +10,8 @@ The discrete Hardy inequality checker and the tent-shaped witness sequence
 provide the two independent lower-bound routes for the weighted-norm model:
 the Hardy ratio certifies the upper estimate's key step, and the witness
 certifies the t / log t growth of the semigroup-resolvent product from
-below.
+below.  The witness applies the model's own T(t) and A^-1 (the resolvent at
+0) and its own truncation rule, so nothing of the family is restated here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, models
-from .errors import InsufficientSamplesError, TruncationInadequateError
+from .errors import InsufficientSamplesError
 from .models import Family, Model
 
 #: Default left end of every fitting window (log t > 2 there).
@@ -35,9 +36,6 @@ MIN_FIT_SAMPLES = 8
 
 #: Tolerance of the envelope translation check |f(t+s)/f(s) - 1|.
 TRANSLATION_TOL = 0.05
-
-#: Coordinates-per-unit-time required by the witness experiment.
-WITNESS_DIM_FACTOR = models.FAMILIES[Family.LOG_SPECTRUM].truncation[0]
 
 
 class Quantity(enum.Enum):
@@ -161,9 +159,8 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
         rights.append(models.resolvent_blocks(model, mu))
     rows = norm_curve(model, ts, rights, tol)
     values = {Quantity.SEMIGROUP_NORM: rows[0],
-              Quantity.RESOLVENT_PRODUCT_NORM: rows[-1]}
-    if Quantity.RATIO in wanted:
-        values[Quantity.RATIO] = rows[-1] / rows[0]
+              Quantity.RESOLVENT_PRODUCT_NORM: rows[-1],
+              Quantity.RATIO: rows[-1] / rows[0]}
     samples = tuple(NormSamples(q, ts, values[q]) for q in wanted)
     return samples if isinstance(quantity, tuple) else samples[0]
 
@@ -338,9 +335,7 @@ def hardy_check(seq) -> HardyReport:
     taken on c / max |c|, which neither overflows nor underflows to 0 / 0.
     """
     c = np.asarray(seq, dtype=complex).ravel()
-    if c.size == 0:
-        return HardyReport(0.0, 0.0, 0.0)
-    scale = float(np.max(np.abs(c)))
+    scale = float(np.max(np.abs(c), initial=0.0))
     if not math.isfinite(scale):
         raise ValueError("sequence entries must be finite")
     if scale == 0.0:
@@ -380,29 +375,21 @@ class WitnessBound:
     normalized: float
 
 
-def check_witness_dim(dim: int, t: float) -> None:
-    """Raise unless ``dim`` coordinates carry the witness at time t."""
-    if dim < WITNESS_DIM_FACTOR * t:
-        raise TruncationInadequateError(
-            f"dim {dim} inadequate for witness at t {t}; need dim >= "
-            f"{math.ceil(WITNESS_DIM_FACTOR * t)}",
-            required=math.ceil(WITNESS_DIM_FACTOR * t) + 1)
-
-
 def witness_lower_bound(model: Model, t: float) -> WitnessBound:
     """Growth certificate ||T(t) A^-1 x|| / ||x|| for the tent vector x.
 
-    Only meaningful on the order-1 weighted diagonal model.  The raw ratio
-    grows like t / log t; the normalized value multiplies it by log(t) / t
-    and stays inside a fixed positive bracket.
+    Only meaningful on the order-1 weighted diagonal model, whose
+    truncation must be adequate out to t (:func:`models.check_truncation`).
+    The raw ratio grows like t / log t; the normalized value multiplies it
+    by log(t) / t and stays inside a fixed positive bracket.
     """
     if model.spec.family is not Family.LOG_SPECTRUM or model.spec.order != 1:
         raise ValueError("witness bound requires the LOG_SPECTRUM family at order 1")
-    dim = model.dim
-    check_witness_dim(dim, t)
-    x, x_norm = witness_vector(t, dim)
-    n = np.arange(2, dim + 2, dtype=float)
-    y = x * np.exp(1j * t * np.log(n)) / (1j * np.log(n))
-    y_norm = float(np.linalg.norm(linalg.apply_difference(1, y)))
+    models.check_truncation(model, t)
+    x, _ = witness_vector(t, model.dim)
+    y = (models.evolve_blocks(model, t)
+         @ models.resolvent_blocks(model, 0.0)).matvec(x)
+    x_norm, y_norm = (float(np.linalg.norm(linalg.apply_difference(
+        model.norm_context.order, v))) for v in (x, y))
     raw = y_norm / x_norm
     return WitnessBound(float(t), raw, raw * math.log(t) / t)

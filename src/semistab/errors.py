@@ -6,12 +6,11 @@ class SemistabError(Exception):
 
 
 class IllConditionedError(SemistabError):
-    """The Lanczos norm kernel hit its step cap before the Ritz residual
-    of its top Ritz value fell to the tolerance.
-
-    The message names the cap, the last estimate and the last Ritz
-    residual; the last singular-value estimate is also carried, so callers
-    can decide whether the partial answer is still usable.
+    """The Lanczos norm kernel hit its step cap before the Ritz residual of
+    its top Ritz value fell to the tolerance, or found a nonzero norm below
+    ``linalg.NORM_FLOOR``.  The message names the cause; the last
+    singular-value estimate is also carried, so callers can decide whether
+    the partial answer is still usable.
     """
 
     def __init__(self, message, last_estimate):

@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -281,8 +281,7 @@ class Verdict:
     metrics: dict
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "detail": self.detail,
-                "metrics": dict(self.metrics)}
+        return asdict(self)
 
 
 def _verdict(ok: bool, detail: str, **metrics) -> Verdict:
@@ -492,13 +491,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport
 
 
 def _envelope_verdict(env, semi: NormSamples) -> Verdict:
-    kt, kv = env.knot_ts, env.knot_log_values
-    concavity = 0.0
-    for i in range(1, kt.size - 1):
-        left = (kv[i] - kv[i - 1]) / (kt[i] - kt[i - 1])
-        right = (kv[i + 1] - kv[i]) / (kt[i + 1] - kt[i])
-        concavity = max(concavity,
-                        (right - left) / (kt[i + 1] - kt[i - 1]))
+    kt = env.knot_ts
+    slopes = np.diff(env.knot_log_values) / np.diff(kt)
+    concavity = float(np.max(np.diff(slopes) / (kt[2:] - kt[:-2]), initial=0.0))
     majorization = float(np.max(np.log(semi.values) - env.log_value(semi.ts)))
     ok = (concavity <= _ENVELOPE_DEFECT_TOL
           and majorization <= _ENVELOPE_DEFECT_TOL
@@ -553,7 +548,6 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
 
     projections = []
     curves = []
-    decay_flags = []
     skipped_eigs = []
     for lam in model.spectrum[:cfg.top_k].tolist():
         try:
@@ -571,7 +565,7 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         # quadrature.
         del proj_report
         curves.append((lam, curve))
-        decay_flags.append(curve.decaying)
+    decay_flags = [curve.decaying for _, curve in curves]
     skipped_values = [format_complex(v) for v, _ in skipped_eigs]
     if not decay_flags:
         detail = "; ".join(f"{format_complex(v)}: {msg}" for v, msg in skipped_eigs)
@@ -672,13 +666,17 @@ def run_witness(t_values, dim: int | None = None,
         raise ConfigError("need at least one t value")
     if ts[0] <= asymptotics.FIT_T_FLOOR:
         raise ConfigError(f"witness needs every t > e, got t = {ts[0]!r}")
-    if dim is None:
-        dim = math.ceil(asymptotics.WITNESS_DIM_FACTOR * ts[-1])
-        if dim > MAX_DIM:
-            raise TruncationInadequateError(
-                f"witness at t = {ts[-1]!r} needs dim {dim:.6g} > cap "
-                f"{MAX_DIM}; pass --dim to choose a dimension", required=dim + 1)
-    asymptotics.check_witness_dim(dim, ts[-1])
+    need = models.required_max_index(Family.LOG_SPECTRUM, ts[-1])
+    need_dim = models.model_dim(Family.LOG_SPECTRUM, need)
+    if dim is None and need_dim > MAX_DIM:
+        raise TruncationInadequateError(
+            f"witness at t = {ts[-1]!r} needs dim {need_dim:.6g} > cap "
+            f"{MAX_DIM}; pass --dim to choose a dimension", required=need)
+    dim = need_dim if dim is None else dim
+    if dim < need_dim:
+        raise TruncationInadequateError(
+            f"dim {dim} inadequate for witness at t {ts[-1]}; need dim >= "
+            f"{need_dim}", required=need)
     started = time.perf_counter()
     spec = ModelSpec(Family.LOG_SPECTRUM, dim + 1, order=1)
     model = build_model(spec)

@@ -56,6 +56,10 @@ POWER_TOL_DEFAULT = 1e-10
 #: Lanczos steps (Gram applications) allowed per coordinate before giving up.
 POWER_STEPS_PER_DIM = 10
 
+#: Smallest nonzero norm returned: the squares of Gram-vector entries, of
+#: order norm**4, underflow in ``np.linalg.norm`` below about 1e-77.
+NORM_FLOOR = 1e-60
+
 
 @dataclass(frozen=True)
 class NormContext:
@@ -165,8 +169,9 @@ def operator_norm(op, ctx: NormContext,
     ``D``, then their adjoints in reverse order (at order 0 the transforms
     are the identity), and stops once the Ritz residual of the top Ritz
     value ``theta`` is at most ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises :class:`IllConditionedError` at the step cap and ``ValueError``
-    on a non-finite Lanczos coefficient.
+    Raises :class:`IllConditionedError` at the step cap or for a nonzero
+    norm below ``NORM_FLOOR``, and ``ValueError`` on a non-finite Lanczos
+    coefficient.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -209,6 +214,13 @@ def operator_norm(op, ctx: NormContext,
         # eigenvalue of G; theta = 0 for a zero operator) makes the
         # residual 0 and stops here.
         if residual <= tol * theta:
+            # At theta = 0 op is zero if it maps 2**1000 v, whose products
+            # with its entries cannot underflow, to zero.
+            if theta < NORM_FLOOR ** 2 and (theta or np.any(
+                    op.matvec(v * 2.0 ** 1000))):
+                raise IllConditionedError(f"operator norm below {NORM_FLOOR} "
+                                          "is out of the kernel's range",
+                                          last_estimate=math.sqrt(theta))
             return math.sqrt(theta)
         np.multiply(w, 1.0 / beta, out=w)
         v_prev, v, w = v, w, v_prev

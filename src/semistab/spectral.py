@@ -26,8 +26,9 @@ from .errors import (ClusteredSpectrumError, ContourTooCloseError,
                      NonconvergedError)
 from .models import BlockDiagonal, Model
 
-#: Times at which the commutation defect of a projection is probed.
-COMMUTATION_TIMES = (0.0, 1.0, 10.0, 100.0)
+#: Times at which the commutation defect of a projection is probed; T(0) is
+#: the identity bit for bit, so t = 0 would add an exact zero.
+COMMUTATION_TIMES = (1.0, 10.0, 100.0)
 
 #: Maximal admissible drift of the projection under node doubling.
 QUADRATURE_DRIFT_TOL = 1e-8

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_operator_norm
+from oracles import dense_operator_norm, weighted_vector_norm
 from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
                                   concave_envelope, envelope_translation_check,
                                   fit_rate, hardy_check, sample_norms,
@@ -302,6 +302,19 @@ def test_witness_lower_bound_bracket_and_bound():
              @ resolvent_blocks(m, 0.0).to_dense())
     ctx = NormContext(m.dim, 1)
     assert bound.raw_ratio <= dense_operator_norm(dense, ctx) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("t", [10.0, 20.0])
+def test_witness_raw_ratio_is_the_dense_quotient(t):
+    # The value itself, not only its bound: ||T(t) A^-1 x|| / ||x|| with the
+    # dense semigroup and resolvent and the dense weighted norm.
+    m = _model(Family.LOG_SPECTRUM, 162, order=1)
+    assert m.dim == 161
+    x, _ = witness_vector(t, m.dim)
+    y = (evolve_blocks(m, t).to_dense() @ resolvent_blocks(m, 0.0).to_dense()) @ x
+    ctx = m.norm_context
+    want = weighted_vector_norm(ctx, y) / weighted_vector_norm(ctx, x)
+    assert witness_lower_bound(m, t).raw_ratio == pytest.approx(want, rel=1e-13)
 
 
 def test_witness_lower_bound_guards():

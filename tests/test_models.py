@@ -73,6 +73,24 @@ def test_evolve_at_zero_is_identity(family):
     assert np.max(np.abs(semi - np.eye(m.dim))) < 1e-14
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_evolve_at_zero_is_exactly_the_identity(family):
+    # So T(0) commutes exactly with any block operator, and a commutation
+    # probe at t = 0 could only add exact zeros.
+    m = _model(family, 2000)
+    semi = evolve_blocks(m, 0.0)
+    assert np.all(semi.scalars == 1) and np.all(semi.upper == 1)
+    assert np.all(semi.lower == 1) and np.all(semi.corner == 0)
+    rng = np.random.default_rng(0)
+    other = BlockDiagonal(*(rng.standard_normal(a.size)
+                            + 1j * rng.standard_normal(a.size)
+                            for a in (semi.scalars, semi.upper, semi.corner,
+                                      semi.lower)))
+    comm = semi @ other - other @ semi
+    assert not any(np.any(a) for a in (comm.scalars, comm.upper, comm.corner,
+                                       comm.lower))
+
+
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
         evolve_blocks(_model(Family.JORDAN_PAIRS, 4), -1.0)

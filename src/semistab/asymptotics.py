@@ -10,8 +10,8 @@ The discrete Hardy inequality checker and the tent-shaped witness sequence
 provide the two independent lower-bound routes for the weighted-norm model:
 the Hardy ratio certifies the upper estimate's key step, and the witness
 certifies the t / log t growth of the semigroup-resolvent product from
-below.  The witness applies the model's own T(t) and A^-1 (the resolvent at
-0) and its own truncation rule, so nothing of the family is restated here.
+below.  The witness applies the model's own T(t), A^-1 (the resolvent at
+0) and truncation rule, and reuses the tent's norm: nothing is restated.
 """
 
 from __future__ import annotations
@@ -70,26 +70,27 @@ def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
     """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
     factor gives ||T(t)||, which ``bound`` holds when already sampled.
 
-    T(t) is evaluated whole once per grid time, and released before the norm
-    of its last product.  In the Euclidean norm (order 0) only ||T(t)|| is
-    taken whole, unless ``bound`` holds it, and every other factor X goes
-    through :func:`_certified_curve`; the weighted norms ignore ``bound``."""
-    euclidean = model.norm_context.order == 0
-    if euclidean and bound is not None:
+    At order 0, ||T(t)|| comes from ``bound`` or from one whole T(t) per grid
+    time, and every other factor goes through :func:`_certified_curve`.  The
+    weighted norms ignore ``bound`` and evaluate T(t) whole once per grid
+    time, releasing it before the norm of its last product."""
+    if model.norm_context.order == 0:
+        if bound is None:
+            bound = np.array([models.block_operator_norm(
+                model, models.evolve_blocks(model, float(t)), tol=tol) for t in ts])
         return np.array([bound if right is None
                          else _certified_curve(model, right, ts, bound)
                          for right in rights])
-    whole = (None,) if euclidean else rights
-    out = np.empty((len(whole), ts.size), dtype=float)
-    last = len(whole) - 1
+    out = np.empty((len(rights), ts.size), dtype=float)
+    last = len(rights) - 1
     for i, t in enumerate(ts):
         semi = models.evolve_blocks(model, float(t))
-        for j, right in enumerate(whole):
+        for j, right in enumerate(rights):
             op = semi if right is None else semi @ right
             if j == last:
                 semi = None
             out[j, i] = models.block_operator_norm(model, op, tol=tol)
-    return norm_curve(model, ts, rights, tol, bound=out[0]) if euclidean else out
+    return out
 
 
 def _restricted_norm(model: Model, factor: models.BlockDiagonal,
@@ -219,8 +220,8 @@ def concave_envelope(samples: NormSamples) -> Envelope:
         hull.append((float(x), float(y)))
     knot_ts = np.array([p[0] for p in hull])
     knot_logv = np.array([p[1] for p in hull])
-    env = Envelope(knot_ts, knot_logv, 1.0)
-    ratios = samples.values / env.value(ts)
+    # The first and last samples are knots, so no sample needs extrapolation.
+    ratios = samples.values / np.exp(np.interp(ts, knot_ts, knot_logv))
     a_est = min(float(np.max(ratios)), 1.0)
     return Envelope(knot_ts, knot_logv, a_est)
 
@@ -386,10 +387,8 @@ def witness_lower_bound(model: Model, t: float) -> WitnessBound:
     if model.spec.family is not Family.LOG_SPECTRUM or model.spec.order != 1:
         raise ValueError("witness bound requires the LOG_SPECTRUM family at order 1")
     models.check_truncation(model, t)
-    x, _ = witness_vector(t, model.dim)
+    x, x_norm = witness_vector(t, model.dim)
     y = (models.evolve_blocks(model, t)
          @ models.resolvent_blocks(model, 0.0)).matvec(x)
-    x_norm, y_norm = (float(np.linalg.norm(linalg.apply_difference(
-        model.norm_context.order, v))) for v in (x, y))
-    raw = y_norm / x_norm
+    raw = float(np.linalg.norm(linalg.apply_difference(1, y))) / x_norm
     return WitnessBound(float(t), raw, raw * math.log(t) / t)

@@ -7,10 +7,10 @@ class SemistabError(Exception):
 
 class IllConditionedError(SemistabError):
     """The Lanczos norm kernel hit its step cap before the Ritz residual of
-    its top Ritz value fell to the tolerance, or found a nonzero norm below
-    ``linalg.NORM_FLOOR``.  The message names the cause; the last
-    singular-value estimate is also carried, so callers can decide whether
-    the partial answer is still usable.
+    its top Ritz value fell to the tolerance, or met a nonzero norm below
+    ``linalg.NORM_FLOOR`` or above about 1e77.  The message names the cause;
+    the last singular-value estimate is carried, so callers can decide
+    whether the partial answer is still usable.
     """
 
     def __init__(self, message, last_estimate):

@@ -184,10 +184,10 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     ``tolerances.proj_tol`` > 0, ``tolerances.norm_tol`` in (0, 1), and
     ``output.formats`` within CSV, JSON.  The checks across keys follow:
     ``TimeGrid``'s rules; ``model.max_index = auto`` resolves to the minimal
-    adequate truncation for ``grid.t_max`` and a smaller explicit value is
-    rejected, as are a weighted family's truncation below dim ``order + 1``
-    and a dimension above ``max_dim``.  A ``model.mu`` on the spectrum is
-    rejected when the model is built (``SpectrumHitError``).
+    adequate truncation for ``grid.t_max`` and ``model.order``
+    (:func:`models.required_max_index`), and a smaller explicit value is
+    rejected, as is a dimension above ``max_dim``.  A ``model.mu`` on the
+    spectrum is rejected when the model is built (``SpectrumHitError``).
     """
     parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
     values = {}
@@ -223,24 +223,16 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     family, order, max_index = model["family"], model["order"], model["max_index"]
     try:
         grid = TimeGrid(**fields["grid"])
-        need = models.required_max_index(family, grid.t_max)
+        need = models.required_max_index(family, grid.t_max, order)
         if max_index == "auto":
             max_index = need
         elif max_index < need:
             raise TruncationInadequateError(
                 f"model.max_index {max_index} is inadequate for grid.t_max "
-                f"{grid.t_max}; need max_index >= {need} "
-                f"(dim {models.model_dim(family, need)})",
+                f"{grid.t_max} and model.order {order}; need max_index >= "
+                f"{need} (dim {models.model_dim(family, need)})",
                 required=need)
         dim = models.model_dim(family, max_index)
-        if models.FAMILIES[family].weighted and dim < order + 1:
-            # The order-N weighting needs dim >= N + 1; dim is affine in max_index.
-            step = models.model_dim(family, max_index + 1) - dim
-            least = max_index - (dim - order - 1) // step
-            raise TruncationInadequateError(
-                f"model.max_index {max_index} (dim {dim}) cannot carry the "
-                f"order-{order} weighted norm; need max_index >= {least}",
-                required=least)
         if max_dim is not None and dim > max_dim:
             raise TruncationInadequateError(
                 f"adequate truncation needs dim {dim} > configured cap {max_dim} "
@@ -280,9 +272,6 @@ class Verdict:
     detail: str
     metrics: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _verdict(ok: bool, detail: str, **metrics) -> Verdict:
     return Verdict(PASS if ok else FAIL, detail, metrics)
@@ -319,7 +308,7 @@ class RunReport:
             "samples": self.samples,
             "fits": self.fits,
             "projections": self.projections,
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
+            "verdicts": {k: asdict(v) for k, v in self.verdicts.items()},
             "timings": self.timings,
             "version": self.version,
         }
@@ -394,13 +383,7 @@ def _samples_dict(*curves: NormSamples) -> dict:
 
 
 def _fit_dict(fit) -> dict:
-    return {
-        "family": fit.family.value,
-        "coefficient": fit.coefficient,
-        "exponent_or_scale": fit.exponent_or_scale,
-        "residual": fit.residual,
-        "window": [fit.window[0], fit.window[1]],
-    }
+    return dict(asdict(fit), family=fit.family.value, window=list(fit.window))
 
 
 def _spread(values: np.ndarray) -> float:
@@ -548,13 +531,13 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
 
     projections = []
     curves = []
-    skipped_eigs = []
+    skipped = {}  # formatted eigenvalue -> reason, in spectral order
     for lam in model.spectrum[:cfg.top_k].tolist():
         try:
             contour = spectral.hypothesis_a_check(
                 model, lam, radius_cap=cfg.radius_cap, nodes=cfg.contour_nodes)
         except ClusteredSpectrumError as exc:
-            skipped_eigs.append((lam, str(exc)))
+            skipped[format_complex(lam)] = str(exc)
             continue
         proj_report = spectral.riesz_projection_quadrature(
             model, contour, drift_tol=cfg.tolerances.proj_tol)
@@ -565,21 +548,19 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         # quadrature.
         del proj_report
         curves.append((lam, curve))
-    decay_flags = [curve.decaying for _, curve in curves]
-    skipped_values = [format_complex(v) for v, _ in skipped_eigs]
-    if not decay_flags:
-        detail = "; ".join(f"{format_complex(v)}: {msg}" for v, msg in skipped_eigs)
+    if not curves:
+        detail = "; ".join(f"{v}: {msg}" for v, msg in skipped.items())
         verdicts["hypothesis_b_decay"] = _skipped(
             f"no eigenvalue admitted an isolating circle ({detail})",
-            skipped_eigenvalues=skipped_values)
+            skipped_eigenvalues=list(skipped))
     else:
-        ok = all(decay_flags)
-        detail = (f"{sum(decay_flags)}/{len(decay_flags)} projected curves decay"
-                  + (f"; skipped clustered eigenvalue(s) {skipped_values}"
-                     if skipped_eigs else ""))
+        decaying = sum(curve.decaying for _, curve in curves)
+        detail = (f"{decaying}/{len(curves)} projected curves decay"
+                  + (f"; skipped clustered eigenvalue(s) {list(skipped)}"
+                     if skipped else ""))
         verdicts["hypothesis_b_decay"] = _verdict(
-            ok, detail, checked=len(decay_flags), skipped=len(skipped_eigs),
-            skipped_eigenvalues=skipped_values)
+            decaying == len(curves), detail, checked=len(curves),
+            skipped=len(skipped), skipped_eigenvalues=list(skipped))
 
     conclusion = prod.values / env.value(ts)
     slope = loglog_slope(ts, conclusion)

@@ -148,15 +148,6 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def _finite(value: float, name: str, step: int) -> float:
-    if not math.isfinite(value):
-        # A finite unit vector mapped to a non-finite one: the operator has
-        # non-finite entries or overflows; no further step can help.
-        raise ValueError(f"non-finite Lanczos coefficient {name} = {value!r} "
-                         f"at step {step + 1}")
-    return value
-
-
 def operator_norm(op, ctx: NormContext,
                   tol: float = POWER_TOL_DEFAULT) -> float:
     """Operator norm of ``op`` on (C^dim, ctx).
@@ -169,9 +160,9 @@ def operator_norm(op, ctx: NormContext,
     ``D``, then their adjoints in reverse order (at order 0 the transforms
     are the identity), and stops once the Ritz residual of the top Ritz
     value ``theta`` is at most ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises :class:`IllConditionedError` at the step cap or for a nonzero
-    norm below ``NORM_FLOOR``, and ``ValueError`` on a non-finite Lanczos
-    coefficient.
+    Raises :class:`IllConditionedError` at the step cap, for a nonzero norm
+    below ``NORM_FLOOR`` or for one above about 1e77, and ``ValueError`` when
+    the operator has non-finite entries or a norm above about 1e154.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -193,7 +184,11 @@ def operator_norm(op, ctx: NormContext,
         u, free = _differences(
             order, op.matvec(apply_cumulative(order, v, left), right), left,
             adjoint=False)
-        alpha = _finite(float(np.vdot(u, u).real), "alpha", step)
+        alpha = float(np.vdot(u, u).real)
+        if not math.isfinite(alpha):
+            raise ValueError(f"non-finite Lanczos coefficient alpha = {alpha!r} "
+                             f"at step {step + 1}: the operator has non-finite "
+                             "entries or a norm above about 1e154")
         u, free = _differences(order, u, free, adjoint=True)
         apply_cumulative_adjoint(order, op.rmatvec(u, free), w)
         # w -= alpha v_k + beta_{k-1} v_{k-1}, with a transform buffer as
@@ -201,7 +196,13 @@ def operator_norm(op, ctx: NormContext,
         np.subtract(w, np.multiply(v, alpha, out=left), out=w)
         if step:
             np.subtract(w, np.multiply(v_prev, betas[-1], out=left), out=w)
-        beta = _finite(float(np.linalg.norm(w)), "beta", step)
+        with np.errstate(over="ignore"):
+            beta = float(np.linalg.norm(w))
+        if not math.isfinite(beta):
+            # alpha is finite: the squares of G v, of order norm**4, overflow.
+            raise IllConditionedError("operator norm above about 1e77 is out "
+                                      "of the kernel's range",
+                                      last_estimate=math.sqrt(alpha))
         alphas.append(alpha)
         betas.append(beta)
         # The top eigenpair (theta, s) of the tridiagonal T_k; eigh reads

@@ -17,7 +17,8 @@ from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
 :mod:`linalg` applies it through ``matvec`` and ``rmatvec``, and
-``to_dense`` serves moderate sizes.
+``to_dense`` serves moderate sizes.  :func:`required_max_index` is the one
+rule for whether a truncation is adequate.
 """
 
 from __future__ import annotations
@@ -371,17 +372,23 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     return linalg.operator_norm(blocks, ctx, tol=tol)
 
 
-def required_max_index(family: Family, t_max: float) -> int:
-    """Minimal adequate truncation for norms sampled out to time t_max."""
+def required_max_index(family: Family, t_max: float, order: int = 1) -> int:
+    """Minimal adequate truncation out to time t_max; a weighted family's
+    order-N norm also needs dim >= N + 1, and dim is affine in max_index."""
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    per_time, offset = FAMILIES[family].truncation
-    return max(math.ceil(per_time * t_max) + offset, 2)
+    row = FAMILIES[family]
+    per_time, offset = row.truncation
+    need = max(math.ceil(per_time * t_max) + offset, 2)
+    if row.weighted:
+        d2, d3 = model_dim(family, 2), model_dim(family, 3)
+        need = max(need, 2 - (d2 - order - 1) // (d3 - d2))
+    return need
 
 
 def check_truncation(model: Model, t_max: float) -> None:
     """Hard adequacy gate; raises naming the minimal adequate max_index."""
-    need = required_max_index(model.spec.family, t_max)
+    need = required_max_index(model.spec.family, t_max, model.spec.order)
     if model.spec.max_index < need:
         raise TruncationInadequateError(
             f"{model.spec.family.value} with max_index {model.spec.max_index} "

@@ -6,6 +6,8 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semistab import cli, experiments
 from semistab.cli import main
@@ -15,7 +17,8 @@ from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
                                   config_hash, parse_config, render_config,
                                   run_hardy, run_simulate, run_theorem_check,
                                   run_witness, write_csv)
-from semistab.models import Family, ModelSpec, build_model, check_truncation
+from semistab.models import (Family, ModelSpec, build_model, check_truncation,
+                             required_max_index)
 
 JP_TEXT = """\
 # small run
@@ -219,11 +222,23 @@ def test_config_rejects_bad_grid(old, new, message):
         parse_config(JP_TEXT.format(out="x").replace(old, new))
 
 
+def test_config_auto_resolves_to_smallest_buildable_size(tmp_path, capsys):
+    # The time rule alone gives max_index 2 here, whose dim 1 cannot carry
+    # the order-1 weighted norm; auto takes the smallest size that can.
+    text = ("model.family = LOG_SPECTRUM\ngrid.points = 4\n"
+            "grid.t_min = 0.01\ngrid.t_max = 0.1\n")
+    assert parse_config(text).model.max_index == 3
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert SKIPPED in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("extra, required", [
-    ("grid.t_min = 0.01\ngrid.t_max = 0.1\n", 3),
     ("grid.t_min = 0.1\ngrid.t_max = 0.5\n"
      "model.order = 5\nmodel.max_index = 6\n", 7),
-], ids=["auto_dim_1", "order_5_max_index_6"])
+], ids=["order_5_max_index_6"])
 def test_config_rejects_truncation_below_weight_order(tmp_path, capsys,
                                                       extra, required):
     text = "model.family = LOG_SPECTRUM\ngrid.points = 4\n" + extra
@@ -238,11 +253,27 @@ def test_config_rejects_truncation_below_weight_order(tmp_path, capsys,
     assert f"need max_index >= {required}" in capsys.readouterr().err
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(family=st.sampled_from(list(Family)), order=st.integers(1, 6),
+       t_max=st.floats(0.0, 5.0))
+@example(family=Family.LOG_SPECTRUM, order=1, t_max=0.0)
+@example(family=Family.LOG_SPECTRUM, order=6, t_max=0.125)
+def test_required_max_index_builds_and_is_what_auto_resolves_to(family, order,
+                                                               t_max):
+    need = required_max_index(family, t_max, order)
+    check_truncation(build_model(ModelSpec(family, need, order=order)), t_max)
+    if t_max > 0.0:
+        text = (f"model.family = {family.value}\nmodel.order = {order}\n"
+                f"grid.t_min = 0.0\ngrid.t_max = {t_max!r}\ngrid.points = 2\n"
+                "grid.spacing = LINEAR\n")
+        assert parse_config(text).model.max_index == need
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_parse_accepts_exactly_what_builds(family):
-    # parse_config derives the weighted minimum from model_dim and the
-    # norm's dim >= N + 1 rule; it must draw the line where building the
-    # model and gating its truncation for grid.t_max do.
+    # parse_config asks models.required_max_index, with the order, for
+    # the minimum; it must draw the line where building the model and gating
+    # its truncation for grid.t_max do.
     outcomes = set()
     for order in range(1, 7):
         for max_index in range(2, 11):

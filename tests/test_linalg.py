@@ -439,6 +439,21 @@ def test_tiny_norm_is_right_or_raises(scale, order):
         assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("scale", [1e76, 1e78, 1e80, 1e100])
+def test_huge_norm_is_right_or_raises(scale, order):
+    # The squares of Gram-vector entries, of order norm**4, overflowed above
+    # about 1e77 and raised a bare ValueError about a non-finite beta.
+    op = _diagonal(scale * np.linspace(1.0, 2.0, 30))
+    ctx = NormContext(30, order)
+    if scale > 1e77:
+        with pytest.raises(IllConditionedError, match="kernel's range"):
+            operator_norm(op, ctx)
+    else:
+        want = dense_operator_norm(op.to_dense(), ctx)
+        assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_weighted_norm_allocates_its_workspace_once():
     # Three Lanczos vectors and two transform buffers, allocated once per
     # call: the peak stays within six vectors of dim complex entries (the

@@ -234,7 +234,9 @@ def test_required_max_index_rules():
     assert required_max_index(Family.JORDAN_PAIRS, 10.0) == 500
     assert required_max_index(Family.DIAG_JORDAN, 10.0) == 500
     assert required_max_index(Family.LOG_SPECTRUM, 10.0) == 81
-    assert required_max_index(Family.LOG_SPECTRUM, 0.0) == 2
+    # The order-N weighted norm needs dim = max_index - 1 >= N + 1.
+    assert required_max_index(Family.LOG_SPECTRUM, 0.0) == 3
+    assert required_max_index(Family.LOG_SPECTRUM, 0.5, order=5) == 7
 
 
 def test_check_truncation_raises_with_required_value():

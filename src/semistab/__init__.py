@@ -23,7 +23,7 @@ from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
 from .linalg import NormContext, operator_norm
 from .models import (BlockDiagonal, Eigenvalue, Family, Model, ModelSpec,
                      build_model, check_truncation, eigenvalues, evolve_blocks,
-                     required_max_index, resolvent_blocks)
+                     required_max_index, resolvent_blocks, semigroup_norm)
 from .spectral import (Contour, DecayCurve, ProjectionReport,
                        hypothesis_a_check, hypothesis_b_check,
                        riesz_projection_quadrature)

@@ -70,14 +70,15 @@ def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
     """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
     factor gives ||T(t)||, which ``bound`` holds when already sampled.
 
-    At order 0, ||T(t)|| comes from ``bound`` or from one whole T(t) per grid
-    time, and every other factor goes through :func:`_certified_curve`.  The
-    weighted norms ignore ``bound`` and evaluate T(t) whole once per grid
-    time, releasing it before the norm of its last product."""
+    At order 0, ||T(t)|| comes from ``bound`` or from the block moduli
+    (:func:`models.semigroup_norm`), so no whole T(t) is formed, and every
+    other factor goes through :func:`_certified_curve`.  The weighted norms
+    ignore ``bound`` and evaluate T(t) whole once per grid time, releasing it
+    before the norm of its last product."""
     if model.norm_context.order == 0:
         if bound is None:
-            bound = np.array([models.block_operator_norm(
-                model, models.evolve_blocks(model, float(t)), tol=tol) for t in ts])
+            bound = np.array([models.semigroup_norm(model, float(t))
+                              for t in ts])
         return np.array([bound if right is None
                          else _certified_curve(model, right, ts, bound)
                          for right in rights])
@@ -140,10 +141,10 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
 
     ``quantity`` is a :class:`Quantity`, giving one :class:`NormSamples`, or
     a tuple of them, giving a tuple of samples in the same order.  Either
-    way T(t) is evaluated whole once per grid time (:func:`norm_curve`),
-    and the ratio is computed pointwise from the other two curves.  The
-    grid must be strictly increasing and nonnegative, and the model's
-    truncation must be adequate for the largest time (hard error otherwise).
+    way the curves come from one :func:`norm_curve` call, and the ratio is
+    computed pointwise from the other two curves.  The grid must be strictly
+    increasing and nonnegative, and the model's truncation must be adequate
+    for the largest time (hard error otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:

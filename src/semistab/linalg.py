@@ -53,8 +53,10 @@ from .errors import IllConditionedError
 #: Default relative tolerance of the Ritz residual at the stop.
 POWER_TOL_DEFAULT = 1e-10
 
-#: Lanczos steps (Gram applications) allowed per coordinate before giving up.
-POWER_STEPS_PER_DIM = 10
+#: Lanczos steps (Gram applications) allowed before giving up, whatever the
+#: dimension: the k x k tridiagonal's ``eigh`` at step k = 300 takes about
+#: 11 ms and 0.7 MB, against about 8 steps per production norm.
+LANCZOS_STEP_CAP = 300
 
 #: Smallest nonzero norm returned: the squares of Gram-vector entries, of
 #: order norm**4, underflow in ``np.linalg.norm`` below about 1e-77.
@@ -156,7 +158,7 @@ def operator_norm(op, ctx: NormContext,
     (the conjugate transpose), both taking an optional ``out`` array that
     does not overlap their input.  Three-term Lanczos on the Gram operator
     ``G = (D op L)^H (D op L)`` from a fixed-seed random start, at most
-    ``POWER_STEPS_PER_DIM * dim`` steps; one step applies ``L``, ``op`` and
+    ``LANCZOS_STEP_CAP`` steps; one step applies ``L``, ``op`` and
     ``D``, then their adjoints in reverse order (at order 0 the transforms
     are the identity), and stops once the Ritz residual of the top Ritz
     value ``theta`` is at most ``tol * theta``; the norm is ``sqrt(theta)``.
@@ -170,14 +172,13 @@ def operator_norm(op, ctx: NormContext,
         raise ValueError(f"operator dim {op.dim} does not match the "
                          f"context dim {ctx.dim}")
     n, order = ctx.dim, ctx.order
-    cap = POWER_STEPS_PER_DIM * n
     # The workspace, allocated once: the Lanczos vectors v_{k-1}, v_k and
     # the next one w, and two buffers the transforms alternate between.
     v = _start_vector(n)
     v_prev, w, left, right = (np.empty(n, dtype=complex) for _ in range(4))
     alphas, betas = [], []
     theta = residual = 0.0
-    for step in range(cap):
+    for step in range(LANCZOS_STEP_CAP):
         # w = G v.  The transforms are looked up at call time, so that a
         # tracer that rebinds them in this module sees one call of each per
         # step.
@@ -227,8 +228,8 @@ def operator_norm(op, ctx: NormContext,
         v_prev, v, w = v, w, v_prev
     sigma = math.sqrt(theta)
     raise IllConditionedError(
-        f"Lanczos did not converge within {cap} steps (last estimate "
-        f"{sigma!r}, Ritz residual {residual:.3e} against "
+        f"Lanczos did not converge within {LANCZOS_STEP_CAP} steps (last "
+        f"estimate {sigma!r}, Ritz residual {residual:.3e} against "
         f"tol * theta = {tol * theta:.3e})",
         last_estimate=sigma,
     )

@@ -10,7 +10,9 @@ is
 
     exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
 
-with t in place of sinh(t d) / d where d = 0.
+with t in place of sinh(t d) / d where d = 0.  The Euclidean norm of T(t)
+depends only on the moduli of these entries, which are real expressions in
+the table (:func:`semigroup_norm`), so it never forms T(t).
 
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
@@ -205,6 +207,29 @@ def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
     return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
 
 
+def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
+              l: np.ndarray) -> float:
+    """Supremum of the norms of the 1x1 blocks ``s`` and the 2x2 blocks
+    [[u, c], [0, l]], from the moduli of their entries.
+
+    A block's singular values satisfy s1 +- s2 = hypot(u +- l, c), from
+    s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2; their mean avoids the
+    cancellation in sqrt(s^2 - 4 det^2).  Since s1^2 lies in [F/2, F] for
+    the squared Frobenius norm F, only blocks with F at least 0.49 of the
+    largest can attain the supremum, and only those are evaluated; the
+    result is the same to the last bit.  Every block is evaluated when the
+    largest F is not a finite normal number.
+    """
+    with np.errstate(over="ignore"):
+        frob = u * u + c * c + l * l
+    top = np.max(frob, initial=0.0)
+    if np.isfinite(top) and top >= _TINY:
+        keep = frob >= _KEEP_SHARE * top
+        u, c, l = u[keep], c[keep], l[keep]
+    return float(max(np.max(s, initial=0.0),
+                     np.max(_pair_norms(u, c, l), initial=0.0)))
+
+
 @dataclass(frozen=True)
 class BlockDiagonal:
     """Block-diagonal operator: 1x1 blocks ``scalars``, then 2x2 blocks
@@ -239,25 +264,10 @@ class BlockDiagonal:
         return complex(self.scalars.sum() + (self.upper + self.lower).sum())
 
     def sup_singular_value(self) -> float:
-        """Euclidean spectral norm: the supremum of block norms.
-
-        A block's singular values satisfy s1 +- s2 = hypot(|u| +- |l|, |c|),
-        from s1 s2 = |u l| and s1^2 + s2^2 = |u|^2 + |c|^2 + |l|^2; their
-        mean avoids the cancellation in sqrt(s^2 - 4 |det|^2).  Since s1^2
-        lies in [F/2, F] for the squared Frobenius norm F, only blocks with F
-        at least 0.49 of the largest can attain the supremum, and only those
-        are evaluated; the result is the same to the last bit.  Every block
-        is evaluated when the largest F is not a finite normal number.
-        """
-        u, c, l = np.abs(self.upper), np.abs(self.corner), np.abs(self.lower)
-        with np.errstate(over="ignore"):
-            frob = u * u + c * c + l * l
-        top = np.max(frob, initial=0.0)
-        if np.isfinite(top) and top >= _TINY:
-            keep = frob >= _KEEP_SHARE * top
-            u, c, l = u[keep], c[keep], l[keep]
-        return float(max(np.max(np.abs(self.scalars), initial=0.0),
-                         np.max(_pair_norms(u, c, l), initial=0.0)))
+        """Euclidean spectral norm: the supremum of block norms
+        (:func:`_sup_norm` on the moduli of the entries)."""
+        return _sup_norm(*(np.abs(a) for a in (self.scalars, self.upper,
+                                               self.corner, self.lower)))
 
     def block_norms(self) -> np.ndarray:
         """The norm of every block, the 1x1 blocks first."""
@@ -315,11 +325,12 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """The semigroup at time t as a block-diagonal operator.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
-    (t in place of sinh(t d) / d where d = 0), from two transcendental
-    calls: with C = exp(t mid) and E = expm1(t d), the block is
-    C [[1 + E, E (2 + E) / (2 (1 + E) d)], [0, 1 / (1 + E)]].  The carrier C
-    keeps the corner free of the cancellation between exp(ta) and exp(tb)
-    at nearby eigenvalues a, b, and expm1 keeps it accurate at small t d.
+    (t in place of sinh(t d) / d where d = 0), from three transcendental
+    calls: with C = exp(t mid), G = exp(t d) and E = expm1(t d), the block
+    is C [[G, E (2 + E) / (2 G d)], [0, 1 / G]].  The carrier C keeps the
+    corner free of the cancellation between exp(ta) and exp(tb) at nearby
+    eigenvalues a, b, and expm1 keeps it accurate at small t d; G is not
+    formed as 1 + E, which cancels where Re(t d) << 0.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -332,12 +343,37 @@ def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
     d = half_gap
     carrier = np.exp(t * mid)
     gain = np.expm1(t * d)
-    grow = 1.0 + gain
+    grow = np.exp(t * d)
     corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
                        out=np.full(d.shape, t, dtype=complex), where=d != 0)
     corner *= carrier
     return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
                          carrier / grow)
+
+
+def semigroup_norm(model: Model, t: float) -> float:
+    """The Euclidean ||T(t)||, from the moduli of the blocks of T(t) alone.
+
+    With carrier = exp(t Re mid) and x = t Re d, a 2x2 block has moduli
+    carrier e^x and carrier e^-x on the diagonal and, since
+    |sinh(x + iy)|^2 = sinh^2 x + sin^2 y, carrier hypot(sinh x,
+    sin(t Im d)) / |d| in the corner (carrier t where d = 0); a 1x1 block
+    has modulus exp(t Re s).  So only real ufuncs run and no complex T(t) is
+    formed; :func:`_sup_norm` takes the supremum.  This is the Euclidean
+    norm whatever norm the model is measured in.
+    """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    d = model.half_gap
+    carrier = np.exp(t * model.mid.real)
+    x = t * d.real
+    size = np.abs(d)
+    corner = np.divide(np.hypot(np.sinh(x), np.sin(t * d.imag)), size,
+                       out=np.full(d.shape, float(t)), where=size != 0)
+    corner *= carrier
+    grow = np.exp(x)
+    return _sup_norm(np.exp(t * model.scalars.real), carrier * grow, corner,
+                     carrier / grow)
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:

@@ -7,7 +7,9 @@ exponentially for integrands analytic in a neighborhood of the circle.
 This normalization (prefactor and counterclockwise orientation) is the one
 that makes the result idempotent.  The rule is never summed node by node:
 on a block-diagonal operator it is a rational filter of the spectral table,
-evaluated in closed form.
+evaluated in closed form.  A projection's idempotency and commutation
+defects are read off its blocks and the spectral table; no semigroup is
+evaluated to build one.
 
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
@@ -25,10 +27,6 @@ from .asymptotics import NormSamples, Quantity, loglog_slope, norm_curve
 from .errors import (ClusteredSpectrumError, ContourTooCloseError,
                      NonconvergedError)
 from .models import BlockDiagonal, Model
-
-#: Times at which the commutation defect of a projection is probed; T(0) is
-#: the identity bit for bit, so t = 0 would add an exact zero.
-COMMUTATION_TIMES = (1.0, 10.0, 100.0)
 
 #: Maximal admissible drift of the projection under node doubling.
 QUADRATURE_DRIFT_TOL = 1e-8
@@ -81,8 +79,13 @@ class Contour:
 class ProjectionReport:
     """A spectral projection together with its quality diagnostics.
 
-    ``drift`` is the node-doubling drift of a quadrature; closed forms have
-    none.
+    ``commutation_defect`` is the sup of block norms of A P - P A for the
+    generator A, whose block k is [[0, g_k], [0, 0]] with
+    g_k = P_c (a - b) - (P_u - P_l) on the block [[a, 1], [0, b]].  P and
+    T(t) are functions of the same block, so block k of T(t) P - P T(t) is
+    c_k(t) g_k, c_k(t) the corner of T(t): P commutes with the semigroup iff
+    the defect is 0.  ``drift`` is the node-doubling drift of a quadrature;
+    closed forms have none.
     """
 
     blocks: BlockDiagonal
@@ -209,10 +212,9 @@ def _enclosed_eigenvalues(model: Model, contour: Contour) -> tuple:
 def _build_report(model: Model, blocks: BlockDiagonal, enclosed,
                   drift: float = 0.0) -> ProjectionReport:
     idem = (blocks @ blocks - blocks).sup_singular_value()
-    comm = 0.0
-    for t in COMMUTATION_TIMES:
-        semi = models.evolve_blocks(model, t)
-        comm = max(comm, (semi @ blocks - blocks @ semi).sup_singular_value())
+    # Block k of A P - P A is [[0, g_k], [0, 0]]; 1x1 blocks commute.
+    comm = np.max(np.abs(blocks.corner * (model.upper - model.lower)
+                         - (blocks.upper - blocks.lower)), initial=0.0)
     tr = blocks.trace()
     rank = round(tr.real)
     if abs(tr - rank) > _TRACE_INT_TOL:

@@ -13,12 +13,14 @@ rational filter.  Two references stand behind it: the rule summed node by
 node over resolvents, with an a-priori bound on its rounding error, and the
 filter evaluated exactly in rational arithmetic on the float inputs.
 
-``semistab.models.evolve_blocks`` takes two transcendental calls per block,
-and ``BlockDiagonal.sup_singular_value`` evaluates only the blocks that can
-attain the supremum; the four-call form and the every-block formula are
-kept here.  ``semistab.asymptotics.norm_curve`` evaluates a Euclidean curve
-t -> ||T(t) X|| only on the blocks that ||T(t)|| cannot rule out;
-:func:`whole_norm_curve` takes the product on every block.
+``semistab.models.evolve_blocks`` takes three transcendental calls per
+block, and ``BlockDiagonal.sup_singular_value`` evaluates only the blocks
+that can attain the supremum; the four-call form and the every-block formula
+are kept here.  ``semistab.asymptotics.norm_curve`` evaluates a Euclidean
+curve t -> ||T(t) X|| only on the blocks that ||T(t)|| cannot rule out;
+:func:`whole_norm_curve` takes the product on every block.  A projection's
+commutation defect is read off the generator; :func:`commutation_probe`
+takes the commutator with the whole semigroup at one time.
 
 The generator and the closed-form projections (each eigenvalue's blockwise
 indicator) are written out from the spectral table, as the references for
@@ -242,6 +244,13 @@ def whole_norm_curve(model, ts, factor) -> np.ndarray:
     every block and its norm by the every-block formula."""
     return np.array([sup_block_norm_unpruned(
         models.evolve_blocks(model, float(t)) @ factor) for t in ts])
+
+
+def commutation_probe(model, blocks, t: float) -> float:
+    """||T(t) P - P T(t)|| in the Euclidean norm, from the whole semigroup
+    at time t and two whole products."""
+    semi = models.evolve_blocks(model, t)
+    return (semi @ blocks - blocks @ semi).sup_singular_value()
 
 
 def generator_blocks(model) -> BlockDiagonal:

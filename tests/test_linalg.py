@@ -376,7 +376,7 @@ def test_operator_norm_consistent_with_vector_norms():
 
 def test_matvec_operator_cap_raises_ill_conditioned():
     # On Hermitian Gram operators of this size Lanczos settles long before
-    # 10 * dim steps: on a 30-dim diagonal with top singular values 2 and
+    # its 300-step cap: on a 30-dim diagonal with top singular values 2 and
     # 2 - 1e-4 it stops even at tol 5e-324.  An rmatvec that transposes
     # without conjugating makes the Gram operator complex symmetric, not
     # Hermitian: the Ritz residual never settles, and the kernel must name
@@ -387,11 +387,33 @@ def test_matvec_operator_cap_raises_ill_conditioned():
         dim=30, matvec=lambda v, out=None: np.matmul(mat, v, out=out),
         rmatvec=lambda w, out=None: np.matmul(mat.T, w, out=out))
     with pytest.raises(IllConditionedError,
-                       match=f"within {linalg.POWER_STEPS_PER_DIM * 30} "
+                       match=f"within {linalg.LANCZOS_STEP_CAP} "
                              r"steps \(last estimate .*, Ritz residual "
                              r".* against tol \* theta = ") as info:
         operator_norm(op, NormContext(30))
     assert info.value.last_estimate > 0.0
+
+
+def test_step_cap_does_not_grow_with_dimension():
+    # Singular values evenly spaced in (0, 1] at dim 10^4: the top gap is
+    # 1e-4, so the top Ritz residual shrinks by only about 3% a step and is
+    # still far above tol after 300 steps.  A cap that grew with dim would
+    # allow 10^5 steps here, each with a dense eigh of the growing
+    # tridiagonal.
+    n = 10_000
+    sigma = np.linspace(1.0 / n, 1.0, n)
+    steps = []
+
+    def matvec(v, out=None):
+        steps.append(1)
+        return np.multiply(sigma, v, out=out)
+
+    op = SimpleNamespace(dim=n, matvec=matvec,
+                         rmatvec=lambda w, out=None: np.multiply(sigma, w, out=out))
+    with pytest.raises(IllConditionedError,
+                       match=f"within {linalg.LANCZOS_STEP_CAP} steps"):
+        operator_norm(op, NormContext(n))
+    assert len(steps) == linalg.LANCZOS_STEP_CAP == 300
 
 
 def test_operator_norm_rejects_bad_inputs():

@@ -75,8 +75,7 @@ def test_evolve_at_zero_is_identity(family):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_evolve_at_zero_is_exactly_the_identity(family):
-    # So T(0) commutes exactly with any block operator, and a commutation
-    # probe at t = 0 could only add exact zeros.
+    # So T(0) commutes exactly with any block operator.
     m = _model(family, 2000)
     semi = evolve_blocks(m, 0.0)
     assert np.all(semi.scalars == 1) and np.all(semi.upper == 1)
@@ -404,6 +403,23 @@ def test_evolve_corner_is_t_at_small_gaps():
         corner = evolve_blocks(replace(m, mid=np.zeros_like(d), half_gap=d),
                                t).corner
         assert np.max(np.abs(corner - t)) <= 1e-15 * t
+
+
+def test_evolve_keeps_digits_where_exp_t_d_is_small():
+    # |exp(t d)| = 1.5e-6 here: formed as 1 + expm1(t d) it kept only about
+    # ten digits, and the corner and both diagonal entries inherited the
+    # loss (a 5e5-ulp corner).  The moduli have closed forms: e^{t Re mid}
+    # |sinh(t d)| / |d| in the corner, by |sinh(x + iy)|^2 = sinh^2 x +
+    # sin^2 y, and e^{t Re(mid +- d)} on the diagonal.
+    t, mid, d = 27.7069, -0.11842 + 7.43458j, -0.48321 + 0.13078j
+    block = models._evolve_table(np.zeros(0, dtype=complex), np.array([mid]),
+                                 np.array([d]), t)
+    x, y = t * d.real, t * d.imag
+    corner = np.exp(t * mid.real) * np.hypot(np.sinh(x), np.sin(y)) / abs(d)
+    assert abs(abs(block.corner[0]) - corner) <= 8 * _EPS * corner
+    for got, rate in ((block.upper[0], mid + d), (block.lower[0], mid - d)):
+        want = np.exp(t * rate.real)
+        assert abs(abs(got) - want) <= 8 * _EPS * want
 
 
 @pytest.mark.parametrize("family", [Family.DIAG_JORDAN, Family.JORDAN_PAIRS])

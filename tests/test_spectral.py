@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (contour_projection_closed, dense_operator_norm,
+from oracles import (commutation_probe, contour_projection_closed,
+                     dense_operator_norm, generator_blocks,
                      riesz_projection_closed, trapezoid_exact,
                      trapezoid_node_sum, whole_norm_curve)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
@@ -17,9 +18,10 @@ from semistab.asymptotics import NormSamples, Quantity, norm_curve, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import POWER_TOL_DEFAULT, NormContext
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
-                             eigenvalues, required_max_index, resolvent_blocks)
-from semistab.spectral import (COMMUTATION_TIMES, Contour, hypothesis_a_check,
-                               hypothesis_b_check, riesz_projection_quadrature)
+                             eigenvalues, evolve_blocks, required_max_index,
+                             resolvent_blocks)
+from semistab.spectral import (Contour, hypothesis_a_check, hypothesis_b_check,
+                               riesz_projection_quadrature)
 
 
 def _model(family, max_index, **kw):
@@ -315,6 +317,66 @@ def _euclidean(model):
     return dataclasses.replace(model, norm_context=NormContext(model.dim, 0))
 
 
+def _with_table(model, scalars, mid, half_gap):
+    """The Euclidean model on another spectral table."""
+    table = [np.array(a, dtype=complex) for a in (scalars, mid, half_gap)]
+    dim = table[0].size + 2 * table[1].size
+    return dataclasses.replace(model, scalars=table[0], mid=table[1],
+                               half_gap=table[2],
+                               norm_context=NormContext(dim, 0))
+
+
+@st.composite
+def _norm_cases(draw):
+    """A time in [0, 2000] and a Euclidean model: a family's own, or one on
+    a random table whose eigenvalues have real parts <= 0, t times each at
+    least -300 so that no modulus overflows or underflows to 0, and some
+    blocks with d = 0; no input is subnormal."""
+    t = draw(st.floats(0.0, 2000.0))
+    m = _euclidean(_model(draw(st.sampled_from(list(Family))),
+                          draw(st.integers(3, 12))))
+    if draw(st.booleans()):
+        return m, t
+    rate = st.floats(-300.0 / max(t, 300.0), 0.0, allow_subnormal=False)
+    freq = st.floats(-50.0, 50.0, allow_subnormal=False)
+    scalars = draw(st.lists(st.builds(complex, rate, freq), max_size=3))
+    mid, half_gap = [], []
+    for _ in range(draw(st.integers(0 if scalars else 1, 6))):
+        # Re mid <= -|Re d| keeps both eigenvalues of the block in Re <= 0.
+        low, high = sorted(draw(st.tuples(rate, rate)))
+        mid.append(complex(low, draw(freq)))
+        half_gap.append(draw(st.just(0j) | st.builds(
+            complex, st.sampled_from([high, -high]),
+            st.floats(-5.0, 5.0, allow_subnormal=False))))
+    return _with_table(m, scalars, mid, half_gap), t
+
+
+_DJ = _euclidean(_model(Family.DIAG_JORDAN, 12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_norm_cases())
+@example(case=(_DJ, 0.0))
+@example(case=(_DJ, 2000.0))
+@example(case=(_euclidean(_model(Family.JORDAN_PAIRS, 12)), 2000.0))
+@example(case=(_with_table(_DJ, [-0.5 + 1j], [-0.3 + 2j, -1.0], [0j, 0.5j]),
+               0.0))
+def test_semigroup_norm_matches_the_whole_semigroup(case):
+    # ||T(t)|| from the block moduli, against the sup of block norms of the
+    # complex T(t) and against a dense SVD of it.
+    m, t = case
+    got = models.semigroup_norm(m, t)
+    semi = evolve_blocks(m, t)
+    _assert_ulps(got, semi.sup_singular_value())
+    dense = np.linalg.svd(semi.to_dense(), compute_uv=False)[0]
+    assert abs(got - dense) <= 8 * _EPS * dense
+
+
+def test_semigroup_norm_rejects_negative_time():
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        models.semigroup_norm(_DJ, -1.0)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(family=st.sampled_from(list(Family)), max_index=st.integers(3, 12),
        t_first=st.floats(0.01, 10.0), span=st.floats(1.5, 1e3),
@@ -345,7 +407,7 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
     one = np.ones(m.mid.size, dtype=complex)
     identity = BlockDiagonal(np.ones(m.scalars.size, dtype=complex), one,
                              0.0 * one, one)
-    assert semi.values.tolist() == whole_norm_curve(m, ts, identity).tolist()
+    _assert_ulps(semi.values, whole_norm_curve(m, ts, identity))
     _assert_ulps(prod.values, whole_norm_curve(m, ts, resolvent_blocks(m, mu)))
 
 
@@ -426,17 +488,42 @@ def test_contour_projection_closed_matches_quadrature_for_pairs():
     assert quad.rank == closed.rank == 2
 
 
-def test_quadrature_evaluates_semigroup_only_for_commutation(monkeypatch):
-    # The trapezoid rule is a closed filter of the spectral table: no
-    # resolvent is evaluated, and the semigroup only at the commutation
-    # probes.
+def test_quadrature_evaluates_no_semigroup(monkeypatch):
+    # The trapezoid rule is a closed filter of the spectral table, and the
+    # commutation defect comes from the generator: neither a resolvent nor
+    # the semigroup, whole, sliced or as a norm, is evaluated.
     m = _model(Family.JORDAN_PAIRS, 6)
     contour = hypothesis_a_check(m, 2.5j)
-    calls = _record_calls(monkeypatch, "evolve_blocks")
-    resolvents = _record_calls(monkeypatch, "resolvent_blocks")
+    recorded = [_record_calls(monkeypatch, name) for name in
+                ("evolve_blocks", "semigroup_norm", "resolvent_blocks")]
+    tables = _record_tables(monkeypatch)
     riesz_projection_quadrature(m, contour)
-    assert [t for (t,) in calls] == list(COMMUTATION_TIMES)
-    assert resolvents == []
+    assert recorded == [[], [], []]
+    assert tables == []
+
+
+def test_commutation_defect_is_the_generator_commutator():
+    # Block k of T(t) P - P T(t) is c_k(t) g_k, with c_k(t) the corner of
+    # T(t) and g_k the corner of A P - P A: the probe the defect replaces,
+    # at any t, is max_k |c_k(t)| |g_k|.  A corner perturbed by 1e-6 makes
+    # g nonzero on every block.  The projection is not onto the n = 2
+    # block, where U P_c - P_c L in the probe cancels to about 1e-11
+    # relative at t = 1.
+    m = _model(Family.JORDAN_PAIRS, 12)
+    report = riesz_projection_quadrature(m, hypothesis_a_check(m, 8j / 3))
+    p = report.blocks
+    perturbed = BlockDiagonal(p.scalars, p.upper, p.corner + 1e-6, p.lower)
+    a = generator_blocks(m)
+    g = np.abs((a @ perturbed - perturbed @ a).corner)
+    for t in (1.0, 10.0, 100.0):
+        corner = np.abs(evolve_blocks(m, t).corner)
+        assert commutation_probe(m, perturbed, t) == pytest.approx(
+            np.max(corner * g), rel=1e-12)
+    defect = spectral._build_report(m, perturbed, report.enclosed
+                                    ).commutation_defect
+    assert defect == pytest.approx(np.max(g), rel=1e-12)
+    assert defect > 1e-9
+    assert report.commutation_defect <= 1e-9
 
 
 def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
@@ -554,11 +641,13 @@ output.directory = {out}
 def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
                                                           tmp_path):
     # The resolvent-product curve and the projected curves evaluate T(t) X
-    # only on the blocks of X that can attain its norm: the whole semigroup
-    # is evaluated only for ||T(t)|| and the commutation probes.
+    # only on the blocks of X that can attain its norm, ||T(t)|| comes from
+    # the block moduli once per grid time, and the commutation defects from
+    # the generator: no whole semigroup is evaluated.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
     resolvents = _record_calls(monkeypatch, "resolvent_blocks")
     evolves = _record_calls(monkeypatch, "evolve_blocks")
+    norms = _record_calls(monkeypatch, "semigroup_norm")
     tables = _record_tables(monkeypatch)
     # The first hypothesis-(b) check ends the sampling of ||T(t) R_mu||.
     started = []
@@ -574,7 +663,8 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     points = cfg.grid.points
     assert checked == 3
     assert len(resolvents) == 1
-    assert len(evolves) == points + checked * len(COMMUTATION_TIMES)
+    assert evolves == []
+    assert [t for (t,) in norms] == cfg.grid.values().tolist()
     m = build_model(cfg.model)
     sampled, projected = (
         [c for c in part if c[1].size < m.mid.size]
@@ -593,10 +683,14 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
 
 def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,
                                                              tmp_path):
+    # In the Euclidean norm once per grid time means one norm from the
+    # block moduli, and no whole semigroup.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "s"))
     evolves = _record_calls(monkeypatch, "evolve_blocks")
+    norms = _record_calls(monkeypatch, "semigroup_norm")
     run_simulate(cfg)
-    assert len(evolves) == cfg.grid.points
+    assert evolves == []
+    assert len(norms) == cfg.grid.points
 
 
 def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(

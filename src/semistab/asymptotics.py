@@ -68,7 +68,8 @@ class NormSamples:
 def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
                bound: np.ndarray | None = None) -> np.ndarray:
     """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
-    factor gives ||T(t)||, which ``bound`` holds when already sampled.
+    factor gives ||T(t)||, which ``bound`` holds when already sampled.  At
+    order 0 the model may be a part (:meth:`Model.take`), X being 0 off it.
 
     At order 0, ||T(t)|| comes from ``bound`` or from the block moduli
     (:func:`models.semigroup_norm`), so no whole T(t) is formed, and every
@@ -97,11 +98,9 @@ def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
 def _restricted_norm(model: Model, factor: models.BlockDiagonal,
                      idx: np.ndarray, t: float) -> float:
     """Euclidean norm of T(t) X on the blocks ``idx``, ascending, 1x1 first."""
-    split = np.searchsorted(idx, model.scalars.size)
-    scalars, blocks = idx[:split], idx[split:] - model.scalars.size
-    semi = models._evolve_table(model.scalars[scalars], model.mid[blocks],
-                                model.half_gap[blocks], t)
-    return (semi @ factor.take(scalars, blocks)).sup_singular_value()
+    part = model.take(idx)
+    semi = models._evolve_table(part.scalars, part.mid, part.half_gap, t)
+    return (semi @ factor.take(idx)).sup_singular_value()
 
 
 def _certified_curve(model: Model, factor: models.BlockDiagonal,

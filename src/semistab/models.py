@@ -10,9 +10,9 @@ is
 
     exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
 
-with t in place of sinh(t d) / d where d = 0.  The Euclidean norm of T(t)
-depends only on the moduli of these entries, which are real expressions in
-the table (:func:`semigroup_norm`), so it never forms T(t).
+with t in place of sinh(t d) / d where d is 0 or subnormal.  The Euclidean
+norm of T(t) depends only on the moduli of these entries, which are real
+expressions in the table (:func:`semigroup_norm`), so it never forms T(t).
 
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,10 +38,6 @@ from .errors import SpectrumHitError, TruncationInadequateError
 from .linalg import NormContext
 
 _SPECTRUM_MARGIN = 1e-12
-
-#: Share of the largest squared Frobenius norm below which a 2x2 block cannot
-#: attain the supremum of block norms (1/2 in exact arithmetic).
-_KEEP_SHARE = 0.49
 
 _TINY = np.finfo(float).tiny
 
@@ -108,6 +104,14 @@ class Model:
     def lower(self) -> np.ndarray:
         """Eigenvalue at the second coordinate of each 2x2 block."""
         return self.mid - self.half_gap
+
+    def take(self, index: np.ndarray) -> "Model":
+        """The table on the blocks ``index`` (ascending, 1x1 first) only;
+        spectrum and norm stay those of the whole truncation."""
+        split = np.searchsorted(index, self.scalars.size)
+        blocks = index[split:] - self.scalars.size
+        return replace(self, scalars=self.scalars[index[:split]],
+                       mid=self.mid[blocks], half_gap=self.half_gap[blocks])
 
 
 def _diag_jordan_table(max_index: int):
@@ -214,20 +218,22 @@ def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
 
     A block's singular values satisfy s1 +- s2 = hypot(u +- l, c), from
     s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2; their mean avoids the
-    cancellation in sqrt(s^2 - 4 det^2).  Since s1^2 lies in [F/2, F] for
-    the squared Frobenius norm F, only blocks with F at least 0.49 of the
-    largest can attain the supremum, and only those are evaluated; the
-    result is the same to the last bit.  Every block is evaluated when the
-    largest F is not a finite normal number.
+    cancellation in sqrt(s^2 - 4 det^2).  Since s1^2 <= F for the squared
+    Frobenius norm F, only blocks with F >= v^2 (1 - 1e-9), v the norm of
+    the block of largest F, can attain the supremum and are evaluated; the
+    result is the same to the last bit, and NaN if a block norm is.  Every
+    block is evaluated when the largest F is not a finite normal number.
     """
     with np.errstate(over="ignore"):
         frob = u * u + c * c + l * l
     top = np.max(frob, initial=0.0)
     if np.isfinite(top) and top >= _TINY:
-        keep = frob >= _KEEP_SHARE * top
+        at = np.argmax(frob)
+        v = float(_pair_norms(u[at], c[at], l[at]))
+        keep = frob >= (1.0 - 1e-9) * v * v
         u, c, l = u[keep], c[keep], l[keep]
-    return float(max(np.max(s, initial=0.0),
-                     np.max(_pair_norms(u, c, l), initial=0.0)))
+    return float(np.maximum(np.max(s, initial=0.0),
+                            np.max(_pair_norms(u, c, l), initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -274,8 +280,10 @@ class BlockDiagonal:
         return np.concatenate([np.abs(self.scalars), _pair_norms(
             np.abs(self.upper), np.abs(self.corner), np.abs(self.lower))])
 
-    def take(self, scalars, blocks) -> "BlockDiagonal":
-        """The operator on the given 1x1 blocks and 2x2 blocks only."""
+    def take(self, index: np.ndarray) -> "BlockDiagonal":
+        """The operator on the blocks ``index`` (ascending, 1x1 first) only."""
+        split = np.searchsorted(index, self.scalars.size)
+        scalars, blocks = index[:split], index[split:] - self.scalars.size
         return BlockDiagonal(self.scalars[scalars], self.upper[blocks],
                              self.corner[blocks], self.lower[blocks])
 
@@ -325,12 +333,12 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """The semigroup at time t as a block-diagonal operator.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
-    (t in place of sinh(t d) / d where d = 0), from three transcendental
-    calls: with C = exp(t mid), G = exp(t d) and E = expm1(t d), the block
-    is C [[G, E (2 + E) / (2 G d)], [0, 1 / G]].  The carrier C keeps the
-    corner free of the cancellation between exp(ta) and exp(tb) at nearby
-    eigenvalues a, b, and expm1 keeps it accurate at small t d; G is not
-    formed as 1 + E, which cancels where Re(t d) << 0.
+    (t in place of sinh(t d) / d where d is 0 or subnormal), from three
+    transcendental calls: with C = exp(t mid), G = exp(t d) and
+    E = expm1(t d), the block is C [[G, E (2 + E) / (2 G d)], [0, 1 / G]].
+    The carrier C keeps the corner free of the cancellation between exp(ta)
+    and exp(tb) at nearby eigenvalues a, b, and expm1 keeps it accurate at
+    small t d; G is not formed as 1 + E, which cancels where Re(t d) << 0.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -345,7 +353,8 @@ def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
     gain = np.expm1(t * d)
     grow = np.exp(t * d)
     corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
-                       out=np.full(d.shape, t, dtype=complex), where=d != 0)
+                       out=np.full(d.shape, t, dtype=complex),
+                       where=np.abs(d) >= _TINY)
     corner *= carrier
     return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
                          carrier / grow)
@@ -357,10 +366,11 @@ def semigroup_norm(model: Model, t: float) -> float:
     With carrier = exp(t Re mid) and x = t Re d, a 2x2 block has moduli
     carrier e^x and carrier e^-x on the diagonal and, since
     |sinh(x + iy)|^2 = sinh^2 x + sin^2 y, carrier hypot(sinh x,
-    sin(t Im d)) / |d| in the corner (carrier t where d = 0); a 1x1 block
-    has modulus exp(t Re s).  So only real ufuncs run and no complex T(t) is
-    formed; :func:`_sup_norm` takes the supremum.  This is the Euclidean
-    norm whatever norm the model is measured in.
+    sin(t Im d)) / |d| in the corner (carrier t where d is 0 or subnormal);
+    a 1x1 block has modulus exp(t Re s).  So only real ufuncs run and no
+    complex T(t) is formed; :func:`_sup_norm` takes the supremum.  This is
+    the Euclidean norm whatever norm the model is measured in.  It raises
+    ``ValueError`` naming t where the supremum is not finite.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -369,11 +379,14 @@ def semigroup_norm(model: Model, t: float) -> float:
     x = t * d.real
     size = np.abs(d)
     corner = np.divide(np.hypot(np.sinh(x), np.sin(t * d.imag)), size,
-                       out=np.full(d.shape, float(t)), where=size != 0)
+                       out=np.full(d.shape, float(t)), where=size >= _TINY)
     corner *= carrier
     grow = np.exp(x)
-    return _sup_norm(np.exp(t * model.scalars.real), carrier * grow, corner,
+    norm = _sup_norm(np.exp(t * model.scalars.real), carrier * grow, corner,
                      carrier / grow)
+    if not math.isfinite(norm):
+        raise ValueError(f"||T(t)|| = {norm!r} at t = {t!r} is not finite")
+    return norm
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:

@@ -11,6 +11,12 @@ evaluated in closed form.  A projection's idempotency and commutation
 defects are read off its blocks and the spectral table; no semigroup is
 evaluated to build one.
 
+A projection is computed and held on its support, the blocks with an
+eigenvalue at |z| < R(N, r), z = (lam - c) / r.  Beyond R, every entry of
+the N- and 2N-node sums, at most |z|^-N / (1 - |z|^-N) on the diagonal and
+|h(z_s)| N / (r |z_l| (1 - |z_l|^-N)) in the corner, is below tiny / 2, so
+0 once flushed (tiny the smallest normal float, 2 the rounding margin).
+
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
 of the projected semigroup norm against a majorant.
@@ -18,6 +24,7 @@ of the projected semigroup norm against a majorant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +92,29 @@ class ProjectionReport:
     T(t) are functions of the same block, so block k of T(t) P - P T(t) is
     c_k(t) g_k, c_k(t) the corner of T(t): P commutes with the semigroup iff
     the defect is 0.  ``drift`` is the node-doubling drift of a quadrature;
-    closed forms have none.
+    closed forms have none.  P is ``support`` on the blocks ``index``
+    (ascending, 1x1 first) of ``sizes`` = (1x1 blocks, 2x2 blocks), else 0;
+    ``blocks``, P on the full dimension, is formed on first use.
     """
 
-    blocks: BlockDiagonal
+    support: BlockDiagonal
+    index: np.ndarray
+    sizes: tuple
     idempotency_defect: float
     commutation_defect: float
     rank: int
     enclosed: tuple
     drift: float = 0.0
+
+    @functools.cached_property
+    def blocks(self) -> BlockDiagonal:
+        (count, pairs), p = self.sizes, self.support
+        split = np.searchsorted(self.index, count)
+        scalars = np.zeros(count, dtype=complex)
+        scalars[self.index[:split]] = p.scalars
+        rows = np.zeros((3, pairs), dtype=complex)
+        rows[:, self.index[split:] - count] = p.upper, p.corner, p.lower
+        return BlockDiagonal(scalars, *rows)
 
 
 @dataclass(frozen=True)
@@ -118,14 +139,16 @@ def _contour_margin_check(model: Model, contour: Contour) -> None:
 def _geometric(q: np.ndarray, n: int):
     """q^n and 1 + q + ... + q^(n-1) by binary splitting, in about 2 log2(n)
     array products: S_2m = S_m (1 + q^m) and S_(2m+1) = S_2m + q^2m.
+    Complex products are out of place: numpy rounds an in-place one on a
+    single element differently, and a sum must not depend on its blocks.
     """
-    power, total = q.copy(), np.ones_like(q)
+    power, total = q, np.ones_like(q)
     for bit in bin(n)[3:]:
-        total *= 1.0 + power
-        power *= power
+        total = total * (1.0 + power)
+        power = power * power
         if bit == "1":
             total += power
-            power *= q
+            power = power * q
     return power, total
 
 
@@ -159,6 +182,17 @@ def _flush_subnormal(op: BlockDiagonal) -> BlockDiagonal:
     return op
 
 
+def _support(model: Model, contour: Contour) -> np.ndarray:
+    """The blocks with an eigenvalue at |z| < R(N, r), ascending, 1x1 first."""
+    # The least R with R^N and R^(N+1) r / N both at least 2 / tiny.
+    n, r, flush = contour.nodes, contour.radius, np.log(2.0 / _TINY)
+    reach = r * np.exp(max(flush / n, (flush + np.log(n / r)) / (n + 1)))
+    near = [np.abs(lam - contour.center) < reach
+            for lam in (model.scalars, model.upper, model.lower)]
+    return np.concatenate([np.flatnonzero(near[0]), model.scalars.size
+                           + np.flatnonzero(near[1] | near[2])])
+
+
 def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     """The trapezoid sums at N = contour.nodes and 2N nodes, in closed form.
 
@@ -171,7 +205,7 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     h(z_s) z_l^N h(z_l) S(q) / (r z_l), with z_l the larger of z_a, z_b in
     modulus, q = z_s / z_l and S(q) = 1 + q + ... + q^(N-1); it is 0 where
     z_a = z_b = 0.  The 2N sums reuse z^N and q^N.  Temporaries are
-    overwritten in place: at dim 2e5 each array of blocks takes 1.6 MB.
+    released early: at dim 2e5 each array of blocks takes 1.6 MB.
     """
     nodes, center, radius = contour.nodes, contour.center, contour.radius
     upper = model.upper - center
@@ -191,15 +225,14 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     sums = []
     for doubled in (False, True):
         if doubled:
-            for power, _ in powers:
-                power *= power
-            scale *= 1.0 + q_power
+            powers = [(power * power, outside) for power, outside in powers]
+            scale = scale * (1.0 + q_power)
         (h_s, _), (h_a, g_a), (h_b, g_b) = (_filter(*p) for p in powers)
-        g_a *= h_b
-        g_b *= h_a
+        g_a = g_a * h_b
+        g_b = g_b * h_a
         corner = np.where(larger, g_a, g_b)
         del g_a, g_b
-        corner *= scale
+        corner = corner * scale
         sums.append(_flush_subnormal(BlockDiagonal(h_s, h_a, corner, h_b)))
     return tuple(sums)
 
@@ -209,18 +242,20 @@ def _enclosed_eigenvalues(model: Model, contour: Contour) -> tuple:
     return tuple(model.spectrum[inside].tolist())
 
 
-def _build_report(model: Model, blocks: BlockDiagonal, enclosed,
-                  drift: float = 0.0) -> ProjectionReport:
-    idem = (blocks @ blocks - blocks).sup_singular_value()
+def _build_report(model: Model, support: BlockDiagonal, index: np.ndarray,
+                  enclosed, drift: float = 0.0) -> ProjectionReport:
+    idem = (support @ support - support).sup_singular_value()
+    part = model.take(index)
     # Block k of A P - P A is [[0, g_k], [0, 0]]; 1x1 blocks commute.
-    comm = np.max(np.abs(blocks.corner * (model.upper - model.lower)
-                         - (blocks.upper - blocks.lower)), initial=0.0)
-    tr = blocks.trace()
+    comm = np.max(np.abs(support.corner * (part.upper - part.lower)
+                         - (support.upper - support.lower)), initial=0.0)
+    tr = support.trace()
     rank = round(tr.real)
     if abs(tr - rank) > _TRACE_INT_TOL:
         raise NonconvergedError(
             f"projection trace {tr} is not within {_TRACE_INT_TOL} of an integer")
-    return ProjectionReport(blocks, float(idem), float(comm), int(rank),
+    return ProjectionReport(support, index, (model.scalars.size, model.mid.size),
+                            float(idem), float(comm), int(rank),
                             tuple(enclosed), float(drift))
 
 
@@ -229,20 +264,21 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
                                 ) -> ProjectionReport:
     """Spectral projection for the circle, by trapezoidal quadrature.
 
-    The report carries the projection at the requested node count and its
-    drift: the node count is doubled once as a convergence check, and a
-    drift above ``drift_tol``, or not finite, raises
+    The report carries the projection at the requested node count on its
+    support, and its drift: the node count is doubled once as a convergence
+    check, and a drift above ``drift_tol``, or not finite, raises
     :class:`NonconvergedError`.
     """
     _contour_margin_check(model, contour)
-    p, p2 = _quadrature_sum(model, contour)
+    index = _support(model, contour)
+    p, p2 = _quadrature_sum(model.take(index), contour)
     drift = (p - p2).sup_singular_value()
-    del p2
     if not drift <= drift_tol:
         raise NonconvergedError(
             f"node doubling moved the projection by {drift:.3e} "
             f"(tolerance {drift_tol})")
-    return _build_report(model, p, _enclosed_eigenvalues(model, contour), drift)
+    return _build_report(model, p, index, _enclosed_eigenvalues(model, contour),
+                         drift)
 
 
 def hypothesis_a_check(model: Model, lam: complex,
@@ -277,7 +313,8 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     times, as from :func:`asymptotics.sample_norms`; ``envelope`` is any
     callable majorant f(t), which must be finite and positive on the grid
     (``ValueError`` naming the first t where it is not).  ||T(t) P|| comes
-    from :func:`asymptotics.norm_curve`, with ``semi`` as its bound.
+    from :func:`asymptotics.norm_curve`, with ``semi`` as its bound, on the
+    support of P in the Euclidean norm.
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
@@ -297,12 +334,13 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         first = int(np.argmax(bad))
         raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
                          f"is not finite and positive")
-    proj = projection.blocks
-    norms = norm_curve(model, ts, (proj,), tol, bound=semi.values)[0]
+    part, proj = ((model.take(projection.index), projection.support)
+                  if model.norm_context.order == 0 else (model, projection.blocks))
+    norms = norm_curve(part, ts, (proj,), tol, bound=semi.values)[0]
     values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)
-    kept = norms >= _RESIDUE_REL * models.block_operator_norm(model, proj, tol=tol)
+    kept = norms >= _RESIDUE_REL * models.block_operator_norm(part, proj, tol=tol)
     if np.count_nonzero(kept) < 2:
         # A single surviving sample cannot carry a trend.
         return DecayCurve(ts, values, None, False)

@@ -290,7 +290,8 @@ def riesz_projection_closed(model, eigenvalue_index: int):
             f"eigenvalue index {eigenvalue_index} out of range (0..{count - 1})")
     lam = complex(model.spectrum[eigenvalue_index])
     return spectral._build_report(
-        model, closed_blocks(model, lam, spectral._SAME_VALUE), (lam,))
+        model, closed_blocks(model, lam, spectral._SAME_VALUE),
+        every_block(model), (lam,))
 
 
 def contour_projection_closed(model, contour):
@@ -298,4 +299,10 @@ def contour_projection_closed(model, contour):
     spectral._contour_margin_check(model, contour)
     blocks = closed_blocks(model, contour.center, contour.radius)
     return spectral._build_report(
-        model, blocks, spectral._enclosed_eigenvalues(model, contour))
+        model, blocks, every_block(model),
+        spectral._enclosed_eigenvalues(model, contour))
+
+
+def every_block(model) -> np.ndarray:
+    """The index of all blocks, for an operator held on the full dimension."""
+    return np.arange(model.scalars.size + model.mid.size)

@@ -369,6 +369,33 @@ def test_pruned_block_norm_is_the_full_formula_bitwise(op):
     assert op.sup_singular_value() == sup_block_norm_unpruned(op)
 
 
+def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
+    # jordan_pairs_t2000 at t = 100: the corners n |sin(t/n)| of 99930 of
+    # its 99999 blocks are near their limit t, so a share of the largest
+    # Frobenius norm F keeps them all.  The norm v of the block of largest
+    # F keeps only blocks with s1 within s2^2 / 2v (about 5e-7) of v, the
+    # 1610 with n > 98390, and the supremum is the unpruned one bitwise.
+    m = _model(Family.JORDAN_PAIRS, 100000)
+    pair_norms, sup_norm = models._pair_norms, models._sup_norm
+    evaluated, moduli = [], []
+
+    def counted(u, c, l):
+        evaluated.append(np.size(u))
+        return pair_norms(u, c, l)
+
+    def recorded(*args):
+        moduli.append(args)
+        return sup_norm(*args)
+
+    monkeypatch.setattr(models, "_pair_norms", counted)
+    monkeypatch.setattr(models, "_sup_norm", recorded)
+    got = models.semigroup_norm(m, 100.0)
+    assert sum(evaluated) == 1 + 1610
+    (_, u, c, l), = moduli
+    assert u.size == 99999
+    assert got == np.max(pair_norms(u, c, l))
+
+
 _EVOLVE_MODELS = {family: _model(family, 500) for family in Family}
 
 

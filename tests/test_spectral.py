@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (commutation_probe, contour_projection_closed,
-                     dense_operator_norm, generator_blocks,
+                     dense_operator_norm, every_block, generator_blocks,
                      riesz_projection_closed, trapezoid_exact,
                      trapezoid_node_sum, whole_norm_curve)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
@@ -331,7 +331,7 @@ def _norm_cases(draw):
     """A time in [0, 2000] and a Euclidean model: a family's own, or one on
     a random table whose eigenvalues have real parts <= 0, t times each at
     least -300 so that no modulus overflows or underflows to 0, and some
-    blocks with d = 0; no input is subnormal."""
+    blocks with d = 0; of the inputs only Im d may be subnormal."""
     t = draw(st.floats(0.0, 2000.0))
     m = _euclidean(_model(draw(st.sampled_from(list(Family))),
                           draw(st.integers(3, 12))))
@@ -347,7 +347,7 @@ def _norm_cases(draw):
         mid.append(complex(low, draw(freq)))
         half_gap.append(draw(st.just(0j) | st.builds(
             complex, st.sampled_from([high, -high]),
-            st.floats(-5.0, 5.0, allow_subnormal=False))))
+            st.floats(-5.0, 5.0))))
     return _with_table(m, scalars, mid, half_gap), t
 
 
@@ -361,6 +361,9 @@ _DJ = _euclidean(_model(Family.DIAG_JORDAN, 12))
 @example(case=(_euclidean(_model(Family.JORDAN_PAIRS, 12)), 2000.0))
 @example(case=(_with_table(_DJ, [-0.5 + 1j], [-0.3 + 2j, -1.0], [0j, 0.5j]),
                0.0))
+# sinh(t d) / d is t, not 0 / 0, for a subnormal half-gap.
+@example(case=(_with_table(_DJ, [], [-0.5 + 1j], [2.2e-313j]), 0.0))
+@example(case=(_with_table(_DJ, [], [-0.5 + 1j], [2.2e-313j]), 2000.0))
 def test_semigroup_norm_matches_the_whole_semigroup(case):
     # ||T(t)|| from the block moduli, against the sup of block norms of the
     # complex T(t) and against a dense SVD of it.
@@ -375,6 +378,20 @@ def test_semigroup_norm_matches_the_whole_semigroup(case):
 def test_semigroup_norm_rejects_negative_time():
     with pytest.raises(ValueError, match="t must be >= 0"):
         models.semigroup_norm(_DJ, -1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_semigroup_norm_raises_where_the_moduli_are_nan():
+    # Eigenvalues -2 + 0.5i and -0.5i: at t = 2000 the carrier exp(-t)
+    # underflows to 0 while exp(-t Re d) and sinh(t Re d) overflow, so the
+    # moduli are 0 * inf; the sup of block norms let that NaN through.
+    m = _with_table(_DJ, [], [-1.0], [-1.0 + 0.5j])
+    with pytest.raises(ValueError, match="at t = 2000.0 is not finite"):
+        models.semigroup_norm(m, 2000.0)
+    assert np.isnan(evolve_blocks(m, 2000.0).sup_singular_value())
+    got = models.semigroup_norm(m, 300.0)
+    dense = np.linalg.svd(evolve_blocks(m, 300.0).to_dense(), compute_uv=False)[0]
+    assert abs(got - dense) <= 8 * _EPS * dense
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -411,25 +428,30 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
     _assert_ulps(prod.values, whole_norm_curve(m, ts, resolvent_blocks(m, mu)))
 
 
-def _curves(model, ts):
-    """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the hypothesis-(b)
-    curve against f(t) = t + 1."""
+def _curves(model, ts, nodes=64):
+    """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the projection and its
+    hypothesis-(b) curve against f(t) = t + 1."""
     rows = norm_curve(model, ts, (None, resolvent_blocks(model, 1.0)),
                       POWER_TOL_DEFAULT)
     semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, rows[0])
-    checks = [hypothesis_b_check(
-        model, riesz_projection_quadrature(model, hypothesis_a_check(model, lam)),
-        semi, lambda t: t + 1.0) for lam in model.spectrum.tolist()]
-    return rows, checks
+    projections = [riesz_projection_quadrature(
+        model, hypothesis_a_check(model, lam, nodes=nodes))
+        for lam in model.spectrum.tolist()]
+    checks = [hypothesis_b_check(model, proj, semi, lambda t: t + 1.0)
+              for proj in projections]
+    return rows, checks, projections
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(family=st.sampled_from(list(Family)), max_index=st.integers(3, 40),
-       t_max=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1))
+       t_max=st.floats(1.0, 2000.0), seed=st.integers(0, 2 ** 32 - 1),
+       nodes=st.sampled_from([64, 256]))
 def test_block_permutation_moves_no_curve_and_no_verdict(family, max_index,
-                                                         t_max, seed):
+                                                         t_max, seed, nodes):
     # Permuting the 2x2 blocks among themselves, and the 1x1 blocks, is a
-    # unitary similarity: it guards the index split of the certified route.
+    # unitary similarity: it guards the index split of the certified route
+    # and the support index of each projection, which with 256 nodes leaves
+    # out the blocks beyond |z| of about 16.
     m = _euclidean(_model(family, max_index))
     rng = np.random.default_rng(seed)
     scalars, blocks = (rng.permutation(n) for n in (m.scalars.size, m.mid.size))
@@ -437,12 +459,17 @@ def test_block_permutation_moves_no_curve_and_no_verdict(family, max_index,
                                    mid=m.mid[blocks],
                                    half_gap=m.half_gap[blocks])
     ts = np.geomspace(t_max / 100.0, t_max, 10)
-    rows, checks = _curves(m, ts)
-    moved_rows, moved_checks = _curves(shuffled, ts)
+    rows, checks, projections = _curves(m, ts, nodes)
+    moved_rows, moved_checks, moved_projections = _curves(shuffled, ts, nodes)
     _assert_ulps(moved_rows, rows)
     for check, moved in zip(checks, moved_checks, strict=True):
         _assert_ulps(moved.values, check.values)
         assert moved.decaying == check.decaying
+    # Block k of the shuffled table is block origin[k] of the model.
+    origin = np.concatenate([scalars, m.scalars.size + blocks])
+    for proj, moved in zip(projections, moved_projections, strict=True):
+        held = np.isin(origin, proj.index)
+        assert moved.index.tolist() == np.flatnonzero(held).tolist()
 
 
 def test_certified_curve_takes_a_growing_tail_block(monkeypatch):
@@ -519,8 +546,8 @@ def test_commutation_defect_is_the_generator_commutator():
         corner = np.abs(evolve_blocks(m, t).corner)
         assert commutation_probe(m, perturbed, t) == pytest.approx(
             np.max(corner * g), rel=1e-12)
-    defect = spectral._build_report(m, perturbed, report.enclosed
-                                    ).commutation_defect
+    defect = spectral._build_report(m, perturbed, every_block(m),
+                                    report.enclosed).commutation_defect
     assert defect == pytest.approx(np.max(g), rel=1e-12)
     assert defect > 1e-9
     assert report.commutation_defect <= 1e-9
@@ -594,6 +621,54 @@ def test_filter_matches_exact_trapezoid_sum(family, max_index, nodes):
                           <= _entries(bound) + 1e-14 * size)
             assert np.all(np.abs(_entries(p) - _entries(node))
                           <= _entries(bound) + 1e-14 * size)
+
+
+@st.composite
+def _support_cases(draw):
+    """A circle of radius 1e-6 to 0.5 with 16, 64 or 256 nodes, and a
+    model: a family's own, centred on one of its eigenvalues, or a random
+    table whose eigenvalues lie near |z| = tiny^(-1/N), where the diagonal
+    of the sum reaches tiny, or near (N / (r tiny))^(1/(N+1)), where the
+    corner of a close pair does."""
+    nodes = draw(st.sampled_from([16, 64, 256]))
+    radius = draw(st.floats(1e-6, 0.5))
+    if draw(st.booleans()):
+        m = _model(draw(st.sampled_from(list(Family))), draw(st.integers(3, 60)))
+        return m, Contour(draw(st.sampled_from(m.spectrum.tolist())), radius,
+                          nodes)
+    log_tiny = np.log(_TINY)
+    edges = (np.exp(-log_tiny / nodes),
+             np.exp((np.log(nodes / radius) - log_tiny) / (nodes + 1)))
+    center = complex(draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))
+
+    def near_edge():
+        size = draw(st.sampled_from(edges)) * draw(st.floats(0.8, 1.25))
+        return center + radius * size * np.exp(2j * np.pi * draw(st.floats(0, 1)))
+
+    scalars = [near_edge() for _ in range(draw(st.integers(0, 4)))]
+    mid = [near_edge() for _ in range(draw(st.integers(1, 8)))]
+    half_gap = [abs(z - center) * draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.3]))
+                * 1j ** draw(st.integers(0, 3)) for z in mid]
+    return _with_table(_DJ, scalars, mid, half_gap), Contour(center, radius, nodes)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_support_cases())
+# Each fails once R(N, r) shrinks by 10%: a 1x1 block at z = 60000 with 64
+# nodes leaves 60000^-64 = 6e-306 on the diagonal, and a Jordan block at
+# z = 68000 with r = 1e-6 a diagonal below tiny but a corner of 1.6e-306.
+@example(case=(_with_table(_DJ, [30000.0], [], []), Contour(0j, 0.5, 64)))
+@example(case=(_with_table(_DJ, [], [0.068], [0j]), Contour(0j, 1e-6, 64)))
+def test_quadrature_on_the_support_is_the_whole_table_sum(case):
+    # Off the support both sums are exactly 0 on the whole table, and on it
+    # the sums of the support alone are the same to the last bit.
+    m, contour = case
+    index = spectral._support(m, contour)
+    off = np.setdiff1d(np.arange(m.scalars.size + m.mid.size), index)
+    for whole, held in zip(spectral._quadrature_sum(m, contour),
+                           spectral._quadrature_sum(m.take(index), contour)):
+        assert not np.any(_entries(whole.take(off)))
+        assert _entries(whole.take(index)).tobytes() == _entries(held).tobytes()
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -65,69 +65,6 @@ class NormSamples:
         object.__setattr__(self, "values", values)
 
 
-def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
-               bound: np.ndarray | None = None) -> np.ndarray:
-    """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
-    factor gives ||T(t)||, which ``bound`` holds when already sampled.  At
-    order 0 the model may be a part (:meth:`Model.take`), X being 0 off it.
-
-    At order 0, ||T(t)|| comes from ``bound`` or from the block moduli
-    (:func:`models.semigroup_norm`), so no whole T(t) is formed, and every
-    other factor goes through :func:`_certified_curve`.  The weighted norms
-    ignore ``bound`` and evaluate T(t) whole once per grid time, releasing it
-    before the norm of its last product."""
-    if model.norm_context.order == 0:
-        if bound is None:
-            bound = np.array([models.semigroup_norm(model, float(t))
-                              for t in ts])
-        return np.array([bound if right is None
-                         else _certified_curve(model, right, ts, bound)
-                         for right in rights])
-    out = np.empty((len(rights), ts.size), dtype=float)
-    last = len(rights) - 1
-    for i, t in enumerate(ts):
-        semi = models.evolve_blocks(model, float(t))
-        for j, right in enumerate(rights):
-            op = semi if right is None else semi @ right
-            if j == last:
-                semi = None
-            out[j, i] = models.block_operator_norm(model, op, tol=tol)
-    return out
-
-
-def _restricted_norm(model: Model, factor: models.BlockDiagonal,
-                     idx: np.ndarray, t: float) -> float:
-    """Euclidean norm of T(t) X on the blocks ``idx``, ascending, 1x1 first."""
-    part = model.take(idx)
-    semi = models._evolve_table(part.scalars, part.mid, part.half_gap, t)
-    return (semi @ factor.take(idx)).sup_singular_value()
-
-
-def _certified_curve(model: Model, factor: models.BlockDiagonal,
-                     ts: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """t -> ||T(t) X|| in the Euclidean norm, from ``bound`` = ||T(t)||.
-
-    Block k of T(t) X has norm at most ||T(t)|| ||X_k||.  The head, the
-    blocks with ||X_k|| at least half the largest, is evaluated at every
-    time; beside its supremum v, so is every other block with
-    2 ||X_k|| ||T(t)|| >= v, the factor 2 absorbing rounding.  The blocks
-    left out cannot reach v, so the result is the supremum over all blocks.
-    """
-    norms = factor.block_norms()
-    # NaN block norms fall into the head.
-    in_head = ~(norms < 0.5 * np.max(norms, initial=0.0))
-    head, rest = np.flatnonzero(in_head), np.flatnonzero(~in_head)
-    rest_norms = norms[rest]
-    out = np.empty(ts.size)
-    for i, (t, top) in enumerate(zip(ts.tolist(), bound.tolist())):
-        v = _restricted_norm(model, factor, head, t)
-        tail = rest[rest_norms * (2.0 * top) >= v]
-        if tail.size:
-            v = max(v, _restricted_norm(model, factor, tail, t))
-        out[i] = v
-    return out
-
-
 def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(values) against log(ts)."""
     design = np.column_stack([np.ones(ts.size), np.log(ts)])
@@ -140,10 +77,10 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
 
     ``quantity`` is a :class:`Quantity`, giving one :class:`NormSamples`, or
     a tuple of them, giving a tuple of samples in the same order.  Either
-    way the curves come from one :func:`norm_curve` call, and the ratio is
-    computed pointwise from the other two curves.  The grid must be strictly
-    increasing and nonnegative, and the model's truncation must be adequate
-    for the largest time (hard error otherwise).
+    way the curves come from one :func:`models.norm_curve` call, and the
+    ratio is computed pointwise from the other two curves.  The grid must be
+    strictly increasing and nonnegative, and the model's truncation must be
+    adequate for the largest time (hard error otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -158,7 +95,7 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
         rights.append(None)
     if {Quantity.RESOLVENT_PRODUCT_NORM, Quantity.RATIO} & set(wanted):
         rights.append(models.resolvent_blocks(model, mu))
-    rows = norm_curve(model, ts, rights, tol)
+    rows = models.norm_curve(model, ts, rights, tol)
     values = {Quantity.SEMIGROUP_NORM: rows[0],
               Quantity.RESOLVENT_PRODUCT_NORM: rows[-1],
               Quantity.RATIO: rows[-1] / rows[0]}

@@ -29,8 +29,7 @@ from .asymptotics import (FitFamily, NormSamples, Quantity, concave_envelope,
                           envelope_translation_check, fit_rate, hardy_check,
                           loglog_slope, sample_norms, witness_lower_bound)
 from .errors import (ClusteredSpectrumError, ConfigError,
-                     InsufficientSamplesError, SemistabError,
-                     TruncationInadequateError)
+                     InsufficientSamplesError, TruncationInadequateError)
 from .models import Family, Model, ModelSpec, build_model
 
 PASS = "PASS"

@@ -104,11 +104,6 @@ def apply_difference(order: int, vec: np.ndarray) -> np.ndarray:
     return _differences(order, w, np.empty_like(w), adjoint=False)[0]
 
 
-def apply_difference_adjoint(order: int, vec: np.ndarray) -> np.ndarray:
-    w = np.array(vec, dtype=complex)
-    return _differences(order, w, np.empty_like(w), adjoint=True)[0]
-
-
 def apply_cumulative(order: int, vec: np.ndarray, out=None) -> np.ndarray:
     """Order-N repeated partial sums; inverse of :func:`apply_difference`.
 

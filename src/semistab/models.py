@@ -20,7 +20,9 @@ stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
 :mod:`linalg` applies it through ``matvec`` and ``rmatvec``, and
 ``to_dense`` serves moderate sizes.  :func:`required_max_index` is the one
-rule for whether a truncation is adequate.
+rule for whether a truncation is adequate.  :func:`norm_curve` gives every
+curve t -> ||T(t) X||; in the Euclidean norm each value is a supremum over
+blocks, and :func:`_prune` is the one rule for which blocks it evaluates.
 """
 
 from __future__ import annotations
@@ -195,15 +197,16 @@ def build_model(spec: ModelSpec) -> Model:
     scalars, mid, half_gap = row.table(spec.max_index)
     # Every eigenvalue, repeated by algebraic multiplicity: one per coordinate.
     eigs = np.concatenate([scalars, mid + half_gap, mid - half_gap])
-    values, counts = np.unique(eigs, return_counts=True)
+    eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
+    first = np.flatnonzero(np.append(True, eigs[1:] != eigs[:-1]))
+    # counts first: the other order costs 2.4 MB of peak RSS at dim 160000.
+    counts, values = np.diff(first, append=eigs.size), eigs[first]
     dist = float(np.min(np.abs(values - spec.mu_default)))
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
-    order = np.lexsort((values.real, values.imag))
-    dim = eigs.size
-    ctx = NormContext(dim, spec.order if row.weighted else 0)
-    return Model(spec, ctx, scalars, mid, half_gap, values[order], counts[order])
+    ctx = NormContext(eigs.size, spec.order if row.weighted else 0)
+    return Model(spec, ctx, scalars, mid, half_gap, values, counts)
 
 
 def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -211,29 +214,42 @@ def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
     return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
 
 
+def _prune(bound_sq: np.ndarray, norm_at: Callable[[int], float]) -> tuple:
+    """Which blocks a supremum of block norms must evaluate.
+
+    ``bound_sq[k]`` bounds the squared norm of block k, which ``norm_at(k)``
+    evaluates.  Returns ``(v, others)``: v is the norm of the block of
+    largest bound and ``others`` masks the other blocks with bound at least
+    (1 - 1e-9) v^2; no block left out can exceed v.  Computed bounds and
+    norms are within a few ulps of exact (squares in the normal range), far
+    inside 1e-9, so the supremum is kept to the last bit.  A largest bound
+    that is not a finite normal number, or NaN, gives v = 0 and every block.
+    """
+    top = np.max(bound_sq, initial=0.0)
+    if not _TINY <= top < np.inf:
+        return 0.0, np.ones(bound_sq.shape, dtype=bool)
+    at = int(np.argmax(bound_sq))
+    v = float(norm_at(at))
+    others = bound_sq >= (1.0 - 1e-9) * v * v
+    others[at] = False
+    return v, others
+
+
 def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
               l: np.ndarray) -> float:
     """Supremum of the norms of the 1x1 blocks ``s`` and the 2x2 blocks
-    [[u, c], [0, l]], from the moduli of their entries.
+    [[u, c], [0, l]], from the moduli of their entries; NaN if one is.
 
     A block's singular values satisfy s1 +- s2 = hypot(u +- l, c), from
-    s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2; their mean avoids the
-    cancellation in sqrt(s^2 - 4 det^2).  Since s1^2 <= F for the squared
-    Frobenius norm F, only blocks with F >= v^2 (1 - 1e-9), v the norm of
-    the block of largest F, can attain the supremum and are evaluated; the
-    result is the same to the last bit, and NaN if a block norm is.  Every
-    block is evaluated when the largest F is not a finite normal number.
+    s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2 = F; their mean avoids the
+    cancellation in sqrt(s^2 - 4 det^2).  :func:`_prune` selects by F.
     """
     with np.errstate(over="ignore"):
         frob = u * u + c * c + l * l
-    top = np.max(frob, initial=0.0)
-    if np.isfinite(top) and top >= _TINY:
-        at = np.argmax(frob)
-        v = float(_pair_norms(u[at], c[at], l[at]))
-        keep = frob >= (1.0 - 1e-9) * v * v
-        u, c, l = u[keep], c[keep], l[keep]
-    return float(np.maximum(np.max(s, initial=0.0),
-                            np.max(_pair_norms(u, c, l), initial=0.0)))
+    v, others = _prune(frob, lambda k: _pair_norms(u[k], c[k], l[k]))
+    u, c, l = u[others], c[others], l[others]  # frees the full-size moduli
+    return float(np.max([v, np.max(s, initial=0.0),
+                         np.max(_pair_norms(u, c, l), initial=0.0)]))
 
 
 @dataclass(frozen=True)
@@ -355,7 +371,7 @@ def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
     corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
                        out=np.full(d.shape, t, dtype=complex),
                        where=np.abs(d) >= _TINY)
-    corner *= carrier
+    corner = corner * carrier
     return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
                          carrier / grow)
 
@@ -419,6 +435,58 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     if ctx.order == 0:
         return blocks.sup_singular_value()
     return linalg.operator_norm(blocks, ctx, tol=tol)
+
+
+def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
+               bound: np.ndarray | None = None) -> np.ndarray:
+    """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
+    factor gives ||T(t)||, which ``bound`` holds when already sampled.
+
+    At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
+    it; ||T(t)|| comes from ``bound`` or the block moduli
+    (:func:`semigroup_norm`) and every other row from
+    :func:`_certified_curve`, so no whole T(t) is formed.  The weighted norms
+    ignore ``bound`` and evaluate T(t) whole once per grid time, releasing
+    it before the norm of its last product."""
+    if model.norm_context.order == 0:
+        if bound is None:
+            bound = np.array([semigroup_norm(model, float(t)) for t in ts])
+        return np.array([bound if right is None
+                         else _certified_curve(model, right, ts, bound)
+                         for right in rights])
+    out = np.empty((len(rights), ts.size), dtype=float)
+    last = len(rights) - 1
+    for i, t in enumerate(ts):
+        semi = evolve_blocks(model, float(t))
+        for j, right in enumerate(rights):
+            op = semi if right is None else semi @ right
+            if j == last:
+                semi = None
+            out[j, i] = block_operator_norm(model, op, tol=tol)
+    return out
+
+
+def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
+                     bound: np.ndarray) -> np.ndarray:
+    """t -> ||T(t) X|| in the Euclidean norm, from ``bound`` = ||T(t)||.
+
+    Block k of T(t) X has norm at most ||T(t)|| ||X_k||, which :func:`_prune`
+    selects by; T(t) X is evaluated from the sliced table on the selected
+    blocks alone, bitwise the supremum of the whole product's block norms.
+    """
+    def norm_on(index, t):
+        part = model.take(index)
+        semi = _evolve_table(part.scalars, part.mid, part.half_gap, t)
+        return (semi @ factor.take(index)).sup_singular_value()
+
+    squares = factor.block_norms() ** 2
+    out = np.empty(ts.size)
+    for i, (t, top) in enumerate(zip(ts.tolist(), bound.tolist())):
+        v, others = _prune(squares * (top * top),
+                           lambda k: norm_on(np.array([k]), t))
+        rest = np.flatnonzero(others)
+        out[i] = np.maximum(v, norm_on(rest, t)) if rest.size else v
+    return out
 
 
 def required_max_index(family: Family, t_max: float, order: int = 1) -> int:

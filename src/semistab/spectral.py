@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, models
-from .asymptotics import NormSamples, Quantity, loglog_slope, norm_curve
+from .asymptotics import NormSamples, Quantity, loglog_slope
 from .errors import (ClusteredSpectrumError, ContourTooCloseError,
                      NonconvergedError)
 from .models import BlockDiagonal, Model
@@ -313,7 +313,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     times, as from :func:`asymptotics.sample_norms`; ``envelope`` is any
     callable majorant f(t), which must be finite and positive on the grid
     (``ValueError`` naming the first t where it is not).  ||T(t) P|| comes
-    from :func:`asymptotics.norm_curve`, with ``semi`` as its bound, on the
+    from :func:`models.norm_curve`, with ``semi`` as its bound, on the
     support of P in the Euclidean norm.
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
@@ -336,7 +336,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
                          f"is not finite and positive")
     part, proj = ((model.take(projection.index), projection.support)
                   if model.norm_context.order == 0 else (model, projection.blocks))
-    norms = norm_curve(part, ts, (proj,), tol, bound=semi.values)[0]
+    norms = models.norm_curve(part, ts, (proj,), tol, bound=semi.values)[0]
     values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)

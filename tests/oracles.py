@@ -16,11 +16,12 @@ filter evaluated exactly in rational arithmetic on the float inputs.
 ``semistab.models.evolve_blocks`` takes three transcendental calls per
 block, and ``BlockDiagonal.sup_singular_value`` evaluates only the blocks
 that can attain the supremum; the four-call form and the every-block formula
-are kept here.  ``semistab.asymptotics.norm_curve`` evaluates a Euclidean
+are kept here.  ``semistab.models.norm_curve`` evaluates a Euclidean
 curve t -> ||T(t) X|| only on the blocks that ||T(t)|| cannot rule out;
-:func:`whole_norm_curve` takes the product on every block.  A projection's
-commutation defect is read off the generator; :func:`commutation_probe`
-takes the commutator with the whole semigroup at one time.
+:func:`whole_norm_curve` takes the product on every block, and the two
+agree bitwise.  A projection's commutation defect is read off the
+generator; :func:`commutation_probe` takes the commutator with the whole
+semigroup at one time.
 
 The generator and the closed-form projections (each eigenvalue's blockwise
 indicator) are written out from the spectral table, as the references for

@@ -13,10 +13,16 @@ from semistab import linalg
 from semistab.errors import IllConditionedError
 from semistab.linalg import (NormContext, apply_cumulative,
                              apply_cumulative_adjoint, apply_difference,
-                             apply_difference_adjoint, operator_norm)
+                             operator_norm)
 from semistab.models import BlockDiagonal
 
 RNG = np.random.default_rng(20240817)
+
+
+def _difference_adjoint(order, vec):
+    """The adjoint differences, as the norm kernel runs them."""
+    w = np.array(vec, dtype=complex)
+    return linalg._differences(order, w, np.empty_like(w), adjoint=True)[0]
 
 
 def _random_complex(*shape):
@@ -54,7 +60,7 @@ def test_difference_matrix_order_zero_is_identity():
     assert np.array_equal(difference_matrix(0, 5), eye)
     assert np.array_equal(cumulative_matrix(0, 5), eye)
     v = np.array([1.0, -2.0, 3j, 0.5, -1j])
-    for apply in (apply_difference, apply_difference_adjoint,
+    for apply in (apply_difference, _difference_adjoint,
                   apply_cumulative, apply_cumulative_adjoint):
         assert np.array_equal(apply(0, v), v)
     assert NormContext(5) == NormContext(5, 0)
@@ -121,7 +127,7 @@ def test_apply_adjoints_are_adjoint(order):
     x = _random_complex(dim)
     y = _random_complex(dim)
     assert np.vdot(y, apply_difference(order, x)) == pytest.approx(
-        np.vdot(apply_difference_adjoint(order, y), x), abs=1e-9)
+        np.vdot(_difference_adjoint(order, y), x), abs=1e-9)
     assert np.vdot(y, apply_cumulative(order, x)) == pytest.approx(
         np.vdot(apply_cumulative_adjoint(order, y), x), abs=1e-8)
 

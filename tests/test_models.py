@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -374,7 +375,8 @@ def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
     # its 99999 blocks are near their limit t, so a share of the largest
     # Frobenius norm F keeps them all.  The norm v of the block of largest
     # F keeps only blocks with s1 within s2^2 / 2v (about 5e-7) of v, the
-    # 1610 with n > 98390, and the supremum is the unpruned one bitwise.
+    # 1610 with n > 98390, that block among them and evaluated once, and the
+    # supremum is the unpruned one bitwise.
     m = _model(Family.JORDAN_PAIRS, 100000)
     pair_norms, sup_norm = models._pair_norms, models._sup_norm
     evaluated, moduli = [], []
@@ -390,10 +392,103 @@ def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
     monkeypatch.setattr(models, "_pair_norms", counted)
     monkeypatch.setattr(models, "_sup_norm", recorded)
     got = models.semigroup_norm(m, 100.0)
-    assert sum(evaluated) == 1 + 1610
+    assert sum(evaluated) == 1610
     (_, u, c, l), = moduli
     assert u.size == 99999
     assert got == np.max(pair_norms(u, c, l))
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+# Block norms with ties and near ties, zeros, subnormals, inf and NaN.
+_PRUNE_NORMS = (st.sampled_from([0.0, 5e-324, 2.5e-310, 0.5, 1.0, 1.0 + _EPS,
+                                 1.0 + 2 * _EPS, 1e300, _INF, _NAN])
+                | st.floats(0.0, 1e300))
+
+# Relative slack of a squared bound over the squared norm: within the
+# pruning margin, far above it, infinite, or NaN (no bound known).
+_PRUNE_SLACK = st.one_of(st.floats(0.0, 1e-8), st.floats(0.0, 1e-8),
+                         st.floats(0.0, 10.0), st.just(_INF), st.just(_NAN))
+
+
+@st.composite
+def _pruning_cases(draw):
+    cases = [(n, draw(_PRUNE_SLACK))
+             for n in draw(st.lists(_PRUNE_NORMS, max_size=8))]
+    if draw(st.booleans()):
+        # Norms a few ulps apart, with bounds inside the margin.
+        base = draw(st.floats(1e-100, 1e100))
+        cases += [(base * (1.0 + k * _EPS), draw(st.floats(0.0, 2e-9)))
+                  for k in draw(st.lists(st.integers(0, 4), min_size=2,
+                                         max_size=4))]
+    norms, slack = zip(*draw(st.permutations(cases))) if cases else ((), ())
+    bound_sq = [n * n * (1.0 + f) for n, f in zip(norms, slack)]
+    return np.array(norms, dtype=float), np.array(bound_sq, dtype=float)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=_pruning_cases())
+@example(case=(np.zeros(0), np.zeros(0)))
+# The block of largest bound is the only one that attains the supremum.
+@example(case=(np.array([2.0, 1.0]), np.array([4.0, 1.0])))
+# A near tie above the seed, inside the margin.
+@example(case=(np.array([1.0, 1.0 + _EPS]),
+               np.array([1.0 + 1e-10, (1.0 + _EPS) ** 2])))
+# NaN bounds say nothing: every block is evaluated.
+@example(case=(np.array([1.0, 2.0]), np.array([_NAN, _NAN])))
+@example(case=(np.array([_NAN, 1.0]), np.array([_NAN, 1.0])))
+def test_prune_keeps_the_supremum_bitwise(case):
+    # Bounds at least the norms: v and the norms of the blocks marked in
+    # ``others`` have the supremum of all norms, NaN included.
+    norms, bound_sq = case
+    seen = []
+
+    def norm_at(k):
+        seen.append(k)
+        return norms[k]
+
+    v, others = models._prune(bound_sq, norm_at)
+    assert others.shape == norms.shape
+    assert not any(others[k] for k in seen)
+    got = np.max([v, np.max(norms[others], initial=0.0)])
+    want = np.max(norms, initial=0.0)
+    assert np.isnan(got) if np.isnan(want) else got == want
+
+
+@st.composite
+def _spectral_tables(draw):
+    """A family's table, or a table on a coarse grid where eigenvalues
+    repeat: Jordan blocks (d = 0), values shared across blocks, equal
+    imaginary parts.  No -0.0 is drawn, and sums and differences of the
+    grid give +0.0, so no two equal eigenvalues differ in the sign of a
+    zero."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(list(Family)))
+        return models.FAMILIES[family].table(draw(st.integers(2, 300)))
+    grid = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 2.0])
+    value = st.builds(complex, grid, grid)
+    scalars = draw(st.lists(value, max_size=6))
+    pairs = draw(st.lists(st.tuples(value, st.just(0j) | value),
+                          min_size=0 if scalars else 1, max_size=6))
+    return (np.array(scalars, dtype=complex),
+            np.array([mid for mid, _ in pairs], dtype=complex),
+            np.array([d for _, d in pairs], dtype=complex))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=_spectral_tables())
+def test_spectrum_is_the_unique_values_sorted_by_imag_then_real(table):
+    # build_model sorts every eigenvalue once; np.unique sorted them by
+    # (real, imag) and a lexsort reordered the distinct values.
+    row = replace(models.FAMILIES[Family.DIAG_JORDAN], table=lambda _: table)
+    with patch.dict(models.FAMILIES, {Family.DIAG_JORDAN: row}):
+        m = _model(Family.DIAG_JORDAN, 2, mu_default=100.0 + 100.0j)
+    scalars, mid, half_gap = table
+    values, counts = np.unique(np.concatenate(
+        [scalars, mid + half_gap, mid - half_gap]), return_counts=True)
+    order = np.lexsort((values.real, values.imag))
+    assert m.spectrum.tobytes() == values[order].tobytes()
+    assert m.multiplicity.tolist() == counts[order].tolist()
 
 
 _EVOLVE_MODELS = {family: _model(family, 500) for family in Family}

@@ -14,12 +14,12 @@ from oracles import (commutation_probe, contour_projection_closed,
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import models, spectral
-from semistab.asymptotics import NormSamples, Quantity, norm_curve, sample_norms
+from semistab.asymptotics import NormSamples, Quantity, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import POWER_TOL_DEFAULT, NormContext
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
-                             eigenvalues, evolve_blocks, required_max_index,
-                             resolvent_blocks)
+                             eigenvalues, evolve_blocks, norm_curve,
+                             required_max_index, resolvent_blocks)
 from semistab.spectral import (Contour, hypothesis_a_check, hypothesis_b_check,
                                riesz_projection_quadrature)
 
@@ -299,7 +299,7 @@ def _assert_full_curve(model, proj, semi):
     """The certified curve against T(t) P evaluated on every block."""
     curve = hypothesis_b_check(model, proj, semi, lambda t: 1.0)
     full = whole_norm_curve(model, semi.ts, proj.blocks)
-    _assert_ulps(curve.values, full)
+    assert np.array_equal(curve.values, full)
     return full
 
 
@@ -307,7 +307,8 @@ _EPS = np.finfo(float).eps
 
 
 def _assert_ulps(got, want):
-    """``got`` within 4 ulps of ``want``, relative."""
+    """``got`` within 4 ulps of ``want``, relative: ||T(t)|| from the block
+    moduli against the complex T(t)."""
     assert np.all(np.abs(got - want) <= 4 * _EPS * want)
 
 
@@ -425,7 +426,8 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
     identity = BlockDiagonal(np.ones(m.scalars.size, dtype=complex), one,
                              0.0 * one, one)
     _assert_ulps(semi.values, whole_norm_curve(m, ts, identity))
-    _assert_ulps(prod.values, whole_norm_curve(m, ts, resolvent_blocks(m, mu)))
+    assert np.array_equal(prod.values,
+                          whole_norm_curve(m, ts, resolvent_blocks(m, mu)))
 
 
 def _curves(model, ts, nodes=64):
@@ -461,9 +463,9 @@ def test_block_permutation_moves_no_curve_and_no_verdict(family, max_index,
     ts = np.geomspace(t_max / 100.0, t_max, 10)
     rows, checks, projections = _curves(m, ts, nodes)
     moved_rows, moved_checks, moved_projections = _curves(shuffled, ts, nodes)
-    _assert_ulps(moved_rows, rows)
+    assert np.array_equal(moved_rows, rows)
     for check, moved in zip(checks, moved_checks, strict=True):
-        _assert_ulps(moved.values, check.values)
+        assert np.array_equal(moved.values, check.values)
         assert moved.decaying == check.decaying
     # Block k of the shuffled table is block origin[k] of the model.
     origin = np.concatenate([scalars, m.scalars.size + blocks])
@@ -745,10 +747,11 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
         [c for c in part if c[1].size < m.mid.size]
         for part in (tables[:started[0]], tables[started[0]:]))
     grid = cfg.grid.values().tolist()
-    assert points <= len(sampled) <= 2 * points
+    # Each grid time of ||T(t) R_mu|| evaluates the block of largest bound,
+    # and from t = 3.08 on the blocks it cannot rule out, in one more slice.
     times = [t for *_, t in sampled]
-    assert sorted(set(times)) == grid
-    assert all(times.count(t) <= 2 for t in grid)
+    assert [times.count(t) for t in grid] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
+    assert all(sampled[times.index(t)][1].size == 1 for t in grid)
     assert len(projected) == checked * points
     lowest = m.spectrum[:checked]
     for scalars, mid, half_gap, _ in projected:

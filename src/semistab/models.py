@@ -220,17 +220,17 @@ def _prune(bound_sq: np.ndarray, norm_at: Callable[[int], float]) -> tuple:
     ``bound_sq[k]`` bounds the squared norm of block k, which ``norm_at(k)``
     evaluates.  Returns ``(v, others)``: v is the norm of the block of
     largest bound and ``others`` masks the other blocks with bound at least
-    (1 - 1e-9) v^2; no block left out can exceed v.  Computed bounds and
-    norms are within a few ulps of exact (squares in the normal range), far
-    inside 1e-9, so the supremum is kept to the last bit.  A largest bound
-    that is not a finite normal number, or NaN, gives v = 0 and every block.
+    (1 - 1e-9) v^2; no block left out can exceed v.  Squared after any
+    product, bounds near v^2 >= tiny are within a few ulps of exact, as are
+    norms: far inside 1e-9, so the supremum is kept to the last bit.  All are
+    kept if v^2 < tiny, or (v = 0) if the top bound is NaN or not normal.
     """
     top = np.max(bound_sq, initial=0.0)
     if not _TINY <= top < np.inf:
         return 0.0, np.ones(bound_sq.shape, dtype=bool)
     at = int(np.argmax(bound_sq))
     v = float(norm_at(at))
-    others = bound_sq >= (1.0 - 1e-9) * v * v
+    others = bound_sq >= ((1.0 - 1e-9) * v * v if v * v >= _TINY else 0.0)
     others[at] = False
     return v, others
 
@@ -479,10 +479,10 @@ def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
         semi = _evolve_table(part.scalars, part.mid, part.half_gap, t)
         return (semi @ factor.take(index)).sup_singular_value()
 
-    squares = factor.block_norms() ** 2
+    norms = factor.block_norms()
     out = np.empty(ts.size)
     for i, (t, top) in enumerate(zip(ts.tolist(), bound.tolist())):
-        v, others = _prune(squares * (top * top),
+        v, others = _prune((norms * top) ** 2,
                            lambda k: norm_on(np.array([k]), t))
         rest = np.flatnonzero(others)
         out[i] = np.maximum(v, norm_on(rest, t)) if rest.size else v

@@ -437,6 +437,8 @@ def _pruning_cases(draw):
 # NaN bounds say nothing: every block is evaluated.
 @example(case=(np.array([1.0, 2.0]), np.array([_NAN, _NAN])))
 @example(case=(np.array([_NAN, 1.0]), np.array([_NAN, 1.0])))
+# v^2 is subnormal, and a bound that underflowed to 0 says nothing.
+@example(case=(np.array([1e-157, 2e-157]), np.array([1e-300, 0.0])))
 def test_prune_keeps_the_supremum_bitwise(case):
     # Bounds at least the norms: v and the norms of the blocks marked in
     # ``others`` have the supremum of all norms, NaN included.

@@ -408,6 +408,25 @@ def test_certified_curve_matches_full_evaluation(family, max_index, t_first,
         _assert_full_curve(m, proj, semi)
 
 
+# T(t) = diag(1, [[1, t], [0, 1]]) against X = diag(x, e I), where block 1
+# has norm about t e > x = v, the seed's.
+@pytest.mark.parametrize("x,e,t", [
+    # v^2 is subnormal and e^2 underflows to 0.
+    (5e-158, 1e-162, 1e5),
+    # v^2 is normal, but e^2 = 2024.45 subnormal steps rounds to 2024:
+    # squared first, the bound of block 1 falls below v^2.
+    (1e-153, 1.0001055927867375e-160, 1e7)])
+def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
+    m = _with_table(_DJ, [0j], [0j], [0j])
+    tiny = np.array([complex(e)])
+    factor = BlockDiagonal(np.array([complex(x)]), tiny, 0.0 * tiny, tiny)
+    ts = np.array([t])
+    got = norm_curve(m, ts, (factor,), POWER_TOL_DEFAULT)[0]
+    want = whole_norm_curve(m, ts, factor)
+    assert want[0] > x
+    assert np.array_equal(got, want)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(family=st.sampled_from(list(Family)), t_max=st.floats(0.05, 20.0),
        points=st.integers(1, 12), mu_re=st.floats(0.05, 3.0),
@@ -750,6 +769,7 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     # Each grid time of ||T(t) R_mu|| evaluates the block of largest bound,
     # and from t = 3.08 on the blocks it cannot rule out, in one more slice.
     times = [t for *_, t in sampled]
+    assert sorted(set(times)) == grid
     assert [times.count(t) for t in grid] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
     assert all(sampled[times.index(t)][1].size == 1 for t in grid)
     assert len(projected) == checked * points

@@ -71,16 +71,13 @@ def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, np.log(values), rcond=None)[0][1])
 
 
-def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
-                 tol: float = linalg.POWER_TOL_DEFAULT):
-    """Sample ||T(t)||, ||T(t) R_mu||, or their ratio over a time grid.
+def sample_norms(model: Model, ts, mu: complex | None = None,
+                 tol: float = linalg.LANCZOS_TOL_DEFAULT) -> tuple:
+    """The pair of :class:`NormSamples` ||T(t)|| and ||T(t) R_mu|| over a
+    time grid, from one :func:`models.norm_curve` call.
 
-    ``quantity`` is a :class:`Quantity`, giving one :class:`NormSamples`, or
-    a tuple of them, giving a tuple of samples in the same order.  Either
-    way the curves come from one :func:`models.norm_curve` call, and the
-    ratio is computed pointwise from the other two curves.  The grid must be
-    strictly increasing and nonnegative, and the model's truncation must be
-    adequate for the largest time (hard error otherwise).
+    The grid must be strictly increasing and nonnegative, and the model's
+    truncation must be adequate for the largest time (hard error otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -89,18 +86,10 @@ def sample_norms(model: Model, ts, quantity, mu: complex | None = None,
         raise ValueError("ts must be nonnegative and strictly increasing")
     models.check_truncation(model, float(ts[-1]))
     mu = model.spec.mu_default if mu is None else complex(mu)
-    wanted = quantity if isinstance(quantity, tuple) else (quantity,)
-    rights = []
-    if {Quantity.SEMIGROUP_NORM, Quantity.RATIO} & set(wanted):
-        rights.append(None)
-    if {Quantity.RESOLVENT_PRODUCT_NORM, Quantity.RATIO} & set(wanted):
-        rights.append(models.resolvent_blocks(model, mu))
-    rows = models.norm_curve(model, ts, rights, tol)
-    values = {Quantity.SEMIGROUP_NORM: rows[0],
-              Quantity.RESOLVENT_PRODUCT_NORM: rows[-1],
-              Quantity.RATIO: rows[-1] / rows[0]}
-    samples = tuple(NormSamples(q, ts, values[q]) for q in wanted)
-    return samples if isinstance(quantity, tuple) else samples[0]
+    semi, prod = models.norm_curve(model, ts, models.resolvent_blocks(model, mu),
+                                   tol)
+    return (NormSamples(Quantity.SEMIGROUP_NORM, ts, semi),
+            NormSamples(Quantity.RESOLVENT_PRODUCT_NORM, ts, prod))
 
 
 @dataclass(frozen=True)

@@ -361,13 +361,11 @@ def _finish(report: RunReport, started: float, out_dir: str, csv_files: dict,
 
 
 def _sample(cfg: ExperimentConfig):
-    """The model, the time grid, and the semigroup and product curves on it,
-    from one semigroup evaluation per grid time."""
+    """The model, the time grid, and the semigroup and product curves on it
+    (:func:`sample_norms`)."""
     model = build_model(cfg.model)
     ts = cfg.grid.values()
-    semi, prod = sample_norms(
-        model, ts, (Quantity.SEMIGROUP_NORM, Quantity.RESOLVENT_PRODUCT_NORM),
-        tol=cfg.tolerances.norm_tol)
+    semi, prod = sample_norms(model, ts, tol=cfg.tolerances.norm_tol)
     return model, ts, semi, prod
 
 
@@ -513,6 +511,9 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
     if cfg.grid.points < 3:
         raise ConfigError("theorem-check needs a grid of at least 3 points "
                           "to build an envelope")
+    if cfg.grid.t_min <= 0:
+        raise ConfigError(f"theorem-check needs grid.t_min > 0, got "
+                          f"{cfg.grid.t_min!r}: its decay fits take log t")
     started = time.perf_counter()
     model, ts, semi, prod = _sample(cfg)
     timings = {"sampling_s": time.perf_counter() - started}
@@ -646,6 +647,10 @@ def run_witness(t_values, dim: int | None = None,
         raise ConfigError("need at least one t value")
     if ts[0] <= asymptotics.FIT_T_FLOOR:
         raise ConfigError(f"witness needs every t > e, got t = {ts[0]!r}")
+    for t, later in zip(ts, ts[1:]):
+        if t == later:
+            raise ConfigError(f"witness needs distinct t values, got t = "
+                              f"{t!r} more than once")
     need = models.required_max_index(Family.LOG_SPECTRUM, ts[-1])
     need_dim = models.model_dim(Family.LOG_SPECTRUM, need)
     if dim is None and need_dim > MAX_DIM:

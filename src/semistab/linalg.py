@@ -51,7 +51,7 @@ import numpy as np
 from .errors import IllConditionedError
 
 #: Default relative tolerance of the Ritz residual at the stop.
-POWER_TOL_DEFAULT = 1e-10
+LANCZOS_TOL_DEFAULT = 1e-10
 
 #: Lanczos steps (Gram applications) allowed before giving up, whatever the
 #: dimension: the k x k tridiagonal's ``eigh`` at step k = 300 takes about
@@ -146,7 +146,7 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def operator_norm(op, ctx: NormContext,
-                  tol: float = POWER_TOL_DEFAULT) -> float:
+                  tol: float = LANCZOS_TOL_DEFAULT) -> float:
     """Operator norm of ``op`` on (C^dim, ctx).
 
     ``op`` is any linear operator with ``dim``, ``matvec`` and ``rmatvec``

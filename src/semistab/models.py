@@ -20,9 +20,10 @@ stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
 :mod:`linalg` applies it through ``matvec`` and ``rmatvec``, and
 ``to_dense`` serves moderate sizes.  :func:`required_max_index` is the one
-rule for whether a truncation is adequate.  :func:`norm_curve` gives every
-curve t -> ||T(t) X||; in the Euclidean norm each value is a supremum over
-blocks, and :func:`_prune` is the one rule for which blocks it evaluates.
+rule for whether a truncation is adequate, :func:`evolve_blocks` the one way
+to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
+||T(t) X||; in the Euclidean norm each value is a supremum over blocks, and
+:func:`_prune` is the one rule for which blocks it evaluates.
 """
 
 from __future__ import annotations
@@ -358,21 +359,15 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return _evolve_table(model.scalars, model.mid, model.half_gap, t)
-
-
-def _evolve_table(scalars: np.ndarray, mid: np.ndarray, half_gap: np.ndarray,
-                  t: float) -> BlockDiagonal:
-    """The body of :func:`evolve_blocks` on any part of a spectral table."""
-    d = half_gap
-    carrier = np.exp(t * mid)
+    d = model.half_gap
+    carrier = np.exp(t * model.mid)
     gain = np.expm1(t * d)
     grow = np.exp(t * d)
     corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
                        out=np.full(d.shape, t, dtype=complex),
                        where=np.abs(d) >= _TINY)
     corner = corner * carrier
-    return BlockDiagonal(np.exp(t * scalars), carrier * grow, corner,
+    return BlockDiagonal(np.exp(t * model.scalars), carrier * grow, corner,
                          carrier / grow)
 
 
@@ -425,7 +420,7 @@ def eigenvalues(model: Model) -> list:
 
 
 def block_operator_norm(model: Model, blocks: BlockDiagonal,
-                        tol: float = linalg.POWER_TOL_DEFAULT) -> float:
+                        tol: float = linalg.LANCZOS_TOL_DEFAULT) -> float:
     """Operator norm of a block-diagonal operator in the model's norm.
 
     At order 0 (the Euclidean norm) it is the supremum of block norms; at
@@ -437,33 +432,32 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     return linalg.operator_norm(blocks, ctx, tol=tol)
 
 
-def norm_curve(model: Model, ts: np.ndarray, rights, tol: float,
-               bound: np.ndarray | None = None) -> np.ndarray:
-    """Row j holds t -> ||T(t) rights[j]|| in the model's norm; a ``None``
-    factor gives ||T(t)||, which ``bound`` holds when already sampled.
+def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
+               tol: float, semi: np.ndarray | None = None) -> tuple:
+    """The curves t -> ||T(t)|| and t -> ||T(t) X||, X = ``factor``, in the
+    model's norm, as the pair ``(semi, prod)``; ``semi``, when given, is
+    taken as the first.
 
     At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
-    it; ||T(t)|| comes from ``bound`` or the block moduli
-    (:func:`semigroup_norm`) and every other row from
-    :func:`_certified_curve`, so no whole T(t) is formed.  The weighted norms
-    ignore ``bound`` and evaluate T(t) whole once per grid time, releasing
-    it before the norm of its last product."""
+    it; ||T(t)|| comes from the block moduli (:func:`semigroup_norm`) and
+    bounds :func:`_certified_curve`, so no whole T(t) is formed.  The
+    weighted norms evaluate T(t) whole once per grid time, take its norm
+    unless ``semi`` is given, and release it before the norm of T(t) X."""
     if model.norm_context.order == 0:
-        if bound is None:
-            bound = np.array([semigroup_norm(model, float(t)) for t in ts])
-        return np.array([bound if right is None
-                         else _certified_curve(model, right, ts, bound)
-                         for right in rights])
-    out = np.empty((len(rights), ts.size), dtype=float)
-    last = len(rights) - 1
+        if semi is None:
+            semi = np.array([semigroup_norm(model, float(t)) for t in ts])
+        return semi, _certified_curve(model, factor, ts, semi)
+    sample = semi is None
+    if sample:
+        semi = np.empty(ts.size)
+    prod = np.empty(ts.size)
     for i, t in enumerate(ts):
-        semi = evolve_blocks(model, float(t))
-        for j, right in enumerate(rights):
-            op = semi if right is None else semi @ right
-            if j == last:
-                semi = None
-            out[j, i] = block_operator_norm(model, op, tol=tol)
-    return out
+        op = evolve_blocks(model, float(t))
+        if sample:
+            semi[i] = block_operator_norm(model, op, tol=tol)
+        op = op @ factor
+        prod[i] = block_operator_norm(model, op, tol=tol)
+    return semi, prod
 
 
 def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
@@ -475,8 +469,7 @@ def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
     blocks alone, bitwise the supremum of the whole product's block norms.
     """
     def norm_on(index, t):
-        part = model.take(index)
-        semi = _evolve_table(part.scalars, part.mid, part.half_gap, t)
+        semi = evolve_blocks(model.take(index), t)
         return (semi @ factor.take(index)).sup_singular_value()
 
     norms = factor.block_norms()

@@ -304,7 +304,7 @@ def hypothesis_a_check(model: Model, lam: complex,
 
 def hypothesis_b_check(model: Model, projection: ProjectionReport,
                        semi: NormSamples, envelope,
-                       tol: float = linalg.POWER_TOL_DEFAULT) -> DecayCurve:
+                       tol: float = linalg.LANCZOS_TOL_DEFAULT) -> DecayCurve:
     """Decay of t -> ||T(t) P|| / f(t) over the grid of ``semi``.
 
     ``projection`` is the spectral projection P, as built by
@@ -312,9 +312,9 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     ``SEMIGROUP_NORM`` samples ||T(t)|| on a grid of at least two positive
     times, as from :func:`asymptotics.sample_norms`; ``envelope`` is any
     callable majorant f(t), which must be finite and positive on the grid
-    (``ValueError`` naming the first t where it is not).  ||T(t) P|| comes
-    from :func:`models.norm_curve`, with ``semi`` as its bound, on the
-    support of P in the Euclidean norm.
+    (``ValueError`` naming the first t where it is not).  ||T(t) P|| is the
+    second row of :func:`models.norm_curve`, handed ``semi`` as the first,
+    on the support of P in the Euclidean norm.
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
@@ -336,7 +336,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
                          f"is not finite and positive")
     part, proj = ((model.take(projection.index), projection.support)
                   if model.norm_context.order == 0 else (model, projection.blocks))
-    norms = models.norm_curve(part, ts, (proj,), tol, bound=semi.values)[0]
+    norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
     values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)

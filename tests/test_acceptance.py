@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from oracles import riesz_projection_closed
 from semistab import models
-from semistab.asymptotics import (FitFamily, Quantity, concave_envelope,
-                                  fit_rate, sample_norms, witness_lower_bound,
-                                  witness_vector)
+from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
+                                  concave_envelope, fit_rate, sample_norms,
+                                  witness_lower_bound, witness_vector)
 from semistab.experiments import (format_complex, parse_config, run_hardy,
                                   run_simulate, run_theorem_check)
 from semistab.models import (Family, ModelSpec, build_model, eigenvalues,
@@ -51,7 +51,7 @@ def test_criterion_01_jordan_pairs_linear_growth():
     worst = 0.0
     for t in (20.0, 50.0, 100.0, 200.0):
         m = _model(Family.JORDAN_PAIRS, 50 * int(t))
-        value = sample_norms(m, [t], Quantity.SEMIGROUP_NORM).values[0]
+        value = sample_norms(m, [t])[0].values[0]
         worst = max(worst, abs(value / t - 1.0))
         assert 0.9 <= value / t <= 1.1
     elapsed = time.perf_counter() - started
@@ -63,8 +63,8 @@ def test_criterion_01_jordan_pairs_linear_growth():
 def test_criterion_02_jordan_pairs_bounded_product_and_ratio_law():
     m = _model(Family.JORDAN_PAIRS, 50000)
     ts = np.geomspace(10.0, 1000.0, 30)
-    prod = sample_norms(m, ts, Quantity.RESOLVENT_PRODUCT_NORM)
-    ratio = sample_norms(m, ts, Quantity.RATIO)
+    semi, prod = sample_norms(m, ts)
+    ratio = NormSamples(Quantity.RATIO, ts, prod.values / semi.values)
     spread = float(prod.values.max() / prod.values.min())
     fit = fit_rate(ratio, FitFamily.POWER)
     ok = spread <= 3.0 and -1.1 <= fit.exponent_or_scale <= -0.9
@@ -76,12 +76,12 @@ def test_criterion_03_diag_jordan_example():
     m_growth = _model(Family.DIAG_JORDAN, 10000)
     devs = []
     for t in (50.0, 100.0, 200.0):
-        value = sample_norms(m_growth, [t], Quantity.SEMIGROUP_NORM).values[0]
+        value = sample_norms(m_growth, [t])[0].values[0]
         devs.append(value / t)
         assert 0.8 <= value / t <= 1.2
     m_bounded = _model(Family.DIAG_JORDAN, 50000)
     ts = np.geomspace(10.0, 1000.0, 30)
-    prod = sample_norms(m_bounded, ts, Quantity.RESOLVENT_PRODUCT_NORM)
+    prod = sample_norms(m_bounded, ts)[1]
     spread = float(prod.values.max() / prod.values.min())
     ok = spread <= 3.0
     _announce(3, ok, f"norm(t)/t in [0.8, 1.2] (got {min(devs):.3f}.."
@@ -93,7 +93,8 @@ def test_criterion_04_log_spectrum_ratio_law():
     started = time.perf_counter()
     m = _model(Family.LOG_SPECTRUM, 1601, order=1)
     ts = np.geomspace(E2, 200.0, 16)
-    ratio = sample_norms(m, ts, Quantity.RATIO)
+    semi, prod = sample_norms(m, ts)
+    ratio = NormSamples(Quantity.RATIO, ts, prod.values / semi.values)
     compensated = ratio.values * np.log(ts)
     spread = float(compensated.max() / compensated.min())
     design = np.column_stack([np.ones(ts.size), np.log(ts)])
@@ -108,7 +109,7 @@ def test_criterion_04_log_spectrum_ratio_law():
 def test_criterion_05_log_spectrum_growth_exponent(order):
     m = _model(Family.LOG_SPECTRUM, 801, order=order)
     ts = np.geomspace(10.0, 100.0, 10)
-    semi = sample_norms(m, ts, Quantity.SEMIGROUP_NORM)
+    semi = sample_norms(m, ts)[0]
     fit = fit_rate(semi, FitFamily.POWER)
     ok = order - 0.2 <= fit.exponent_or_scale <= order + 0.2
     _announce(5, ok, f"order {order}: growth exponent "
@@ -216,8 +217,8 @@ def test_criterion_10_structural_suite(tmp_path):
     # Monotone truncation.
     ts = np.geomspace(1.0, 5.0, 5)
     for family in Family:
-        small = sample_norms(_model(family, 250), ts, Quantity.SEMIGROUP_NORM)
-        large = sample_norms(_model(family, 500), ts, Quantity.SEMIGROUP_NORM)
+        small = sample_norms(_model(family, 250), ts)[0]
+        large = sample_norms(_model(family, 500), ts)[0]
         assert np.all(large.values >= small.values * (1.0 - 1e-7))
 
     # Determinism: identical configs give identical data files.

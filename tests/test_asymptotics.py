@@ -12,6 +12,7 @@ from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
                                   witness_lower_bound, witness_vector)
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
+from semistab.experiments import parse_config, run_simulate
 from semistab.linalg import NormContext
 from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
                              resolvent_blocks)
@@ -43,37 +44,40 @@ def test_norm_samples_validation():
 @pytest.mark.parametrize("family", list(Family))
 def test_semigroup_norm_at_zero_is_one(family):
     m = _model(family, 120)
-    got = sample_norms(m, [0.0, 1.0, 2.0], Quantity.SEMIGROUP_NORM)
+    got = sample_norms(m, [0.0, 1.0, 2.0])[0]
     assert got.values[0] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_jordan_pairs_norm_at_100():
     m = _model(Family.JORDAN_PAIRS, 5000)
-    got = sample_norms(m, [100.0], Quantity.SEMIGROUP_NORM)
+    got = sample_norms(m, [100.0])[0]
     assert 99.0 <= got.values[0] <= 101.0
 
 
 def test_sample_norms_truncation_gate():
     m = _model(Family.JORDAN_PAIRS, 100)
     with pytest.raises(TruncationInadequateError) as info:
-        sample_norms(m, [10.0], Quantity.SEMIGROUP_NORM)
+        sample_norms(m, [10.0])
     assert info.value.required == 500
 
 
-def test_ratio_is_pointwise_quotient():
-    m = _model(Family.JORDAN_PAIRS, 300)
-    ts = np.geomspace(0.5, 6.0, 7)
-    semi = sample_norms(m, ts, Quantity.SEMIGROUP_NORM)
-    prod = sample_norms(m, ts, Quantity.RESOLVENT_PRODUCT_NORM)
-    ratio = sample_norms(m, ts, Quantity.RATIO)
-    assert np.max(np.abs(ratio.values - prod.values / semi.values)) <= 1e-12
+def test_ratio_is_pointwise_quotient(tmp_path):
+    # simulate's ratio is prod / semi of the one sampled pair, bitwise.
+    cfg = parse_config("model.family = JORDAN_PAIRS\ngrid.t_min = 0.5\n"
+                       "grid.t_max = 6.0\ngrid.points = 7\n")
+    samples = run_simulate(cfg, str(tmp_path)).samples
+    semi, prod = sample_norms(build_model(cfg.model), cfg.grid.values())
+    assert cfg.model.max_index == 300
+    assert samples["semigroup_norm"]["value"] == semi.values.tolist()
+    assert samples["resolvent_product_norm"]["value"] == prod.values.tolist()
+    assert samples["ratio"]["value"] == (prod.values / semi.values).tolist()
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_doubling_truncation_never_decreases_semigroup_norm(family):
     ts = np.geomspace(1.0, 5.0, 5)
-    small = sample_norms(_model(family, 250), ts, Quantity.SEMIGROUP_NORM)
-    large = sample_norms(_model(family, 500), ts, Quantity.SEMIGROUP_NORM)
+    small = sample_norms(_model(family, 250), ts)[0]
+    large = sample_norms(_model(family, 500), ts)[0]
     assert np.all(large.values >= small.values * (1.0 - 1e-7))
 
 
@@ -122,7 +126,7 @@ def test_envelope_needs_three_samples():
 def test_jordan_pairs_envelope_tracks_linear_growth():
     m = _model(Family.JORDAN_PAIRS, 10000)
     ts = np.geomspace(1.0, 200.0, 20)
-    env = concave_envelope(sample_norms(m, ts, Quantity.SEMIGROUP_NORM))
+    env = concave_envelope(sample_norms(m, ts)[0])
     window = ts[ts >= 10.0]
     ratios = env.value(window) / (window + 1.0)
     assert np.all(ratios <= 1.3) and np.all(ratios >= 1 / 1.3)

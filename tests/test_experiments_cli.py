@@ -131,6 +131,18 @@ def test_readme_config_grammar_lists_every_key():
     assert listed == [name for name, *_ in KEY_TABLE]
 
 
+def test_readme_library_example_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = [float(word) for word in capsys.readouterr().out.split()]
+    assert len(printed) == 4
+    assert all(math.isfinite(v) and v > 0 for v in printed)
+
+
 def test_config_defaults():
     cfg = parse_config(JP_TEXT.format(out="x"))
     assert cfg.model.family is Family.JORDAN_PAIRS
@@ -632,6 +644,35 @@ def test_witness_rejects_small_dim_before_building(tmp_path, capsys):
         assert main(["witness", "--t", arg, "--out", str(tmp_path / "w")]) == 2
         assert f"got t = {shown}" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+def test_witness_rejects_a_repeated_t(tmp_path, capsys):
+    # A repeated t made the raw ratios tie, and witness_monotone FAIL
+    # (exit 1) judged malformed input.
+    with pytest.raises(ConfigError, match="t = 10.0 more than once"):
+        run_witness([10.0, 20.0, 10.0], out_dir=str(tmp_path / "w"))
+    assert main(["witness", "--t", "10,10,20",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert "t = 10.0 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_theorem_check_rejects_a_grid_from_zero(tmp_path, capsys,
+                                                monkeypatch):
+    # A LINEAR grid may start at 0, where the decay fits take log t: the
+    # run sampled every norm and then failed naming no config key.
+    def unexpected(spec):
+        raise AssertionError(f"built {spec}")
+    monkeypatch.setattr(experiments, "build_model", unexpected)
+    text = JP_TEXT.format(out=tmp_path / "o").replace(
+        "grid.t_min = 1.0", "grid.t_min = 0").replace("GEOMETRIC", "LINEAR")
+    with pytest.raises(ConfigError, match="grid.t_min > 0, got 0.0"):
+        run_theorem_check(parse_config(text))
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(text)
+    assert main(["theorem-check", "--config", str(cfg_path)]) == 2
+    assert "grid.t_min" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_hardy_and_witness(tmp_path, capsys):

@@ -536,8 +536,9 @@ def test_evolve_keeps_digits_where_exp_t_d_is_small():
     # |sinh(t d)| / |d| in the corner, by |sinh(x + iy)|^2 = sinh^2 x +
     # sin^2 y, and e^{t Re(mid +- d)} on the diagonal.
     t, mid, d = 27.7069, -0.11842 + 7.43458j, -0.48321 + 0.13078j
-    block = models._evolve_table(np.zeros(0, dtype=complex), np.array([mid]),
-                                 np.array([d]), t)
+    m = _model(Family.JORDAN_PAIRS, 2)
+    block = evolve_blocks(replace(m, mid=np.array([mid]),
+                                  half_gap=np.array([d])), t)
     x, y = t * d.real, t * d.imag
     corner = np.exp(t * mid.real) * np.hypot(np.sinh(x), np.sin(y)) / abs(d)
     assert abs(abs(block.corner[0]) - corner) <= 8 * _EPS * corner

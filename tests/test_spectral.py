@@ -16,7 +16,7 @@ from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
 from semistab import models, spectral
 from semistab.asymptotics import NormSamples, Quantity, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
-from semistab.linalg import POWER_TOL_DEFAULT, NormContext
+from semistab.linalg import LANCZOS_TOL_DEFAULT, NormContext
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              eigenvalues, evolve_blocks, norm_curve,
                              required_max_index, resolvent_blocks)
@@ -42,23 +42,24 @@ def _record_calls(monkeypatch, name):
 
 
 def _record_tables(monkeypatch):
-    """Record the spectral tables the semigroup is evaluated on."""
+    """Record the spectral tables the semigroup is evaluated on, as
+    (scalars, mid, half_gap, t)."""
     calls = []
-    original = models._evolve_table
+    original = models.evolve_blocks
 
-    def recorded(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(model, t):
+        calls.append((model.scalars, model.mid, model.half_gap, t))
+        return original(model, t)
 
-    monkeypatch.setattr(models, "_evolve_table", recorded)
+    monkeypatch.setattr(models, "evolve_blocks", recorded)
     return calls
 
 
 def _semi(model, ts):
     """||T(t)|| samples on ts; unlike sample_norms, at any truncation."""
     ts = np.asarray(ts, dtype=float)
-    return NormSamples(Quantity.SEMIGROUP_NORM, ts,
-                       norm_curve(model, ts, (None,), POWER_TOL_DEFAULT)[0])
+    return NormSamples(Quantity.SEMIGROUP_NORM, ts, norm_curve(
+        model, ts, resolvent_blocks(model, 1.0), LANCZOS_TOL_DEFAULT)[0])
 
 
 def test_contour_validation():
@@ -421,7 +422,7 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
     tiny = np.array([complex(e)])
     factor = BlockDiagonal(np.array([complex(x)]), tiny, 0.0 * tiny, tiny)
     ts = np.array([t])
-    got = norm_curve(m, ts, (factor,), POWER_TOL_DEFAULT)[0]
+    got = norm_curve(m, ts, factor, LANCZOS_TOL_DEFAULT)[1]
     want = whole_norm_curve(m, ts, factor)
     assert want[0] > x
     assert np.array_equal(got, want)
@@ -439,8 +440,7 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
     m = _euclidean(_model(family, max(required_max_index(family, t_max), 3)))
     mu = complex(mu_re, mu_im)
     ts = np.geomspace(t_max / 100.0, t_max, points)
-    semi, prod = sample_norms(
-        m, ts, (Quantity.SEMIGROUP_NORM, Quantity.RESOLVENT_PRODUCT_NORM), mu=mu)
+    semi, prod = sample_norms(m, ts, mu=mu)
     one = np.ones(m.mid.size, dtype=complex)
     identity = BlockDiagonal(np.ones(m.scalars.size, dtype=complex), one,
                              0.0 * one, one)
@@ -452,8 +452,8 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
 def _curves(model, ts, nodes=64):
     """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the projection and its
     hypothesis-(b) curve against f(t) = t + 1."""
-    rows = norm_curve(model, ts, (None, resolvent_blocks(model, 1.0)),
-                      POWER_TOL_DEFAULT)
+    rows = norm_curve(model, ts, resolvent_blocks(model, 1.0),
+                      LANCZOS_TOL_DEFAULT)
     semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, rows[0])
     projections = [riesz_projection_quadrature(
         model, hypothesis_a_check(model, lam, nodes=nodes))
@@ -742,7 +742,6 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     # the generator: no whole semigroup is evaluated.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
     resolvents = _record_calls(monkeypatch, "resolvent_blocks")
-    evolves = _record_calls(monkeypatch, "evolve_blocks")
     norms = _record_calls(monkeypatch, "semigroup_norm")
     tables = _record_tables(monkeypatch)
     # The first hypothesis-(b) check ends the sampling of ||T(t) R_mu||.
@@ -759,12 +758,10 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     points = cfg.grid.points
     assert checked == 3
     assert len(resolvents) == 1
-    assert evolves == []
     assert [t for (t,) in norms] == cfg.grid.values().tolist()
     m = build_model(cfg.model)
-    sampled, projected = (
-        [c for c in part if c[1].size < m.mid.size]
-        for part in (tables[:started[0]], tables[started[0]:]))
+    assert tables and all(mid.size < m.mid.size for _, mid, _, _ in tables)
+    sampled, projected = tables[:started[0]], tables[started[0]:]
     grid = cfg.grid.values().tolist()
     # Each grid time of ||T(t) R_mu|| evaluates the block of largest bound,
     # and from t = 3.08 on the blocks it cannot rule out, in one more slice.
@@ -782,13 +779,19 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
 def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,
                                                              tmp_path):
     # In the Euclidean norm once per grid time means one norm from the
-    # block moduli, and no whole semigroup.
+    # block moduli, and no whole semigroup: T(t) R_mu is evaluated on the
+    # slices that theorem-check's sampling evaluates.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "s"))
-    evolves = _record_calls(monkeypatch, "evolve_blocks")
+    tables = _record_tables(monkeypatch)
     norms = _record_calls(monkeypatch, "semigroup_norm")
     run_simulate(cfg)
-    assert evolves == []
     assert len(norms) == cfg.grid.points
+    m = build_model(cfg.model)
+    assert all(mid.size < m.mid.size for _, mid, _, _ in tables)
+    times = [t for *_, t in tables]
+    grid = cfg.grid.values().tolist()
+    assert sorted(set(times)) == grid
+    assert [times.count(t) for t in grid] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
 
 
 def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
@@ -800,3 +803,5 @@ def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
     tables = _record_tables(monkeypatch)
     run_simulate(cfg)
     assert len(evolves) == len(tables) == cfg.grid.points
+    m = build_model(cfg.model)
+    assert all(scalars.size == m.scalars.size for scalars, *_ in tables)

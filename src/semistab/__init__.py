@@ -10,8 +10,8 @@ from ._version import __version__
 from .asymptotics import (Envelope, FitFamily, HardyReport, NormSamples,
                           Quantity, RateFit, TranslationCurve, WitnessBound,
                           concave_envelope, envelope_translation_check,
-                          fit_rate, hardy_check, sample_norms, witness_lower_bound,
-                          witness_vector)
+                          fit_rate, hardy_check, hardy_sums, sample_norms,
+                          witness_lower_bound, witness_vector)
 from .errors import (ClusteredSpectrumError, ConfigError, ContourTooCloseError,
                      IllConditionedError, InsufficientSamplesError,
                      NonconvergedError, SemistabError, SpectrumHitError,

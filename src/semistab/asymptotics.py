@@ -253,27 +253,64 @@ class HardyReport:
     ratio: float
 
 
+def hardy_sums(values, lengths) -> tuple:
+    """Both Hardy sums and their ratio for each of many sequences at once.
+
+    ``values`` holds the sequences back to back and ``lengths`` their sizes,
+    each at least 1.  Returns the arrays ``(lhs, rhs, ratio)`` with one entry
+    per sequence, each as :func:`hardy_check` defines it.  Every step is a
+    segmented reduction over the concatenation, so a batch costs a fixed
+    number of numpy calls.  The scale max |c| is taken in two steps, as
+    m = max(|Re c|, |Im c|) and then m max |c / m|, so that a modulus above
+    the largest float does not overflow; the sums on c / m are divided by
+    (max |c / m|)^2 at the end.
+    """
+    c = np.asarray(values, dtype=complex).ravel()
+    lengths = np.asarray(lengths, dtype=np.intp).ravel()
+    if lengths.size == 0 or np.any(lengths < 1) or lengths.sum() != c.size:
+        raise ValueError("lengths must be positive and sum to the number "
+                         "of values")
+    starts = np.cumsum(lengths) - lengths
+    m = np.maximum.reduceat(np.maximum(np.abs(c.real), np.abs(c.imag)), starts)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("sequence entries must be finite")
+    zero = m == 0.0
+    m[zero] = 1.0
+    # Real division of the interleaved parts: complex division by a
+    # subnormal scale overflows.
+    c = (c.view(float).reshape(-1, 2)
+         / np.repeat(m, lengths)[:, None]).view(complex).ravel()
+    modulus = np.abs(c)
+    scale = np.maximum.reduceat(modulus, starts) ** 2
+    scale[zero] = 1.0
+    n = np.arange(1.0, c.size + 1.0) - np.repeat(starts, lengths)
+    lhs = np.add.reduceat(modulus ** 2 / n ** 2, starts) / scale
+    # Sequence j sits after j + 1 zeros, so one diff of the padded copy
+    # [0, c^1, 0, c^2, ..., 0] gives its L + 1 differences, the rise from
+    # and the drop back to zero included, starting at starts[j] + j.
+    segment = np.arange(lengths.size)
+    padded = np.zeros(c.size + lengths.size + 1, dtype=complex)
+    padded[np.arange(1, c.size + 1) + np.repeat(segment, lengths)] = c
+    rhs = np.add.reduceat(np.abs(np.diff(padded)) ** 2,
+                          starts + segment) / scale
+    ratio = np.divide(lhs, 4.0 * rhs, out=np.zeros_like(lhs), where=~zero)
+    return lhs, rhs, ratio
+
+
 def hardy_check(seq) -> HardyReport:
     """Evaluate sum |c_n|^2 / n^2 against 4 sum |c_{n+1} - c_n|^2.
 
     The input is read as a finitely supported sequence indexed from 1:
     implicit zeros surround it, so the difference sum includes both the
     |c_1|^2 boundary term and the final drop back to zero.  Both sums are
-    taken on c / max |c|, which neither overflows nor underflows to 0 / 0.
+    taken on c / max |c|, which neither overflows nor underflows to 0 / 0,
+    by one :func:`hardy_sums` call.
     """
     c = np.asarray(seq, dtype=complex).ravel()
-    scale = float(np.max(np.abs(c), initial=0.0))
-    if not math.isfinite(scale):
-        raise ValueError("sequence entries must be finite")
-    if scale == 0.0:
+    if c.size == 0:
         return HardyReport(0.0, 0.0, 0.0)
-    # Real division of the interleaved parts: complex division by a
-    # subnormal scale overflows.
-    c = (c.view(float) / scale).view(complex)
-    n =np.arange(1, c.size + 1, dtype=float)
-    lhs = float(np.sum(np.abs(c) ** 2 / n ** 2))
-    rhs = float(np.sum(np.abs(np.diff(c, prepend=0.0, append=0.0)) ** 2))
-    return HardyReport(lhs, rhs, lhs / (4.0 * rhs))
+    lhs, rhs, ratio = hardy_sums(c, [c.size])
+    return HardyReport(float(lhs[0]), float(rhs[0]), float(ratio[0]))
 
 
 def witness_vector(t: float, dim: int):

@@ -42,6 +42,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -131,15 +132,25 @@ def _partial_sums(order: int, vec, out, backward: bool) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _start_factors(m: int) -> tuple:
+    # Two complex Gaussian vectors of length m from a fixed seed, read-only
+    # so that every caller can share them; 2m draws, no numpy.random.
+    rng = random.Random(0)
+    pair = tuple(np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                           for _ in range(m)]) for _ in range(2))
+    for factor in pair:
+        factor.flags.writeable = False
+    return pair
+
+
 def _start_vector(n: int) -> np.ndarray:
     # Seeded start a (x) b cut to n entries, a and b complex Gaussian of
     # length ceil(sqrt(n)): <x, a (x) b> is a nonzero bilinear form for any
     # x != 0, so unlike all-ones it is almost surely not orthogonal to the top
-    # singular vector; 2 sqrt(n) draws, no numpy.random (about 6 MB).
-    rng = random.Random(0)
-    m = math.isqrt(n - 1) + 1
-    a, b = (np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                      for _ in range(m)]) for _ in range(2))
+    # singular vector.  Only the factors are cached: no vector of length n
+    # outlives the call.
+    a, b = _start_factors(math.isqrt(n - 1) + 1)
     v = np.outer(a, b).ravel()[:n]
     v /= np.linalg.norm(v)
     return v

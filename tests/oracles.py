@@ -26,6 +26,12 @@ semigroup at one time.
 The generator and the closed-form projections (each eigenvalue's blockwise
 indicator) are written out from the spectral table, as the references for
 the resolvent and for the quadrature.
+
+``semistab.asymptotics.hardy_sums`` checks a batch of sequences by segmented
+reductions over their concatenation, and ``run_hardy`` feeds it a batch of
+draws at a time; :func:`hardy_one` takes the two Hardy sums of one sequence
+by whole-array sums, and :func:`hardy_run` checks ``run_hardy``'s draws one
+case at a time.
 """
 
 import math
@@ -307,3 +313,32 @@ def contour_projection_closed(model, contour):
 def every_block(model) -> np.ndarray:
     """The index of all blocks, for an operator held on the full dimension."""
     return np.arange(model.scalars.size + model.mid.size)
+
+
+def hardy_one(seq) -> tuple:
+    """(lhs, rhs, ratio) of the discrete Hardy inequality for one sequence,
+    both sums taken by ``np.sum`` on c / max |c|; zeros for the zero
+    sequence.  Moduli above the largest float overflow here."""
+    c = np.asarray(seq, dtype=complex).ravel()
+    scale = float(np.max(np.abs(c), initial=0.0))
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0
+    c = (c.view(float) / scale).view(complex)
+    n = np.arange(1, c.size + 1, dtype=float)
+    lhs = float(np.sum(np.abs(c) ** 2 / n ** 2))
+    rhs = float(np.sum(np.abs(np.diff(c, prepend=0.0, append=0.0)) ** 2))
+    return lhs, rhs, lhs / (4.0 * rhs)
+
+
+def hardy_run(cases: int, max_len: int, seed: int) -> tuple:
+    """``run_hardy``'s draws checked one case at a time by :func:`hardy_one`:
+    (worst ratio, its case, its sequence), the first maximum kept."""
+    rng = np.random.default_rng(seed)
+    worst = (-1.0, -1, None)
+    for case in range(cases):
+        length = int(rng.integers(2, max_len + 1))
+        seq = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        ratio = hardy_one(seq)[2]
+        if ratio > worst[0]:
+            worst = (ratio, case, seq)
+    return worst

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_operator_norm, weighted_vector_norm
-from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
-                                  concave_envelope, envelope_translation_check,
-                                  fit_rate, hardy_check, sample_norms,
+from oracles import dense_operator_norm, hardy_one, weighted_vector_norm
+from semistab.asymptotics import (FitFamily, HardyReport, NormSamples,
+                                  Quantity, concave_envelope,
+                                  envelope_translation_check, fit_rate,
+                                  hardy_check, hardy_sums, sample_norms,
                                   witness_lower_bound, witness_vector)
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
@@ -249,6 +250,68 @@ def test_hardy_property(seq):
 def test_hardy_extreme_magnitudes():
     assert hardy_check([1e200, 2e200]).ratio == pytest.approx(
         hardy_check([1.0, 2.0]).ratio, rel=1e-15)
+
+
+def test_hardy_accepts_a_modulus_above_the_largest_float():
+    # |1.7e308 + 1.7e308j| overflows to inf although both parts are finite.
+    assert hardy_check([1.7e308 + 1.7e308j]) == hardy_check([1 + 1j]) \
+        == HardyReport(1.0, 2.0, 0.125)
+    big = hardy_check([1.7e308 + 1.7e308j, -1e308, 3e307j])
+    assert big.ratio == pytest.approx(
+        hardy_check([1.7 + 1.7j, -1.0, 0.3j]).ratio, rel=1e-15)
+
+
+def test_hardy_rejects_non_finite_entries():
+    for bad in ([1.0, np.inf], [complex(1.0, np.nan)], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            hardy_check(bad)
+    with pytest.raises(ValueError, match="finite"):
+        hardy_sums([1.0, 2.0, np.inf], [2, 1])
+
+
+def test_hardy_sums_rejects_lengths_that_do_not_cover_the_values():
+    for lengths in ([], [2, 0, 1], [1, 1], [2, 2]):
+        with pytest.raises(ValueError, match="lengths"):
+            hardy_sums([1.0, 2.0, 3.0], lengths)
+
+
+def _ulps(got: float, want: float) -> float:
+    return abs(got - want) / np.spacing(max(abs(got), abs(want)))
+
+
+# One sequence: its length, the seed of its entries, and either None (the
+# zero sequence) or the decimal exponents of its largest entry and of the
+# spread below it.
+_HARDY_SEQUENCE = st.tuples(
+    st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+    st.none() | st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 30.0)))
+
+
+def _hardy_sequence(length, seed, magnitude):
+    if magnitude is None:
+        return np.zeros(length, dtype=complex)
+    top, spread = magnitude
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((2, length))
+    parts /= np.max(np.abs(parts))
+    return (parts[0] + 1j * parts[1]) * 10.0 ** (top - spread
+                                                 * rng.random(length))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_HARDY_SEQUENCE, min_size=1, max_size=40))
+def test_hardy_sums_matches_one_sequence_at_a_time(batch):
+    seqs = [_hardy_sequence(*drawn) for drawn in batch]
+    lhs, rhs, ratio = hardy_sums(np.concatenate(seqs),
+                                 [seq.size for seq in seqs])
+    for j, seq in enumerate(seqs):
+        row = (lhs[j], rhs[j], ratio[j])
+        assert hardy_check(seq) == HardyReport(*row)
+        if not np.any(seq):
+            assert row == (0.0, 0.0, 0.0)
+            continue
+        for got, want in zip(row, hardy_one(seq)):
+            assert _ulps(got, want) <= 16
 
 
 @settings(derandomize=True, max_examples=200)

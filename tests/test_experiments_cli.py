@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import hardy_run
 from semistab import cli, experiments
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
@@ -433,6 +434,73 @@ def test_hardy_rejects_a_max_len_above_the_cap_before_drawing(
                  "--out", str(tmp_path / "h")]) == 2
     assert f"got {MAX_DIM + 1}" in capsys.readouterr().err
     assert not (tmp_path / "h").exists()
+
+
+def test_hardy_rejects_a_negative_seed_before_drawing(tmp_path, capsys,
+                                                     monkeypatch):
+    # numpy's own error named no option: "expected non-negative integer".
+    def no_draw(*args, **kwargs):
+        raise AssertionError("run_hardy drew before checking seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        run_hardy(1, seed=-1, out_dir=str(tmp_path / "h"))
+    assert main(["hardy", "--seed", "-1", "--out", str(tmp_path / "h")]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "h").exists()
+
+
+@pytest.mark.parametrize("seed", [42, 3])
+@pytest.mark.parametrize("cases", [31, 32, 33, 65])
+def test_run_hardy_matches_the_case_by_case_oracle(tmp_path, cases, seed):
+    # At max_len 512, 32 cases a batch: one short batch, one full, one full
+    # plus one, two full plus one.
+    report = run_hardy(cases, max_len=512, seed=seed,
+                       out_dir=str(tmp_path / "h"))
+    metrics = report.verdicts["hardy_bound"].metrics
+    ratio, case, seq = hardy_run(cases, 512, seed)
+    assert metrics["worst_case"] == case
+    assert abs(metrics["worst_ratio"] - ratio) <= 16 * np.spacing(ratio)
+    write_csv(str(tmp_path / "oracle.csv"), ["n", "re", "im"],
+              [(i + 1, z.real, z.imag) for i, z in enumerate(seq)])
+    assert _read(tmp_path / "h" / "hardy_worst.csv") == \
+        _read(tmp_path / "oracle.csv")
+
+
+def test_run_hardy_batches_hold_a_bounded_number_of_entries(tmp_path,
+                                                            monkeypatch):
+    sizes = []
+
+    def recorded(values, lengths):
+        sizes.append(len(lengths))
+        return experiments.asymptotics.hardy_sums(values, lengths)
+
+    monkeypatch.setattr(experiments, "hardy_sums", recorded)
+    # At most 32 * 512 entries a batch, and at least one sequence.
+    for cases, max_len, want in ((65, 512, [32, 32, 1]), (300, 64, [256, 44]),
+                                 (3, MAX_DIM, [1, 1, 1])):
+        sizes.clear()
+        run_hardy(cases, max_len=max_len, out_dir=str(tmp_path / "h"))
+        assert sizes == want
+
+
+def test_run_hardy_keeps_the_first_maximum_across_batches(tmp_path,
+                                                          monkeypatch):
+    def tied(values, lengths):
+        ratio = np.full(len(lengths), 0.125)
+        return ratio, ratio, ratio
+
+    monkeypatch.setattr(experiments, "hardy_sums", tied)
+    # Three batches of at most 32 cases at max_len 512.
+    report = run_hardy(65, max_len=512, seed=3, out_dir=str(tmp_path / "h"))
+    assert report.verdicts["hardy_bound"].metrics["worst_case"] == 0
+    rng = np.random.default_rng(3)
+    length = int(rng.integers(2, 513))
+    first = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    write_csv(str(tmp_path / "first.csv"), ["n", "re", "im"],
+              [(i + 1, z.real, z.imag) for i, z in enumerate(first)])
+    assert _read(tmp_path / "h" / "hardy_worst.csv") == \
+        _read(tmp_path / "first.csv")
 
 
 def test_cli_maps_memory_error_to_exit_2(tmp_path, capsys, monkeypatch):

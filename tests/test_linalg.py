@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -505,3 +506,20 @@ def test_norm_context_validation():
         NormContext(4, order=-1)
     ctx = NormContext(10, 2)
     assert ctx.order == 2 and ctx.dim == 10
+
+
+def test_start_vector_is_a_fresh_copy_of_the_seeded_draws():
+    # The Gaussian factors are cached per length; the start vector, which
+    # the kernel overwrites, must not be.
+    import random
+
+    for n in (1, 2, 30, 1600, 1601):
+        rng = random.Random(0)
+        m = math.isqrt(n - 1) + 1
+        a, b = (np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                          for _ in range(m)]) for _ in range(2))
+        want = np.outer(a, b).ravel()[:n]
+        want /= np.linalg.norm(want)
+        first = linalg._start_vector(n)
+        first[:] = 0.0
+        assert np.array_equal(linalg._start_vector(n), want)

@@ -3,8 +3,8 @@
 The envelope of a set of norm samples is the upper concave hull of the
 points (t, log value): a piecewise-linear concave majorant of the log-norm,
 extended beyond the last knot with the final slope.  Asymptotic laws are
-fitted by least squares in log space; the three families cover power laws,
-reciprocal-logarithm decay, and boundedness.
+fitted by least squares in log space; the two families cover power laws and
+reciprocal-logarithm decay.
 
 The discrete Hardy inequality checker and the tent-shaped witness sequence
 provide the two independent lower-bound routes for the weighted-norm model:
@@ -183,7 +183,6 @@ def envelope_translation_check(env: Envelope, t: float, s_grid) -> TranslationCu
 class FitFamily(enum.Enum):
     POWER = "POWER"
     INVERSE_LOG = "INVERSE_LOG"
-    CONSTANT = "CONSTANT"
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ class RateFit:
     """A fitted asymptotic law and its residual (RMS in log space).
 
     ``exponent_or_scale`` is the power-law exponent for POWER and the
-    max/min spread of the compensated values for the other two families.
+    max/min spread of the compensated values v * log t for INVERSE_LOG.
     """
 
     family: FitFamily
@@ -206,8 +205,8 @@ def fit_rate(samples: NormSamples, family: FitFamily,
     """Least-squares fit of one rate law over the window t >= t_min.
 
     POWER fits log v against log t; INVERSE_LOG fits v * log t to a constant
-    (so the coefficient c means v ~ c / log t); CONSTANT fits log v to a
-    constant.  Requires at least 8 samples in the window and t_min above e.
+    (so the coefficient c means v ~ c / log t).  Requires at least 8
+    samples in the window and t_min above e.
     """
     t_min = FIT_T_MIN_DEFAULT if t_min is None else float(t_min)
     if t_min < FIT_T_FLOOR:
@@ -226,10 +225,7 @@ def fit_rate(samples: NormSamples, family: FitFamily,
         resid = np.log(values) - design @ (coef, alpha)
         return RateFit(family, float(np.exp(coef)), float(alpha),
                        float(np.sqrt(np.mean(resid ** 2))), window)
-    if family is FitFamily.INVERSE_LOG:
-        compensated = values * logt
-    else:
-        compensated = values
+    compensated = values * logt
     logu = np.log(compensated)
     level = float(np.mean(logu))
     resid = logu - level

@@ -14,7 +14,6 @@ from .errors import SemistabError
 from .experiments import (MAX_DIM, load_report, parse_config, render_report,
                           report_exit_code, run_hardy, run_simulate,
                           run_theorem_check, run_witness)
-from .models import FAMILIES, Family
 
 
 def _load_config(args):
@@ -79,9 +78,8 @@ def _build_parser():
     witness.add_argument("--t", required=True,
                          help="comma-separated time values, e.g. 10,20,40,80")
     witness.add_argument("--dim", type=int, default=None,
-                         help="truncation dimension (default: "
-                              f"{FAMILIES[Family.LOG_SPECTRUM].truncation[0]}"
-                              f" * max t, at most {MAX_DIM})")
+                         help="truncation dimension (default: the minimal "
+                              f"adequate one for max t, at most {MAX_DIM})")
     witness.add_argument("--out", default="out")
     witness.set_defaults(func=_cmd_witness)
 

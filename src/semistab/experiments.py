@@ -29,7 +29,7 @@ from .asymptotics import (FitFamily, NormSamples, Quantity, concave_envelope,
                           envelope_translation_check, fit_rate, hardy_sums,
                           loglog_slope, sample_norms, witness_lower_bound)
 from .errors import (ClusteredSpectrumError, ConfigError,
-                     InsufficientSamplesError, TruncationInadequateError)
+                     InsufficientSamplesError)
 from .models import Family, Model, ModelSpec, build_model
 
 PASS = "PASS"
@@ -188,10 +188,10 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     >= 16, ``contour.radius_cap``, ``checks.translation_shift`` and
     ``tolerances.proj_tol`` > 0, ``tolerances.norm_tol`` in (0, 1), and
     ``output.formats`` within CSV, JSON.  The checks across keys follow:
-    ``TimeGrid``'s rules; ``model.max_index = auto`` resolves to the minimal
-    adequate truncation for ``grid.t_max`` and ``model.order``
-    (:func:`models.required_max_index`), and a smaller explicit value is
-    rejected, as is a dimension above ``max_dim``.  A ``model.mu`` on the
+    ``TimeGrid``'s rules, then the truncation gate :func:`models.truncation`
+    for ``grid.t_max`` and ``model.order``: ``model.max_index = auto``
+    resolves to the minimal adequate truncation, and a smaller explicit value
+    is rejected, as is a dimension above ``max_dim``.  A ``model.mu`` on the
     spectrum is rejected when the model is built (``SpectrumHitError``).
     """
     parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
@@ -225,24 +225,11 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
         fields.setdefault(owner, {})[attr] = value
 
     model = fields["model"]
-    family, order, max_index = model["family"], model["order"], model["max_index"]
+    max_index = None if model["max_index"] == "auto" else model["max_index"]
     try:
         grid = TimeGrid(**fields["grid"])
-        need = models.required_max_index(family, grid.t_max, order)
-        if max_index == "auto":
-            max_index = need
-        elif max_index < need:
-            raise TruncationInadequateError(
-                f"model.max_index {max_index} is inadequate for grid.t_max "
-                f"{grid.t_max} and model.order {order}; need max_index >= "
-                f"{need} (dim {models.model_dim(family, need)})",
-                required=need)
-        dim = models.model_dim(family, max_index)
-        if max_dim is not None and dim > max_dim:
-            raise TruncationInadequateError(
-                f"adequate truncation needs dim {dim} > configured cap {max_dim} "
-                f"(minimal adequate max_index {need})",
-                required=need)
+        max_index = models.truncation(model["family"], grid.t_max,
+                                      model["order"], max_index, max_dim)
         return ExperimentConfig(
             model=ModelSpec(**dict(model, max_index=max_index)), grid=grid,
             tolerances=Tolerances(**fields["tolerances"]),
@@ -657,9 +644,9 @@ def run_hardy(cases: int, max_len: int = 512, seed: int = 42,
 
 def run_witness(t_values, dim: int | None = None,
                 out_dir: str = "out") -> RunReport:
-    """Witness-vector lower-bound experiment on the weighted diagonal model.
-
-    A ``dim`` derived from t (``dim=None``) is capped at ``MAX_DIM``."""
+    """Witness-vector lower-bound experiment on the weighted diagonal model,
+    at dim = max_index - 1: :func:`models.truncation` checks ``dim``, or
+    derives it (``dim=None``) capped at ``MAX_DIM``."""
     ts = sorted(float(t) for t in t_values)
     for t in ts:
         if not math.isfinite(t):
@@ -672,20 +659,11 @@ def run_witness(t_values, dim: int | None = None,
         if t == later:
             raise ConfigError(f"witness needs distinct t values, got t = "
                               f"{t!r} more than once")
-    need = models.required_max_index(Family.LOG_SPECTRUM, ts[-1])
-    need_dim = models.model_dim(Family.LOG_SPECTRUM, need)
-    if dim is None and need_dim > MAX_DIM:
-        raise TruncationInadequateError(
-            f"witness at t = {ts[-1]!r} needs dim {need_dim:.6g} > cap "
-            f"{MAX_DIM}; pass --dim to choose a dimension", required=need)
-    dim = need_dim if dim is None else dim
-    if dim < need_dim:
-        raise TruncationInadequateError(
-            f"dim {dim} inadequate for witness at t {ts[-1]}; need dim >= "
-            f"{need_dim}", required=need)
+    max_index = models.truncation(
+        Family.LOG_SPECTRUM, ts[-1], max_index=None if dim is None else dim + 1,
+        max_dim=MAX_DIM if dim is None else None)
     started = time.perf_counter()
-    spec = ModelSpec(Family.LOG_SPECTRUM, dim + 1, order=1)
-    model = build_model(spec)
+    model = build_model(ModelSpec(Family.LOG_SPECTRUM, max_index, order=1))
     bounds = [witness_lower_bound(model, t) for t in ts]
 
     normalized = np.array([b.normalized for b in bounds])
@@ -705,7 +683,7 @@ def run_witness(t_values, dim: int | None = None,
         verdicts["witness_bracket"] = _skipped("need >= 2 t values for a bracket")
 
     config_text = (f"witness.t = {','.join(repr(t) for t in ts)}\n"
-                   f"witness.dim = {dim}\n")
+                   f"witness.dim = {model.dim}\n")
     report = RunReport(
         "witness", config_text, verdicts,
         samples={"witness": {"t": list(ts),

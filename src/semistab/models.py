@@ -18,10 +18,10 @@ Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
-:mod:`linalg` applies it through ``matvec`` and ``rmatvec``, and
-``to_dense`` serves moderate sizes.  :func:`required_max_index` is the one
-rule for whether a truncation is adequate, :func:`evolve_blocks` the one way
-to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
+:mod:`linalg` applies it through ``matvec`` and ``rmatvec``.
+:func:`required_max_index` is the one adequacy rule and :func:`truncation`
+the one gate applying it and the dimension cap; :func:`evolve_blocks` is the
+one way to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
 ||T(t) X||; in the Euclidean norm each value is a supremum over blocks, and
 :func:`_prune` is the one rule for which blocks it evaluates.
 """
@@ -335,16 +335,6 @@ class BlockDiagonal:
         return tuple(np.conj(a) for a in (self.scalars, self.upper,
                                           self.corner, self.lower))
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        diag = np.arange(self.scalars.size)
-        out[diag, diag] = self.scalars
-        first = self.scalars.size + 2 * np.arange(self.upper.size)
-        out[first, first] = self.upper
-        out[first, first + 1] = self.corner
-        out[first + 1, first + 1] = self.lower
-        return out
-
 
 def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     """The semigroup at time t as a block-diagonal operator.
@@ -401,7 +391,8 @@ def semigroup_norm(model: Model, t: float) -> float:
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
-    """(A - mu I)^-1 as a block-diagonal operator, blockwise closed form."""
+    """(A - mu I)^-1 as a block-diagonal operator, blockwise closed form;
+    ``ValueError`` naming mu where its corner -1/(ab) overflows."""
     mu = complex(mu)
     s = model.scalars - mu
     a = model.upper - mu
@@ -410,7 +401,11 @@ def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {mu} is within {dist:.3e} of the spectrum")
-    return BlockDiagonal(1.0 / s, 1.0 / a, -1.0 / (a * b), 1.0 / b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner = -1.0 / (a * b)
+    if not np.isfinite(corner).all():
+        raise ValueError(f"mu {mu} is too large: the resolvent overflows")
+    return BlockDiagonal(1.0 / s, 1.0 / a, corner, 1.0 / b)
 
 
 def eigenvalues(model: Model) -> list:
@@ -483,12 +478,12 @@ def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
 
 
 def required_max_index(family: Family, t_max: float, order: int = 1) -> int:
-    """Minimal adequate truncation out to time t_max; a weighted family's
-    order-N norm also needs dim >= N + 1, and dim is affine in max_index."""
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
+    """Minimal adequate truncation out to time t_max (``ValueError`` if none
+    is); a weighted family's order-N norm also needs dim >= N + 1."""
     row = FAMILIES[family]
     per_time, offset = row.truncation
+    if not 0 <= per_time * t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     need = max(math.ceil(per_time * t_max) + offset, 2)
     if row.weighted:
         d2, d3 = model_dim(family, 2), model_dim(family, 3)
@@ -496,11 +491,31 @@ def required_max_index(family: Family, t_max: float, order: int = 1) -> int:
     return need
 
 
-def check_truncation(model: Model, t_max: float) -> None:
-    """Hard adequacy gate; raises naming the minimal adequate max_index."""
-    need = required_max_index(model.spec.family, t_max, model.spec.order)
-    if model.spec.max_index < need:
+def truncation(family: Family, t_max: float, order: int = 1,
+               max_index: int | None = None, max_dim: int | None = None) -> int:
+    """The one truncation gate: the max_index to build out to time t_max, the
+    minimal adequate one if ``max_index`` is None, else ``max_index`` once
+    checked.  Raises :class:`TruncationInadequateError`, the minimal one as
+    ``required``, if ``max_index`` is below it or the dim exceeds ``max_dim``."""
+    def g(n):  # .6g, also for an int past the range of a float
+        from decimal import Decimal  # here, not at import: 0.4 MB of RSS
+        return f"{n:.6g}" if n < 1e300 else f"{Decimal(n):.6g}"
+
+    need = required_max_index(family, t_max, order)
+    chosen = need if max_index is None else max_index
+    if chosen < need:
         raise TruncationInadequateError(
-            f"{model.spec.family.value} with max_index {model.spec.max_index} "
-            f"is inadequate for t_max {t_max}; need max_index >= {need}",
-            required=need)
+            f"{family.value} at max_index {g(chosen)} is inadequate for t_max "
+            f"{t_max} at order {order}; need max_index >= {g(need)}, need dim "
+            f">= {g(model_dim(family, need))}", required=need)
+    dim = model_dim(family, chosen)
+    if max_dim is not None and dim > max_dim:
+        raise TruncationInadequateError(
+            f"{family.value} at max_index {g(chosen)} needs dim {g(dim)} > cap "
+            f"{max_dim} (minimal adequate max_index {g(need)})", required=need)
+    return chosen
+
+
+def check_truncation(model: Model, t_max: float) -> None:
+    """Hard adequacy gate for a built model (:func:`truncation`)."""
+    truncation(model.spec.family, t_max, model.spec.order, model.spec.max_index)

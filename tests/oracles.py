@@ -5,8 +5,9 @@ matrix-free and estimates operator norms by Lanczos on the Gram operator of
 any operator with ``dim``, ``matvec`` and ``rmatvec``.  These helpers build
 D and L as dense matrices (the identity at order 0) and take norms by a full
 SVD, so the tests can hold the kernel against an independent computation; a
-dense matrix goes through the kernel as :func:`as_operator`.  Dense, so keep
-the dimensions moderate.
+dense matrix goes through the kernel as :func:`as_operator`, and
+:func:`dense` writes out a :class:`BlockDiagonal`.  Dense, so keep the
+dimensions moderate.
 
 ``semistab.spectral`` evaluates the trapezoid rule of a contour as a closed
 rational filter.  Two references stand behind it: the rule summed node by
@@ -84,6 +85,18 @@ def weighted_vector_norm(ctx: NormContext, vec) -> float:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return float(np.linalg.norm(difference_matrix(ctx.order, ctx.dim) @ v))
+
+
+def dense(op: BlockDiagonal) -> np.ndarray:
+    """A :class:`BlockDiagonal` as a dense matrix, the scalars first."""
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    diag = np.arange(op.scalars.size)
+    out[diag, diag] = op.scalars
+    first = op.scalars.size + 2 * np.arange(op.upper.size)
+    out[first, first] = op.upper
+    out[first, first + 1] = op.corner
+    out[first + 1, first + 1] = op.lower
+    return out
 
 
 def dense_operator_norm(mat, ctx: NormContext) -> float:

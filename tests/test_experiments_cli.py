@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from operator import attrgetter
 
 import numpy as np
@@ -19,7 +20,7 @@ from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
                                   run_hardy, run_simulate, run_theorem_check,
                                   run_witness, write_csv)
 from semistab.models import (Family, ModelSpec, build_model, check_truncation,
-                             required_max_index)
+                             model_dim, required_max_index)
 
 JP_TEXT = """\
 # small run
@@ -644,6 +645,43 @@ def test_cli_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("family", ["JORDAN_PAIRS", "LOG_SPECTRUM"])
+def test_t_max_too_large_for_any_truncation_exits_2(family, tmp_path, capsys):
+    # per_time * 1e308 overflowed in math.ceil: simulate and witness
+    # printed an OverflowError traceback and exited 1, the failed-check code.
+    text = JP_TEXT.format(out=tmp_path / "o").replace(
+        "JORDAN_PAIRS", family).replace("grid.t_max = 40.0", "grid.t_max = 1e308")
+    named = "t_max must be finite and >= 0, got 1e+308"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(text)
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert main(["witness", "--t", "1e308", "--out", str(tmp_path / "w")]) == 2
+    assert named in capsys.readouterr().err
+    # Below it, dims pass 1e300 (3e308 for JORDAN_PAIRS, past the float
+    # range): the cap message stays short.
+    cfg_path.write_text(text.replace("1e308", "3e306"))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "> cap 200000" in err and len(err) < 200
+    assert not (tmp_path / "o").exists() and not (tmp_path / "w").exists()
+
+
+def test_cli_names_a_mu_too_large_for_the_resolvent(tmp_path, capsys):
+    # The resolvent's corner overflowed to NaN with a RuntimeWarning, and
+    # simulate exited 2 on "values must be finite and positive".
+    cfg_path = tmp_path / "jp.cfg"
+    cfg_path.write_text(JP_TEXT.format(out=tmp_path / "o")
+                        + "model.mu = 1e155+1e155j\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "mu (1e+155+1e+155j) is too large" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_max_dim_guard(tmp_path, capsys):
     cfg_path = tmp_path / "jp.cfg"
     cfg_path.write_text(JP_TEXT.format(out=tmp_path / "o"))
@@ -696,6 +734,31 @@ def test_projection_entries_record_the_node_doubling_drift(tmp_path):
         drifts[nodes] = [entry["drift"] for entry in entries]
     assert 1e-8 < max(drifts[24]) <= 1e-6
     assert max(drifts[64]) < min(drifts[24])
+
+
+@pytest.mark.parametrize("t", [3.0, 10.0, 10.06, 24.9])
+def test_witness_dim_and_the_gate_agree(t, tmp_path):
+    # An explicit witness dim d is the LOG_SPECTRUM truncation at
+    # max_index d + 1; run_witness must reject exactly the d for which
+    # check_truncation rejects that model, with the same requirement.
+    need_dim = model_dim(Family.LOG_SPECTRUM,
+                         required_max_index(Family.LOG_SPECTRUM, t))
+    outcomes = set()
+    for d in range(need_dim - 2, need_dim + 3):
+        model = build_model(ModelSpec(Family.LOG_SPECTRUM, d + 1, order=1))
+        try:
+            check_truncation(model, t)
+            gate = None
+        except TruncationInadequateError as exc:
+            gate = exc.required
+        try:
+            run_witness([t], dim=d, out_dir=str(tmp_path / str(d)))
+            witness = None
+        except TruncationInadequateError as exc:
+            witness = exc.required
+        assert witness == gate, d
+        outcomes.add(gate is None)
+    assert outcomes == {True, False}
 
 
 def test_witness_rejects_small_dim_before_building(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (as_operator, cumulative_matrix, dense_operator_norm,
+from oracles import (as_operator, cumulative_matrix, dense, dense_operator_norm,
                      difference_matrix, weighted_vector_norm)
 from semistab import linalg
 from semistab.errors import IllConditionedError
@@ -333,20 +333,20 @@ def _block_operators(draw):
 @given(op=_block_operators(), order=st.integers(0, 3))
 def test_power_iteration_matches_dense_svd_on_block_operators(op, order):
     assume(op.dim > order)
-    dense = op.to_dense()
+    mat = dense(op)
     rng = np.random.default_rng(op.dim)
     v, w = (rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
             for _ in range(2))
     # Each output entry rounds at most two complex products and one sum.
-    assert np.all(np.abs(op.matvec(v) - dense @ v)
-                  <= 16 * _EPS * np.abs(dense) @ np.abs(v))
-    assert np.all(np.abs(op.rmatvec(w) - dense.conj().T @ w)
-                  <= 16 * _EPS * np.abs(dense).T @ np.abs(w))
+    assert np.all(np.abs(op.matvec(v) - mat @ v)
+                  <= 16 * _EPS * np.abs(mat) @ np.abs(v))
+    assert np.all(np.abs(op.rmatvec(w) - mat.conj().T @ w)
+                  <= 16 * _EPS * np.abs(mat).T @ np.abs(w))
     assert abs(np.vdot(w, op.matvec(v)) - np.vdot(op.rmatvec(w), v)) <= \
-        16 * op.dim * _EPS * np.abs(w) @ np.abs(dense) @ np.abs(v)
+        16 * op.dim * _EPS * np.abs(w) @ np.abs(mat) @ np.abs(v)
 
     ctx = NormContext(op.dim, order)
-    want = dense_operator_norm(dense, ctx)
+    want = dense_operator_norm(mat, ctx)
     try:
         got = operator_norm(op, ctx)
     except IllConditionedError:
@@ -363,7 +363,7 @@ def test_power_iteration_stops_short_at_close_singular_values():
     op = BlockDiagonal(np.zeros(0, dtype=complex), np.array([1.0, 1.0]) + 0j,
                        np.array([1.0, 0.1]) + 0j, np.array([1e3, 1e3]) + 0j)
     ctx = NormContext(op.dim)
-    want = dense_operator_norm(op.to_dense(), ctx)
+    want = dense_operator_norm(dense(op), ctx)
     assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-8)
 
 
@@ -458,7 +458,7 @@ def test_tiny_norm_is_right_or_raises(scale, order):
     # 2e-140) or as 0.0, without an error.
     op = _diagonal(scale * np.linspace(1.0, 2.0, 30))
     ctx = NormContext(30, order)
-    want = dense_operator_norm(op.to_dense(), ctx)
+    want = dense_operator_norm(dense(op), ctx)
     if scale < linalg.NORM_FLOOR:
         with pytest.raises(IllConditionedError, match="kernel's range"):
             operator_norm(op, ctx)
@@ -477,7 +477,7 @@ def test_huge_norm_is_right_or_raises(scale, order):
         with pytest.raises(IllConditionedError, match="kernel's range"):
             operator_norm(op, ctx)
     else:
-        want = dense_operator_norm(op.to_dense(), ctx)
+        want = dense_operator_norm(dense(op), ctx)
         assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 

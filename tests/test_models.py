@@ -1,4 +1,7 @@
+import math
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_norms, contour_projection_closed,
+from oracles import (block_norms, contour_projection_closed, dense,
                      dense_operator_norm, evolve_four_calls, generator_blocks,
                      riesz_projection_closed, sup_block_norm_unpruned,
                      weighted_vector_norm)
@@ -70,7 +73,7 @@ def test_build_model_rejects_mu_on_the_spectrum():
 @pytest.mark.parametrize("family", list(Family))
 def test_evolve_at_zero_is_identity(family):
     m = _model(family, 12)
-    semi = evolve_blocks(m, 0.0).to_dense()
+    semi = dense(evolve_blocks(m, 0.0))
     assert np.max(np.abs(semi - np.eye(m.dim))) < 1e-14
 
 
@@ -98,7 +101,7 @@ def test_evolve_rejects_negative_time():
 
 def test_jordan_pairs_block_at_pi():
     m = _model(Family.JORDAN_PAIRS, 2)
-    block = evolve_blocks(m, np.pi).to_dense()
+    block = dense(evolve_blocks(m, np.pi))
     expected = np.array([[1j, 2.0], [0.0, -1j]])
     assert np.max(np.abs(block - expected)) < 1e-12
 
@@ -118,7 +121,7 @@ def test_semigroup_law(family):
 def test_spectral_mapping_on_block_diagonals(family):
     m = _model(family, 20)
     t = 3.7
-    semi = evolve_blocks(m, t).to_dense()
+    semi = dense(evolve_blocks(m, t))
     # Coordinates: the 1x1 blocks, then (upper, lower) of each 2x2 block.
     lams = np.concatenate([m.scalars, np.column_stack([m.upper, m.lower]).ravel()])
     assert np.max(np.abs(np.diag(semi) - np.exp(lams * t))) < 1e-12
@@ -127,13 +130,13 @@ def test_spectral_mapping_on_block_diagonals(family):
 def test_generator_frozen_blocks():
     mj = _model(Family.JORDAN_PAIRS, 2)
     expected = np.array([[2.5j, 1.0], [0.0, 1.5j]])
-    assert np.max(np.abs(generator_blocks(mj).to_dense() - expected)) < 1e-14
+    assert np.max(np.abs(dense(generator_blocks(mj)) - expected)) < 1e-14
 
     ml = _model(Family.LOG_SPECTRUM, 3)
-    assert generator_blocks(ml).to_dense()[0, 0] == pytest.approx(1j * np.log(2))
+    assert dense(generator_blocks(ml))[0, 0] == pytest.approx(1j * np.log(2))
 
     md = _model(Family.DIAG_JORDAN, 2)
-    a = generator_blocks(md).to_dense()
+    a = dense(generator_blocks(md))
     assert a[0, 0] == 1j
     assert np.max(np.abs(a[1:3, 1:3] - np.array([[1j - 1, 1], [0, 1j - 1]]))) < 1e-14
 
@@ -141,10 +144,10 @@ def test_generator_frozen_blocks():
 @pytest.mark.parametrize("family", list(Family))
 def test_generator_is_time_derivative_of_semigroup(family):
     m = _model(family, 6)
-    a = generator_blocks(m).to_dense()
+    a = dense(generator_blocks(m))
     errs = []
     for h in (1e-5, 1e-6):
-        diff = (evolve_blocks(m, h).to_dense() - np.eye(m.dim)) / h
+        diff = (dense(evolve_blocks(m, h)) - np.eye(m.dim)) / h
         errs.append(np.max(np.abs(diff - a)))
     assert errs[0] < 1e-3
     assert 5.0 <= errs[0] / errs[1] <= 20.0  # first-order truncation error
@@ -154,8 +157,8 @@ def test_generator_is_time_derivative_of_semigroup(family):
 def test_resolvent_inverts_shifted_generator(family):
     m = _model(family, 15)
     for mu in (1.0 + 0.0j, -0.3 + 2.2j):
-        r = resolvent_blocks(m, mu).to_dense()
-        shifted = generator_blocks(m).to_dense() - mu * np.eye(m.dim)
+        r = dense(resolvent_blocks(m, mu))
+        shifted = dense(generator_blocks(m)) - mu * np.eye(m.dim)
         defect = shifted @ r - np.eye(m.dim)
         assert np.max(np.abs(defect)) <= 1e-12
 
@@ -167,8 +170,8 @@ def test_resolvent_identity(family):
     for _ in range(5):
         mu = complex(RNG.uniform(0.5, 2.0), RNG.uniform(-1.0, 1.0))
         nu = complex(RNG.uniform(-2.0, -0.5), RNG.uniform(-1.0, 1.0))
-        r_mu = resolvent_blocks(m, mu).to_dense()
-        r_nu = resolvent_blocks(m, nu).to_dense()
+        r_mu = dense(resolvent_blocks(m, mu))
+        r_nu = dense(resolvent_blocks(m, nu))
         defect = r_mu - r_nu - (mu - nu) * (r_mu @ r_nu)
         assert np.max(np.abs(defect)) <= 1e-10
 
@@ -179,9 +182,24 @@ def test_resolvent_spectrum_hit():
         resolvent_blocks(m, 1j * np.log(3))
 
 
+@pytest.mark.parametrize("family", [Family.JORDAN_PAIRS, Family.DIAG_JORDAN])
+def test_resolvent_names_a_mu_whose_corner_overflows(family):
+    # At mu = 1e155 + 1e155j the product a b in the corner -1/(ab)
+    # overflowed: the corner came out NaN with a RuntimeWarning, and
+    # simulate stopped on "values must be finite and positive".
+    m = _model(family, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"mu \(1e\+155\+1e\+155j\)"):
+            resolvent_blocks(m, 1e155 + 1e155j)
+        r = resolvent_blocks(m, 1e154 + 1e154j)
+    assert all(np.all(np.isfinite(x))
+               for x in (r.scalars, r.upper, r.corner, r.lower))
+
+
 def test_log_spectrum_resolvent_at_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
-    r = resolvent_blocks(m, 0.0).to_dense()
+    r = dense(resolvent_blocks(m, 0.0))
     n = np.arange(2, 7, dtype=float)
     assert np.max(np.abs(np.diag(r) - (-1j / np.log(n)))) < 1e-14
 
@@ -191,8 +209,8 @@ def test_jordan_pairs_product_matches_displayed_formula():
     # generator, entry by entry, for each 2x2 block.
     m = _model(Family.JORDAN_PAIRS, 8)
     for t in (0.5, 3.0, 17.0):
-        semi = evolve_blocks(m, t).to_dense()
-        prod = semi @ resolvent_blocks(m, 0.0).to_dense()
+        semi = dense(evolve_blocks(m, t))
+        prod = semi @ dense(resolvent_blocks(m, 0.0))
         for i in range(m.mid.size):
             n = i + 2
             start = m.scalars.size + 2 * i
@@ -225,7 +243,7 @@ def test_diag_jordan_first_block_is_isometric():
     x = np.zeros(m.dim, dtype=complex)
     x[0] = 1.0 + 1.0j
     for t in (0.0, 1.0, 50.0):
-        y = evolve_blocks(m, t).to_dense() @ x
+        y = dense(evolve_blocks(m, t)) @ x
         assert weighted_vector_norm(m.norm_context, y) == \
             pytest.approx(weighted_vector_norm(m.norm_context, x))
 
@@ -246,6 +264,43 @@ def test_check_truncation_raises_with_required_value():
     assert info.value.required == 500
     assert "500" in str(info.value)
     check_truncation(m, 2.0)  # adequate, no raise
+
+
+def test_truncation_gate_returns_what_to_build():
+    assert models.truncation(Family.JORDAN_PAIRS, 10.0) == 500
+    assert models.truncation(Family.JORDAN_PAIRS, 10.0, max_index=600) == 600
+    assert models.truncation(Family.LOG_SPECTRUM, 0.5, order=5) == 7
+    # JORDAN_PAIRS at max_index 500 has dim 998; the cap is inclusive.
+    assert models.truncation(Family.JORDAN_PAIRS, 10.0, max_dim=998) == 500
+    for kw in ({"max_index": 499}, {"max_dim": 997},
+               {"max_index": 600, "max_dim": 1197}):
+        with pytest.raises(TruncationInadequateError) as info:
+            models.truncation(Family.JORDAN_PAIRS, 10.0, **kw)
+        assert info.value.required == 500, kw
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, -1.0, 1e308])
+def test_truncation_names_a_t_max_no_truncation_covers(t_max):
+    # 50 * 1e308 overflows: math.ceil raised a bare OverflowError, and NaN
+    # "cannot convert float NaN to integer".
+    for family in Family:
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_max must be finite and >= 0, got {t_max}")):
+            models.truncation(family, t_max)
+
+
+def test_truncation_messages_stay_short_past_the_float_range():
+    # The dim of a JORDAN_PAIRS truncation for t_max 3e306 is 3e308, past
+    # the largest float; the cap message prints it to six digits.
+    cases = [(Family.JORDAN_PAIRS, 3e306, {}), (Family.LOG_SPECTRUM, 1e307, {}),
+             (Family.JORDAN_PAIRS, 10.0, {"max_index": 10 ** 400})]
+    for family, t_max, kw in cases:
+        with pytest.raises(TruncationInadequateError) as info:
+            models.truncation(family, t_max, max_dim=100, **kw)
+        assert len(str(info.value)) < 150 and "> cap 100" in str(info.value)
+    with pytest.raises(TruncationInadequateError,
+                       match=r"need dim >= 3(\.0*)?e\+308"):
+        models.truncation(Family.JORDAN_PAIRS, 3e306, max_index=2)
 
 
 _EPS = np.finfo(float).eps
@@ -285,7 +340,7 @@ _OPERAND_PAIRS = (st.tuples(st.integers(0, 3), st.integers(0, 4))
 
 
 def _dense_reference(op):
-    """Densify block by block, the loop that ``to_dense`` vectorises."""
+    """Densify block by block, the loop that :func:`oracles.dense` vectorises."""
     out = np.zeros((op.dim, op.dim), dtype=complex)
     for i, value in enumerate(op.scalars):
         out[i, i] = value
@@ -303,13 +358,13 @@ _DJ = _model(Family.DIAG_JORDAN, 4)
 @example(ops=(evolve_blocks(_DJ, 1.3), evolve_blocks(_DJ, 2.1)), c=1.0)
 def test_block_diagonal_algebra_matches_dense(ops, c):
     a, b = ops
-    dense_a, dense_b = a.to_dense(), b.to_dense()
+    dense_a, dense_b = dense(a), dense(b)
     assert np.array_equal(dense_a, _dense_reference(a))
     # Both sides round two complex products and one sum per entry.
     bound = 16 * _EPS * (np.abs(dense_a) @ np.abs(dense_b))
-    assert np.all(np.abs((a @ b).to_dense() - dense_a @ dense_b) <= bound)
-    assert np.array_equal((a - b).to_dense(), dense_a - dense_b)
-    assert np.array_equal((c * a).to_dense(), c * dense_a)
+    assert np.all(np.abs(dense(a @ b) - dense_a @ dense_b) <= bound)
+    assert np.array_equal(dense(a - b), dense_a - dense_b)
+    assert np.array_equal(dense(c * a), c * dense_a)
     assert (a - a).sup_singular_value() == 0.0
     diag = np.abs(np.diag(dense_a))
     assert abs(a.trace() - np.trace(dense_a)) <= a.dim * _EPS * diag.sum()
@@ -321,7 +376,7 @@ def test_block_norm_keeps_a_small_corner():
     # sqrt(s^2 - 4 |det|^2) returned exactly 1 here, dropping the corner.
     op = BlockDiagonal(np.zeros(0, dtype=complex), np.array([1.0 + 0j]),
                        np.array([1e-8 + 0j]), np.array([1.0 + 0j]))
-    sigma = np.linalg.svd(op.to_dense(), compute_uv=False)[0]
+    sigma = np.linalg.svd(dense(op), compute_uv=False)[0]
     assert op.sup_singular_value() == pytest.approx(sigma, rel=1e-14)
     assert op.sup_singular_value() > 1.0
 
@@ -555,15 +610,15 @@ def test_weighted_norm_takes_2x2_blocks(family, monkeypatch):
     monkeypatch.setitem(models.FAMILIES, family, replace(row, weighted=True))
     m = _model(family, 8, order=2)
     op = evolve_blocks(m, 3.0) @ resolvent_blocks(m, 1.0)
-    want = dense_operator_norm(op.to_dense(), m.norm_context)
+    want = dense_operator_norm(dense(op), m.norm_context)
     assert models.block_operator_norm(m, op) == pytest.approx(want, rel=1e-9)
 
 
 def test_resolvent_blocks_match_dense_inverse():
     m = _model(Family.JORDAN_PAIRS, 6)
     mu = 0.7 - 0.2j
-    dense = np.linalg.inv(generator_blocks(m).to_dense() - mu * np.eye(m.dim))
-    assert np.max(np.abs(resolvent_blocks(m, mu).to_dense() - dense)) < 1e-11
+    inverse = np.linalg.inv(dense(generator_blocks(m)) - mu * np.eye(m.dim))
+    assert np.max(np.abs(dense(resolvent_blocks(m, mu)) - inverse)) < 1e-11
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -577,9 +632,10 @@ def test_table_oracle_pairs_on_small_truncations(family, max_index, t, s, mu):
     assume(np.min(np.abs(m.spectrum - mu)) >= 0.05)
     assert model_dim(family, max_index) == m.dim
 
-    dense = np.linalg.inv(generator_blocks(m).to_dense() - mu * np.eye(m.dim))
-    got = resolvent_blocks(m, mu).to_dense()
-    assert np.max(np.abs(got - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+    inverse = np.linalg.inv(dense(generator_blocks(m)) - mu * np.eye(m.dim))
+    got = dense(resolvent_blocks(m, mu))
+    assert np.max(np.abs(got - inverse)) <= 1e-10 * max(1.0,
+                                                        np.max(np.abs(inverse)))
 
     law = evolve_blocks(m, t + s) - evolve_blocks(m, t) @ evolve_blocks(m, s)
     assert law.sup_singular_value() <= 1e-9

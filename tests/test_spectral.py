@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (commutation_probe, contour_projection_closed,
+from oracles import (commutation_probe, contour_projection_closed, dense,
                      dense_operator_norm, every_block, generator_blocks,
                      riesz_projection_closed, trapezoid_exact,
                      trapezoid_node_sum, whole_norm_curve)
@@ -76,7 +76,7 @@ def test_quadrature_jordan_pairs_single_eigenvalue():
     m = _model(Family.JORDAN_PAIRS, 2)
     report = riesz_projection_quadrature(m, Contour(2.5j, 0.4))
     expected = np.array([[1.0, -1j], [0.0, 0.0]])
-    assert np.max(np.abs(report.blocks.to_dense() - expected)) <= 1e-8
+    assert np.max(np.abs(dense(report.blocks) - expected)) <= 1e-8
     assert report.rank == 1
     assert report.enclosed == (2.5j,)
     assert report.idempotency_defect <= 1e-10
@@ -88,14 +88,14 @@ def test_quadrature_log_spectrum_coordinate_projection():
     report = riesz_projection_quadrature(m, Contour(1j * np.log(2), 0.1))
     expected = np.zeros((m.dim, m.dim))
     expected[0, 0] = 1.0
-    assert np.max(np.abs(report.blocks.to_dense() - expected)) <= 1e-10
+    assert np.max(np.abs(dense(report.blocks) - expected)) <= 1e-10
     assert report.rank == 1
 
 
 def test_quadrature_empty_contour_is_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
     report = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
-    assert np.max(np.abs(report.blocks.to_dense())) <= 1e-10
+    assert np.max(np.abs(dense(report.blocks))) <= 1e-10
     assert report.rank == 0
     assert report.enclosed == ()
 
@@ -124,7 +124,7 @@ def test_closed_projection_jordan_block_is_block_identity():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if e.multiplicity == 2)
     report = riesz_projection_closed(m, idx)
-    p = report.blocks.to_dense()
+    p = dense(report.blocks)
     lam = eigs[idx].value
     s = m.scalars.size + 2 * int(np.flatnonzero(m.upper == lam)[0])
     assert np.max(np.abs(p[s:s + 2, s:s + 2] - np.eye(2))) == 0.0
@@ -136,10 +136,10 @@ def test_closed_projection_jordan_pairs_upper():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if abs(e.value - 4.25j) < 1e-12)
     report = riesz_projection_closed(m, idx)
-    dense = report.blocks.to_dense()
-    block = dense[4:6, 4:6]
+    mat = dense(report.blocks)
+    block = mat[4:6, 4:6]
     assert np.max(np.abs(block - np.array([[1.0, -2j], [0.0, 0.0]]))) < 1e-12
-    norm = dense_operator_norm(dense, NormContext(m.dim))
+    norm = dense_operator_norm(mat, NormContext(m.dim))
     assert norm == pytest.approx(np.sqrt(5.0), rel=1e-10)
 
 
@@ -173,7 +173,7 @@ def test_disjoint_projections_are_additive():
     p2 = riesz_projection_quadrature(m, c2)
     prod = (p1.blocks @ p2.blocks).sup_singular_value()
     assert prod <= 1e-12
-    combined = p1.blocks.to_dense() + p2.blocks.to_dense()
+    combined = dense(p1.blocks) + dense(p2.blocks)
     assert np.max(np.abs(combined @ combined - combined)) <= 1e-12
     assert round(np.trace(combined).real) == p1.rank + p2.rank
 
@@ -373,8 +373,8 @@ def test_semigroup_norm_matches_the_whole_semigroup(case):
     got = models.semigroup_norm(m, t)
     semi = evolve_blocks(m, t)
     _assert_ulps(got, semi.sup_singular_value())
-    dense = np.linalg.svd(semi.to_dense(), compute_uv=False)[0]
-    assert abs(got - dense) <= 8 * _EPS * dense
+    sigma = np.linalg.svd(dense(semi), compute_uv=False)[0]
+    assert abs(got - sigma) <= 8 * _EPS * sigma
 
 
 def test_semigroup_norm_rejects_negative_time():
@@ -392,8 +392,8 @@ def test_semigroup_norm_raises_where_the_moduli_are_nan():
         models.semigroup_norm(m, 2000.0)
     assert np.isnan(evolve_blocks(m, 2000.0).sup_singular_value())
     got = models.semigroup_norm(m, 300.0)
-    dense = np.linalg.svd(evolve_blocks(m, 300.0).to_dense(), compute_uv=False)[0]
-    assert abs(got - dense) <= 8 * _EPS * dense
+    sigma = np.linalg.svd(dense(evolve_blocks(m, 300.0)), compute_uv=False)[0]
+    assert abs(got - sigma) <= 8 * _EPS * sigma
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -17,10 +17,10 @@ from .errors import (ClusteredSpectrumError, ConfigError, ContourTooCloseError,
                      NonconvergedError, SemistabError, SpectrumHitError,
                      TruncationInadequateError)
 from .experiments import (ExperimentConfig, RunReport, Spacing, TimeGrid,
-                          Tolerances, Verdict, config_hash, parse_config,
-                          render_config, run_hardy, run_simulate,
-                          run_theorem_check, run_witness)
-from .linalg import NormContext, operator_norm
+                          Verdict, config_hash, parse_config, render_config,
+                          run_hardy, run_simulate, run_theorem_check,
+                          run_witness)
+from .linalg import operator_norm
 from .models import (BlockDiagonal, Eigenvalue, Family, Model, ModelSpec,
                      build_model, check_truncation, eigenvalues, evolve_blocks,
                      required_max_index, resolvent_blocks, semigroup_norm)

@@ -175,7 +175,11 @@ def envelope_translation_check(env: Envelope, t: float, s_grid) -> TranslationCu
         raise ValueError("s_grid must be a nonempty 1-d grid")
     if s[0] < env.knot_ts[0] - 1e-12 or s[-1] > env.knot_ts[-1] + 1e-12:
         raise ValueError("s_grid must lie within the envelope knot range")
-    ratios = env.value(t + s) / env.value(s)
+    with np.errstate(over="ignore"):
+        ratios = env.value(t + s) / env.value(s)
+    bad = s[~np.isfinite(ratios)]
+    if bad.size:
+        raise ValueError(f"f(t+s)/f(s) not finite at shift t = {t!r}, s = {bad[0]}")
     verdict = bool(abs(float(ratios[-1]) - 1.0) <= TRANSLATION_TOL)
     return TranslationCurve(float(t), s, ratios, verdict)
 

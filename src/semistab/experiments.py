@@ -92,18 +92,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    norm_tol: float
-    proj_tol: float
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    directory: str
-    formats: tuple
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """A fully set run; ``parse_config`` builds it from ``KEY_TABLE``."""
 
@@ -113,8 +101,10 @@ class ExperimentConfig:
     radius_cap: float
     top_k: int
     translation_shift: float
-    tolerances: Tolerances
-    output: OutputSpec
+    norm_tol: float
+    proj_tol: float
+    output_directory: str
+    output_formats: tuple
 
 
 def format_complex(z: complex) -> str:
@@ -171,10 +161,10 @@ KEY_TABLE = (
     ("contour.radius_cap", _POSITIVE, spectral.RADIUS_CAP, "radius_cap"),
     ("checks.top_k", _AT_LEAST_ONE, 5, "top_k"),
     ("checks.translation_shift", _POSITIVE, 1.0, "translation_shift"),
-    ("tolerances.norm_tol", _FRACTION, 1e-10, "tolerances.norm_tol"),
-    ("tolerances.proj_tol", _POSITIVE, 1e-8, "tolerances.proj_tol"),
-    ("output.directory", str, "out", "output.directory"),
-    ("output.formats", _formats, ("CSV", "JSON"), "output.formats"),
+    ("tolerances.norm_tol", _FRACTION, 1e-10, "norm_tol"),
+    ("tolerances.proj_tol", _POSITIVE, 1e-8, "proj_tol"),
+    ("output.directory", str, "out", "output_directory"),
+    ("output.formats", _formats, ("CSV", "JSON"), "output_formats"),
 )
 
 
@@ -232,8 +222,7 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
                                       model["order"], max_index, max_dim)
         return ExperimentConfig(
             model=ModelSpec(**dict(model, max_index=max_index)), grid=grid,
-            tolerances=Tolerances(**fields["tolerances"]),
-            output=OutputSpec(**fields["output"]), **fields[""])
+            **fields[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -338,7 +327,8 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
 
 
 def _finish(report: RunReport, started: float, out_dir: str, csv_files: dict,
@@ -358,7 +348,7 @@ def _sample(cfg: ExperimentConfig):
     (:func:`sample_norms`)."""
     model = build_model(cfg.model)
     ts = cfg.grid.values()
-    semi, prod = sample_norms(model, ts, tol=cfg.tolerances.norm_tol)
+    semi, prod = sample_norms(model, ts, tol=cfg.norm_tol)
     return model, ts, semi, prod
 
 
@@ -457,10 +447,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> RunReport
                        samples=_samples_dict(semi, prod, ratio), fits=fits,
                        timings=timings)
     rows = list(zip(ts, semi.values, prod.values, ratio.values))
-    return _finish(report, started, out_dir or cfg.output.directory,
+    return _finish(report, started, out_dir or cfg.output_directory,
                    {"samples.csv": (["t", "semigroup_norm",
                                      "resolvent_product_norm", "ratio"], rows)},
-                   cfg.output.formats)
+                   cfg.output_formats)
 
 
 def _envelope_verdict(env, semi: NormSamples) -> Verdict:
@@ -533,10 +523,10 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
             skipped[format_complex(lam)] = str(exc)
             continue
         proj_report = spectral.riesz_projection_quadrature(
-            model, contour, drift_tol=cfg.tolerances.proj_tol)
+            model, contour, drift_tol=cfg.proj_tol)
         projections.append(_projection_entry(lam, contour, proj_report))
         curve = spectral.hypothesis_b_check(model, proj_report, semi, env,
-                                            tol=cfg.tolerances.norm_tol)
+                                            tol=cfg.norm_tol)
         # Only one projection is held at a time, none during the next
         # quadrature.
         del proj_report
@@ -584,8 +574,8 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
         "envelope_knots.csv": (["t", "log_value"],
                                list(zip(env.knot_ts, env.knot_log_values))),
     }
-    return _finish(report, started, out_dir or cfg.output.directory,
-                   csv_files, cfg.output.formats)
+    return _finish(report, started, out_dir or cfg.output_directory,
+                   csv_files, cfg.output_formats)
 
 
 def run_hardy(cases: int, max_len: int = 512, seed: int = 42,

@@ -8,7 +8,7 @@ first coefficient).
 
 Order 0 is the Euclidean norm: the 0-th difference is the identity.
 
-The operator norm of M in a norm context is the largest singular value of
+The operator norm of M in the order-N norm is the largest singular value of
 ``D @ M @ L``, where D is the banded difference transform and L its
 lower-triangular inverse.  :func:`operator_norm` is the one kernel: plain
 three-term Lanczos on the Gram operator G of that product, with M applied
@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,21 +61,6 @@ LANCZOS_STEP_CAP = 300
 #: Smallest nonzero norm returned: the squares of Gram-vector entries, of
 #: order norm**4, underflow in ``np.linalg.norm`` below about 1e-77.
 NORM_FLOOR = 1e-60
-
-
-@dataclass(frozen=True)
-class NormContext:
-    """A norm on C^dim: l2 of the order-N backward difference (order 0: l2)."""
-
-    dim: int
-    order: int = 0
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.dim <= self.order:
-            raise ValueError(f"dim must be >= order + 1, got dim={self.dim}, "
-                             f"order={self.order}")
 
 
 def _differences(order: int, src: np.ndarray, spare: np.ndarray,
@@ -156,9 +140,9 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def operator_norm(op, ctx: NormContext,
+def operator_norm(op, order: int = 0,
                   tol: float = LANCZOS_TOL_DEFAULT) -> float:
-    """Operator norm of ``op`` on (C^dim, ctx).
+    """Operator norm of ``op`` on C^dim, dim = ``op.dim``, in the order-N norm.
 
     ``op`` is any linear operator with ``dim``, ``matvec`` and ``rmatvec``
     (the conjugate transpose), both taking an optional ``out`` array that
@@ -168,16 +152,16 @@ def operator_norm(op, ctx: NormContext,
     ``D``, then their adjoints in reverse order (at order 0 the transforms
     are the identity), and stops once the Ritz residual of the top Ritz
     value ``theta`` is at most ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises :class:`IllConditionedError` at the step cap, for a nonzero norm
-    below ``NORM_FLOOR`` or for one above about 1e77, and ``ValueError`` when
-    the operator has non-finite entries or a norm above about 1e154.
+    Raises ``ValueError`` for an order outside [0, dim), non-finite entries or
+    a norm above about 1e154, and :class:`IllConditionedError` at the step cap,
+    for a nonzero norm below ``NORM_FLOOR`` or for one above about 1e77.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if op.dim != ctx.dim:
-        raise ValueError(f"operator dim {op.dim} does not match the "
-                         f"context dim {ctx.dim}")
-    n, order = ctx.dim, ctx.order
+    n = op.dim
+    if not 0 <= order < n:
+        raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
+                         f"dim must be >= order + 1, got dim={n}, order={order}")
     # The workspace, allocated once: the Lanczos vectors v_{k-1}, v_k and
     # the next one w, and two buffers the transforms alternate between.
     v = _start_vector(n)

@@ -18,7 +18,7 @@ Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
-:mod:`linalg` applies it through ``matvec`` and ``rmatvec``.
+:mod:`linalg` applies it through ``matvec`` and ``rmatvec`` on its own ``dim``.
 :func:`required_max_index` is the one adequacy rule and :func:`truncation`
 the one gate applying it and the dimension cap; :func:`evolve_blocks` is the
 one way to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
@@ -38,7 +38,6 @@ import numpy as np
 
 from . import linalg
 from .errors import SpectrumHitError, TruncationInadequateError
-from .linalg import NormContext
 
 _SPECTRUM_MARGIN = 1e-12
 
@@ -78,7 +77,7 @@ class Eigenvalue:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A truncation: its spectral table and the norm it is measured in.
+    """A truncation: its spectral table and the order of its norm (0: l2).
 
     Coordinates hold the 1x1 blocks (eigenvalues ``scalars``) first, then
     the 2x2 blocks [[mid + half_gap, 1], [0, mid - half_gap]] in order.
@@ -87,7 +86,7 @@ class Model:
     """
 
     spec: ModelSpec
-    norm_context: NormContext
+    norm_order: int
     scalars: np.ndarray
     mid: np.ndarray
     half_gap: np.ndarray
@@ -96,7 +95,7 @@ class Model:
 
     @property
     def dim(self) -> int:
-        return self.norm_context.dim
+        return self.scalars.size + 2 * self.mid.size
 
     @property
     def upper(self) -> np.ndarray:
@@ -109,8 +108,8 @@ class Model:
         return self.mid - self.half_gap
 
     def take(self, index: np.ndarray) -> "Model":
-        """The table on the blocks ``index`` (ascending, 1x1 first) only;
-        spectrum and norm stay those of the whole truncation."""
+        """The table on the blocks ``index`` (ascending, 1x1 first) only, with
+        its own dim; spectrum and norm order stay those of the whole truncation."""
         split = np.searchsorted(index, self.scalars.size)
         blocks = index[split:] - self.scalars.size
         return replace(self, scalars=self.scalars[index[:split]],
@@ -192,7 +191,8 @@ def build_model(spec: ModelSpec) -> Model:
 
     Repeated eigenvalues (the Jordan blocks) are produced by one expression,
     so bitwise grouping of the spectrum is exact.  Raises
-    :class:`SpectrumHitError` when ``spec.mu_default`` lies on the spectrum.
+    :class:`SpectrumHitError` when ``spec.mu_default`` lies on the spectrum,
+    and ``ValueError`` for a weighted norm whose order is not below the dim.
     """
     row = FAMILIES[spec.family]
     scalars, mid, half_gap = row.table(spec.max_index)
@@ -206,8 +206,10 @@ def build_model(spec: ModelSpec) -> Model:
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(
             f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
-    ctx = NormContext(eigs.size, spec.order if row.weighted else 0)
-    return Model(spec, ctx, scalars, mid, half_gap, values, counts)
+    order = spec.order if row.weighted else 0
+    if eigs.size <= order:
+        raise ValueError(f"order {order} needs dim >= {order + 1}, got {eigs.size}")
+    return Model(spec, order, scalars, mid, half_gap, values, counts)
 
 
 def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -421,10 +423,9 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     At order 0 (the Euclidean norm) it is the supremum of block norms; at
     higher orders :func:`linalg.operator_norm` takes the operator whole.
     """
-    ctx = model.norm_context
-    if ctx.order == 0:
+    if model.norm_order == 0:
         return blocks.sup_singular_value()
-    return linalg.operator_norm(blocks, ctx, tol=tol)
+    return linalg.operator_norm(blocks, model.norm_order, tol=tol)
 
 
 def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
@@ -438,7 +439,7 @@ def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
     bounds :func:`_certified_curve`, so no whole T(t) is formed.  The
     weighted norms evaluate T(t) whole once per grid time, take its norm
     unless ``semi`` is given, and release it before the norm of T(t) X."""
-    if model.norm_context.order == 0:
+    if model.norm_order == 0:
         if semi is None:
             semi = np.array([semigroup_norm(model, float(t)) for t in ts])
         return semi, _certified_curve(model, factor, ts, semi)

@@ -335,7 +335,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
                          f"is not finite and positive")
     part, proj = ((model.take(projection.index), projection.support)
-                  if model.norm_context.order == 0 else (model, projection.blocks))
+                  if model.norm_order == 0 else (model, projection.blocks))
     norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
     values = norms / f
     if projection.rank == 0:

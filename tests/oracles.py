@@ -42,8 +42,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from semistab import models, spectral
-from semistab.linalg import NormContext
 from semistab.models import BlockDiagonal
+
+
+def _check_range(order: int, dim: int) -> None:
+    """The kernel's parameter checks: order >= 0 and dim >= order + 1."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if dim <= order:
+        raise ValueError(f"dim must be >= order + 1, got dim={dim}, order={order}")
 
 
 def difference_matrix(order: int, dim: int) -> np.ndarray:
@@ -53,7 +60,7 @@ def difference_matrix(order: int, dim: int) -> np.ndarray:
     (-1)^j C(N, j) for 0 <= j <= min(n, N).  Entries that would reach before
     the sequence start are dropped, which encodes the zero-prefix convention.
     """
-    NormContext(dim, order)  # same parameter checks
+    _check_range(order, dim)
     out = np.zeros((dim, dim), dtype=complex)
     for j in range(order + 1):
         idx = np.arange(j, dim)
@@ -67,7 +74,7 @@ def cumulative_matrix(order: int, dim: int) -> np.ndarray:
     Entry (n, k) for k <= n equals C(n - k + N - 1, N - 1); for N = 1 this is
     the all-ones partial-sum operator; for N = 0 it is the identity.
     """
-    NormContext(dim, order)
+    _check_range(order, dim)
     if order == 0:
         return np.eye(dim, dtype=complex)
     out = np.zeros((dim, dim), dtype=complex)
@@ -77,14 +84,14 @@ def cumulative_matrix(order: int, dim: int) -> np.ndarray:
     return out
 
 
-def weighted_vector_norm(ctx: NormContext, vec) -> float:
-    """Norm of ``vec`` in the given context, through the dense D."""
+def weighted_vector_norm(order: int, vec) -> float:
+    """Order-N weighted norm of ``vec``, through the dense D."""
     v = np.asarray(vec, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != ctx.dim:
-        raise ValueError(f"expected a vector of length {ctx.dim}, got shape {v.shape}")
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
-    return float(np.linalg.norm(difference_matrix(ctx.order, ctx.dim) @ v))
+    return float(np.linalg.norm(difference_matrix(order, v.size) @ v))
 
 
 def dense(op: BlockDiagonal) -> np.ndarray:
@@ -99,10 +106,12 @@ def dense(op: BlockDiagonal) -> np.ndarray:
     return out
 
 
-def dense_operator_norm(mat, ctx: NormContext) -> float:
-    """Largest singular value of ``D @ mat @ L`` by a full SVD."""
-    g = (difference_matrix(ctx.order, ctx.dim) @ np.asarray(mat, dtype=complex)
-         @ cumulative_matrix(ctx.order, ctx.dim))
+def dense_operator_norm(mat, order: int) -> float:
+    """Largest singular value of ``D @ mat @ L`` by a full SVD, D and L the
+    order-N transforms on the dimension of the square ``mat``."""
+    mat = np.asarray(mat, dtype=complex)
+    g = (difference_matrix(order, mat.shape[0]) @ mat
+         @ cumulative_matrix(order, mat.shape[0]))
     return float(np.linalg.svd(g, compute_uv=False)[0])
 
 

@@ -331,7 +331,7 @@ def test_imaginary_shift_changes_no_norm_and_no_verdict(family, omega):
     for name, curve in simulate.samples.items():
         base = np.array(curve["value"])
         moved = np.array(shifted_simulate.samples[name]["value"])
-        assert np.max(np.abs(moved / base - 1.0)) <= 10 * cfg.tolerances.norm_tol
+        assert np.max(np.abs(moved / base - 1.0)) <= 10 * cfg.norm_tol
     for base, moved in ((simulate, shifted_simulate), (theorem, shifted_theorem)):
         assert {k: v.status for k, v in moved.verdicts.items()} == \
             {k: v.status for k, v in base.verdicts.items()}

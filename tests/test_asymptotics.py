@@ -15,7 +15,6 @@ from semistab.asymptotics import (FitFamily, HardyReport, NormSamples,
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
 from semistab.experiments import parse_config, run_simulate
-from semistab.linalg import NormContext
 from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
                              resolvent_blocks)
 
@@ -167,6 +166,18 @@ def test_translation_check_fails_for_exponential_growth():
     curve = envelope_translation_check(env, 10.0, ts)
     assert not curve.within_tolerance
     assert curve.ratios[-1] == pytest.approx(np.exp(10.0), rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_translation_check_rejects_a_ratio_that_overflows():
+    # f(t + s) overflowed at a shift of 1e300, with a RuntimeWarning, and the
+    # check returned the ratio inf; report.json then held "Infinity".
+    ts = np.geomspace(1.0, 50.0, 12)
+    env = concave_envelope(_samples(ts, ts))
+    with pytest.raises(ValueError, match=r"not finite at shift t = 1e\+300, "
+                                         r"s = 1\.0$"):
+        envelope_translation_check(env, 1e300, ts)
+    assert envelope_translation_check(env, 1e3, ts).ratios[-1] > 1.0
 
 
 def test_translation_check_rejects_out_of_range_grid():
@@ -368,8 +379,7 @@ def test_witness_lower_bound_bracket_and_bound():
     assert bound.normalized == bound.raw_ratio * math.log(10.0) / 10.0
     # Never exceeds the true operator norm of the product (svd oracle).
     full = dense(evolve_blocks(m, 10.0)) @ dense(resolvent_blocks(m, 0.0))
-    ctx = NormContext(m.dim, 1)
-    assert bound.raw_ratio <= dense_operator_norm(full, ctx) * (1.0 + 1e-9)
+    assert bound.raw_ratio <= dense_operator_norm(full, 1) * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("t", [10.0, 20.0])
@@ -380,8 +390,8 @@ def test_witness_raw_ratio_is_the_dense_quotient(t):
     assert m.dim == 161
     x, _ = witness_vector(t, m.dim)
     y = (dense(evolve_blocks(m, t)) @ dense(resolvent_blocks(m, 0.0))) @ x
-    ctx = m.norm_context
-    want = weighted_vector_norm(ctx, y) / weighted_vector_norm(ctx, x)
+    order = m.norm_order
+    want = weighted_vector_norm(order, y) / weighted_vector_norm(order, x)
     assert witness_lower_bound(m, t).raw_ratio == pytest.approx(want, rel=1e-13)
 
 

@@ -152,8 +152,8 @@ def test_config_defaults():
     assert cfg.model.mu_default == 1.0 + 0.0j
     assert cfg.contour_nodes == 64
     assert cfg.top_k == 5
-    assert cfg.tolerances.norm_tol == 1e-10
-    assert cfg.output.formats == ("CSV", "JSON")
+    assert cfg.norm_tol == 1e-10
+    assert cfg.output_formats == ("CSV", "JSON")
 
 
 def test_config_errors_name_lines():
@@ -196,6 +196,29 @@ def test_config_rejects_out_of_range_value(tmp_path, capsys, line):
     assert main(["theorem-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_theorem_check_exits_2_on_a_shift_whose_ratio_overflows(tmp_path,
+                                                               capsys):
+    # theorem-check warned of an overflow in exp, reported FAIL and wrote
+    # "end_ratio": Infinity, which is not JSON; now it writes nothing.
+    cfg_path = tmp_path / "shift.cfg"
+    cfg_path.write_text("model.family = JORDAN_PAIRS\ngrid.t_min = 1.0\n"
+                        "grid.t_max = 50.0\ngrid.points = 12\n"
+                        "checks.translation_shift = 1e300\n")
+    out = tmp_path / "o"
+    assert main(["theorem-check", "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    assert "shift t = 1e+300, s = 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_json_rejects_non_finite_floats(tmp_path):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            experiments.write_json(str(tmp_path / "r.json"), {"x": bad})
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_config_rejects_inadequate_truncation():

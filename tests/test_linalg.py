@@ -12,9 +12,8 @@ from oracles import (as_operator, cumulative_matrix, dense, dense_operator_norm,
                      difference_matrix, weighted_vector_norm)
 from semistab import linalg
 from semistab.errors import IllConditionedError
-from semistab.linalg import (NormContext, apply_cumulative,
-                             apply_cumulative_adjoint, apply_difference,
-                             operator_norm)
+from semistab.linalg import (apply_cumulative, apply_cumulative_adjoint,
+                             apply_difference, operator_norm)
 from semistab.models import BlockDiagonal
 
 RNG = np.random.default_rng(20240817)
@@ -60,14 +59,13 @@ def test_difference_matrix_order_zero_is_identity():
     w = v.copy()
     assert np.array_equal(
         linalg._differences(0, w, np.empty_like(w), adjoint=True)[0], v)
-    assert NormContext(5) == NormContext(5, 0)
 
 
 def test_difference_matrix_rejects_small_dim():
     with pytest.raises(ValueError):
         difference_matrix(3, 3)
     with pytest.raises(ValueError):
-        NormContext(2, 2)
+        cumulative_matrix(2, 2)
 
 
 def test_cumulative_matrix_order1_is_partial_sums():
@@ -136,56 +134,45 @@ def test_weighted_norm_tent_is_42():
     dim = 60
     n = np.arange(2, dim + 2, dtype=float)
     tent = np.where(n <= 20, n, np.where(n <= 40, 40 - n, 0.0))
-    ctx = NormContext(dim, 1)
-    assert weighted_vector_norm(ctx, tent.astype(complex)) ** 2 == pytest.approx(42.0)
+    assert weighted_vector_norm(1, tent.astype(complex)) ** 2 == pytest.approx(42.0)
 
 
 def test_weighted_norm_first_basis_vector():
-    ctx = NormContext(5, 1)
     v = np.zeros(5, dtype=complex)
     v[0] = 1.0
-    assert weighted_vector_norm(ctx, v) == pytest.approx(math.sqrt(2.0))
+    assert weighted_vector_norm(1, v) == pytest.approx(math.sqrt(2.0))
 
 
 def test_euclidean_norm():
-    ctx = NormContext(2)
-    assert weighted_vector_norm(ctx, np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-
-def test_weighted_norm_dimension_mismatch():
-    ctx = NormContext(3)
-    with pytest.raises(ValueError):
-        weighted_vector_norm(ctx, np.ones(4))
+    assert weighted_vector_norm(0, np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_weighted_norm_positive_definite():
-    ctx = NormContext(30, 2)
     for _ in range(25):
         v = _random_complex(30)
-        assert weighted_vector_norm(ctx, v) > 0.0
-    assert weighted_vector_norm(ctx, np.zeros(30)) == 0.0
+        assert weighted_vector_norm(2, v) > 0.0
+    assert weighted_vector_norm(2, np.zeros(30)) == 0.0
 
 
 def test_weighted_norm_rejects_nonfinite():
-    ctx = NormContext(2)
     with pytest.raises(ValueError):
-        weighted_vector_norm(ctx, np.array([1.0, np.nan]))
+        weighted_vector_norm(0, np.array([1.0, np.nan]))
     # The kernel stops at the first non-finite estimate instead of running
     # its whole step cap into a convergence failure.
     for bad in (np.inf, np.nan):
-        for weighted in (NormContext(2000), NormContext(2000, 2)):
+        for order in (0, 2):
             diag = np.ones(2000, dtype=complex)
             diag[7] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                operator_norm(_diagonal(diag), weighted)
+                operator_norm(_diagonal(diag), order)
 
 
-@pytest.mark.parametrize("ctx", [NormContext(6), NormContext(6, 2)])
+@pytest.mark.parametrize("order", [0, 2], ids=["ctx0", "ctx1"])
 @pytest.mark.parametrize("method", ["svd", "power"])
-def test_operator_norm_identity_is_one(ctx, method):
+def test_operator_norm_identity_is_one(order, method):
     eye = np.eye(6, dtype=complex)
-    value = (dense_operator_norm(eye, ctx) if method == "svd"
-             else operator_norm(as_operator(eye), ctx))
+    value = (dense_operator_norm(eye, order) if method == "svd"
+             else operator_norm(as_operator(eye), order))
     assert value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -195,7 +182,7 @@ def test_operator_norm_2x2_bracket():
     n, t = 10, 5.0
     mat = np.array([[np.exp(1j * t / n), n * np.sin(t / n)],
                     [0.0, np.exp(-1j * t / n)]])
-    value = operator_norm(as_operator(mat), NormContext(2))
+    value = operator_norm(as_operator(mat), 0)
     lo = n * np.sin(t / n)
     assert lo <= value <= lo + 1.0
     s = np.sum(np.abs(mat) ** 2)
@@ -211,30 +198,27 @@ def test_operator_norm_weighted_diagonal_growth():
         dim = int(8 * t)
         n = np.arange(2, dim + 2, dtype=float)
         op = _diagonal(np.exp(1j * t * np.log(n)))
-        ctx = NormContext(dim, 1)
-        value = operator_norm(op, ctx)
+        value = operator_norm(op, 1)
         assert value >= 1.0 - 1e-12
         assert value <= 5.0 * t + 1.0
 
 
 def test_operator_norm_adjoint_symmetry():
-    ctx = NormContext(12)
     for _ in range(5):
         mat = _random_complex(12, 12)
-        a = operator_norm(as_operator(mat), ctx)
-        b = operator_norm(as_operator(mat.conj().T), ctx)
+        a = operator_norm(as_operator(mat))
+        b = operator_norm(as_operator(mat.conj().T))
         assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_operator_norm_submultiplicative():
     tol = 1e-10
-    ctx = NormContext(10)
     for _ in range(10):
         a = _random_complex(10, 10)
         b = _random_complex(10, 10)
-        na = operator_norm(as_operator(a), ctx, tol=tol)
-        nb = operator_norm(as_operator(b), ctx, tol=tol)
-        nab = operator_norm(as_operator(a @ b), ctx, tol=tol)
+        na = operator_norm(as_operator(a), tol=tol)
+        nb = operator_norm(as_operator(b), tol=tol)
+        nab = operator_norm(as_operator(a @ b), tol=tol)
         assert nab <= na * nb * (1.0 + 10.0 * tol)
 
 
@@ -242,9 +226,8 @@ def test_operator_norm_submultiplicative():
 def test_power_iteration_matches_dense_svd(dim):
     tol = 1e-8
     mat = _random_complex(dim, dim)
-    ctx = NormContext(dim)
-    p = operator_norm(as_operator(mat), ctx, tol=tol)
-    s = dense_operator_norm(mat, ctx)
+    p = operator_norm(as_operator(mat), tol=tol)
+    s = dense_operator_norm(mat, 0)
     assert p == pytest.approx(s, rel=10.0 * tol)
 
 
@@ -263,7 +246,7 @@ def test_power_iteration_finds_direction_orthogonal_to_ones(weight, floor,
     # An all-ones start gave 0.5 and 0.0 here.
     n = 600
     mat = _planted(n, weight, floor)
-    got = operator_norm(as_operator(mat), NormContext(n))
+    got = operator_norm(as_operator(mat))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -278,15 +261,14 @@ def test_power_iteration_matches_dense_svd_property(dim, seed, noise, planted,
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = noise * gauss + _planted(dim, planted, 0.0)
-    ctx = NormContext(dim, order)
-    s = dense_operator_norm(mat, ctx)
+    s = dense_operator_norm(mat, order)
     if 0.0 < s < linalg.NORM_FLOOR:
         # Tiny draws of noise and planted: the kernel names its range
         # instead of returning a norm it cannot vouch for.
         with pytest.raises(IllConditionedError, match="kernel's range"):
-            operator_norm(as_operator(mat), ctx, tol=tol)
+            operator_norm(as_operator(mat), order, tol=tol)
         return
-    p = operator_norm(as_operator(mat), ctx, tol=tol)
+    p = operator_norm(as_operator(mat), order, tol=tol)
     assert p == pytest.approx(s, rel=10.0 * tol, abs=0.0)
 
 
@@ -297,18 +279,16 @@ def test_operator_norm_close_top_singular_values_at_default_cap(order):
     # 16.96946); the Ritz residual stops within the default cap.
     rng = np.random.default_rng(1558151)
     mat = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    ctx = NormContext(40, order)
-    got = operator_norm(as_operator(mat), ctx)
-    assert got == pytest.approx(dense_operator_norm(mat, ctx), rel=1e-12)
+    got = operator_norm(as_operator(mat), order)
+    assert got == pytest.approx(dense_operator_norm(mat, order), rel=1e-12)
 
 
 def test_power_iteration_matches_svd_weighted():
     tol = 1e-8
     dim = 40
     diag = np.exp(1j * 7.0 * np.log(np.arange(2, dim + 2)))
-    dom = NormContext(dim, 2)
-    p = operator_norm(_diagonal(diag), dom, tol=tol)
-    s = dense_operator_norm(np.diag(diag), dom)
+    p = operator_norm(_diagonal(diag), 2, tol=tol)
+    s = dense_operator_norm(np.diag(diag), 2)
     assert p == pytest.approx(s, rel=10.0 * tol)
 
 
@@ -345,10 +325,9 @@ def test_power_iteration_matches_dense_svd_on_block_operators(op, order):
     assert abs(np.vdot(w, op.matvec(v)) - np.vdot(op.rmatvec(w), v)) <= \
         16 * op.dim * _EPS * np.abs(w) @ np.abs(mat) @ np.abs(v)
 
-    ctx = NormContext(op.dim, order)
-    want = dense_operator_norm(mat, ctx)
+    want = dense_operator_norm(mat, order)
     try:
-        got = operator_norm(op, ctx)
+        got = operator_norm(op, order)
     except IllConditionedError:
         return  # the kernel's contract: a named failure, not a wrong number
     assert got == pytest.approx(want, rel=1e-8)
@@ -362,20 +341,18 @@ def test_power_iteration_stops_short_at_close_singular_values():
     # draws found it; the instrument takes order-0 norms in closed form.
     op = BlockDiagonal(np.zeros(0, dtype=complex), np.array([1.0, 1.0]) + 0j,
                        np.array([1.0, 0.1]) + 0j, np.array([1e3, 1e3]) + 0j)
-    ctx = NormContext(op.dim)
-    want = dense_operator_norm(dense(op), ctx)
-    assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-8)
+    want = dense_operator_norm(dense(op), 0)
+    assert operator_norm(op) == pytest.approx(want, rel=1e-8)
 
 
 def test_operator_norm_consistent_with_vector_norms():
     tol = 1e-10
-    ctx = NormContext(25, 1)
     mat = _random_complex(25, 25)
-    bound = operator_norm(as_operator(mat), ctx, tol=tol)
+    bound = operator_norm(as_operator(mat), 1, tol=tol)
     for _ in range(20):
         v = _random_complex(25)
-        lhs = weighted_vector_norm(ctx, mat @ v)
-        rhs = bound * weighted_vector_norm(ctx, v) * (1.0 + 10.0 * tol)
+        lhs = weighted_vector_norm(1, mat @ v)
+        rhs = bound * weighted_vector_norm(1, v) * (1.0 + 10.0 * tol)
         assert lhs <= rhs
 
 
@@ -395,7 +372,7 @@ def test_matvec_operator_cap_raises_ill_conditioned():
                        match=f"within {linalg.LANCZOS_STEP_CAP} "
                              r"steps \(last estimate .*, Ritz residual "
                              r".* against tol \* theta = ") as info:
-        operator_norm(op, NormContext(30))
+        operator_norm(op)
     assert info.value.last_estimate > 0.0
 
 
@@ -417,16 +394,13 @@ def test_step_cap_does_not_grow_with_dimension():
                          rmatvec=lambda w, out=None: np.multiply(sigma, w, out=out))
     with pytest.raises(IllConditionedError,
                        match=f"within {linalg.LANCZOS_STEP_CAP} steps"):
-        operator_norm(op, NormContext(n))
+        operator_norm(op)
     assert len(steps) == linalg.LANCZOS_STEP_CAP == 300
 
 
 def test_operator_norm_rejects_bad_inputs():
-    ctx = NormContext(3)
     with pytest.raises(ValueError):
-        operator_norm(as_operator(np.eye(3)), ctx, tol=0.0)
-    with pytest.raises(ValueError):
-        operator_norm(as_operator(np.eye(4)), ctx)
+        operator_norm(as_operator(np.eye(3)), tol=0.0)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -440,14 +414,14 @@ def test_weighted_norm_counts_one_cumulative_pair_per_step(order, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(linalg, name, counted)
     diag = np.exp(1j * 5.0 * np.log(np.arange(2, 202)))
-    operator_norm(_diagonal(diag), NormContext(200, order))
+    operator_norm(_diagonal(diag), order)
     assert calls["apply_cumulative"] == calls["apply_cumulative_adjoint"] >= 1
 
 
 @pytest.mark.parametrize("order", [0, 2])
 def test_operator_norm_of_zero_is_zero(order):
     zero = _diagonal(np.zeros(50))
-    assert operator_norm(zero, NormContext(50, order)) == 0.0
+    assert operator_norm(zero, order) == 0.0
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -457,13 +431,12 @@ def test_tiny_norm_is_right_or_raises(scale, order):
     # back as the start's Rayleigh quotient (1.4801e-140 at order 0 for
     # 2e-140) or as 0.0, without an error.
     op = _diagonal(scale * np.linspace(1.0, 2.0, 30))
-    ctx = NormContext(30, order)
-    want = dense_operator_norm(dense(op), ctx)
+    want = dense_operator_norm(dense(op), order)
     if scale < linalg.NORM_FLOOR:
         with pytest.raises(IllConditionedError, match="kernel's range"):
-            operator_norm(op, ctx)
+            operator_norm(op, order)
     else:
-        assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert operator_norm(op, order) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -472,13 +445,12 @@ def test_huge_norm_is_right_or_raises(scale, order):
     # The squares of Gram-vector entries, of order norm**4, overflowed above
     # about 1e77 and raised a bare ValueError about a non-finite beta.
     op = _diagonal(scale * np.linspace(1.0, 2.0, 30))
-    ctx = NormContext(30, order)
     if scale > 1e77:
         with pytest.raises(IllConditionedError, match="kernel's range"):
-            operator_norm(op, ctx)
+            operator_norm(op, order)
     else:
-        want = dense_operator_norm(dense(op), ctx)
-        assert operator_norm(op, ctx) == pytest.approx(want, rel=1e-9, abs=0.0)
+        want = dense_operator_norm(dense(op), order)
+        assert operator_norm(op, order) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_weighted_norm_allocates_its_workspace_once():
@@ -492,20 +464,21 @@ def test_weighted_norm_allocates_its_workspace_once():
     op.rmatvec(np.ones(dim, dtype=complex))  # the cached conjugates
     tracemalloc.start()
     try:
-        operator_norm(op, NormContext(dim, 2))
+        operator_norm(op, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 6 * dim * np.dtype(complex).itemsize
 
 
-def test_norm_context_validation():
-    with pytest.raises(ValueError):
-        NormContext(0)
+def test_operator_norm_order_validation():
+    with pytest.raises(ValueError, match=r"dim must be >= order \+ 1"):
+        operator_norm(_diagonal(np.zeros(0)))
     with pytest.raises(ValueError, match="order must be >= 0"):
-        NormContext(4, order=-1)
-    ctx = NormContext(10, 2)
-    assert ctx.order == 2 and ctx.dim == 10
+        operator_norm(_diagonal(np.ones(4)), -1)
+    with pytest.raises(ValueError, match=r"dim must be >= order \+ 1"):
+        operator_norm(_diagonal(np.ones(2)), 2)
+    assert operator_norm(_diagonal(np.ones(3)), 2) == pytest.approx(1.0)
 
 
 def test_start_vector_is_a_fresh_copy_of_the_seeded_draws():

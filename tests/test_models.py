@@ -31,7 +31,7 @@ def _model(family, max_index, **kw):
 def test_build_diag_jordan_layout():
     m = _model(Family.DIAG_JORDAN, 3)
     assert m.dim == 5
-    assert m.norm_context.order == 0
+    assert m.norm_order == 0
     assert (m.scalars.size, m.mid.size) == (1, 2)  # block sizes 1, 2, 2
     assert m.scalars.tolist() == [1j]
     assert list(zip(m.upper.tolist(), m.lower.tolist())) == [
@@ -45,10 +45,28 @@ def test_build_jordan_pairs_layout():
     assert (m.upper.tolist(), m.lower.tolist()) == ([1j * 2.5], [1j * 1.5])
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("max_index", [3, 4, 17, 200])
+def test_model_dim_is_the_table_coordinate_count(family, max_index):
+    m = _model(family, max_index)
+    assert m.dim == model_dim(family, max_index)
+    # A part counts its own coordinates, not the whole truncation's.
+    part = m.take(np.arange(0, m.scalars.size + m.mid.size, 2))
+    assert part.dim == part.scalars.size + 2 * part.mid.size < m.dim
+
+
+@pytest.mark.parametrize("max_index", [2, 4])
+def test_build_model_rejects_a_weighted_order_the_dim_cannot_carry(max_index):
+    # dim 1 and 3 against order 3: the first weighted norm would fail.
+    with pytest.raises(ValueError, match="order 3 needs dim >= 4"):
+        _model(Family.LOG_SPECTRUM, max_index, order=3)
+    assert _model(Family.LOG_SPECTRUM, 5, order=3).dim == 4
+
+
 def test_build_log_spectrum_layout():
     m = _model(Family.LOG_SPECTRUM, 4, order=1)
     assert m.dim == 3
-    assert m.norm_context.order == 1
+    assert m.norm_order == 1
     assert m.mid.size == 0
     diag = m.scalars.tolist()
     assert diag == pytest.approx([1j * np.log(2), 1j * np.log(3), 1j * np.log(4)])
@@ -244,8 +262,8 @@ def test_diag_jordan_first_block_is_isometric():
     x[0] = 1.0 + 1.0j
     for t in (0.0, 1.0, 50.0):
         y = dense(evolve_blocks(m, t)) @ x
-        assert weighted_vector_norm(m.norm_context, y) == \
-            pytest.approx(weighted_vector_norm(m.norm_context, x))
+        assert weighted_vector_norm(m.norm_order, y) == \
+            pytest.approx(weighted_vector_norm(m.norm_order, x))
 
 
 def test_required_max_index_rules():
@@ -610,7 +628,7 @@ def test_weighted_norm_takes_2x2_blocks(family, monkeypatch):
     monkeypatch.setitem(models.FAMILIES, family, replace(row, weighted=True))
     m = _model(family, 8, order=2)
     op = evolve_blocks(m, 3.0) @ resolvent_blocks(m, 1.0)
-    want = dense_operator_norm(dense(op), m.norm_context)
+    want = dense_operator_norm(dense(op), m.norm_order)
     assert models.block_operator_norm(m, op) == pytest.approx(want, rel=1e-9)
 
 

@@ -16,7 +16,7 @@ from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
 from semistab import models, spectral
 from semistab.asymptotics import NormSamples, Quantity, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
-from semistab.linalg import LANCZOS_TOL_DEFAULT, NormContext
+from semistab.linalg import LANCZOS_TOL_DEFAULT
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              eigenvalues, evolve_blocks, norm_curve,
                              required_max_index, resolvent_blocks)
@@ -139,7 +139,7 @@ def test_closed_projection_jordan_pairs_upper():
     mat = dense(report.blocks)
     block = mat[4:6, 4:6]
     assert np.max(np.abs(block - np.array([[1.0, -2j], [0.0, 0.0]]))) < 1e-12
-    norm = dense_operator_norm(mat, NormContext(m.dim))
+    norm = dense_operator_norm(mat, 0)
     assert norm == pytest.approx(np.sqrt(5.0), rel=1e-10)
 
 
@@ -316,16 +316,14 @@ def _assert_ulps(got, want):
 def _euclidean(model):
     """The model measured in the Euclidean norm, where the certified route
     runs."""
-    return dataclasses.replace(model, norm_context=NormContext(model.dim, 0))
+    return dataclasses.replace(model, norm_order=0)
 
 
 def _with_table(model, scalars, mid, half_gap):
     """The Euclidean model on another spectral table."""
     table = [np.array(a, dtype=complex) for a in (scalars, mid, half_gap)]
-    dim = table[0].size + 2 * table[1].size
     return dataclasses.replace(model, scalars=table[0], mid=table[1],
-                               half_gap=table[2],
-                               norm_context=NormContext(dim, 0))
+                               half_gap=table[2], norm_order=0)
 
 
 @st.composite

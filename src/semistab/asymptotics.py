@@ -86,8 +86,8 @@ def sample_norms(model: Model, ts, mu: complex | None = None,
         raise ValueError("ts must be nonnegative and strictly increasing")
     models.check_truncation(model, float(ts[-1]))
     mu = model.spec.mu_default if mu is None else complex(mu)
-    semi, prod = models.norm_curve(model, ts, models.resolvent_blocks(model, mu),
-                                   tol)
+    semi, prod = models.norm_curve(
+        model, ts, lambda: models.resolvent_blocks(model, mu), tol)
     return (NormSamples(Quantity.SEMIGROUP_NORM, ts, semi),
             NormSamples(Quantity.RESOLVENT_PRODUCT_NORM, ts, prod))
 
@@ -156,8 +156,6 @@ def concave_envelope(samples: NormSamples) -> Envelope:
 class TranslationCurve:
     """Sampled s -> f(t+s)/f(s) with the end-of-window verdict."""
 
-    shift: float
-    s_values: np.ndarray
     ratios: np.ndarray
     within_tolerance: bool
 
@@ -181,7 +179,7 @@ def envelope_translation_check(env: Envelope, t: float, s_grid) -> TranslationCu
     if bad.size:
         raise ValueError(f"f(t+s)/f(s) not finite at shift t = {t!r}, s = {bad[0]}")
     verdict = bool(abs(float(ratios[-1]) - 1.0) <= TRANSLATION_TOL)
-    return TranslationCurve(float(t), s, ratios, verdict)
+    return TranslationCurve(ratios, verdict)
 
 
 class FitFamily(enum.Enum):

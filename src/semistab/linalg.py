@@ -13,9 +13,11 @@ The operator norm of M in the order-N norm is the largest singular value of
 lower-triangular inverse.  :func:`operator_norm` is the one kernel: plain
 three-term Lanczos on the Gram operator G of that product, with M applied
 through its ``matvec`` and ``rmatvec`` (a ``models.BlockDiagonal`` in the
-instrument) and D, L and their adjoints in O(order * dim), all in a
-workspace of five vectors allocated once per call.  Dense references for
-D, L and the norms live in the test suite.
+instrument) and D, L and their adjoints in O(order * dim).  Each Gram
+application runs in place in the next Lanczos vector, so the workspace is
+the three Lanczos vectors, allocated once per call, and temporaries of at
+most ``_CHUNK`` entries.  Dense references for D, L and the norms live in
+the test suite.
 
 Stop rule.  After step k the top eigenpair (theta, s) of the k x k
 tridiagonal T_k gives the Ritz residual ``beta_k |s_k|``; the kernel stops
@@ -62,37 +64,47 @@ LANCZOS_STEP_CAP = 300
 #: order norm**4, underflow in ``np.linalg.norm`` below about 1e-77.
 NORM_FLOOR = 1e-60
 
+#: Entries per chunk of the in-place passes (256 KB of complex): no
+#: temporary of a Lanczos step is longer.
+_CHUNK = 1 << 14
 
-def _differences(order: int, src: np.ndarray, spare: np.ndarray,
-                 adjoint: bool) -> tuple:
-    """Order-N backward differences of ``src``, or their adjoint.
 
-    An in-place difference has overlapping operands, which numpy would
-    buffer, so each order writes from one buffer into the other.  Both are
-    overwritten; returns ``(result, free)``, the buffer holding the result
-    and the other one.
+def _differences(order: int, w: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Order-N backward differences of ``w``, or their adjoint, in place.
+
+    A difference of two overlapping slices makes numpy copy all of ``w``, so
+    each pass walks chunks of ``_CHUNK`` entries, subtracting a copy of each
+    chunk's neighbours: backward differences from the end, adjoint ones from
+    the start, so that no neighbour is overwritten before it is read.
+    Returns ``w``.
     """
+    n = w.size
+    if adjoint:  # w_j -= w_{j+1} for j < n - 1, from the start
+        shift, edges = 1, [(lo, min(lo + _CHUNK, n - 1))
+                           for lo in range(0, n - 1, _CHUNK)]
+    else:  # w_j -= w_{j-1} for j >= 1, from the end
+        shift, edges = -1, [(max(hi - _CHUNK, 1), hi)
+                            for hi in range(n, 1, -_CHUNK)]
+    scratch = np.empty(min(n, _CHUNK), dtype=complex)
+    chunks = [(w[lo:hi], w[lo + shift:hi + shift], scratch[:hi - lo])
+              for lo, hi in edges]
     for _ in range(order):
-        if adjoint:
-            np.subtract(src[:-1], src[1:], out=spare[:-1])
-            spare[-1:] = src[-1:]
-        else:
-            spare[:1] = src[:1]
-            np.subtract(src[1:], src[:-1], out=spare[1:])
-        src, spare = spare, src
-    return src, spare
+        for chunk, neighbours, part in chunks:
+            np.copyto(part, neighbours)
+            np.subtract(chunk, part, out=chunk)
+    return w
 
 
 def apply_difference(order: int, vec: np.ndarray) -> np.ndarray:
     """Order-N backward difference of a vector, zero-prefix convention."""
-    w = np.array(vec, dtype=complex)
-    return _differences(order, w, np.empty_like(w), adjoint=False)[0]
+    return _differences(order, np.array(vec, dtype=complex), adjoint=False)
 
 
 def apply_cumulative(order: int, vec: np.ndarray, out=None) -> np.ndarray:
     """Order-N repeated partial sums; inverse of :func:`apply_difference`.
 
-    Written into ``out`` when it is given, else into a new array.
+    Written into ``out`` when it is given, which may be ``vec`` itself,
+    else into a new array.
     """
     return _partial_sums(order, vec, out, backward=False)
 
@@ -103,7 +115,9 @@ def apply_cumulative_adjoint(order: int, vec: np.ndarray,
 
 
 def _partial_sums(order: int, vec, out, backward: bool) -> np.ndarray:
-    # The first pass reads vec and writes out, so no copy precedes it.
+    # The first pass reads vec and writes out, so no copy precedes it; later
+    # passes, like every pass when out is vec, are in-place cumsums, which
+    # allocate nothing.
     vec = np.asarray(vec, dtype=complex)
     if out is None:
         out = np.empty(vec.shape, dtype=complex)
@@ -140,18 +154,36 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+def _subtract_scaled(w: np.ndarray, v: np.ndarray, alpha: float,
+                     v_prev: np.ndarray, beta: float | None) -> None:
+    """``w -= alpha v``, then ``w -= beta v_prev`` unless beta is None, in
+    place: each product goes into a chunk-sized scratch first, which rounds
+    as whole-vector products into a buffer do."""
+    scratch = np.empty(min(w.size, _CHUNK), dtype=complex)
+    for lo in range(0, w.size, _CHUNK):
+        hi = min(lo + _CHUNK, w.size)
+        part = scratch[:hi - lo]
+        np.subtract(w[lo:hi], np.multiply(v[lo:hi], alpha, out=part),
+                    out=w[lo:hi])
+        if beta is not None:
+            np.subtract(w[lo:hi], np.multiply(v_prev[lo:hi], beta, out=part),
+                        out=w[lo:hi])
+
+
 def operator_norm(op, order: int = 0,
                   tol: float = LANCZOS_TOL_DEFAULT) -> float:
     """Operator norm of ``op`` on C^dim, dim = ``op.dim``, in the order-N norm.
 
     ``op`` is any linear operator with ``dim``, ``matvec`` and ``rmatvec``
-    (the conjugate transpose), both taking an optional ``out`` array that
-    does not overlap their input.  Three-term Lanczos on the Gram operator
+    (the conjugate transpose), both taking an optional ``out`` array, which
+    may be their input: the kernel calls both with ``out`` equal to the
+    input.  Three-term Lanczos on the Gram operator
     ``G = (D op L)^H (D op L)`` from a fixed-seed random start, at most
     ``LANCZOS_STEP_CAP`` steps; one step applies ``L``, ``op`` and
     ``D``, then their adjoints in reverse order (at order 0 the transforms
-    are the identity), and stops once the Ritz residual of the top Ritz
-    value ``theta`` is at most ``tol * theta``; the norm is ``sqrt(theta)``.
+    are the identity), all in place in the next Lanczos vector, and stops
+    once the Ritz residual of the top Ritz value ``theta`` is at most
+    ``tol * theta``; the norm is ``sqrt(theta)``.
     Raises ``ValueError`` for an order outside [0, dim), non-finite entries or
     a norm above about 1e154, and :class:`IllConditionedError` at the step cap,
     for a nonzero norm below ``NORM_FLOOR`` or for one above about 1e77.
@@ -163,30 +195,25 @@ def operator_norm(op, order: int = 0,
         raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
                          f"dim must be >= order + 1, got dim={n}, order={order}")
     # The workspace, allocated once: the Lanczos vectors v_{k-1}, v_k and
-    # the next one w, and two buffers the transforms alternate between.
+    # the next one w, in which each Gram application runs in place.
     v = _start_vector(n)
-    v_prev, w, left, right = (np.empty(n, dtype=complex) for _ in range(4))
+    v_prev, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     alphas, betas = [], []
     theta = residual = 0.0
     for step in range(LANCZOS_STEP_CAP):
         # w = G v.  The transforms are looked up at call time, so that a
         # tracer that rebinds them in this module sees one call of each per
         # step.
-        u, free = _differences(
-            order, op.matvec(apply_cumulative(order, v, left), right), left,
-            adjoint=False)
-        alpha = float(np.vdot(u, u).real)
+        apply_cumulative(order, v, w)
+        _differences(order, op.matvec(w, out=w), adjoint=False)
+        alpha = float(np.vdot(w, w).real)
         if not math.isfinite(alpha):
             raise ValueError(f"non-finite Lanczos coefficient alpha = {alpha!r} "
                              f"at step {step + 1}: the operator has non-finite "
                              "entries or a norm above about 1e154")
-        u, free = _differences(order, u, free, adjoint=True)
-        apply_cumulative_adjoint(order, op.rmatvec(u, free), w)
-        # w -= alpha v_k + beta_{k-1} v_{k-1}, with a transform buffer as
-        # the scratch for the products.
-        np.subtract(w, np.multiply(v, alpha, out=left), out=w)
-        if step:
-            np.subtract(w, np.multiply(v_prev, betas[-1], out=left), out=w)
+        _differences(order, w, adjoint=True)
+        apply_cumulative_adjoint(order, op.rmatvec(w, out=w), w)
+        _subtract_scaled(w, v, alpha, v_prev, betas[-1] if step else None)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):
@@ -208,8 +235,8 @@ def operator_norm(op, order: int = 0,
         if residual <= tol * theta:
             # At theta = 0 op is zero if it maps 2**1000 v, whose products
             # with its entries cannot underflow, to zero.
-            if theta < NORM_FLOOR ** 2 and (theta or np.any(
-                    op.matvec(v * 2.0 ** 1000))):
+            if theta < NORM_FLOOR ** 2 and (theta or np.any(op.matvec(
+                    np.multiply(v, 2.0 ** 1000, out=w), out=w))):
                 raise IllConditionedError(f"operator norm below {NORM_FLOOR} "
                                           "is out of the kernel's range",
                                           last_estimate=math.sqrt(theta))

@@ -29,7 +29,6 @@ one way to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -42,6 +41,10 @@ from .errors import SpectrumHitError, TruncationInadequateError
 _SPECTRUM_MARGIN = 1e-12
 
 _TINY = np.finfo(float).tiny
+
+#: Blocks per chunk of :meth:`BlockDiagonal.matvec` and ``rmatvec``, which
+#: run in place: no temporary is longer.
+_CHUNK = 1 << 14
 
 
 class Family(enum.Enum):
@@ -308,34 +311,44 @@ class BlockDiagonal:
 
     def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
         """The operator applied to a vector of length ``dim``, written into
-        ``out`` (which must not overlap ``v``) when it is given."""
-        k = self.scalars.size
-        if out is None:
-            out = np.empty(self.dim, dtype=complex)
-        np.multiply(self.scalars, v[:k], out=out[:k])
-        np.multiply(self.lower, v[k + 1::2], out=out[k + 1::2])
-        np.multiply(self.upper, v[k::2], out=out[k::2])
-        out[k::2] += self.corner * v[k + 1::2]
-        return out
+        ``out`` when it is given; ``out`` may be ``v`` itself."""
+        return self._apply(v, out, adjoint=False)
 
     def rmatvec(self, w: np.ndarray, out=None) -> np.ndarray:
         """The conjugate transpose applied to a vector of length ``dim``,
-        written into ``out`` (which must not overlap ``w``) when given."""
-        scalars, upper, corner, lower = self._conjugates
-        k = scalars.size
-        if out is None:
-            out = np.empty(self.dim, dtype=complex)
-        np.multiply(scalars, w[:k], out=out[:k])
-        np.multiply(upper, w[k::2], out=out[k::2])
-        np.multiply(lower, w[k + 1::2], out=out[k + 1::2])
-        out[k + 1::2] += corner * w[k::2]
-        return out
+        written into ``out`` when it is given; ``out`` may be ``w`` itself."""
+        return self._apply(w, out, adjoint=True)
 
-    @functools.cached_property
-    def _conjugates(self) -> tuple:
-        # Formed once per operator, not once per Lanczos step.
-        return tuple(np.conj(a) for a in (self.scalars, self.upper,
-                                          self.corner, self.lower))
+    def _apply(self, x: np.ndarray, out, adjoint: bool) -> np.ndarray:
+        # In place in out, _CHUNK blocks at a time.  Each product goes into a
+        # new chunk-sized array before it is stored: numpy rounds a complex
+        # product of one element written over its operand differently.  The
+        # adjoint conjugates the entries a chunk at a time.
+        if out is None:
+            out = np.array(x, dtype=complex)
+        elif out is not x:
+            np.copyto(out, x)
+        k = self.scalars.size
+        head, top, bottom = out[:k], out[k::2], out[k + 1::2]
+        for lo in range(0, k, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            entries = np.conj(self.scalars[c]) if adjoint else self.scalars[c]
+            head[c] = entries * head[c]
+        for lo in range(0, self.upper.size, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            if adjoint:
+                # The bottom entry first, from the top one it still holds.
+                new = np.conj(self.lower[c]) * bottom[c]
+                new += np.conj(self.corner[c]) * top[c]
+                bottom[c] = new
+                top[c] = np.conj(self.upper[c]) * top[c]
+            else:
+                # The top entry first, from the bottom one it still holds.
+                new = self.upper[c] * top[c]
+                new += self.corner[c] * bottom[c]
+                top[c] = new
+                bottom[c] = self.lower[c] * bottom[c]
+        return out
 
 
 def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
@@ -428,11 +441,14 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     return linalg.operator_norm(blocks, model.norm_order, tol=tol)
 
 
-def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
-               tol: float, semi: np.ndarray | None = None) -> tuple:
-    """The curves t -> ||T(t)|| and t -> ||T(t) X||, X = ``factor``, in the
+def norm_curve(model: Model, ts: np.ndarray,
+               factor: Callable[[], BlockDiagonal], tol: float,
+               semi: np.ndarray | None = None) -> tuple:
+    """The curves t -> ||T(t)|| and t -> ||T(t) X||, X = ``factor()``, in the
     model's norm, as the pair ``(semi, prod)``; ``semi``, when given, is
-    taken as the first.
+    taken as the first.  X is built once: at order 0 after the last
+    ||T(t)||, so that it is not held while they are computed, and at the
+    weighted orders before the first T(t).
 
     At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
     it; ||T(t)|| comes from the block moduli (:func:`semigroup_norm`) and
@@ -442,7 +458,8 @@ def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
     if model.norm_order == 0:
         if semi is None:
             semi = np.array([semigroup_norm(model, float(t)) for t in ts])
-        return semi, _certified_curve(model, factor, ts, semi)
+        return semi, _certified_curve(model, factor(), ts, semi)
+    x = factor()
     sample = semi is None
     if sample:
         semi = np.empty(ts.size)
@@ -451,7 +468,7 @@ def norm_curve(model: Model, ts: np.ndarray, factor: BlockDiagonal,
         op = evolve_blocks(model, float(t))
         if sample:
             semi[i] = block_operator_norm(model, op, tol=tol)
-        op = op @ factor
+        op = op @ x
         prod[i] = block_operator_norm(model, op, tol=tol)
     return semi, prod
 

@@ -336,7 +336,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
                          f"is not finite and positive")
     part, proj = ((model.take(projection.index), projection.support)
                   if model.norm_order == 0 else (model, projection.blocks))
-    norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
+    norms = models.norm_curve(part, ts, lambda: proj, tol, semi=semi.values)[1]
     values = norms / f
     if projection.rank == 0:
         return DecayCurve(ts, values, None, True)

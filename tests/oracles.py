@@ -118,7 +118,8 @@ def dense_operator_norm(mat, order: int) -> float:
 def as_operator(mat) -> SimpleNamespace:
     """A square dense matrix as an operator the kernel takes: ``dim``,
     ``matvec`` and ``rmatvec`` (its conjugate transpose), each with an
-    optional ``out``."""
+    optional ``out``, which may be the input: ``np.matmul`` copies an
+    operand that overlaps ``out``."""
     mat = np.asarray(mat, dtype=complex)
     adjoint = mat.conj().T
     return SimpleNamespace(

@@ -15,8 +15,9 @@ from semistab.asymptotics import (FitFamily, HardyReport, NormSamples,
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
 from semistab.experiments import parse_config, run_simulate
+from semistab import models
 from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
-                             resolvent_blocks)
+                             required_max_index, resolvent_blocks)
 
 RNG = np.random.default_rng(99173)
 
@@ -69,6 +70,35 @@ def test_sample_norms_names_a_last_time_no_truncation_covers(last):
     m = _model(Family.JORDAN_PAIRS, 100)
     with pytest.raises(ValueError, match=f"t_max must be finite .* got {last}"):
         sample_norms(m, [1.0, last])
+
+
+@pytest.mark.parametrize("family", [Family.JORDAN_PAIRS, Family.LOG_SPECTRUM])
+def test_sample_norms_builds_the_resolvent_once_where_it_is_needed(
+        monkeypatch, family):
+    # At order 0, R_mu was built before the ||T(t)|| row and held through it
+    # (2.6 MB of peak RSS at dim 199998); the weighted norms need it at the
+    # first grid time, and build it once, not once per T(t).
+    calls = []
+
+    def recorded(name):
+        original = getattr(models, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("semigroup_norm", "evolve_blocks", "resolvent_blocks"):
+        monkeypatch.setattr(models, name, recorded(name))
+    m = _model(family, required_max_index(family, 4.0))
+    sample_norms(m, [1.0, 2.0, 4.0])
+    assert calls.count("resolvent_blocks") == 1
+    built = calls.index("resolvent_blocks")
+    if m.norm_order == 0:
+        assert calls.count("semigroup_norm") == 3
+        assert "semigroup_norm" not in calls[built:]
+    else:
+        assert calls[built:].count("evolve_blocks") == 3
 
 
 def test_ratio_is_pointwise_quotient(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (as_operator, cumulative_matrix, dense, dense_operator_norm,
                      difference_matrix, weighted_vector_norm)
-from semistab import linalg
+from semistab import linalg, models
 from semistab.errors import IllConditionedError
 from semistab.linalg import (apply_cumulative, apply_cumulative_adjoint,
                              apply_difference, operator_norm)
@@ -58,7 +58,7 @@ def test_difference_matrix_order_zero_is_identity():
         assert np.array_equal(apply(0, v), v)
     w = v.copy()
     assert np.array_equal(
-        linalg._differences(0, w, np.empty_like(w), adjoint=True)[0], v)
+        linalg._differences(0, w, adjoint=True), v)
 
 
 def test_difference_matrix_rejects_small_dim():
@@ -122,7 +122,7 @@ def test_apply_adjoints_are_adjoint(order):
     x = _random_complex(dim)
     y = _random_complex(dim)
     w = y.copy()
-    adjoint = linalg._differences(order, w, np.empty_like(w), adjoint=True)[0]
+    adjoint = linalg._differences(order, w, adjoint=True)
     assert np.vdot(y, apply_difference(order, x)) == pytest.approx(
         np.vdot(adjoint, x), abs=1e-9)
     assert np.vdot(y, apply_cumulative(order, x)) == pytest.approx(
@@ -333,6 +333,47 @@ def test_power_iteration_matches_dense_svd_on_block_operators(op, order):
     assert got == pytest.approx(want, rel=1e-8)
 
 
+_EDGES = [-1, 0, 1, "2c+1"]
+
+
+def _dim_at(chunk, edge):
+    return 2 * chunk + 1 if edge == "2c+1" else chunk + edge
+
+
+@pytest.mark.parametrize("edge", _EDGES)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_in_place_differences_at_chunk_edges(order, edge):
+    # Each pass subtracts a copy of each chunk's neighbours; an edge off by
+    # one drops or repeats a neighbour.  Subtraction is exact per entry, so
+    # the whole-vector differences are matched bitwise.
+    x = _random_complex(_dim_at(linalg._CHUNK, edge))
+    backward, adjoint = x.copy(), x.copy()
+    for _ in range(order):
+        backward = np.diff(backward, prepend=0.0)
+        adjoint = adjoint - np.append(adjoint[1:], 0.0)
+    assert np.array_equal(linalg._differences(order, x.copy(), adjoint=False),
+                          backward)
+    assert np.array_equal(linalg._differences(order, x.copy(), adjoint=True),
+                          adjoint)
+
+
+@pytest.mark.parametrize("chunk", [5, 8])
+@pytest.mark.parametrize("edge", _EDGES)
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_in_place_step_matches_dense_svd_at_chunk_edges(monkeypatch, chunk,
+                                                        edge, order):
+    # The Gram application runs in place in w, chunk by chunk: with short
+    # chunks, the dims at their edges are small enough for a dense SVD.
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    monkeypatch.setattr(models, "_CHUNK", chunk)
+    dim = _dim_at(chunk, edge)
+    blocks = dim // 3
+    op = BlockDiagonal(_random_complex(dim - 2 * blocks),
+                       *(_random_complex(blocks) for _ in range(3)))
+    want = dense_operator_norm(dense(op), order)
+    assert operator_norm(op, order) == pytest.approx(want, rel=1e-9)
+
+
 def test_power_iteration_stops_short_at_close_singular_values():
     # Blocks [[1, 1], [0, 1000]] and [[1, 0.1], [0, 1000]]: top singular
     # values 1000.0005 and 1000.000005.  The power iteration's geometric-tail
@@ -454,21 +495,21 @@ def test_huge_norm_is_right_or_raises(scale, order):
 
 
 def test_weighted_norm_allocates_its_workspace_once():
-    # Three Lanczos vectors and two transform buffers, allocated once per
-    # call: the peak stays within six vectors of dim complex entries (the
-    # sixth covers the start vector's outer-product slack and the small
-    # arrays), however many steps run.  A temporary of dim entries per step
-    # raised the power iteration's peak past six.
+    # Three Lanczos vectors, allocated once per call, with each Gram
+    # application in place in one of them: the peak stays within four
+    # vectors of dim complex entries (the fourth covers the start vector's
+    # outer-product slack, the chunk-sized scratch and the small arrays),
+    # however many steps run.  The five-vector workspace, or a temporary of
+    # dim entries per step, raises the peak past four.
     dim = 50000
     op = _diagonal(np.exp(1j * 30.0 * np.log(np.arange(2, dim + 2))))
-    op.rmatvec(np.ones(dim, dtype=complex))  # the cached conjugates
     tracemalloc.start()
     try:
         operator_norm(op, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * dim * np.dtype(complex).itemsize
+    assert peak <= 4 * dim * np.dtype(complex).itemsize
 
 
 def test_operator_norm_order_validation():

@@ -399,6 +399,60 @@ def test_block_norm_keeps_a_small_corner():
     assert op.sup_singular_value() > 1.0
 
 
+def _products_out_of_place(op, x, adjoint):
+    """op x, or op^H x, from whole-vector products into new arrays, in the
+    order of floating-point operations that ``matvec`` and ``rmatvec`` keep."""
+    entries = (op.scalars, op.upper, op.corner, op.lower)
+    s, u, c, l = (np.conj(a) for a in entries) if adjoint else entries
+    k = s.size
+    top, bottom = x[k::2], x[k + 1::2]
+    out = np.empty(op.dim, dtype=complex)
+    out[:k] = s * x[:k]
+    if adjoint:
+        out[k::2] = u * top
+        out[k + 1::2] = l * bottom + c * top
+    else:
+        out[k::2] = u * top + c * bottom
+        out[k + 1::2] = l * bottom
+    return out
+
+
+def _count_near(chunk):
+    # Block counts at the chunk edges, and a few small ones.
+    return st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 0, 1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from([2, 5, models._CHUNK]).flatmap(
+    lambda chunk: st.tuples(st.just(chunk), _count_near(chunk),
+                            _count_near(chunk))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_products_in_place_are_the_out_of_place_ones_bitwise(case, seed):
+    # matvec and rmatvec run in place a chunk at a time; a 2x2 block must
+    # read its bottom entry before overwriting it (matvec) or its top one
+    # (rmatvec), across every chunk edge.
+    chunk, scalars, blocks = case
+    rng = np.random.default_rng(seed)
+
+    def entries(n):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    op = BlockDiagonal(entries(scalars), *(entries(blocks) for _ in range(3)))
+    x = entries(op.dim)
+    before = x.copy()
+    with patch.object(models, "_CHUNK", chunk):
+        for adjoint, apply in ((False, op.matvec), (True, op.rmatvec)):
+            want = _products_out_of_place(op, x, adjoint)
+            y = x.copy()
+            assert apply(y, out=y) is y
+            assert np.array_equal(y, want)
+            assert np.array_equal(apply(x), want)
+            z = np.empty_like(x)
+            assert np.array_equal(apply(x, out=z), want)
+    assert np.array_equal(x, before)  # out-of-place calls leave x alone
+
+
 # Complex entries with magnitudes 1e-300 ... 1e300, and zero: squared
 # Frobenius norms overflow, underflow and go subnormal.
 _WIDE = (st.builds(lambda e, phase: 10.0 ** e * np.exp(1j * phase),

@@ -59,7 +59,7 @@ def _semi(model, ts):
     """||T(t)|| samples on ts; unlike sample_norms, at any truncation."""
     ts = np.asarray(ts, dtype=float)
     return NormSamples(Quantity.SEMIGROUP_NORM, ts, norm_curve(
-        model, ts, resolvent_blocks(model, 1.0), LANCZOS_TOL_DEFAULT)[0])
+        model, ts, lambda: resolvent_blocks(model, 1.0), LANCZOS_TOL_DEFAULT)[0])
 
 
 def test_contour_validation():
@@ -420,7 +420,7 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
     tiny = np.array([complex(e)])
     factor = BlockDiagonal(np.array([complex(x)]), tiny, 0.0 * tiny, tiny)
     ts = np.array([t])
-    got = norm_curve(m, ts, factor, LANCZOS_TOL_DEFAULT)[1]
+    got = norm_curve(m, ts, lambda: factor, LANCZOS_TOL_DEFAULT)[1]
     want = whole_norm_curve(m, ts, factor)
     assert want[0] > x
     assert np.array_equal(got, want)
@@ -450,7 +450,7 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
 def _curves(model, ts, nodes=64):
     """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the projection and its
     hypothesis-(b) curve against f(t) = t + 1."""
-    rows = norm_curve(model, ts, resolvent_blocks(model, 1.0),
+    rows = norm_curve(model, ts, lambda: resolvent_blocks(model, 1.0),
                       LANCZOS_TOL_DEFAULT)
     semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, rows[0])
     projections = [riesz_projection_quadrature(

@@ -350,6 +350,6 @@ def witness_lower_bound(model: Model, t: float) -> WitnessBound:
     models.check_truncation(model, t)
     x, x_norm = witness_vector(t, model.dim)
     y = (models.evolve_blocks(model, t)
-         @ models.resolvent_blocks(model, 0.0)).matvec(x)
+         @ models.resolvent_blocks(model, 0.0)).scalars * x
     raw = float(np.linalg.norm(linalg.apply_difference(1, y))) / x_norm
     return WitnessBound(float(t), raw, raw * math.log(t) / t)

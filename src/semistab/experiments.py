@@ -23,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import asymptotics, models, spectral
+from . import asymptotics, linalg, models, spectral
 from ._version import __version__
 from .asymptotics import (FitFamily, NormSamples, Quantity, concave_envelope,
                           envelope_translation_check, fit_rate, hardy_sums,
@@ -161,8 +161,8 @@ KEY_TABLE = (
     ("contour.radius_cap", _POSITIVE, spectral.RADIUS_CAP, "radius_cap"),
     ("checks.top_k", _AT_LEAST_ONE, 5, "top_k"),
     ("checks.translation_shift", _POSITIVE, 1.0, "translation_shift"),
-    ("tolerances.norm_tol", _FRACTION, 1e-10, "norm_tol"),
-    ("tolerances.proj_tol", _POSITIVE, 1e-8, "proj_tol"),
+    ("tolerances.norm_tol", _FRACTION, linalg.LANCZOS_TOL_DEFAULT, "norm_tol"),
+    ("tolerances.proj_tol", _POSITIVE, spectral.QUADRATURE_DRIFT_TOL, "proj_tol"),
     ("output.directory", str, "out", "output_directory"),
     ("output.formats", _formats, ("CSV", "JSON"), "output_formats"),
 )

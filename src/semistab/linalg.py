@@ -11,13 +11,13 @@ Order 0 is the Euclidean norm: the 0-th difference is the identity.
 The operator norm of M in the order-N norm is the largest singular value of
 ``D @ M @ L``, where D is the banded difference transform and L its
 lower-triangular inverse.  :func:`operator_norm` is the one kernel: plain
-three-term Lanczos on the Gram operator G of that product, with M applied
-through its ``matvec`` and ``rmatvec`` (a ``models.BlockDiagonal`` in the
-instrument) and D, L and their adjoints in O(order * dim).  Each Gram
-application runs in place in the next Lanczos vector, so the workspace is
-the three Lanczos vectors, allocated once per call, and temporaries of at
-most ``_CHUNK`` entries.  Dense references for D, L and the norms live in
-the test suite.
+three-term Lanczos on the Gram operator G of that product, for M diagonal
+(as the one family measured in a weighted norm is) and given as the 1-d
+array of its entries, with D, L and their adjoints in O(order * dim).
+Each Gram application runs in place in the next Lanczos vector, so the
+workspace is the three Lanczos vectors, allocated once per call, and
+temporaries of at most ``_CHUNK`` entries.  Dense references for D, L and
+the norms live in the test suite.
 
 Stop rule.  After step k the top eigenpair (theta, s) of the k x k
 tridiagonal T_k gives the Ritz residual ``beta_k |s_k|``; the kernel stops
@@ -72,21 +72,19 @@ _CHUNK = 1 << 14
 def _differences(order: int, w: np.ndarray, adjoint: bool) -> np.ndarray:
     """Order-N backward differences of ``w``, or their adjoint, in place.
 
-    A difference of two overlapping slices makes numpy copy all of ``w``, so
-    each pass walks chunks of ``_CHUNK`` entries, subtracting a copy of each
-    chunk's neighbours: backward differences from the end, adjoint ones from
-    the start, so that no neighbour is overwritten before it is read.
-    Returns ``w``.
+    The adjoint pass, w_j -= w_{j+1}, reads ahead of what it writes, which
+    numpy does without a copy.  A backward pass, w_j -= w_{j-1}, reads
+    behind, which makes numpy copy all of ``w``; so it walks chunks of
+    ``_CHUNK`` entries from the end, subtracting a copy of each chunk's
+    neighbours before they are overwritten.  Returns ``w``.
     """
-    n = w.size
-    if adjoint:  # w_j -= w_{j+1} for j < n - 1, from the start
-        shift, edges = 1, [(lo, min(lo + _CHUNK, n - 1))
-                           for lo in range(0, n - 1, _CHUNK)]
-    else:  # w_j -= w_{j-1} for j >= 1, from the end
-        shift, edges = -1, [(max(hi - _CHUNK, 1), hi)
-                            for hi in range(n, 1, -_CHUNK)]
-    scratch = np.empty(min(n, _CHUNK), dtype=complex)
-    chunks = [(w[lo:hi], w[lo + shift:hi + shift], scratch[:hi - lo])
+    if adjoint:
+        for _ in range(order):
+            np.subtract(w[:-1], w[1:], out=w[:-1])
+        return w
+    scratch = np.empty(min(w.size, _CHUNK), dtype=complex)
+    edges = [(max(hi - _CHUNK, 1), hi) for hi in range(w.size, 1, -_CHUNK)]
+    chunks = [(w[lo:hi], w[lo - 1:hi - 1], scratch[:hi - lo])
               for lo, hi in edges]
     for _ in range(order):
         for chunk, neighbours, part in chunks:
@@ -170,27 +168,28 @@ def _subtract_scaled(w: np.ndarray, v: np.ndarray, alpha: float,
                         out=w[lo:hi])
 
 
-def operator_norm(op, order: int = 0,
+def operator_norm(diag: np.ndarray, order: int = 0,
                   tol: float = LANCZOS_TOL_DEFAULT) -> float:
-    """Operator norm of ``op`` on C^dim, dim = ``op.dim``, in the order-N norm.
+    """Operator norm of M = diag(``diag``) on C^dim, ``diag`` a 1-d array of
+    dim entries, in the order-N norm.
 
-    ``op`` is any linear operator with ``dim``, ``matvec`` and ``rmatvec``
-    (the conjugate transpose), both taking an optional ``out`` array, which
-    may be their input: the kernel calls both with ``out`` equal to the
-    input.  Three-term Lanczos on the Gram operator
-    ``G = (D op L)^H (D op L)`` from a fixed-seed random start, at most
-    ``LANCZOS_STEP_CAP`` steps; one step applies ``L``, ``op`` and
-    ``D``, then their adjoints in reverse order (at order 0 the transforms
-    are the identity), all in place in the next Lanczos vector, and stops
-    once the Ritz residual of the top Ritz value ``theta`` is at most
-    ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises ``ValueError`` for an order outside [0, dim), non-finite entries or
-    a norm above about 1e154, and :class:`IllConditionedError` at the step cap,
-    for a nonzero norm below ``NORM_FLOOR`` or for one above about 1e77.
+    Three-term Lanczos on ``G = (D M L)^H (D M L)`` from a fixed-seed random
+    start, at most ``LANCZOS_STEP_CAP`` steps; one step applies ``L``, ``M``
+    and ``D``, then their adjoints in reverse order (at order 0 the
+    transforms are the identity), all in place in the next Lanczos vector,
+    and stops once the Ritz residual of the top Ritz value ``theta`` is at
+    most ``tol * theta``; the norm is ``sqrt(theta)``.
+    Raises ``ValueError`` for ``diag`` not 1-d, an order outside [0, dim),
+    non-finite entries or a norm above about 1e154, and
+    :class:`IllConditionedError` at the step cap, for a nonzero norm below
+    ``NORM_FLOOR`` or for one above about 1e77.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = op.dim
+    diag = np.asarray(diag, dtype=complex)
+    if diag.ndim != 1:
+        raise ValueError(f"diag must be 1-d, got shape {diag.shape}")
+    n = diag.size
     if not 0 <= order < n:
         raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
                          f"dim must be >= order + 1, got dim={n}, order={order}")
@@ -203,16 +202,19 @@ def operator_norm(op, order: int = 0,
     for step in range(LANCZOS_STEP_CAP):
         # w = G v.  The transforms are looked up at call time, so that a
         # tracer that rebinds them in this module sees one call of each per
-        # step.
+        # step.  diag comes first in each product: numpy rounds w * diag
+        # differently.
         apply_cumulative(order, v, w)
-        _differences(order, op.matvec(w, out=w), adjoint=False)
+        _differences(order, np.multiply(diag, w, out=w), adjoint=False)
         alpha = float(np.vdot(w, w).real)
         if not math.isfinite(alpha):
             raise ValueError(f"non-finite Lanczos coefficient alpha = {alpha!r} "
                              f"at step {step + 1}: the operator has non-finite "
                              "entries or a norm above about 1e154")
         _differences(order, w, adjoint=True)
-        apply_cumulative_adjoint(order, op.rmatvec(w, out=w), w)
+        # conj(diag) w as conj(diag conj(w)): no conjugate copy of diag.
+        np.multiply(diag, np.conjugate(w, out=w), out=w)
+        apply_cumulative_adjoint(order, np.conjugate(w, out=w), w)
         _subtract_scaled(w, v, alpha, v_prev, betas[-1] if step else None)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(w))
@@ -233,10 +235,8 @@ def operator_norm(op, order: int = 0,
         # eigenvalue of G; theta = 0 for a zero operator) makes the
         # residual 0 and stops here.
         if residual <= tol * theta:
-            # At theta = 0 op is zero if it maps 2**1000 v, whose products
-            # with its entries cannot underflow, to zero.
-            if theta < NORM_FLOOR ** 2 and (theta or np.any(op.matvec(
-                    np.multiply(v, 2.0 ** 1000, out=w), out=w))):
+            # At theta = 0 the operator is zero if every entry is.
+            if theta < NORM_FLOOR ** 2 and (theta or np.any(diag)):
                 raise IllConditionedError(f"operator norm below {NORM_FLOOR} "
                                           "is out of the kernel's range",
                                           last_estimate=math.sqrt(theta))

@@ -17,8 +17,8 @@ expressions in the table (:func:`semigroup_norm`), so it never forms T(t).
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
-blocks.  :class:`BlockDiagonal` is the one operator type: the norm kernel in
-:mod:`linalg` applies it through ``matvec`` and ``rmatvec`` on its own ``dim``.
+blocks.  :class:`BlockDiagonal` is the one operator type; the weighted norm
+kernel in :mod:`linalg` takes the entries of a diagonal one.
 :func:`required_max_index` is the one adequacy rule and :func:`truncation`
 the one gate applying it and the dimension cap; :func:`evolve_blocks` is the
 one way to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
@@ -41,10 +41,6 @@ from .errors import SpectrumHitError, TruncationInadequateError
 _SPECTRUM_MARGIN = 1e-12
 
 _TINY = np.finfo(float).tiny
-
-#: Blocks per chunk of :meth:`BlockDiagonal.matvec` and ``rmatvec``, which
-#: run in place: no temporary is longer.
-_CHUNK = 1 << 14
 
 
 class Family(enum.Enum):
@@ -271,10 +267,6 @@ class BlockDiagonal:
     corner: np.ndarray
     lower: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.scalars.size + 2 * self.upper.size
-
     def __sub__(self, other):
         return BlockDiagonal(self.scalars - other.scalars, self.upper - other.upper,
                              self.corner - other.corner, self.lower - other.lower)
@@ -308,47 +300,6 @@ class BlockDiagonal:
         scalars, blocks = index[:split], index[split:] - self.scalars.size
         return BlockDiagonal(self.scalars[scalars], self.upper[blocks],
                              self.corner[blocks], self.lower[blocks])
-
-    def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
-        """The operator applied to a vector of length ``dim``, written into
-        ``out`` when it is given; ``out`` may be ``v`` itself."""
-        return self._apply(v, out, adjoint=False)
-
-    def rmatvec(self, w: np.ndarray, out=None) -> np.ndarray:
-        """The conjugate transpose applied to a vector of length ``dim``,
-        written into ``out`` when it is given; ``out`` may be ``w`` itself."""
-        return self._apply(w, out, adjoint=True)
-
-    def _apply(self, x: np.ndarray, out, adjoint: bool) -> np.ndarray:
-        # In place in out, _CHUNK blocks at a time.  Each product goes into a
-        # new chunk-sized array before it is stored: numpy rounds a complex
-        # product of one element written over its operand differently.  The
-        # adjoint conjugates the entries a chunk at a time.
-        if out is None:
-            out = np.array(x, dtype=complex)
-        elif out is not x:
-            np.copyto(out, x)
-        k = self.scalars.size
-        head, top, bottom = out[:k], out[k::2], out[k + 1::2]
-        for lo in range(0, k, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
-            entries = np.conj(self.scalars[c]) if adjoint else self.scalars[c]
-            head[c] = entries * head[c]
-        for lo in range(0, self.upper.size, _CHUNK):
-            c = slice(lo, lo + _CHUNK)
-            if adjoint:
-                # The bottom entry first, from the top one it still holds.
-                new = np.conj(self.lower[c]) * bottom[c]
-                new += np.conj(self.corner[c]) * top[c]
-                bottom[c] = new
-                top[c] = np.conj(self.upper[c]) * top[c]
-            else:
-                # The top entry first, from the bottom one it still holds.
-                new = self.upper[c] * top[c]
-                new += self.corner[c] * bottom[c]
-                top[c] = new
-                bottom[c] = self.lower[c] * bottom[c]
-        return out
 
 
 def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
@@ -434,11 +385,15 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     """Operator norm of a block-diagonal operator in the model's norm.
 
     At order 0 (the Euclidean norm) it is the supremum of block norms; at
-    higher orders :func:`linalg.operator_norm` takes the operator whole.
+    higher orders :func:`linalg.operator_norm` takes the diagonal whole, and
+    an operator with 2x2 blocks raises ``ValueError``.
     """
     if model.norm_order == 0:
         return blocks.sup_singular_value()
-    return linalg.operator_norm(blocks, model.norm_order, tol=tol)
+    if blocks.upper.size:
+        raise ValueError(f"the order-{model.norm_order} norm takes a diagonal "
+                         f"operator, got {blocks.upper.size} 2x2 blocks")
+    return linalg.operator_norm(blocks.scalars, model.norm_order, tol=tol)
 
 
 def norm_curve(model: Model, ts: np.ndarray,

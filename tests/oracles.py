@@ -1,13 +1,11 @@
 """Independent references for the kernels the tests hold to account.
 
 ``semistab.linalg`` applies the difference transform D and its inverse L
-matrix-free and estimates operator norms by Lanczos on the Gram operator of
-any operator with ``dim``, ``matvec`` and ``rmatvec``.  These helpers build
-D and L as dense matrices (the identity at order 0) and take norms by a full
-SVD, so the tests can hold the kernel against an independent computation; a
-dense matrix goes through the kernel as :func:`as_operator`, and
-:func:`dense` writes out a :class:`BlockDiagonal`.  Dense, so keep the
-dimensions moderate.
+matrix-free and estimates the operator norm of a diagonal multiplier by
+Lanczos on the Gram operator.  These helpers build D and L as dense matrices
+(the identity at order 0) and take norms by a full SVD, so the tests can
+hold the kernel against an independent computation; :func:`dense` writes
+out a :class:`BlockDiagonal`.  Dense, so keep the dimensions moderate.
 
 ``semistab.spectral`` evaluates the trapezoid rule of a contour as a closed
 rational filter.  Two references stand behind it: the rule summed node by
@@ -37,7 +35,6 @@ case at a time.
 
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,7 +93,8 @@ def weighted_vector_norm(order: int, vec) -> float:
 
 def dense(op: BlockDiagonal) -> np.ndarray:
     """A :class:`BlockDiagonal` as a dense matrix, the scalars first."""
-    out = np.zeros((op.dim, op.dim), dtype=complex)
+    dim = op.scalars.size + 2 * op.upper.size
+    out = np.zeros((dim, dim), dtype=complex)
     diag = np.arange(op.scalars.size)
     out[diag, diag] = op.scalars
     first = op.scalars.size + 2 * np.arange(op.upper.size)
@@ -113,19 +111,6 @@ def dense_operator_norm(mat, order: int) -> float:
     g = (difference_matrix(order, mat.shape[0]) @ mat
          @ cumulative_matrix(order, mat.shape[0]))
     return float(np.linalg.svd(g, compute_uv=False)[0])
-
-
-def as_operator(mat) -> SimpleNamespace:
-    """A square dense matrix as an operator the kernel takes: ``dim``,
-    ``matvec`` and ``rmatvec`` (its conjugate transpose), each with an
-    optional ``out``, which may be the input: ``np.matmul`` copies an
-    operand that overlaps ``out``."""
-    mat = np.asarray(mat, dtype=complex)
-    adjoint = mat.conj().T
-    return SimpleNamespace(
-        dim=mat.shape[0],
-        matvec=lambda v, out=None: np.matmul(mat, v, out=out),
-        rmatvec=lambda w, out=None: np.matmul(adjoint, w, out=out))
 
 
 def trapezoid_node_sum(model, contour):

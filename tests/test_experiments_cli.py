@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hardy_run
-from semistab import cli, experiments
+from semistab import cli, experiments, linalg, spectral
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
 from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
@@ -121,6 +121,19 @@ def test_shipped_config_hashes_are_pinned():
     for name, digest in pinned.items():
         with open(os.path.join(CONFIGS_DIR, name), "r", encoding="utf-8") as handle:
             assert config_hash(parse_config(handle.read())) == digest, name
+
+
+def test_tolerance_defaults_are_the_kernel_constants():
+    # The tolerance defaults are the constants the kernels default to, not
+    # restated numbers; the canonical text and its hash do not move.
+    defaults = {name: default for name, _, default, _ in KEY_TABLE}
+    assert defaults["tolerances.norm_tol"] is linalg.LANCZOS_TOL_DEFAULT
+    assert defaults["tolerances.proj_tol"] is spectral.QUADRATURE_DRIFT_TOL
+    cfg = parse_config(JP_TEXT.format(out="somewhere"))
+    assert ("tolerances.norm_tol = 1e-10\ntolerances.proj_tol = 1e-08\n"
+            in render_config(cfg))
+    assert config_hash(cfg) == ("640d66ee54248f5e9a814f86617321d2"
+                                "ac09ab2a6152033765a4077db319a064")
 
 
 def test_readme_config_grammar_lists_every_key():

@@ -16,8 +16,18 @@ three-term Lanczos on the Gram operator G of that product, for M diagonal
 array of its entries, with D, L and their adjoints in O(order * dim).
 Each Gram application runs in place in the next Lanczos vector, so the
 workspace is the three Lanczos vectors, allocated once per call, and
-temporaries of at most ``_CHUNK`` entries.  Dense references for D, L and
-the norms live in the test suite.
+temporaries of at most one row.  Dense references for D, L and the norms
+live in the test suite.
+
+Layout.  The kernel holds each Lanczos vector of dim entries as a
+C-contiguous ``(b, m)`` array read in column-major order: entry ``c*b + r``
+sits at ``[r, c]``.  ``b`` (:func:`_rows`) is the divisor of dim nearest
+``sqrt(dim / 512)``, and 1 below 4096 entries or for a prime dim.  An
+order-1 partial sum is then ``b - 1`` contiguous row adds, one cumsum over
+the ``m`` column totals in the last row and one broadcast add of the
+shifted totals to the other rows; a difference pass is ``b - 1`` row
+subtractions and one wrap row, for which one row is copied.  The
+transforms take either a 1-d vector, the one-row case, or such an array.
 
 Stop rule.  After step k the top eigenpair (theta, s) of the k x k
 tridiagonal T_k gives the Ritz residual ``beta_k |s_k|``; the kernel stops
@@ -64,32 +74,44 @@ LANCZOS_STEP_CAP = 300
 #: order norm**4, underflow in ``np.linalg.norm`` below about 1e-77.
 NORM_FLOOR = 1e-60
 
-#: Entries per chunk of the in-place passes (256 KB of complex): no
-#: temporary of a Lanczos step is longer.
-_CHUNK = 1 << 14
+
+def _rows(n: int) -> int:
+    # Rows of the kernel's layout: the divisor of n nearest sqrt(n / 512),
+    # the smaller on a tie; divisors past twice the target lose to 1.
+    if n < 4096:
+        return 1
+    target = math.sqrt(n / 512)
+    return min((d for d in range(1, int(2 * target) + 1) if n % d == 0),
+               key=lambda d: abs(d - target))
 
 
 def _differences(order: int, w: np.ndarray, adjoint: bool) -> np.ndarray:
     """Order-N backward differences of ``w``, or their adjoint, in place.
 
-    The adjoint pass, w_j -= w_{j+1}, reads ahead of what it writes, which
-    numpy does without a copy.  A backward pass, w_j -= w_{j-1}, reads
-    behind, which makes numpy copy all of ``w``; so it walks chunks of
-    ``_CHUNK`` entries from the end, subtracting a copy of each chunk's
-    neighbours before they are overwritten.  Returns ``w``.
+    ``w`` is a 1-d vector or a ``(b, m)`` array in the kernel's layout.  A
+    backward pass, w_j -= w_{j-1}, subtracts rows from the last up, an
+    adjoint pass, w_j -= w_{j+1}, from the first down; then the wrap row
+    reads a one-row copy taken before the rows changed.  With one row the
+    adjoint's wrap row reads ahead of what it writes, which numpy does
+    without a copy.  Returns ``w``.
     """
+    y = np.atleast_2d(w)
+    b = len(y)
     if adjoint:
+        ahead = y[0, 1:] if b == 1 else np.empty_like(y[0, 1:])
         for _ in range(order):
-            np.subtract(w[:-1], w[1:], out=w[:-1])
+            if b > 1:
+                np.copyto(ahead, y[0, 1:])
+            for r in range(b - 1):
+                np.subtract(y[r], y[r + 1], out=y[r])
+            np.subtract(y[-1, :-1], ahead, out=y[-1, :-1])
         return w
-    scratch = np.empty(min(w.size, _CHUNK), dtype=complex)
-    edges = [(max(hi - _CHUNK, 1), hi) for hi in range(w.size, 1, -_CHUNK)]
-    chunks = [(w[lo:hi], w[lo - 1:hi - 1], scratch[:hi - lo])
-              for lo, hi in edges]
+    behind = np.empty_like(y[-1, :-1])
     for _ in range(order):
-        for chunk, neighbours, part in chunks:
-            np.copyto(part, neighbours)
-            np.subtract(chunk, part, out=chunk)
+        np.copyto(behind, y[-1, :-1])
+        for r in range(b - 1, 0, -1):
+            np.subtract(y[r], y[r - 1], out=y[r])
+        np.subtract(y[0, 1:], behind, out=y[0, 1:])
     return w
 
 
@@ -113,17 +135,27 @@ def apply_cumulative_adjoint(order: int, vec: np.ndarray,
 
 
 def _partial_sums(order: int, vec, out, backward: bool) -> np.ndarray:
-    # The first pass reads vec and writes out, so no copy precedes it; later
-    # passes, like every pass when out is vec, are in-place cumsums, which
-    # allocate nothing.
+    # A pass adds each row into the next, cumsums the column totals this
+    # leaves in the last row and adds each column's carry to its other
+    # rows.  Backward sums run forward on the view reversed in both axes,
+    # the layout of the reversed vector.  The first pass reads vec and
+    # writes out; no pass allocates.
     vec = np.asarray(vec, dtype=complex)
     if out is None:
         out = np.empty(vec.shape, dtype=complex)
-    src, dst = (vec[::-1], out[::-1]) if backward else (vec, out)
+    flip = (slice(None, None, -1),) * 2 if backward else ()
+    dst = np.atleast_2d(out)[flip]
+    src = dst if out is vec else np.atleast_2d(vec)[flip]
     if order == 0:
         np.copyto(dst, src)
     for _ in range(order):
-        np.cumsum(src, out=dst)
+        if src is not dst:
+            np.copyto(dst[0], src[0])
+        for r in range(1, len(dst)):
+            np.add(dst[r - 1], src[r], out=dst[r])
+        np.cumsum(dst[-1], out=dst[-1])
+        if len(dst) > 1:
+            np.add(dst[:-1, 1:], dst[-1, :-1], out=dst[:-1, 1:])
         src = dst
     return out
 
@@ -140,32 +172,34 @@ def _start_factors(m: int) -> tuple:
     return pair
 
 
-def _start_vector(n: int) -> np.ndarray:
+def _start_vector(n: int, out: np.ndarray) -> np.ndarray:
     # Seeded start a (x) b cut to n entries, a and b complex Gaussian of
     # length ceil(sqrt(n)): <x, a (x) b> is a nonzero bilinear form for any
     # x != 0, so unlike all-ones it is almost surely not orthogonal to the top
-    # singular vector.  Only the factors are cached: no vector of length n
-    # outlives the call.
+    # singular vector.  Written into out, the outer product's rows as numpy
+    # rounds them: only the factors are cached.
     a, b = _start_factors(math.isqrt(n - 1) + 1)
-    v = np.outer(a, b).ravel()[:n]
-    v /= np.linalg.norm(v)
-    return v
+    full, rest = divmod(n, b.size)
+    np.multiply(a[:full, None], b[None, :],
+                out=out[:full * b.size].reshape(full, -1))
+    if rest:
+        np.multiply(a[full:full + 1, None], b[None, :rest],
+                    out=out[None, full * b.size:])
+    out /= np.linalg.norm(out)
+    return out
 
 
 def _subtract_scaled(w: np.ndarray, v: np.ndarray, alpha: float,
                      v_prev: np.ndarray, beta: float | None) -> None:
     """``w -= alpha v``, then ``w -= beta v_prev`` unless beta is None, in
-    place: each product goes into a chunk-sized scratch first, which rounds
-    as whole-vector products into a buffer do."""
-    scratch = np.empty(min(w.size, _CHUNK), dtype=complex)
-    for lo in range(0, w.size, _CHUNK):
-        hi = min(lo + _CHUNK, w.size)
-        part = scratch[:hi - lo]
-        np.subtract(w[lo:hi], np.multiply(v[lo:hi], alpha, out=part),
-                    out=w[lo:hi])
+    place, row by row: each product goes into a one-row scratch first,
+    which rounds as whole-vector products into a buffer do."""
+    part = np.empty(w.shape[1], dtype=complex)
+    for w_row, v_row, prev_row in zip(w, v, v_prev):
+        np.subtract(w_row, np.multiply(v_row, alpha, out=part), out=w_row)
         if beta is not None:
-            np.subtract(w[lo:hi], np.multiply(v_prev[lo:hi], beta, out=part),
-                        out=w[lo:hi])
+            np.subtract(w_row, np.multiply(prev_row, beta, out=part),
+                        out=w_row)
 
 
 def operator_norm(diag: np.ndarray, order: int = 0,
@@ -193,10 +227,14 @@ def operator_norm(diag: np.ndarray, order: int = 0,
     if not 0 <= order < n:
         raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
                          f"dim must be >= order + 1, got dim={n}, order={order}")
-    # The workspace, allocated once: the Lanczos vectors v_{k-1}, v_k and
-    # the next one w, in which each Gram application runs in place.
-    v = _start_vector(n)
-    v_prev, w = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    # The workspace, allocated once, in the (b, m) layout: the Lanczos
+    # vectors v_{k-1}, v_k and the next one w, in which each Gram
+    # application runs in place.  The start is formed in w in natural
+    # order, then laid out in v; diag is read through a strided view.
+    b = _rows(n)
+    v, v_prev, w = (np.empty((b, n // b), dtype=complex) for _ in range(3))
+    np.copyto(v, _start_vector(n, w.reshape(n)).reshape(-1, b).T)
+    diag = diag.reshape(-1, b).T
     alphas, betas = [], []
     theta = residual = 0.0
     for step in range(LANCZOS_STEP_CAP):

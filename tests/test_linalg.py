@@ -283,46 +283,69 @@ _ENTRY = st.builds(lambda e, theta: 10.0 ** e * np.exp(1j * theta),
 
 _EDGES = [-1, 0, 1, "2c+1"]
 
+#: Dims from here up hold the Lanczos vectors in more than one row.
+_BLOCKED_FROM = 4096
 
-def _dim_at(chunk, edge):
-    return 2 * chunk + 1 if edge == "2c+1" else chunk + edge
+
+def _dim_at(c, edge):
+    return 2 * c + 1 if edge == "2c+1" else c + edge
+
+
+def _cumsums(order, x):
+    for _ in range(order):
+        x = np.cumsum(x)
+    return x
 
 
 @st.composite
-def _chunked_diagonals(draw):
-    """A chunk length for the in-place passes and a diagonal of ``_ENTRY``
-    draws: up to 12 entries at the real chunk, or a length at the edges of a
-    short one."""
-    chunk = draw(st.sampled_from([linalg._CHUNK, 5, 8]))
-    size = (draw(st.integers(1, 12)) if chunk == linalg._CHUNK
-            else _dim_at(chunk, draw(st.sampled_from(_EDGES))))
+def _blocked_diagonals(draw):
+    """A row count b for the kernel's layout and a diagonal of ``_ENTRY``
+    draws, b times a row length of up to 6 entries."""
+    b = draw(st.sampled_from([1, 2, 3, 5]))
+    size = b * draw(st.integers(1, 6))
     diag = draw(st.lists(_ENTRY, min_size=size, max_size=size))
-    return chunk, np.array(diag, dtype=complex)
+    return b, np.array(diag, dtype=complex)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(case=_chunked_diagonals(), order=st.integers(0, 4))
+@given(case=_blocked_diagonals(), order=st.integers(0, 4))
 def test_power_iteration_matches_dense_svd_on_block_operators(case, order):
     # The block operators the kernel takes are diagonals (1x1 blocks), here
     # with entries over six decades: operator_norm(m, order) is the largest
-    # singular value of D diag(m) L.  The short chunks put the chunk edges
-    # of the in-place passes at dims a dense SVD can take.
-    chunk, diag = case
+    # singular value of D diag(m) L.  Forcing the row count puts the wrap
+    # rows and the column carries of the blocked passes at dims a dense SVD
+    # can take.
+    b, diag = case
     assume(diag.size > order)
     want = dense_operator_norm(np.diag(diag), order)
-    with patch.object(linalg, "_CHUNK", chunk):
+    with patch.object(linalg, "_rows", lambda n: b):
         got = operator_norm(diag, order)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_rows_is_the_divisor_nearest_the_target():
+    # One row below 4096 entries and for a prime dim; else the divisor of
+    # dim nearest sqrt(dim / 512), scanned here over every divisor.
+    assert [linalg._rows(n) for n in (1, 4095, 4096, 16000, 160000, 160001)] \
+        == [1, 1, 2, 5, 16, 1]
+    for n in range(_BLOCKED_FROM, 40000, 97):
+        target = math.sqrt(n / 512)
+        nearest = min(abs(d - target) for d in range(1, n + 1) if n % d == 0)
+        b = linalg._rows(n)
+        assert n % b == 0 and abs(b - target) == nearest
 
 
 @pytest.mark.parametrize("edge", _EDGES)
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_in_place_differences_at_chunk_edges(order, edge):
-    # A backward pass subtracts a copy of each chunk's neighbours; an edge
-    # off by one drops or repeats a neighbour.  The adjoint pass is one
-    # subtraction per order.  Subtraction is exact per entry, so the
-    # whole-vector differences are matched bitwise.
-    x = _random_complex(_dim_at(linalg._CHUNK, edge))
+    # Dims at the edges of the blocked layout, with rows b = 1, 2, 1, 3.  A
+    # backward pass subtracts rows from the last up and takes the wrap row
+    # from a copy; an edge or a scan order off by one drops or repeats a
+    # neighbour.  The adjoint pass runs from the first row down.
+    # Subtraction is exact per entry, so the 1-d differences are matched
+    # bitwise with np.diff, and the blocked ones with the 1-d ones.
+    n = _dim_at(_BLOCKED_FROM, edge)
+    x = _random_complex(n)
     backward, adjoint = x.copy(), x.copy()
     for _ in range(order):
         backward = np.diff(backward, prepend=0.0)
@@ -331,6 +354,48 @@ def test_in_place_differences_at_chunk_edges(order, edge):
                           backward)
     assert np.array_equal(linalg._differences(order, x.copy(), adjoint=True),
                           adjoint)
+    b = linalg._rows(n)
+    blocked = x.reshape(-1, b).T.copy()
+    for want, adj in ((backward, False), (adjoint, True)):
+        got = linalg._differences(order, blocked.copy(), adjoint=adj)
+        assert np.array_equal(got.ravel("F"), want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(b=st.integers(1, 6), m=st.integers(1, 20), order=st.integers(0, 4),
+       adjoint=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_differences_equal_the_1d_ones(b, m, order, adjoint, seed):
+    # Entry c*b + r of the vector sits at [r, c] of the (b, m) array.
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
+    want = linalg._differences(order, y.ravel("F").copy(), adjoint)
+    got = linalg._differences(order, y.copy(), adjoint)
+    assert np.array_equal(got.ravel("F"), want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(b=st.integers(1, 6), m=st.integers(1, 20), order=st.integers(0, 4),
+       where=st.sampled_from(["new", "in place", "other"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_partial_sums_match_cumsum(b, m, order, where, seed):
+    # Row adds, a cumsum of the column totals and the broadcast carry sum in
+    # another order than one cumsum does: equal up to rounding.  The
+    # adjoint sums run backward, a forward pass on the reversed vector.
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
+    x = y.ravel("F")
+    for apply, want in ((apply_cumulative, _cumsums(order, x)),
+                        (apply_cumulative_adjoint,
+                         _cumsums(order, x[::-1])[::-1])):
+        vec = y.copy()
+        out = {"new": None, "in place": vec, "other": np.empty_like(vec)}[where]
+        got = apply(order, vec, out)
+        assert got.shape == (b, m)
+        if out is not None:
+            assert got is out
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got.ravel("F"), want, rtol=0,
+                                   atol=1e-13 * scale)
 
 
 def test_adjoint_differences_copy_nothing():
@@ -346,17 +411,44 @@ def test_adjoint_differences_copy_nothing():
     assert peak < 4096
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_blocked_passes_copy_at_most_one_row(adjoint):
+    # At dim 160000 the kernel's vectors are 16 rows of 10000 entries.  A
+    # difference pass copies one row for its wrap row; the partial sums,
+    # in place, copy nothing.
+    n = 160000
+    b = linalg._rows(n)
+    assert b == 16
+    w = _random_complex(b, n // b)
+    row = (n // b) * np.dtype(complex).itemsize
+    partial_sums = apply_cumulative_adjoint if adjoint else apply_cumulative
+    tracemalloc.start()
+    try:
+        linalg._differences(3, w, adjoint=adjoint)
+        differences = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        partial_sums(3, w, w)
+        sums = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert differences < row + 4096
+    assert sums < 4096
+
+
 @pytest.mark.parametrize("chunk", [5, 8])
 @pytest.mark.parametrize("edge", _EDGES)
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_in_place_step_matches_dense_svd_at_chunk_edges(monkeypatch, chunk,
                                                         edge, order):
-    # The Gram application runs in place in w, chunk by chunk: with short
-    # chunks, the dims at their edges are small enough for a dense SVD.
-    monkeypatch.setattr(linalg, "_CHUNK", chunk)
-    diag = _random_complex(_dim_at(chunk, edge))
-    want = dense_operator_norm(np.diag(diag), order)
-    assert operator_norm(diag, order) == pytest.approx(want, rel=1e-9)
+    # The Gram application runs in place in w, row by row: with b rows
+    # forced and row lengths c - 1, c, c + 1 and 2c + 1, the wrap rows and
+    # the column carries run at dims small enough for a dense SVD.
+    m = _dim_at(chunk, edge)
+    for b in (2, 3, 5):
+        monkeypatch.setattr(linalg, "_rows", lambda n, b=b: b)
+        diag = _random_complex(b * m)
+        want = dense_operator_norm(np.diag(diag), order)
+        assert operator_norm(diag, order) == pytest.approx(want, rel=1e-9)
 
 
 def test_power_iteration_stops_short_at_close_singular_values():
@@ -487,11 +579,13 @@ def test_huge_norm_is_right_or_raises(scale, order):
 def test_weighted_norm_allocates_its_workspace_once():
     # Three Lanczos vectors, allocated once per call, with each Gram
     # application in place in one of them: the peak stays within four
-    # vectors of dim complex entries (the fourth covers the start vector's
-    # outer-product slack, the chunk-sized scratch and the small arrays),
-    # however many steps run.  The five-vector workspace, or a temporary of
-    # dim entries per step, raises the peak past four.
+    # vectors of dim complex entries (the fourth covers the one-row
+    # temporaries and the small arrays), however many steps run, at a dim
+    # held in 10 rows.  The five-vector workspace, a start vector made
+    # apart from the workspace, or a temporary of dim entries per step,
+    # raises the peak past four.
     dim = 50000
+    assert linalg._rows(dim) == 10
     diag = np.exp(1j * 30.0 * np.log(np.arange(2, dim + 2)))
     tracemalloc.start()
     try:
@@ -524,6 +618,7 @@ def test_start_vector_is_a_fresh_copy_of_the_seeded_draws():
                           for _ in range(m)]) for _ in range(2))
         want = np.outer(a, b).ravel()[:n]
         want /= np.linalg.norm(want)
-        first = linalg._start_vector(n)
+        first = linalg._start_vector(n, np.empty(n, dtype=complex))
         first[:] = 0.0
-        assert np.array_equal(linalg._start_vector(n), want)
+        assert np.array_equal(
+            linalg._start_vector(n, np.empty(n, dtype=complex)), want)

@@ -243,8 +243,8 @@ def render_config(cfg: ExperimentConfig) -> str:
                    for name, _, _, path in KEY_TABLE)
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(render_config(cfg).encode("utf-8")).hexdigest()
+def config_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -283,8 +283,7 @@ class RunReport:
             "config": {
                 "command": self.command,
                 "text": self.config_text,
-                "hash": hashlib.sha256(
-                    self.config_text.encode("utf-8")).hexdigest(),
+                "hash": config_hash(self.config_text),
             },
             "samples": self.samples,
             "fits": self.fits,

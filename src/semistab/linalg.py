@@ -189,19 +189,6 @@ def _start_vector(n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subtract_scaled(w: np.ndarray, v: np.ndarray, alpha: float,
-                     v_prev: np.ndarray, beta: float | None) -> None:
-    """``w -= alpha v``, then ``w -= beta v_prev`` unless beta is None, in
-    place, row by row: each product goes into a one-row scratch first,
-    which rounds as whole-vector products into a buffer do."""
-    part = np.empty(w.shape[1], dtype=complex)
-    for w_row, v_row, prev_row in zip(w, v, v_prev):
-        np.subtract(w_row, np.multiply(v_row, alpha, out=part), out=w_row)
-        if beta is not None:
-            np.subtract(w_row, np.multiply(prev_row, beta, out=part),
-                        out=w_row)
-
-
 def operator_norm(diag: np.ndarray, order: int = 0,
                   tol: float = LANCZOS_TOL_DEFAULT) -> float:
     """Operator norm of M = diag(``diag``) on C^dim, ``diag`` a 1-d array of
@@ -213,13 +200,13 @@ def operator_norm(diag: np.ndarray, order: int = 0,
     transforms are the identity), all in place in the next Lanczos vector,
     and stops once the Ritz residual of the top Ritz value ``theta`` is at
     most ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises ``ValueError`` for ``diag`` not 1-d, an order outside [0, dim),
-    non-finite entries or a norm above about 1e154, and
-    :class:`IllConditionedError` at the step cap, for a nonzero norm below
-    ``NORM_FLOOR`` or for one above about 1e77.
+    Raises ``ValueError`` for ``tol`` outside (0, 1), ``diag`` not 1-d, an
+    order outside [0, dim), non-finite entries or a norm above about 1e154,
+    and :class:`IllConditionedError` at the step cap, for a nonzero norm
+    below ``NORM_FLOOR`` or for one above about 1e77.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     diag = np.asarray(diag, dtype=complex)
     if diag.ndim != 1:
         raise ValueError(f"diag must be 1-d, got shape {diag.shape}")
@@ -232,11 +219,12 @@ def operator_norm(diag: np.ndarray, order: int = 0,
     # application runs in place.  The start is formed in w in natural
     # order, then laid out in v; diag is read through a strided view.
     b = _rows(n)
-    v, v_prev, w = (np.empty((b, n // b), dtype=complex) for _ in range(3))
+    v, w = (np.empty((b, n // b), dtype=complex) for _ in range(2))
+    v_prev = np.zeros_like(v)
     np.copyto(v, _start_vector(n, w.reshape(n)).reshape(-1, b).T)
     diag = diag.reshape(-1, b).T
     alphas, betas = [], []
-    theta = residual = 0.0
+    theta = residual = beta = 0.0
     for step in range(LANCZOS_STEP_CAP):
         # w = G v.  The transforms are looked up at call time, so that a
         # tracer that rebinds them in this module sees one call of each per
@@ -253,7 +241,10 @@ def operator_norm(diag: np.ndarray, order: int = 0,
         # conj(diag) w as conj(diag conj(w)): no conjugate copy of diag.
         np.multiply(diag, np.conjugate(w, out=w), out=w)
         apply_cumulative_adjoint(order, np.conjugate(w, out=w), w)
-        _subtract_scaled(w, v, alpha, v_prev, betas[-1] if step else None)
+        # w -= beta v_prev + alpha v, both products in v_prev, which
+        # retires at the rotation below; v_prev is zero at the first step.
+        np.subtract(w, np.multiply(v_prev, beta, out=v_prev), out=w)
+        np.subtract(w, np.multiply(v, alpha, out=v_prev), out=w)
         with np.errstate(over="ignore"):
             beta = float(np.linalg.norm(w))
         if not math.isfinite(beta):

@@ -19,11 +19,11 @@ from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
 blocks.  :class:`BlockDiagonal` is the one operator type; the weighted norm
 kernel in :mod:`linalg` takes the entries of a diagonal one.
-:func:`required_max_index` is the one adequacy rule and :func:`truncation`
-the one gate applying it and the dimension cap; :func:`evolve_blocks` is the
-one way to T(t), and :func:`norm_curve` the one for the pair t -> ||T(t)||,
-||T(t) X||; in the Euclidean norm each value is a supremum over blocks, and
-:func:`_prune` is the one rule for which blocks it evaluates.
+:func:`truncation` is the one adequacy rule and the one gate applying it
+with the dimension cap; :func:`evolve_blocks` is the one way to T(t), and
+:func:`norm_curve` the one for the pair t -> ||T(t)||, ||T(t) X||; in the
+Euclidean norm each value is a supremum over blocks, and :func:`_prune` is
+the one rule for which blocks it evaluates.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
     and exp(tb) at nearby eigenvalues a, b, and expm1 keeps it accurate at
     small t d; G is not formed as 1 + E, which cancels where Re(t d) << 0.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     d = model.half_gap
     carrier = np.exp(t * model.mid)
@@ -339,7 +339,7 @@ def semigroup_norm(model: Model, t: float) -> float:
     the Euclidean norm whatever norm the model is measured in.  It raises
     ``ValueError`` naming t where the supremum is not finite.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     d = model.half_gap
     carrier = np.exp(t * model.mid.real)
@@ -450,9 +450,17 @@ def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
     return out
 
 
-def required_max_index(family: Family, t_max: float, order: int = 1) -> int:
-    """Minimal adequate truncation out to time t_max (``ValueError`` if none
-    is); a weighted family's order-N norm also needs dim >= N + 1."""
+def truncation(family: Family, t_max: float, order: int = 1,
+               max_index: int | None = None, max_dim: int | None = None) -> int:
+    """The one adequacy rule and gate: the max_index to build out to time
+    t_max, the minimal adequate one (an order-N weighted norm needs dim >=
+    N + 1) if ``max_index`` is None, else ``max_index`` once checked.  Raises
+    :class:`TruncationInadequateError`, the minimal one as ``required``, if
+    ``max_index`` is below it or the dim exceeds ``max_dim``."""
+    def g(n):  # .6g, also for an int past the range of a float
+        from decimal import Decimal  # here, not at import: 0.4 MB of RSS
+        return f"{n:.6g}" if n < 1e300 else f"{Decimal(n):.6g}"
+
     row = FAMILIES[family]
     per_time, offset = row.truncation
     if not 0 <= per_time * t_max < math.inf:
@@ -461,20 +469,6 @@ def required_max_index(family: Family, t_max: float, order: int = 1) -> int:
     if row.weighted:
         d2, d3 = model_dim(family, 2), model_dim(family, 3)
         need = max(need, 2 - (d2 - order - 1) // (d3 - d2))
-    return need
-
-
-def truncation(family: Family, t_max: float, order: int = 1,
-               max_index: int | None = None, max_dim: int | None = None) -> int:
-    """The one truncation gate: the max_index to build out to time t_max, the
-    minimal adequate one if ``max_index`` is None, else ``max_index`` once
-    checked.  Raises :class:`TruncationInadequateError`, the minimal one as
-    ``required``, if ``max_index`` is below it or the dim exceeds ``max_dim``."""
-    def g(n):  # .6g, also for an int past the range of a float
-        from decimal import Decimal  # here, not at import: 0.4 MB of RSS
-        return f"{n:.6g}" if n < 1e300 else f"{Decimal(n):.6g}"
-
-    need = required_max_index(family, t_max, order)
     chosen = need if max_index is None else max_index
     if chosen < need:
         raise TruncationInadequateError(

@@ -17,7 +17,7 @@ from semistab.errors import (InsufficientSamplesError,
 from semistab.experiments import parse_config, run_simulate
 from semistab import models
 from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
-                             required_max_index, resolvent_blocks)
+                             resolvent_blocks)
 
 RNG = np.random.default_rng(99173)
 
@@ -90,7 +90,7 @@ def test_sample_norms_builds_the_resolvent_once_where_it_is_needed(
 
     for name in ("semigroup_norm", "evolve_blocks", "resolvent_blocks"):
         monkeypatch.setattr(models, name, recorded(name))
-    m = _model(family, required_max_index(family, 4.0))
+    m = _model(family, models.truncation(family, 4.0))
     sample_norms(m, [1.0, 2.0, 4.0])
     assert calls.count("resolvent_blocks") == 1
     built = calls.index("resolvent_blocks")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hardy_run
-from semistab import cli, experiments, linalg, spectral
+from semistab import cli, experiments, linalg, models, spectral
 from semistab.cli import main
 from semistab.errors import ConfigError, TruncationInadequateError
 from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
@@ -20,7 +20,7 @@ from semistab.experiments import (FAIL, KEY_TABLE, MAX_DIM, MAX_GRID_POINTS,
                                   run_hardy, run_simulate, run_theorem_check,
                                   run_witness, write_csv)
 from semistab.models import (Family, ModelSpec, build_model, check_truncation,
-                             model_dim, required_max_index)
+                             model_dim)
 
 JP_TEXT = """\
 # small run
@@ -98,7 +98,8 @@ def test_config_round_trip():
         cfg = parse_config(text)
         again = parse_config(render_config(cfg))
         assert again == cfg
-        assert config_hash(again) == config_hash(cfg)
+        assert (config_hash(render_config(again))
+                == config_hash(render_config(cfg)))
     assert render_config(cfg) == ALL_KEYS_TEXT
     for name, _, default, path in KEY_TABLE:
         assert attrgetter(path)(cfg) != default, name
@@ -120,7 +121,8 @@ def test_shipped_config_hashes_are_pinned():
     assert sorted(os.listdir(CONFIGS_DIR)) == sorted(pinned)
     for name, digest in pinned.items():
         with open(os.path.join(CONFIGS_DIR, name), "r", encoding="utf-8") as handle:
-            assert config_hash(parse_config(handle.read())) == digest, name
+            cfg = parse_config(handle.read())
+            assert config_hash(render_config(cfg)) == digest, name
 
 
 def test_tolerance_defaults_are_the_kernel_constants():
@@ -132,8 +134,8 @@ def test_tolerance_defaults_are_the_kernel_constants():
     cfg = parse_config(JP_TEXT.format(out="somewhere"))
     assert ("tolerances.norm_tol = 1e-10\ntolerances.proj_tol = 1e-08\n"
             in render_config(cfg))
-    assert config_hash(cfg) == ("640d66ee54248f5e9a814f86617321d2"
-                                "ac09ab2a6152033765a4077db319a064")
+    assert config_hash(render_config(cfg)) == (
+        "640d66ee54248f5e9a814f86617321d2ac09ab2a6152033765a4077db319a064")
 
 
 def test_readme_config_grammar_lists_every_key():
@@ -308,9 +310,9 @@ def test_config_rejects_truncation_below_weight_order(tmp_path, capsys,
        t_max=st.floats(0.0, 5.0))
 @example(family=Family.LOG_SPECTRUM, order=1, t_max=0.0)
 @example(family=Family.LOG_SPECTRUM, order=6, t_max=0.125)
-def test_required_max_index_builds_and_is_what_auto_resolves_to(family, order,
-                                                               t_max):
-    need = required_max_index(family, t_max, order)
+def test_minimal_truncation_builds_and_is_what_auto_resolves_to(family, order,
+                                                                t_max):
+    need = models.truncation(family, t_max, order)
     check_truncation(build_model(ModelSpec(family, need, order=order)), t_max)
     if t_max > 0.0:
         text = (f"model.family = {family.value}\nmodel.order = {order}\n"
@@ -321,7 +323,7 @@ def test_required_max_index_builds_and_is_what_auto_resolves_to(family, order,
 
 @pytest.mark.parametrize("family", list(Family))
 def test_parse_accepts_exactly_what_builds(family):
-    # parse_config asks models.required_max_index, with the order, for
+    # parse_config asks models.truncation, with the order, for
     # the minimum; it must draw the line where building the model and gating
     # its truncation for grid.t_max do.
     outcomes = set()
@@ -412,7 +414,7 @@ def test_report_json_schema_and_config_echo(tmp_path):
                            "verdicts", "timings", "version"}
     echoed = parse_config(report["config"]["text"])
     assert echoed == cfg
-    assert report["config"]["hash"] == config_hash(cfg)
+    assert report["config"]["hash"] == config_hash(render_config(cfg))
     for verdict in report["verdicts"].values():
         assert verdict["status"] in (PASS, FAIL, SKIPPED)
 
@@ -778,7 +780,7 @@ def test_witness_dim_and_the_gate_agree(t, tmp_path):
     # max_index d + 1; run_witness must reject exactly the d for which
     # check_truncation rejects that model, with the same requirement.
     need_dim = model_dim(Family.LOG_SPECTRUM,
-                         required_max_index(Family.LOG_SPECTRUM, t))
+                         models.truncation(Family.LOG_SPECTRUM, t))
     outcomes = set()
     for d in range(need_dim - 2, need_dim + 3):
         model = build_model(ModelSpec(Family.LOG_SPECTRUM, d + 1, order=1))

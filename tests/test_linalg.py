@@ -514,8 +514,32 @@ def test_step_cap_does_not_grow_with_dimension(monkeypatch):
 
 
 def test_operator_norm_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        operator_norm(np.ones(3), tol=0.0)
+    # Only tol <= 0 was checked: tol=inf stopped at the first step and NaN
+    # ran to the step cap.
+    for tol in (0.0, math.inf, 1.0, 5.0, math.nan):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            operator_norm(np.ones(3), tol=tol)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_operator_norm_reads_no_uninitialised_workspace(monkeypatch, b,
+                                                        order):
+    # Every array the kernel takes from np.empty is NaN-filled: an entry
+    # read before it is written, such as v_{k-1} at the first step, spreads
+    # NaN into the norm.
+    diag = _random_complex(b * 20)
+    want = dense_operator_norm(np.diag(diag), order)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(linalg, "_rows", lambda n: b)
+    monkeypatch.setattr(linalg.np, "empty", nan_empty)
+    assert operator_norm(diag, order) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(), (3, 3), (4, 1), (1, 2, 2)])

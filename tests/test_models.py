@@ -18,7 +18,7 @@ from semistab import models
 from semistab.errors import SpectrumHitError, TruncationInadequateError
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              check_truncation, eigenvalues, evolve_blocks,
-                             model_dim, required_max_index, resolvent_blocks)
+                             model_dim, resolvent_blocks)
 from semistab.spectral import hypothesis_a_check, riesz_projection_quadrature
 
 RNG = np.random.default_rng(515)
@@ -113,8 +113,11 @@ def test_evolve_at_zero_is_exactly_the_identity(family):
 
 
 def test_evolve_rejects_negative_time():
-    with pytest.raises(ValueError):
-        evolve_blocks(_model(Family.JORDAN_PAIRS, 4), -1.0)
+    # t < 0 let NaN through: evolve_blocks returned a non-finite T(t).
+    for t in (-1.0, math.nan):
+        for fn in (evolve_blocks, models.semigroup_norm):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                fn(_model(Family.JORDAN_PAIRS, 4), t)
 
 
 def test_jordan_pairs_block_at_pi():
@@ -266,13 +269,13 @@ def test_diag_jordan_first_block_is_isometric():
             pytest.approx(weighted_vector_norm(m.norm_order, x))
 
 
-def test_required_max_index_rules():
-    assert required_max_index(Family.JORDAN_PAIRS, 10.0) == 500
-    assert required_max_index(Family.DIAG_JORDAN, 10.0) == 500
-    assert required_max_index(Family.LOG_SPECTRUM, 10.0) == 81
+def test_minimal_truncation_rules():
+    assert models.truncation(Family.JORDAN_PAIRS, 10.0) == 500
+    assert models.truncation(Family.DIAG_JORDAN, 10.0) == 500
+    assert models.truncation(Family.LOG_SPECTRUM, 10.0) == 81
     # The order-N weighted norm needs dim = max_index - 1 >= N + 1.
-    assert required_max_index(Family.LOG_SPECTRUM, 0.0) == 3
-    assert required_max_index(Family.LOG_SPECTRUM, 0.5, order=5) == 7
+    assert models.truncation(Family.LOG_SPECTRUM, 0.0) == 3
+    assert models.truncation(Family.LOG_SPECTRUM, 0.5, 5) == 7
 
 
 def test_check_truncation_raises_with_required_value():

@@ -19,7 +19,7 @@ from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import LANCZOS_TOL_DEFAULT
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              eigenvalues, evolve_blocks, norm_curve,
-                             required_max_index, resolvent_blocks)
+                             resolvent_blocks)
 from semistab.spectral import (Contour, hypothesis_a_check, hypothesis_b_check,
                                riesz_projection_quadrature)
 
@@ -435,7 +435,7 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
     # The order-0 rows of sample_norms at an adequate truncation; Re mu > 0
     # keeps mu off every spectrum, and mu near i n concentrates R_mu on a
     # few blocks.
-    m = _euclidean(_model(family, max(required_max_index(family, t_max), 3)))
+    m = _euclidean(_model(family, max(models.truncation(family, t_max), 3)))
     mu = complex(mu_re, mu_im)
     ts = np.geomspace(t_max / 100.0, t_max, points)
     semi, prod = sample_norms(m, ts, mu=mu)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import hashlib
 import json
 import math
 import os
@@ -244,6 +243,7 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(text: str) -> str:
+    import hashlib  # here, not at import: it maps OpenSSL, 3.6 MB of RSS
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

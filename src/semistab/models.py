@@ -5,8 +5,9 @@ norm, truncation rule, expected laws and spectral table, which holds the
 eigenvalues of its leading 1x1 blocks, and for each upper triangular 2x2
 block a midpoint ``mid`` and half-gap ``d``, the block being
 [[mid + d, 1], [0, mid - d]].  The semigroup, the resolvent and the
-sorted spectrum are array expressions over that table; the semigroup block
-is
+sorted spectrum are array expressions over that table, which is all a
+:class:`Model` holds (the spectrum is derived on first read); the semigroup
+block is
 
     exp(t mid) * [[exp(t d), sinh(t d) / d], [0, exp(-t d)]],
 
@@ -29,6 +30,7 @@ the one rule for which blocks it evaluates.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -81,7 +83,8 @@ class Model:
     Coordinates hold the 1x1 blocks (eigenvalues ``scalars``) first, then
     the 2x2 blocks [[mid + half_gap, 1], [0, mid - half_gap]] in order.
     ``spectrum`` lists the distinct eigenvalues sorted by (imag, real) and
-    ``multiplicity`` their algebraic multiplicities.
+    ``multiplicity`` their algebraic multiplicities, both derived from the
+    table on first read.
     """
 
     spec: ModelSpec
@@ -89,8 +92,19 @@ class Model:
     scalars: np.ndarray
     mid: np.ndarray
     half_gap: np.ndarray
-    spectrum: np.ndarray
-    multiplicity: np.ndarray
+
+    @functools.cached_property
+    def _distinct(self) -> tuple:
+        # One eigenvalue per coordinate; repeated ones (the Jordan blocks)
+        # come from one expression, so bitwise grouping is exact.
+        eigs = np.concatenate([self.scalars, self.upper, self.lower])
+        eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
+        first = np.flatnonzero(np.append(True, eigs[1:] != eigs[:-1]))
+        counts, values = np.diff(first, append=eigs.size), eigs[first]
+        return values, counts
+
+    spectrum = property(lambda self: self._distinct[0])
+    multiplicity = property(lambda self: self._distinct[1])
 
     @property
     def dim(self) -> int:
@@ -108,7 +122,7 @@ class Model:
 
     def take(self, index: np.ndarray) -> "Model":
         """The table on the blocks ``index`` (ascending, 1x1 first) only, with
-        its own dim; spectrum and norm order stay those of the whole truncation."""
+        its own dim and spectrum; the norm order stays the whole truncation's."""
         split = np.searchsorted(index, self.scalars.size)
         blocks = index[split:] - self.scalars.size
         return replace(self, scalars=self.scalars[index[:split]],
@@ -186,29 +200,19 @@ def model_dim(family: Family, max_index: int) -> int:
 
 
 def build_model(spec: ModelSpec) -> Model:
-    """Spectral table, sorted spectrum, and the norm the family is measured in.
+    """Spectral table and the norm the family is measured in.
 
-    Repeated eigenvalues (the Jordan blocks) are produced by one expression,
-    so bitwise grouping of the spectrum is exact.  Raises
-    :class:`SpectrumHitError` when ``spec.mu_default`` lies on the spectrum,
-    and ``ValueError`` for a weighted norm whose order is not below the dim.
+    Raises :class:`SpectrumHitError` when ``spec.mu_default`` lies on the
+    spectrum, and ``ValueError`` for a weighted norm whose order is not
+    below the dim.  The sorted spectrum is not formed here.
     """
     row = FAMILIES[spec.family]
-    scalars, mid, half_gap = row.table(spec.max_index)
-    # Every eigenvalue, repeated by algebraic multiplicity: one per coordinate.
-    eigs = np.concatenate([scalars, mid + half_gap, mid - half_gap])
-    eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
-    first = np.flatnonzero(np.append(True, eigs[1:] != eigs[:-1]))
-    # counts first: the other order costs 2.4 MB of peak RSS at dim 160000.
-    counts, values = np.diff(first, append=eigs.size), eigs[first]
-    dist = float(np.min(np.abs(values - spec.mu_default)))
-    if dist < _SPECTRUM_MARGIN:
-        raise SpectrumHitError(
-            f"mu {spec.mu_default} is within {dist:.3e} of the spectrum")
     order = spec.order if row.weighted else 0
-    if eigs.size <= order:
-        raise ValueError(f"order {order} needs dim >= {order + 1}, got {eigs.size}")
-    return Model(spec, order, scalars, mid, half_gap, values, counts)
+    model = Model(spec, order, *row.table(spec.max_index))
+    _gaps(model, spec.mu_default)
+    if model.dim <= order:
+        raise ValueError(f"order {order} needs dim >= {order + 1}, got {model.dim}")
+    return model
 
 
 def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -356,17 +360,21 @@ def semigroup_norm(model: Model, t: float) -> float:
     return norm
 
 
+def _gaps(model: Model, mu: complex) -> tuple:
+    """The eigenvalues of the 1x1 blocks and of the 2x2 blocks' two
+    coordinates, less mu; :class:`SpectrumHitError` where mu is on them."""
+    s, a, b = model.scalars - mu, model.upper - mu, model.lower - mu
+    dist = min(float(np.min(np.abs(x), initial=np.inf)) for x in (s, a, b))
+    if dist < _SPECTRUM_MARGIN:
+        raise SpectrumHitError(f"mu {mu} is within {dist:.3e} of the spectrum")
+    return s, a, b
+
+
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     """(A - mu I)^-1 as a block-diagonal operator, blockwise closed form;
     ``ValueError`` naming mu where its corner -1/(ab) overflows."""
     mu = complex(mu)
-    s = model.scalars - mu
-    a = model.upper - mu
-    b = model.lower - mu
-    dist = min(float(np.min(np.abs(x), initial=np.inf)) for x in (s, a, b))
-    if dist < _SPECTRUM_MARGIN:
-        raise SpectrumHitError(
-            f"mu {mu} is within {dist:.3e} of the spectrum")
+    s, a, b = _gaps(model, mu)
     with np.errstate(over="ignore", invalid="ignore"):
         corner = -1.0 / (a * b)
     if not np.isfinite(corner).all():

@@ -1,7 +1,11 @@
+import functools
 import json
 import math
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from operator import attrgetter
 
@@ -123,6 +127,20 @@ def test_shipped_config_hashes_are_pinned():
         with open(os.path.join(CONFIGS_DIR, name), "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
             assert config_hash(render_config(cfg)) == digest, name
+
+
+def test_import_and_parse_load_neither_openssl_nor_decimal():
+    # config_hash imports hashlib (OpenSSL, 3.6 MB of RSS) and truncation
+    # imports decimal (0.4 MB) where they are used, not at import.
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    code = ("import sys, semistab\n"
+            "semistab.parse_config(sys.argv[1])\n"
+            "print(sorted({'_hashlib', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, JP_TEXT.format(out="x")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_tolerance_defaults_are_the_kernel_constants():
@@ -405,6 +423,44 @@ def test_run_simulate_log_spectrum_verdicts(tmp_path):
     assert report.verdicts["resolvent_product_bounded"].status == SKIPPED
     assert report.verdicts["ratio_decay"].status == PASS
     assert "ratio_inverse_log" in report.fits
+
+
+def test_weighted_simulate_never_sorts_the_spectrum(tmp_path, monkeypatch):
+    # simulate reads the spectral table alone; theorem-check sorts once.
+    sorted_dims = []
+    derive = models.Model._distinct.func
+
+    def counted(model):
+        sorted_dims.append(model.dim)
+        return derive(model)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(models.Model, "_distinct")
+    monkeypatch.setattr(models.Model, "_distinct", prop)
+    cfg = parse_config(LS_TEXT.format(order=2, out=tmp_path))
+    run_simulate(cfg)
+    assert sorted_dims == []
+    run_theorem_check(cfg)
+    assert sorted_dims == [model_dim(Family.LOG_SPECTRUM, cfg.model.max_index)]
+
+
+def test_weighted_simulate_peak_memory(tmp_path):
+    # At dim 16000 (5 rows) a run holds R_mu, T(t), T(t) R_mu and the
+    # kernel's vectors: 7.0 complex vectors at its peak.  Holding the sorted
+    # spectrum and multiplicities as well read 8.6.
+    with open(os.path.join(CONFIGS_DIR, "log_spectrum_n2.cfg"), "r",
+              encoding="utf-8") as handle:
+        text = handle.read().replace("grid.t_max = 200.0", "grid.t_max = 2000.0")
+    cfg = parse_config(text.replace("runs/log_spectrum_n2", str(tmp_path)))
+    dim = model_dim(Family.LOG_SPECTRUM, cfg.model.max_index)
+    assert dim == 16000
+    tracemalloc.start()
+    try:
+        run_simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 16 * dim, peak / (16 * dim)
 
 
 def test_report_json_schema_and_config_echo(tmp_path):

@@ -675,7 +675,8 @@ def test_table_oracle_pairs_on_small_truncations(family, max_index, t, s, mu):
 @pytest.mark.parametrize("family", list(Family))
 def test_model_holds_arrays_not_block_objects(family):
     # One Python object per block costs over 100 bytes per coordinate; the
-    # spectral table and the sorted spectrum need about 40.
+    # spectral table needs 16 (one complex per coordinate).  Holding the
+    # sorted spectrum and multiplicities too read 28 to 40.
     spec = ModelSpec(family, 20001)
     tracemalloc.start()
     try:
@@ -683,4 +684,16 @@ def test_model_holds_arrays_not_block_objects(family):
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept / m.dim < 80
+    assert kept / m.dim <= 20
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_a_part_derives_its_own_spectrum(family):
+    m = _model(family, 40)
+    assert m.spectrum.size > 5  # read before the part is taken
+    part = m.take(np.array([0, 3, 4, 17, 30]))
+    values, counts = np.unique(np.concatenate(
+        [part.scalars, part.upper, part.lower]), return_counts=True)
+    order = np.lexsort((values.real, values.imag))
+    assert part.spectrum.tobytes() == values[order].tobytes()
+    assert part.multiplicity.tolist() == counts[order].tolist()

@@ -26,10 +26,10 @@ from . import linalg, models
 from .errors import InsufficientSamplesError
 from .models import Family, Model
 
-#: Default left end of every fitting window (log t > 2 there).
-FIT_T_MIN_DEFAULT = float(np.e) ** 2
+#: Left end of every fitting window (log t > 2 there).
+FIT_T_MIN = float(np.e) ** 2
 
-#: Hard floor for fitting windows.
+#: Witness times must exceed this (log t > 1 there).
 FIT_T_FLOOR = float(np.e)
 
 MIN_FIT_SAMPLES = 8
@@ -71,10 +71,9 @@ def loglog_slope(ts: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, np.log(values), rcond=None)[0][1])
 
 
-def sample_norms(model: Model, ts, mu: complex | None = None,
-                 tol: float = linalg.LANCZOS_TOL_DEFAULT) -> tuple:
+def sample_norms(model: Model, ts, tol: float = linalg.LANCZOS_TOL_DEFAULT) -> tuple:
     """The pair of :class:`NormSamples` ||T(t)|| and ||T(t) R_mu|| over a
-    time grid, from one :func:`models.norm_curve` call.
+    time grid, from one :func:`models.norm_curve` call; mu = spec.mu_default.
 
     The grid must be strictly increasing and nonnegative, and the model's
     truncation must be adequate for the largest time (hard error otherwise).
@@ -85,7 +84,7 @@ def sample_norms(model: Model, ts, mu: complex | None = None,
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be nonnegative and strictly increasing")
     models.check_truncation(model, float(ts[-1]))
-    mu = model.spec.mu_default if mu is None else complex(mu)
+    mu = model.spec.mu_default
     semi, prod = models.norm_curve(
         model, ts, lambda: models.resolvent_blocks(model, mu), tol)
     return (NormSamples(Quantity.SEMIGROUP_NORM, ts, semi),
@@ -202,23 +201,19 @@ class RateFit:
     window: tuple
 
 
-def fit_rate(samples: NormSamples, family: FitFamily,
-             t_min: float | None = None) -> RateFit:
-    """Least-squares fit of one rate law over the window t >= t_min.
+def fit_rate(samples: NormSamples, family: FitFamily) -> RateFit:
+    """Least-squares fit of one rate law over the window t >= ``FIT_T_MIN``.
 
     POWER fits log v against log t; INVERSE_LOG fits v * log t to a constant
     (so the coefficient c means v ~ c / log t).  Requires at least 8
-    samples in the window and t_min above e.
+    samples in the window.
     """
-    t_min = FIT_T_MIN_DEFAULT if t_min is None else float(t_min)
-    if t_min < FIT_T_FLOOR:
-        raise ValueError(f"t_min must be >= e, got {t_min}")
-    mask = samples.ts >= t_min * (1.0 - 1e-12)
+    mask = samples.ts >= FIT_T_MIN * (1.0 - 1e-12)
     ts = samples.ts[mask]
     values = samples.values[mask]
     if ts.size < MIN_FIT_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= {MIN_FIT_SAMPLES} samples with t >= {t_min}, got {ts.size}")
+            f"need >= {MIN_FIT_SAMPLES} samples with t >= {FIT_T_MIN}, got {ts.size}")
     window = (float(ts[0]), float(ts[-1]))
     logt = np.log(ts)
     if family is FitFamily.POWER:

@@ -132,6 +132,8 @@ def _formats(text: str) -> tuple:
 
 _FINITE = _checked(float, math.isfinite, "must be finite")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be finite and positive")
+_AT_LEAST_MARGIN = _checked(float, lambda v: spectral.CONTOUR_MARGIN <= v < math.inf,
+                            f"must be finite and >= {spectral.CONTOUR_MARGIN}")
 _AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "must be >= 1")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "must be in (0, 1)")
 _POINTS = _checked(_checked(int, lambda n: n >= 2, "grid needs >= 2 points"),
@@ -157,7 +159,7 @@ KEY_TABLE = (
     ("grid.spacing", Spacing, Spacing.GEOMETRIC, "grid.spacing"),
     ("contour.nodes", lambda s: spectral.check_nodes(int(s)), spectral.DEFAULT_NODES,
      "contour_nodes"),
-    ("contour.radius_cap", _POSITIVE, spectral.RADIUS_CAP, "radius_cap"),
+    ("contour.radius_cap", _AT_LEAST_MARGIN, spectral.RADIUS_CAP, "radius_cap"),
     ("checks.top_k", _AT_LEAST_ONE, 5, "top_k"),
     ("checks.translation_shift", _POSITIVE, 1.0, "translation_shift"),
     ("tolerances.norm_tol", _FRACTION, linalg.LANCZOS_TOL_DEFAULT, "norm_tol"),
@@ -174,14 +176,15 @@ def parse_config(text: str, max_dim: int | None = None) -> ExperimentConfig:
     range raises a ``ConfigError`` naming the line: floats and ``model.mu``
     must be finite, ``model.order`` and ``checks.top_k`` >= 1,
     ``grid.points`` in [2, ``MAX_GRID_POINTS``], ``contour.nodes`` even and
-    >= 16, ``contour.radius_cap``, ``checks.translation_shift`` and
-    ``tolerances.proj_tol`` > 0, ``tolerances.norm_tol`` in (0, 1), and
-    ``output.formats`` within CSV, JSON.  The checks across keys follow:
-    ``TimeGrid``'s rules, then the truncation gate :func:`models.truncation`
-    for ``grid.t_max`` and ``model.order``: ``model.max_index = auto``
-    resolves to the minimal adequate truncation, and a smaller explicit value
-    is rejected, as is a dimension above ``max_dim``.  A ``model.mu`` on the
-    spectrum is rejected when the model is built (``SpectrumHitError``).
+    >= 16, ``contour.radius_cap`` >= ``spectral.CONTOUR_MARGIN``,
+    ``checks.translation_shift`` and ``tolerances.proj_tol`` > 0,
+    ``tolerances.norm_tol`` in (0, 1), and ``output.formats`` within CSV,
+    JSON.  The checks across keys follow: ``TimeGrid``'s rules, then the
+    truncation gate :func:`models.truncation` for ``grid.t_max`` and
+    ``model.order``: ``model.max_index = auto`` resolves to the minimal
+    adequate truncation, and a smaller explicit value is rejected, as is a
+    dimension above ``max_dim``.  A ``model.mu`` on the spectrum is rejected
+    when the model is built (``SpectrumHitError``).
     """
     parsers = {name: parse for name, parse, _, _ in KEY_TABLE}
     values = {}

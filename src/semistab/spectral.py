@@ -19,7 +19,8 @@ the N- and 2N-node sums, at most |z|^-N / (1 - |z|^-N) on the diagonal and
 
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
-of the projected semigroup norm against a majorant.
+of the projected semigroup norm against a majorant.  Hypothesis (a) decides
+each circle by the quadrature's own margin test.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ CONTOUR_MARGIN = 1e-6
 
 #: Default cap on isolating-circle radii.
 RADIUS_CAP = 0.5
-
-#: Below this eigenvalue gap no isolating circle is attempted.
-MIN_GAP = 1e-9
 
 DEFAULT_NODES = 64
 
@@ -127,13 +125,15 @@ class DecayCurve:
     decaying: bool
 
 
-def _contour_margin_check(model: Model, contour: Contour) -> None:
-    margins = np.abs(np.abs(model.spectrum - contour.center) - contour.radius)
-    worst = float(np.min(margins))
+def _enclosed(model: Model, contour: Contour) -> tuple:
+    """The eigenvalues inside the circle, if none is within the margin."""
+    dist = np.abs(model.spectrum - contour.center)
+    worst = float(np.min(np.abs(dist - contour.radius)))
     if worst < CONTOUR_MARGIN:
         raise ContourTooCloseError(
             f"an eigenvalue lies within {worst:.3e} of the contour "
             f"(margin {CONTOUR_MARGIN})")
+    return tuple(model.spectrum[dist < contour.radius].tolist())
 
 
 def _geometric(q: np.ndarray, n: int):
@@ -237,11 +237,6 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     return tuple(sums)
 
 
-def _enclosed_eigenvalues(model: Model, contour: Contour) -> tuple:
-    inside = np.abs(model.spectrum - contour.center) < contour.radius
-    return tuple(model.spectrum[inside].tolist())
-
-
 def _build_report(model: Model, support: BlockDiagonal, index: np.ndarray,
                   enclosed, drift: float = 0.0) -> ProjectionReport:
     idem = (support @ support - support).sup_singular_value()
@@ -269,7 +264,7 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
     check, and a drift above ``drift_tol``, or not finite, raises
     :class:`NonconvergedError`.
     """
-    _contour_margin_check(model, contour)
+    enclosed = _enclosed(model, contour)
     index = _support(model, contour)
     p, p2 = _quadrature_sum(model.take(index), contour)
     drift = (p - p2).sup_singular_value()
@@ -277,8 +272,7 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
         raise NonconvergedError(
             f"node doubling moved the projection by {drift:.3e} "
             f"(tolerance {drift_tol})")
-    return _build_report(model, p, index, _enclosed_eigenvalues(model, contour),
-                         drift)
+    return _build_report(model, p, index, enclosed, drift)
 
 
 def hypothesis_a_check(model: Model, lam: complex,
@@ -286,20 +280,22 @@ def hypothesis_a_check(model: Model, lam: complex,
                        nodes: int = DEFAULT_NODES) -> Contour:
     """An isolating circle around the eigenvalue, if one exists.
 
-    The radius is half the distance to the nearest other eigenvalue, capped.
+    The radius is half the distance to the nearest other eigenvalue, capped
+    at ``radius_cap``.  A circle within ``CONTOUR_MARGIN`` of an eigenvalue,
+    ``lam`` included, raises :class:`ClusteredSpectrumError`.
     """
     lam = complex(lam)
     dist = np.abs(model.spectrum - lam)
     if np.min(dist) > _SAME_VALUE:
         raise ValueError(f"{lam} is not an eigenvalue of the model")
-    others = dist[dist > _SAME_VALUE]
-    if not others.size:
-        return Contour(lam, radius_cap, nodes)
-    gap = float(np.min(others))
-    if gap < MIN_GAP:
+    gap = float(np.min(dist, where=dist > _SAME_VALUE, initial=np.inf))
+    contour = Contour(lam, min(gap / 2.0, radius_cap), nodes)
+    closest = float(np.min(np.abs(dist - contour.radius)))
+    if closest < CONTOUR_MARGIN:
         raise ClusteredSpectrumError(
-            f"nearest-neighbor gap {gap:.3e} at {lam} is below {MIN_GAP}")
-    return Contour(lam, min(gap / 2.0, radius_cap), nodes)
+            f"circle of radius {contour.radius:.3e} at {lam} (gap {gap:.3e}) "
+            f"passes {closest:.3e} from an eigenvalue (margin {CONTOUR_MARGIN})")
+    return contour
 
 
 def hypothesis_b_check(model: Model, projection: ProjectionReport,
@@ -318,9 +314,10 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
-    projection (contour around nothing) decays vacuously.  Samples with
-    ||T(t) P|| below 1e-13 ||P|| are quadrature residue and are left out of
-    the fit, so rescaling f cannot change the verdict.
+    projection (contour around nothing) decays vacuously: its curve reads 0
+    and no norm is taken.  Samples with ||T(t) P|| below 1e-13 ||P|| are
+    quadrature residue and are left out of the fit, so rescaling f cannot
+    change the verdict.
     """
     if semi.quantity is not Quantity.SEMIGROUP_NORM:
         raise ValueError(f"hypothesis (b) needs SEMIGROUP_NORM samples, "
@@ -334,12 +331,12 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         first = int(np.argmax(bad))
         raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
                          f"is not finite and positive")
+    if projection.rank == 0:
+        return DecayCurve(ts, np.zeros(ts.size), None, True)
     part, proj = ((model.take(projection.index), projection.support)
                   if model.norm_order == 0 else (model, projection.blocks))
     norms = models.norm_curve(part, ts, lambda: proj, tol, semi=semi.values)[1]
     values = norms / f
-    if projection.rank == 0:
-        return DecayCurve(ts, values, None, True)
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(part, proj, tol=tol)
     if np.count_nonzero(kept) < 2:
         # A single surviving sample cannot carry a trend.

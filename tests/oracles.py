@@ -311,11 +311,9 @@ def riesz_projection_closed(model, eigenvalue_index: int):
 
 def contour_projection_closed(model, contour):
     """Closed-form projection for everything enclosed by the circle."""
-    spectral._contour_margin_check(model, contour)
+    enclosed = spectral._enclosed(model, contour)
     blocks = closed_blocks(model, contour.center, contour.radius)
-    return spectral._build_report(
-        model, blocks, every_block(model),
-        spectral._enclosed_eigenvalues(model, contour))
+    return spectral._build_report(model, blocks, every_block(model), enclosed)
 
 
 def every_block(model) -> np.ndarray:

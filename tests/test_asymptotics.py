@@ -239,10 +239,6 @@ def test_fit_window_respects_floor_and_count():
     ts = np.geomspace(1.0, 6.0, 20)  # everything below e^2
     with pytest.raises(InsufficientSamplesError):
         fit_rate(_samples(ts, ts), FitFamily.POWER)
-    with pytest.raises(ValueError):
-        fit_rate(_samples(ts, ts), FitFamily.POWER, t_min=1.0)
-    fit = fit_rate(_samples(ts, ts), FitFamily.POWER, t_min=E)
-    assert fit.window[0] >= E
 
 
 # ---------------------------------------------------------------- hardy

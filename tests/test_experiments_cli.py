@@ -211,7 +211,8 @@ def test_config_errors_name_lines():
     "tolerances.norm_tol = 0", "tolerances.proj_tol = nan",
     "tolerances.proj_tol = inf", "tolerances.proj_tol = 0",
     "contour.radius_cap = nan", "contour.radius_cap = inf",
-    "contour.radius_cap = -0.5", "checks.translation_shift = 0",
+    "contour.radius_cap = -0.5", "contour.radius_cap = 1e-7",
+    "checks.translation_shift = 0",
     "checks.translation_shift = nan", "checks.translation_shift = inf",
     "contour.nodes = -64", "contour.nodes = 17", "contour.nodes = 8",
     "output.formats = XML",

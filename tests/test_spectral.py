@@ -13,7 +13,7 @@ from oracles import (commutation_probe, contour_projection_closed, dense,
                      trapezoid_node_sum, whole_norm_curve)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
-from semistab import models, spectral
+from semistab import linalg, models, spectral
 from semistab.asymptotics import NormSamples, Quantity, sample_norms
 from semistab.experiments import parse_config, run_simulate, run_theorem_check
 from semistab.linalg import LANCZOS_TOL_DEFAULT
@@ -248,7 +248,31 @@ def test_hypothesis_b_empty_contour_curve_is_zero():
     proj = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
     curve = hypothesis_b_check(m, proj, _semi(m, np.geomspace(1.0, 100.0, 8)),
                                lambda t: t + 1.0)
-    assert np.max(curve.values) <= 1e-13  # quadrature residue of the zero map
+    assert not np.any(curve.values)  # rank 0: no norm is taken
+    assert curve.decaying
+    assert curve.slope is None
+
+
+@pytest.mark.parametrize("order", [1, 0])
+def test_hypothesis_b_rank_zero_takes_no_norm(monkeypatch, order):
+    # Around no eigenvalue the projection's entries are about 1e-103, below
+    # the weighted kernel's range, so at rank 0 the curve must be 0 with no
+    # norm taken, in either norm.
+    m = _model(Family.LOG_SPECTRUM, 1601, order=1)
+    m = _euclidean(m) if order == 0 else m
+    proj = riesz_projection_quadrature(m, Contour(20.0 + 0.0j, 0.5))
+    assert proj.rank == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    for module, name in ((linalg, "operator_norm"), (models, "norm_curve"),
+                         (models, "block_operator_norm")):
+        monkeypatch.setattr(module, name, refuse)
+    ts = np.geomspace(10.0, 200.0, 8)
+    semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, np.ones(ts.size))
+    curve = hypothesis_b_check(m, proj, semi, lambda t: t + 1.0)
+    assert np.array_equal(curve.values, np.zeros(ts.size))
     assert curve.decaying
     assert curve.slope is None
 
@@ -432,13 +456,14 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
        mu_im=st.floats(-5.0, 30.0))
 def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
                                                  mu_re, mu_im):
-    # The order-0 rows of sample_norms at an adequate truncation; Re mu > 0
-    # keeps mu off every spectrum, and mu near i n concentrates R_mu on a
-    # few blocks.
-    m = _euclidean(_model(family, max(models.truncation(family, t_max), 3)))
+    # The order-0 rows of sample_norms at an adequate truncation, at the
+    # spec's mu; Re mu > 0 keeps mu off every spectrum, and mu near i n
+    # concentrates R_mu on a few blocks.
     mu = complex(mu_re, mu_im)
+    m = _euclidean(_model(family, max(models.truncation(family, t_max), 3),
+                          mu_default=mu))
     ts = np.geomspace(t_max / 100.0, t_max, points)
-    semi, prod = sample_norms(m, ts, mu=mu)
+    semi, prod = sample_norms(m, ts)
     one = np.ones(m.mid.size, dtype=complex)
     identity = BlockDiagonal(np.ones(m.scalars.size, dtype=complex), one,
                              0.0 * one, one)
@@ -688,6 +713,41 @@ def test_quadrature_on_the_support_is_the_whole_table_sum(case):
                            spectral._quadrature_sum(m.take(index), contour)):
         assert not np.any(_entries(whole.take(off)))
         assert _entries(whole.take(index)).tobytes() == _entries(held).tobytes()
+
+
+@st.composite
+def _clustered_tables(draw):
+    """A few eigenvalues up the imaginary axis at gaps from 1e-9 to 0.3,
+    some with a near-duplicate at most 1e-12 away."""
+    gaps = draw(st.lists(st.sampled_from([1e-9, 1e-7, 1e-6, 2e-6, 1e-3, 0.3])
+                         | st.floats(1e-9, 0.3), min_size=1, max_size=6))
+    table = [1j * (1.0 + x) for x in np.cumsum([0.0] + gaps)]
+    for i in draw(st.lists(st.integers(0, len(table) - 1), max_size=3)):
+        shift = draw(st.floats(-1e-12, 1e-12)) * 1j ** draw(st.integers(0, 3))
+        table.append(table[i] + shift)
+    return table
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=_clustered_tables(), cap=st.sampled_from([1e-6, 2e-6, 0.5]))
+# A gap of 1e-7 gives a radius of 5e-8, inside the quadrature's margin of its
+# own center; a near-duplicate 1e-12 away lies 1e-6 - 1e-12 from a circle of
+# radius 1e-6.
+@example(table=[1j, 1j + 1e-7, 2j, 3j], cap=0.5)
+@example(table=[1j, 1j + 1e-12, 2j], cap=1e-6)
+def test_hypothesis_a_circles_pass_the_quadrature_margin(table, cap):
+    # Every circle hypothesis (a) returns passes the quadrature's margin
+    # check and encloses only its eigenvalue; every other eigenvalue is
+    # clustered.
+    m = _with_table(_DJ, table, [], [])
+    for lam in m.spectrum.tolist():
+        try:
+            contour = hypothesis_a_check(m, lam, radius_cap=cap)
+        except ClusteredSpectrumError:
+            continue
+        enclosed = spectral._enclosed(m, contour)
+        assert lam in enclosed
+        assert all(abs(z - lam) <= spectral._SAME_VALUE for z in enclosed)
 
 
 @pytest.mark.parametrize("family", list(Family))

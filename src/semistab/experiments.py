@@ -517,7 +517,7 @@ def run_theorem_check(cfg: ExperimentConfig, out_dir: str | None = None) -> RunR
     projections = []
     curves = []
     skipped = {}  # formatted eigenvalue -> reason, in spectral order
-    for lam in model.spectrum[:cfg.top_k].tolist():
+    for lam in models.lowest_eigenvalues(model, cfg.top_k).tolist():
         try:
             contour = spectral.hypothesis_a_check(
                 model, lam, radius_cap=cfg.radius_cap, nodes=cfg.contour_nodes)

@@ -15,6 +15,12 @@ with t in place of sinh(t d) / d where d is 0 or subnormal.  The Euclidean
 norm of T(t) depends only on the moduli of these entries, which are real
 expressions in the table (:func:`semigroup_norm`), so it never forms T(t).
 
+The passes over the whole table that a theorem-check repeats run in chunks
+of :data:`CHUNK` blocks (:func:`chunks`, :meth:`Model.chunked`), so that none
+holds a dim-sized temporary: the Euclidean norm of T(t), block norms and the
+lowest eigenvalues (:func:`lowest_eigenvalues`, which never sorts the table
+whole).  The resolvent and the weighted norms take the table whole.
+
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
 stores three entries per block; block constructors are vectorized over
@@ -43,6 +49,33 @@ from .errors import SpectrumHitError, TruncationInadequateError
 _SPECTRUM_MARGIN = 1e-12
 
 _TINY = np.finfo(float).tiny
+
+#: Blocks per run of a whole-table pass, so that no temporary of the pass is
+#: dim-sized.  Fixed: at dim 2e5 it ran faster than 8192 and 32768.
+CHUNK = 16384
+
+
+def chunks(scalars: int, pairs: int):
+    """The blocks of a table of ``scalars`` 1x1 blocks, then ``pairs`` 2x2
+    blocks, in consecutive runs of at most :data:`CHUNK`: ``(ones, twos)``,
+    the slices of the 1x1 and of the 2x2 blocks in a run."""
+    for lo in range(0, scalars + pairs, CHUNK):
+        hi = lo + CHUNK
+        yield (slice(min(lo, scalars), min(hi, scalars)),
+               slice(max(lo - scalars, 0), max(hi - scalars, 0)))
+
+
+def distinct(eigs: np.ndarray) -> tuple:
+    """The distinct values of ``eigs`` sorted by (imag, real), and how often
+    each occurs.  Repeated eigenvalues come from one expression, so bitwise
+    grouping is exact; adding 0 turns -0.0 into 0.0, so that equal values
+    are equal in bits and the order of ``eigs`` does not show."""
+    eigs = eigs + 0.0
+    eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
+    new = np.ones(eigs.size, dtype=bool)
+    new[1:] = eigs[1:] != eigs[:-1]
+    first = np.flatnonzero(new)
+    return eigs[first], np.diff(first, append=eigs.size)
 
 
 class Family(enum.Enum):
@@ -84,7 +117,8 @@ class Model:
     the 2x2 blocks [[mid + half_gap, 1], [0, mid - half_gap]] in order.
     ``spectrum`` lists the distinct eigenvalues sorted by (imag, real) and
     ``multiplicity`` their algebraic multiplicities, both derived from the
-    table on first read.
+    table on first read, by sorting it whole; no pass in this package reads
+    them, as each runs over the table in :meth:`chunked`.
     """
 
     spec: ModelSpec
@@ -95,13 +129,7 @@ class Model:
 
     @functools.cached_property
     def _distinct(self) -> tuple:
-        # One eigenvalue per coordinate; repeated ones (the Jordan blocks)
-        # come from one expression, so bitwise grouping is exact.
-        eigs = np.concatenate([self.scalars, self.upper, self.lower])
-        eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
-        first = np.flatnonzero(np.append(True, eigs[1:] != eigs[:-1]))
-        counts, values = np.diff(first, append=eigs.size), eigs[first]
-        return values, counts
+        return distinct(np.concatenate([self.scalars, self.upper, self.lower]))
 
     spectrum = property(lambda self: self._distinct[0])
     multiplicity = property(lambda self: self._distinct[1])
@@ -119,6 +147,15 @@ class Model:
     def lower(self) -> np.ndarray:
         """Eigenvalue at the second coordinate of each 2x2 block."""
         return self.mid - self.half_gap
+
+    def chunked(self):
+        """The table in the runs of :func:`chunks`, as ``(ones, twos,
+        part)``: ``part`` holds the run's blocks as views of the table, with
+        the whole truncation's norm order."""
+        for ones, twos in chunks(self.scalars.size, self.mid.size):
+            yield ones, twos, replace(self, scalars=self.scalars[ones],
+                                      mid=self.mid[twos],
+                                      half_gap=self.half_gap[twos])
 
     def take(self, index: np.ndarray) -> "Model":
         """The table on the blocks ``index`` (ascending, 1x1 first) only, with
@@ -220,31 +257,39 @@ def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
     return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
 
 
-def _prune(bound_sq: np.ndarray, norm_at: Callable[[int], float]) -> tuple:
+def _prune(bound_sq: np.ndarray, norm_at: Callable[[int], float],
+           floor: float = 0.0) -> tuple:
     """Which blocks a supremum of block norms must evaluate.
 
     ``bound_sq[k]`` bounds the squared norm of block k, which ``norm_at(k)``
-    evaluates.  Returns ``(v, others)``: v is the norm of the block of
-    largest bound and ``others`` masks the other blocks with bound at least
-    (1 - 1e-9) v^2; no block left out can exceed v.  Squared after any
-    product, bounds near v^2 >= tiny are within a few ulps of exact, as are
+    evaluates; ``floor`` is a norm attained elsewhere.  Returns
+    ``(v, others)``: v is the norm of the block of largest bound and
+    ``others`` masks the other blocks with bound at least (1 - 1e-9) w^2,
+    w = max(v, floor); no block left out can exceed w.  Squared after any
+    product, bounds near w^2 >= tiny are within a few ulps of exact, as are
     norms: far inside 1e-9, so the supremum is kept to the last bit.  All are
-    kept if v^2 < tiny, or (v = 0) if the top bound is NaN or not normal.
+    kept if w^2 < tiny, or (v = 0) if the top bound is NaN or not normal;
+    none (v = 0) if no bound reaches floor.
     """
     top = np.max(bound_sq, initial=0.0)
     if not _TINY <= top < np.inf:
         return 0.0, np.ones(bound_sq.shape, dtype=bool)
+    if top < (1.0 - 1e-9) * floor * floor:
+        return 0.0, np.zeros(bound_sq.shape, dtype=bool)
     at = int(np.argmax(bound_sq))
     v = float(norm_at(at))
-    others = bound_sq >= ((1.0 - 1e-9) * v * v if v * v >= _TINY else 0.0)
+    w = max(v, floor)
+    others = bound_sq >= ((1.0 - 1e-9) * w * w if w * w >= _TINY else 0.0)
     others[at] = False
     return v, others
 
 
 def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
-              l: np.ndarray) -> float:
+              l: np.ndarray, floor: float = 0.0) -> float:
     """Supremum of the norms of the 1x1 blocks ``s`` and the 2x2 blocks
     [[u, c], [0, l]], from the moduli of their entries; NaN if one is.
+    Where it is at most ``floor``, a norm attained elsewhere, it may read
+    less (:func:`_prune`).
 
     A block's singular values satisfy s1 +- s2 = hypot(u +- l, c), from
     s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2 = F; their mean avoids the
@@ -252,8 +297,8 @@ def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
     """
     with np.errstate(over="ignore"):
         frob = u * u + c * c + l * l
-    v, others = _prune(frob, lambda k: _pair_norms(u[k], c[k], l[k]))
-    u, c, l = u[others], c[others], l[others]  # frees the full-size moduli
+    v, others = _prune(frob, lambda k: _pair_norms(u[k], c[k], l[k]), floor)
+    u, c, l = u[others], c[others], l[others]  # frees the unpruned moduli
     return float(np.max([v, np.max(s, initial=0.0),
                          np.max(_pair_norms(u, c, l), initial=0.0)]))
 
@@ -294,9 +339,15 @@ class BlockDiagonal:
                                                self.corner, self.lower)))
 
     def block_norms(self) -> np.ndarray:
-        """The norm of every block, the 1x1 blocks first."""
-        return np.concatenate([np.abs(self.scalars), _pair_norms(
-            np.abs(self.upper), np.abs(self.corner), np.abs(self.lower))])
+        """The norm of every block, the 1x1 blocks first, a chunk at a time."""
+        count = self.scalars.size
+        out = np.empty(count + self.upper.size)
+        pairs = out[count:]
+        for ones, twos in chunks(count, self.upper.size):
+            out[ones] = np.abs(self.scalars[ones])
+            pairs[twos] = _pair_norms(*(np.abs(x[twos]) for x in (
+                self.upper, self.corner, self.lower)))
+        return out
 
     def take(self, index: np.ndarray) -> "BlockDiagonal":
         """The operator on the blocks ``index`` (ascending, 1x1 first) only."""
@@ -339,22 +390,29 @@ def semigroup_norm(model: Model, t: float) -> float:
     |sinh(x + iy)|^2 = sinh^2 x + sin^2 y, carrier hypot(sinh x,
     sin(t Im d)) / |d| in the corner (carrier t where d is 0 or subnormal);
     a 1x1 block has modulus exp(t Re s).  So only real ufuncs run and no
-    complex T(t) is formed; :func:`_sup_norm` takes the supremum.  This is
-    the Euclidean norm whatever norm the model is measured in.  It raises
-    ``ValueError`` naming t where the supremum is not finite.
+    complex T(t) is formed; :func:`_sup_norm` takes the supremum of each
+    chunk, pruned below the supremum of the chunks before it.  The last
+    chunks go first: the 2x2 families attain their supremum at large block
+    indices, so these prune the rest.  This is the Euclidean norm whatever
+    norm the model is measured in.  It raises ``ValueError`` naming t where
+    the supremum is not finite.
     """
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    d = model.half_gap
-    carrier = np.exp(t * model.mid.real)
-    x = t * d.real
-    size = np.abs(d)
-    corner = np.divide(np.hypot(np.sinh(x), np.sin(t * d.imag)), size,
-                       out=np.full(d.shape, float(t)), where=size >= _TINY)
-    corner *= carrier
-    grow = np.exp(x)
-    norm = _sup_norm(np.exp(t * model.scalars.real), carrier * grow, corner,
-                     carrier / grow)
+    norm = 0.0
+    for *_, part in reversed(list(model.chunked())):
+        d = part.half_gap
+        carrier = np.exp(t * part.mid.real)
+        x = t * d.real
+        size = np.abs(d)
+        corner = np.divide(np.hypot(np.sinh(x), np.sin(t * d.imag)), size,
+                           out=np.full(d.shape, float(t)), where=size >= _TINY)
+        corner *= carrier
+        grow = np.exp(x)
+        # np.maximum keeps a NaN of any chunk; max(1.0, nan) is 1.0.
+        norm = float(np.maximum(norm, _sup_norm(
+            np.exp(t * part.scalars.real), carrier * grow, corner,
+            carrier / grow, floor=norm)))
     if not math.isfinite(norm):
         raise ValueError(f"||T(t)|| = {norm!r} at t = {t!r} is not finite")
     return norm
@@ -380,6 +438,19 @@ def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     if not np.isfinite(corner).all():
         raise ValueError(f"mu {mu} is too large: the resolvent overflows")
     return BlockDiagonal(1.0 / s, 1.0 / a, corner, 1.0 / b)
+
+
+def lowest_eigenvalues(model: Model, k: int) -> np.ndarray:
+    """``model.spectrum[:k]``, bitwise, a chunk at a time, so the table is
+    never sorted whole: each run's eigenvalues join the k lowest so far, and
+    once there are k, only those not above them in imaginary part."""
+    best = np.zeros(0, dtype=complex)
+    for *_, part in model.chunked():
+        eigs = np.concatenate([part.scalars, part.upper, part.lower])
+        if 0 < k == best.size:
+            eigs = eigs[~(eigs.imag > best[-1].imag)]
+        best = distinct(np.concatenate([best, eigs]))[0][:k]
+    return best
 
 
 def eigenvalues(model: Model) -> list:

@@ -20,7 +20,9 @@ the N- and 2N-node sums, at most |z|^-N / (1 - |z|^-N) on the diagonal and
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
 of the projected semigroup norm against a majorant.  Hypothesis (a) decides
-each circle by the quadrature's own margin test.
+each circle by the quadrature's own margin test.  It, and the quadrature's
+support and enclosed eigenvalues, each take one pass over the table in the
+chunks of :meth:`models.Model.chunked`; the sorted spectrum is never formed.
 """
 
 from __future__ import annotations
@@ -125,17 +127,6 @@ class DecayCurve:
     decaying: bool
 
 
-def _enclosed(model: Model, contour: Contour) -> tuple:
-    """The eigenvalues inside the circle, if none is within the margin."""
-    dist = np.abs(model.spectrum - contour.center)
-    worst = float(np.min(np.abs(dist - contour.radius)))
-    if worst < CONTOUR_MARGIN:
-        raise ContourTooCloseError(
-            f"an eigenvalue lies within {worst:.3e} of the contour "
-            f"(margin {CONTOUR_MARGIN})")
-    return tuple(model.spectrum[dist < contour.radius].tolist())
-
-
 def _geometric(q: np.ndarray, n: int):
     """q^n and 1 + q + ... + q^(n-1) by binary splitting, in about 2 log2(n)
     array products: S_2m = S_m (1 + q^m) and S_(2m+1) = S_2m + q^2m.
@@ -182,15 +173,38 @@ def _flush_subnormal(op: BlockDiagonal) -> BlockDiagonal:
     return op
 
 
-def _support(model: Model, contour: Contour) -> np.ndarray:
-    """The blocks with an eigenvalue at |z| < R(N, r), ascending, 1x1 first."""
+def _support(model: Model, contour: Contour) -> tuple:
+    """The support, the blocks with an eigenvalue at |z| < R(N, r)
+    (ascending, 1x1 first), the distinct eigenvalues inside the circle in
+    spectral order, and the closest approach of an eigenvalue to the circle,
+    from one pass over the table in chunks."""
     # The least R with R^N and R^(N+1) r / N both at least 2 / tiny.
     n, r, flush = contour.nodes, contour.radius, np.log(2.0 / _TINY)
     reach = r * np.exp(max(flush / n, (flush + np.log(n / r)) / (n + 1)))
-    near = [np.abs(lam - contour.center) < reach
-            for lam in (model.scalars, model.upper, model.lower)]
-    return np.concatenate([np.flatnonzero(near[0]), model.scalars.size
-                           + np.flatnonzero(near[1] | near[2])])
+    count, worst = model.scalars.size, np.inf
+    index, inside = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for ones, twos, part in model.chunked():
+        near = []
+        for eigs in (part.scalars, part.upper, part.lower):
+            dist = np.abs(eigs - contour.center)
+            worst = min(worst, float(np.min(np.abs(dist - r), initial=np.inf)))
+            inside.append(eigs[dist < r])
+            near.append(dist < reach)
+        index += [ones.start + np.flatnonzero(near[0]), count + twos.start
+                  + np.flatnonzero(near[1] | near[2])]
+    enclosed = models.distinct(np.concatenate(inside))[0]
+    return np.concatenate(index), tuple(enclosed.tolist()), worst
+
+
+def _enclosed(model: Model, contour: Contour) -> tuple:
+    """The support and the eigenvalues inside the circle (:func:`_support`),
+    if none is within the margin."""
+    index, enclosed, worst = _support(model, contour)
+    if worst < CONTOUR_MARGIN:
+        raise ContourTooCloseError(
+            f"an eigenvalue lies within {worst:.3e} of the contour "
+            f"(margin {CONTOUR_MARGIN})")
+    return index, enclosed
 
 
 def _quadrature_sum(model: Model, contour: Contour) -> tuple:
@@ -264,8 +278,7 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
     check, and a drift above ``drift_tol``, or not finite, raises
     :class:`NonconvergedError`.
     """
-    enclosed = _enclosed(model, contour)
-    index = _support(model, contour)
+    index, enclosed = _enclosed(model, contour)
     p, p2 = _quadrature_sum(model.take(index), contour)
     drift = (p - p2).sup_singular_value()
     if not drift <= drift_tol:
@@ -282,15 +295,25 @@ def hypothesis_a_check(model: Model, lam: complex,
 
     The radius is half the distance to the nearest other eigenvalue, capped
     at ``radius_cap``.  A circle within ``CONTOUR_MARGIN`` of an eigenvalue,
-    ``lam`` included, raises :class:`ClusteredSpectrumError`.
+    ``lam`` included, raises :class:`ClusteredSpectrumError`.  One pass over
+    the table in chunks keeps the gap and the distances within
+    ``_SAME_VALUE`` of ``lam``.
     """
     lam = complex(lam)
-    dist = np.abs(model.spectrum - lam)
-    if np.min(dist) > _SAME_VALUE:
+    gap, same = np.inf, [np.zeros(0)]
+    for *_, part in model.chunked():
+        for eigs in (part.scalars, part.upper, part.lower):
+            dist = np.abs(eigs - lam)
+            same.append(dist[dist <= _SAME_VALUE])
+            gap = min(gap, float(np.min(dist, where=dist > _SAME_VALUE,
+                                        initial=np.inf)))
+    same = np.concatenate(same)
+    if not same.size:
         raise ValueError(f"{lam} is not an eigenvalue of the model")
-    gap = float(np.min(dist, where=dist > _SAME_VALUE, initial=np.inf))
     contour = Contour(lam, min(gap / 2.0, radius_cap), nodes)
-    closest = float(np.min(np.abs(dist - contour.radius)))
+    # An eigenvalue at the gap or beyond (gap >= 2 radius) is no closer to
+    # the circle than lam's near-duplicates, which decide the approach.
+    closest = float(np.min(np.abs(same - contour.radius)))
     if closest < CONTOUR_MARGIN:
         raise ClusteredSpectrumError(
             f"circle of radius {contour.radius:.3e} at {lam} (gap {gap:.3e}) "

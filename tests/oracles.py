@@ -311,7 +311,7 @@ def riesz_projection_closed(model, eigenvalue_index: int):
 
 def contour_projection_closed(model, contour):
     """Closed-form projection for everything enclosed by the circle."""
-    enclosed = spectral._enclosed(model, contour)
+    enclosed = spectral._enclosed(model, contour)[1]
     blocks = closed_blocks(model, contour.center, contour.radius)
     return spectral._build_report(model, blocks, every_block(model), enclosed)
 

@@ -427,7 +427,7 @@ def test_run_simulate_log_spectrum_verdicts(tmp_path):
 
 
 def test_weighted_simulate_never_sorts_the_spectrum(tmp_path, monkeypatch):
-    # simulate reads the spectral table alone; theorem-check sorts once.
+    # simulate and theorem-check read the spectral table alone.
     sorted_dims = []
     derive = models.Model._distinct.func
 
@@ -442,7 +442,21 @@ def test_weighted_simulate_never_sorts_the_spectrum(tmp_path, monkeypatch):
     run_simulate(cfg)
     assert sorted_dims == []
     run_theorem_check(cfg)
-    assert sorted_dims == [model_dim(Family.LOG_SPECTRUM, cfg.model.max_index)]
+    assert sorted_dims == []
+
+
+@pytest.mark.parametrize("family", ["JORDAN_PAIRS", "DIAG_JORDAN"])
+def test_theorem_check_never_reads_the_spectrum(tmp_path, monkeypatch, family):
+    # The lowest eigenvalues, the circles and the supports come from passes
+    # over the table in chunks; the sorted spectrum is for tests alone.
+    def unread(model):
+        raise AssertionError("Model.spectrum was read")
+
+    monkeypatch.setattr(models.Model, "spectrum", property(unread))
+    monkeypatch.setattr(models.Model, "multiplicity", property(unread))
+    text = JP_TEXT.format(out=tmp_path).replace("JORDAN_PAIRS", family)
+    report = run_theorem_check(parse_config(text))
+    assert report.verdicts["hypothesis_b_decay"].metrics["checked"] == 5
 
 
 def test_weighted_simulate_peak_memory(tmp_path):

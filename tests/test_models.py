@@ -14,12 +14,14 @@ from oracles import (block_norms, contour_projection_closed, dense,
                      evolve_four_calls, generator_blocks,
                      riesz_projection_closed, sup_block_norm_unpruned,
                      weighted_vector_norm)
-from semistab import models
-from semistab.errors import SpectrumHitError, TruncationInadequateError
+from semistab import models, spectral
+from semistab.errors import (SemistabError, SpectrumHitError,
+                             TruncationInadequateError)
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
                              check_truncation, eigenvalues, evolve_blocks,
                              model_dim, resolvent_blocks)
-from semistab.spectral import hypothesis_a_check, riesz_projection_quadrature
+from semistab.spectral import (Contour, hypothesis_a_check,
+                               riesz_projection_quadrature)
 
 RNG = np.random.default_rng(515)
 
@@ -453,7 +455,8 @@ def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
     # Frobenius norm F keeps them all.  The norm v of the block of largest
     # F keeps only blocks with s1 within s2^2 / 2v (about 5e-7) of v, the
     # 1610 with n > 98390, that block among them and evaluated once, and the
-    # supremum is the unpruned one bitwise.
+    # supremum is the unpruned one bitwise.  They lie in the last chunk,
+    # which goes first and prunes every other chunk whole.
     m = _model(Family.JORDAN_PAIRS, 100000)
     pair_norms, sup_norm = models._pair_norms, models._sup_norm
     evaluated, moduli = [], []
@@ -462,15 +465,15 @@ def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
         evaluated.append(np.size(u))
         return pair_norms(u, c, l)
 
-    def recorded(*args):
+    def recorded(*args, **floor):
         moduli.append(args)
-        return sup_norm(*args)
+        return sup_norm(*args, **floor)
 
     monkeypatch.setattr(models, "_pair_norms", counted)
     monkeypatch.setattr(models, "_sup_norm", recorded)
     got = models.semigroup_norm(m, 100.0)
     assert sum(evaluated) == 1610
-    (_, u, c, l), = moduli
+    u, c, l = (np.concatenate(x) for x in list(zip(*moduli))[1:])
     assert u.size == 99999
     assert got == np.max(pair_norms(u, c, l))
 
@@ -697,3 +700,105 @@ def test_a_part_derives_its_own_spectrum(family):
     order = np.lexsort((values.real, values.imag))
     assert part.spectrum.tobytes() == values[order].tobytes()
     assert part.multiplicity.tolist() == counts[order].tolist()
+
+
+# Passes over the table in chunks: every chunk size gives the whole-table
+# pass to the last bit.  The grid makes eigenvalues repeat across chunk
+# boundaries and tie in imaginary part (1j against 1j - 1, as in
+# DIAG_JORDAN's first blocks); 2j and complex(-0.0, 2) are equal but
+# differ in bits, so a sorted read that kept the first it met would depend
+# on the chunks.
+_GRID = [1j, 1j - 1.0, 2j, complex(-0.0, 2.0), 2j - 0.5, 3j - 1.0,
+         0.5j - 0.5, 0.5j]
+
+
+def _table(scalars, mid, half_gap):
+    return models.Model(ModelSpec(Family.DIAG_JORDAN, 2), 0, *(
+        np.array(a, dtype=complex) for a in (scalars, mid, half_gap)))
+
+
+@st.composite
+def _chunk_tables(draw):
+    """A table on the grid, at times with no 1x1 or no 2x2 blocks."""
+    scalars = draw(st.lists(st.sampled_from(_GRID), max_size=9))
+    mid = draw(st.lists(st.sampled_from(_GRID), max_size=9))
+    half_gap = [draw(st.sampled_from([0j, 0.5j, 1j, 0.5, -0.25])) for _ in mid]
+    return _table(scalars, mid, half_gap)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message it raises."""
+    try:
+        return fn(*args)
+    except (SemistabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _whole_table_passes(m):
+    """What every pass over the table yields, as comparable values."""
+    got = [models.semigroup_norm(m, t) for t in (0.0, 0.7, 3.0)]
+    for op in (resolvent_blocks(m, 0.1 + 0.3j), evolve_blocks(m, 1.3)):
+        got.append(op.block_norms().tobytes())
+    for lam in m.spectrum[:4].tolist():
+        contour = _outcome(hypothesis_a_check, m, lam)
+        got.append(contour)
+        if not isinstance(contour, tuple):
+            report = _outcome(riesz_projection_quadrature, m, contour)
+            got.append(report if isinstance(report, tuple) else (
+                report.index.tobytes(), repr(report.enclosed), report.rank))
+    return got
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(m=_chunk_tables(), size=st.sampled_from([1, 2, 7]))
+# 1j repeats across the boundary of chunks of 2 blocks.
+@example(m=_table([1j, 1j, 2j], [1j, 2j], [0j, 0.5j]), size=2)
+@example(m=_table([1j], [1j - 1.0, 2j - 1.0], [0j, 0j]), size=1)
+@example(m=_table([], [2j, complex(-0.0, 2.0), 2j], [0j, 0j, 1j]), size=1)
+# Block 0's lower eigenvalue, (-0.0, 2), equals block 1's 2j.
+@example(m=_table([], [complex(-0.0, 2.5), 2j], [0.5j, 0j]), size=1)
+@example(m=_table([0.5j, complex(-0.0, 2.0), 2j, 1j - 1.0], [], []), size=7)
+@example(m=_table([], [], []), size=1)
+def test_chunked_passes_are_the_whole_table_passes_bitwise(m, size):
+    with patch.object(models, "CHUNK", 10 ** 9):
+        whole = _whole_table_passes(m)
+    with patch.object(models, "CHUNK", size):
+        assert _whole_table_passes(m) == whole
+        for k in range(1, 6):
+            assert (models.lowest_eigenvalues(m, k).tobytes()
+                    == m.spectrum[:k].tobytes())
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_semigroup_norm_raises_on_nan_in_the_first_or_last_chunk(at):
+    # Python's max(1.0, nan) is 1.0: a supremum taken chunk by chunk with it
+    # would drop the NaN.
+    mid = np.full(7, 1j)
+    mid[at] = complex(np.nan, 1.0)
+    m = _table([], mid, np.zeros(7))
+    with patch.object(models, "CHUNK", 2):
+        with pytest.raises(ValueError, match="nan at t = 1.0"):
+            models.semigroup_norm(m, 1.0)
+
+
+def test_distinct_and_the_enclosed_read_take_an_empty_set():
+    values, counts = models.distinct(np.zeros(0, dtype=complex))
+    assert values.size == counts.size == 0
+    m = _model(Family.JORDAN_PAIRS, 40)
+    index, enclosed, worst = spectral._support(m, Contour(100.0 + 0j, 0.5))
+    assert enclosed == () and worst > 99.0
+    assert models.lowest_eigenvalues(_table([], [], []), 5).size == 0
+
+
+@pytest.mark.parametrize("t", [1.0, 100.0])
+def test_semigroup_norm_holds_no_dim_sized_temporary(t):
+    # At dim 199998 the pass over the whole table held 7.2 MB of
+    # temporaries at its peak; in chunks it holds 1.6 MB.
+    m = _model(Family.JORDAN_PAIRS, 100000)
+    tracemalloc.start()
+    try:
+        models.semigroup_norm(m, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.2e6 / 4, peak

@@ -707,7 +707,7 @@ def test_quadrature_on_the_support_is_the_whole_table_sum(case):
     # Off the support both sums are exactly 0 on the whole table, and on it
     # the sums of the support alone are the same to the last bit.
     m, contour = case
-    index = spectral._support(m, contour)
+    index = spectral._support(m, contour)[0]
     off = np.setdiff1d(np.arange(m.scalars.size + m.mid.size), index)
     for whole, held in zip(spectral._quadrature_sum(m, contour),
                            spectral._quadrature_sum(m.take(index), contour)):
@@ -745,7 +745,7 @@ def test_hypothesis_a_circles_pass_the_quadrature_margin(table, cap):
             contour = hypothesis_a_check(m, lam, radius_cap=cap)
         except ClusteredSpectrumError:
             continue
-        enclosed = spectral._enclosed(m, contour)
+        enclosed = spectral._enclosed(m, contour)[1]
         assert lam in enclosed
         assert all(abs(z - lam) <= spectral._SAME_VALUE for z in enclosed)
 
@@ -863,3 +863,27 @@ def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
     assert len(evolves) == len(tables) == cfg.grid.points
     m = build_model(cfg.model)
     assert all(scalars.size == m.scalars.size for scalars, *_ in tables)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=_clustered_tables(), cap=st.sampled_from([1e-6, 2e-6, 0.5]))
+@example(table=[1j, 1j + 1e-7, 2j, 3j], cap=0.5)
+@example(table=[1j, 1j + 1e-12, 2j], cap=1e-6)
+def test_hypothesis_a_is_the_rule_on_the_sorted_spectrum(table, cap):
+    # The pass in chunks keeps only the gap and the distances within
+    # _SAME_VALUE; the circle and the closest approach it reports are those
+    # of the whole sorted spectrum.
+    m = _with_table(_DJ, table, [], [])
+    for lam in m.spectrum.tolist():
+        dist = np.abs(m.spectrum - lam)
+        gap = float(np.min(dist, where=dist > spectral._SAME_VALUE,
+                           initial=np.inf))
+        radius = min(gap / 2.0, cap)
+        closest = float(np.min(np.abs(dist - radius)))
+        if closest < spectral.CONTOUR_MARGIN:
+            with pytest.raises(ClusteredSpectrumError,
+                               match=re.escape(f"passes {closest:.3e} from")):
+                hypothesis_a_check(m, lam, radius_cap=cap)
+        else:
+            assert hypothesis_a_check(m, lam, radius_cap=cap) == Contour(
+                lam, radius)

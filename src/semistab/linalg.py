@@ -13,21 +13,23 @@ The operator norm of M in the order-N norm is the largest singular value of
 lower-triangular inverse.  :func:`operator_norm` is the one kernel: plain
 three-term Lanczos on the Gram operator G of that product, for M diagonal
 (as the one family measured in a weighted norm is) and given as the 1-d
-array of its entries, with D, L and their adjoints in O(order * dim).
-Each Gram application runs in place in the next Lanczos vector, so the
-workspace is the three Lanczos vectors, allocated once per call, and
-temporaries of at most one row.  Dense references for D, L and the norms
+array of its entries or in a filled :class:`Workspace`, with D, L and
+their adjoints in O(order * dim).  Dense references for D, L and the norms
 live in the test suite.
 
-Layout.  The kernel holds each Lanczos vector of dim entries as a
-C-contiguous ``(b, m)`` array read in column-major order: entry ``c*b + r``
-sits at ``[r, c]``.  ``b`` (:func:`_rows`) is the divisor of dim nearest
-``sqrt(dim / 512)``, and 1 below 4096 entries or for a prime dim.  An
-order-1 partial sum is then ``b - 1`` contiguous row adds, one cumsum over
-the ``m`` column totals in the last row and one broadcast add of the
-shifted totals to the other rows; a difference pass is ``b - 1`` row
-subtractions and one wrap row, for which one row is copied.  The
+Layout, workspace.  The kernel holds the multiplier and each Lanczos vector
+of dim entries as a C-contiguous ``(b, m)`` array read in column-major
+order: entry ``c*b + r`` sits at ``[r, c]``.  ``b`` (:func:`_rows`) is the
+divisor of dim nearest ``sqrt(dim / 512)``, and 1 below 4096 entries or for
+a prime dim.  An order-1 partial sum is then ``b - 1`` contiguous row adds,
+one cumsum over the ``m`` column totals in the last row and one broadcast
+add of the shifted totals to the other rows; a difference pass is ``b - 1``
+row subtractions and one wrap row, for which one row is copied.  The
 transforms take either a 1-d vector, the one-row case, or such an array.
+A :class:`Workspace` holds these arrays for a whole curve of norms (a 1-d
+diagonal given for one norm is read in place, not copied); each Gram
+application runs in place in the next Lanczos vector, so a norm allocates
+only temporaries of one row and small arrays.
 
 Stop rule.  After step k the top eigenpair (theta, s) of the k x k
 tridiagonal T_k gives the Ritz residual ``beta_k |s_k|``; the kernel stops
@@ -49,7 +51,8 @@ eps = 0.01), against about 8 steps per norm in the weighted simulate runs,
 and the seeded start is not uniform.  Up to rounding, the estimate is only
 known to be a lower bound on the norm.
 
-All functions here are pure and safe to call concurrently.
+All functions here are pure and safe to call concurrently, but not
+:func:`operator_norm` twice on one workspace.
 """
 
 from __future__ import annotations
@@ -176,23 +179,45 @@ def _start_vector(n: int, out: np.ndarray) -> np.ndarray:
     # Seeded start a (x) b cut to n entries, a and b complex Gaussian of
     # length ceil(sqrt(n)): <x, a (x) b> is a nonzero bilinear form for any
     # x != 0, so unlike all-ones it is almost surely not orthogonal to the top
-    # singular vector.  Written into out, the outer product's rows as numpy
-    # rounds them: only the factors are cached.
+    # singular vector.  Written into out one row a_i b at a time, as numpy
+    # rounds them: only the factors are cached, and a broadcast outer
+    # product would allocate ufunc buffers (0.26 MB) on every norm.
     a, b = _start_factors(math.isqrt(n - 1) + 1)
     full, rest = divmod(n, b.size)
-    np.multiply(a[:full, None], b[None, :],
-                out=out[:full * b.size].reshape(full, -1))
+    rows = out[:full * b.size].reshape(full, -1)
+    for i in range(full):
+        np.multiply(a[i], b, out=rows[i])
     if rest:
-        np.multiply(a[full:full + 1, None], b[None, :rest],
-                    out=out[None, full * b.size:])
+        np.multiply(a[full], b[:rest], out=out[full * b.size:])
     out /= np.linalg.norm(out)
     return out
 
 
-def operator_norm(diag: np.ndarray, order: int = 0,
+class Workspace:
+    """The kernel's arrays for one dim, allocated once: the multiplier
+    ``diag`` and the Lanczos vectors ``v_prev``, ``v`` and ``w``, each
+    C-contiguous in the ``(b, m)`` layout, ``b = _rows(dim)``.  Entry j of
+    a diagonal sits at ``diag.ravel("F")[j]``; a caller writes one through
+    the column-major view ``a.reshape(diag.shape, order="F")``, which numpy
+    runs without ufunc buffers.  A given 1-d ``diag`` is read through that
+    view, not copied: the products are elementwise, so the norm is the
+    same to the bit."""
+
+    def __init__(self, dim: int, diag: np.ndarray | None = None):
+        b = _rows(dim)
+        self.dim = dim
+        self.v_prev, self.v, self.w = (
+            np.empty((b, dim // b), dtype=complex) for _ in range(3))
+        self.diag = (np.empty_like(self.v) if diag is None
+                     else diag.reshape(self.v.shape, order="F"))
+
+
+def operator_norm(diag, order: int = 0,
                   tol: float = LANCZOS_TOL_DEFAULT) -> float:
-    """Operator norm of M = diag(``diag``) on C^dim, ``diag`` a 1-d array of
-    dim entries, in the order-N norm.
+    """Operator norm of M = diag(``diag``) on C^dim in the order-N norm;
+    ``diag`` is a filled :class:`Workspace`, whose multiplier is read and
+    whose Lanczos vectors are overwritten, or a 1-d array of dim entries,
+    read in place by a fresh one.
 
     Three-term Lanczos on ``G = (D M L)^H (D M L)`` from a fixed-seed random
     start, at most ``LANCZOS_STEP_CAP`` steps; one step applies ``L``, ``M``
@@ -200,29 +225,28 @@ def operator_norm(diag: np.ndarray, order: int = 0,
     transforms are the identity), all in place in the next Lanczos vector,
     and stops once the Ritz residual of the top Ritz value ``theta`` is at
     most ``tol * theta``; the norm is ``sqrt(theta)``.
-    Raises ``ValueError`` for ``tol`` outside (0, 1), ``diag`` not 1-d, an
-    order outside [0, dim), non-finite entries or a norm above about 1e154,
-    and :class:`IllConditionedError` at the step cap, for a nonzero norm
-    below ``NORM_FLOOR`` or for one above about 1e77.
+    Raises ``ValueError`` for ``tol`` outside (0, 1), ``diag`` neither 1-d
+    nor a workspace, an order outside [0, dim), non-finite entries or a norm
+    above about 1e154, and :class:`IllConditionedError` at the step cap, for
+    a nonzero norm below ``NORM_FLOOR`` or for one above about 1e77.
     """
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    diag = np.asarray(diag, dtype=complex)
-    if diag.ndim != 1:
-        raise ValueError(f"diag must be 1-d, got shape {diag.shape}")
-    n = diag.size
+    work = diag
+    if not isinstance(work, Workspace):
+        diag = np.asarray(diag, dtype=complex)
+        if diag.ndim != 1:
+            raise ValueError(f"diag must be 1-d, got shape {diag.shape}")
+        work = Workspace(diag.size, diag)
+    n = work.dim
     if not 0 <= order < n:
         raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
                          f"dim must be >= order + 1, got dim={n}, order={order}")
-    # The workspace, allocated once, in the (b, m) layout: the Lanczos
-    # vectors v_{k-1}, v_k and the next one w, in which each Gram
-    # application runs in place.  The start is formed in w in natural
-    # order, then laid out in v; diag is read through a strided view.
-    b = _rows(n)
-    v, w = (np.empty((b, n // b), dtype=complex) for _ in range(2))
-    v_prev = np.zeros_like(v)
-    np.copyto(v, _start_vector(n, w.reshape(n)).reshape(-1, b).T)
-    diag = diag.reshape(-1, b).T
+    # The start is formed in w in natural order, then laid out in v.
+    diag, v_prev, v, w = work.diag, work.v_prev, work.v, work.w
+    v_prev.fill(0.0)
+    start = _start_vector(n, w.reshape(n))
+    np.copyto(v, start.reshape(v.shape, order="F"))
     alphas, betas = [], []
     theta = residual = beta = 0.0
     for step in range(LANCZOS_STEP_CAP):

@@ -357,8 +357,12 @@ class BlockDiagonal:
                              self.corner[blocks], self.lower[blocks])
 
 
-def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
-    """The semigroup at time t as a block-diagonal operator.
+def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
+    """The semigroup at time t as a block-diagonal operator; with ``out``,
+    an array of as many entries as there are 1x1 blocks (the weighted
+    norms pass :attr:`linalg.Workspace.diag`), the 1x1 blocks exp(t s) are
+    written into it in column-major order, s_j at ``out.ravel("F")[j]``,
+    and it is ``scalars``.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
     (t in place of sinh(t d) / d where d is 0 or subnormal), from three
@@ -378,8 +382,10 @@ def evolve_blocks(model: Model, t: float) -> BlockDiagonal:
                        out=np.full(d.shape, t, dtype=complex),
                        where=np.abs(d) >= _TINY)
     corner = corner * carrier
-    return BlockDiagonal(np.exp(t * model.scalars), carrier * grow, corner,
-                         carrier / grow)
+    scalars = (model.scalars if out is None
+               else model.scalars.reshape(out.shape, order="F"))
+    return BlockDiagonal(np.exp(np.multiply(t, scalars, out=out), out=out),
+                         carrier * grow, corner, carrier / grow)
 
 
 def semigroup_norm(model: Model, t: float) -> float:
@@ -469,10 +475,16 @@ def block_operator_norm(model: Model, blocks: BlockDiagonal,
     """
     if model.norm_order == 0:
         return blocks.sup_singular_value()
+    return linalg.operator_norm(_diagonal(model, blocks), model.norm_order,
+                                tol=tol)
+
+
+def _diagonal(model: Model, blocks: BlockDiagonal) -> np.ndarray:
+    # The entries of a diagonal operator, which the weighted norms take.
     if blocks.upper.size:
         raise ValueError(f"the order-{model.norm_order} norm takes a diagonal "
                          f"operator, got {blocks.upper.size} 2x2 blocks")
-    return linalg.operator_norm(blocks.scalars, model.norm_order, tol=tol)
+    return blocks.scalars
 
 
 def norm_curve(model: Model, ts: np.ndarray,
@@ -487,23 +499,30 @@ def norm_curve(model: Model, ts: np.ndarray,
     At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
     it; ||T(t)|| comes from the block moduli (:func:`semigroup_norm`) and
     bounds :func:`_certified_curve`, so no whole T(t) is formed.  The
-    weighted norms evaluate T(t) whole once per grid time, take its norm
-    unless ``semi`` is given, and release it before the norm of T(t) X."""
+    weighted norms take a diagonal X (``ValueError`` for 2x2 blocks) and
+    one :class:`linalg.Workspace` per curve, allocated after X: at each
+    grid time T(t) is written into its ``diag`` (:func:`evolve_blocks`),
+    its norm taken unless ``semi`` is given, X multiplied in in place, and
+    the norm of T(t) X taken, so no dim-sized array is allocated per grid
+    time."""
     if model.norm_order == 0:
         if semi is None:
             semi = np.array([semigroup_norm(model, float(t)) for t in ts])
         return semi, _certified_curve(model, factor(), ts, semi)
-    x = factor()
+    x = _diagonal(model, factor())
+    work = linalg.Workspace(model.dim)
+    m, x = work.diag, x.reshape(work.diag.shape, order="F")
     sample = semi is None
     if sample:
         semi = np.empty(ts.size)
     prod = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        op = evolve_blocks(model, float(t))
+    for i, t in enumerate(ts.tolist()):
+        evolve_blocks(model, t, out=m)
         if sample:
-            semi[i] = block_operator_norm(model, op, tol=tol)
-        op = op @ x
-        prod[i] = block_operator_norm(model, op, tol=tol)
+            semi[i] = linalg.operator_norm(work, model.norm_order, tol)
+        # T(t) first, as in BlockDiagonal.__matmul__.
+        np.multiply(m, x, out=m)
+        prod[i] = linalg.operator_norm(work, model.norm_order, tol)
     return semi, prod
 
 

@@ -602,12 +602,13 @@ def test_huge_norm_is_right_or_raises(scale, order):
 
 def test_weighted_norm_allocates_its_workspace_once():
     # Three Lanczos vectors, allocated once per call, with each Gram
-    # application in place in one of them: the peak stays within four
-    # vectors of dim complex entries (the fourth covers the one-row
-    # temporaries and the small arrays), however many steps run, at a dim
-    # held in 10 rows.  The five-vector workspace, a start vector made
-    # apart from the workspace, or a temporary of dim entries per step,
-    # raises the peak past four.
+    # application in place in one of them and the 1-d diag read in place
+    # through its column-major view: the peak stays within four vectors of
+    # dim complex entries (the fourth covers the one-row temporaries and
+    # the small arrays), however many steps run, at a dim held in 10 rows.
+    # The five-vector workspace (a copy of diag included), a start vector
+    # made apart from the workspace, or a temporary of dim entries per
+    # step, raises the peak past four.
     dim = 50000
     assert linalg._rows(dim) == 10
     diag = np.exp(1j * 30.0 * np.log(np.arange(2, dim + 2)))
@@ -618,6 +619,63 @@ def test_weighted_norm_allocates_its_workspace_once():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * dim * np.dtype(complex).itemsize
+
+
+def _filled_workspace(diag):
+    work = linalg.Workspace(diag.size)
+    np.copyto(work.diag, diag.reshape(work.diag.shape, order="F"))
+    return work
+
+
+@pytest.mark.parametrize("dim", [7, 1600, 4099, 50000])
+def test_workspace_holds_the_diagonal_in_the_kernel_layout(dim):
+    # Entry c*b + r of the diagonal sits at [r, c] of every array, each
+    # C-contiguous; a workspace given a 1-d diagonal reads it in place.
+    diag = _random_complex(dim)
+    work = _filled_workspace(diag)
+    b = linalg._rows(dim)
+    assert work.dim == dim
+    for a in (work.diag, work.v_prev, work.v, work.w):
+        assert a.shape == (b, dim // b) and a.flags.c_contiguous
+    assert np.array_equal(work.diag[:, 0], diag[:b])
+    assert np.array_equal(work.diag.ravel("F"), diag)
+    given = linalg.Workspace(dim, diag)
+    assert np.shares_memory(given.diag, diag)
+    assert np.array_equal(given.diag, work.diag)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [30, 4099, 50000])
+def test_norm_on_a_filled_workspace_is_the_norm_of_its_diagonal(order, dim):
+    # Bitwise the 1-d call, which reads diag through a strided view,
+    # however often the workspace is reused: the kernel zeroes v_prev and
+    # lays out a fresh start itself.
+    diag = np.exp(1j * 7.0 * np.log(np.arange(2, dim + 2))) / np.arange(
+        1, dim + 1) ** 0.25
+    work = _filled_workspace(diag)
+    want = operator_norm(diag, order)
+    for a in (work.v_prev, work.v, work.w):
+        a.fill(np.nan)
+    assert operator_norm(work, order) == want
+    assert operator_norm(work, order) == want
+    assert np.array_equal(work.diag.ravel("F"), diag)
+
+
+def test_norm_on_a_filled_workspace_allocates_no_dim_sized_array():
+    # The four arrays are the caller's: what the norm allocates is one row
+    # (the wrap row's copy) and small arrays (under 32 KB, the test
+    # runner's own included); the seeded start is formed
+    # one row of its outer product at a time, without ufunc buffers.
+    dim = 50000
+    work = _filled_workspace(np.exp(1j * 30.0 * np.log(np.arange(2, dim + 2))))
+    operator_norm(work, 2)  # the start factors, cached per dim
+    tracemalloc.start()
+    try:
+        operator_norm(work, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dim // 10 * np.dtype(complex).itemsize + 2**15
 
 
 def test_operator_norm_order_validation():

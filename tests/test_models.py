@@ -14,7 +14,7 @@ from oracles import (block_norms, contour_projection_closed, dense,
                      evolve_four_calls, generator_blocks,
                      riesz_projection_closed, sup_block_norm_unpruned,
                      weighted_vector_norm)
-from semistab import models, spectral
+from semistab import linalg, models, spectral
 from semistab.errors import (SemistabError, SpectrumHitError,
                              TruncationInadequateError)
 from semistab.models import (BlockDiagonal, Family, ModelSpec, build_model,
@@ -638,6 +638,62 @@ def test_weighted_norm_rejects_2x2_blocks(family, monkeypatch):
     with pytest.raises(ValueError, match=r"order-2 norm takes a diagonal "
                                          r"operator, got \d+ 2x2 blocks"):
         models.block_operator_norm(m, op)
+
+
+_TOL = linalg.LANCZOS_TOL_DEFAULT
+
+
+@pytest.mark.parametrize("family", [Family.DIAG_JORDAN, Family.JORDAN_PAIRS])
+def test_weighted_curve_rejects_a_factor_with_2x2_blocks(family, monkeypatch):
+    # The weighted curve writes T(t) into a diagonal workspace; a factor
+    # with 2x2 blocks is named before any norm is taken, not dropped.
+    row = models.FAMILIES[family]
+    monkeypatch.setitem(models.FAMILIES, family, replace(row, weighted=True))
+    m = _model(family, 8, order=2)
+    with pytest.raises(ValueError, match=r"order-2 norm takes a diagonal "
+                                         r"operator, got \d+ 2x2 blocks"):
+        models.norm_curve(m, np.array([1.0, 3.0]),
+                          lambda: resolvent_blocks(m, 1.0), _TOL)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1600, 4099, 50000])
+def test_weighted_curve_is_the_one_off_norms_bitwise(dim, order):
+    # 1 row (below 4096), 1 row (a prime), 10 rows: T(t) written into the
+    # workspace and X multiplied in in place give the one-off norms of
+    # evolve_blocks(m, t) and of its product with X to the bit.
+    m = _model(Family.LOG_SPECTRUM, dim + 1, order=order)
+    assert m.dim == dim and linalg._rows(dim) == (10 if dim == 50000 else 1)
+    x = resolvent_blocks(m, 1.0 + 0.5j)
+    ts = np.array([13.0, 250.0, 1000.0, 4000.0])
+    semi, prod = models.norm_curve(m, ts, lambda: x, _TOL)
+    for i, t in enumerate(ts.tolist()):
+        op = evolve_blocks(m, t)
+        assert semi[i] == linalg.operator_norm(op.scalars, order, _TOL)
+        assert prod[i] == linalg.operator_norm((op @ x).scalars, order, _TOL)
+    given, _ = models.norm_curve(m, ts, lambda: x, _TOL, semi=semi[::-1])
+    assert given.tolist() == semi[::-1].tolist()
+
+
+def test_weighted_curve_holds_one_workspace_and_no_t_dependent_array():
+    # Over a 9-point order-2 curve at dim 50000 (10 rows) the peak is the
+    # Workspace (four vectors), X, one row (the wrap row's copy) and small
+    # arrays (under 32 KB, the test runner's own included); building X (its gap and its inverse) comes before the
+    # Workspace, so it does not add to it, and T(t) and X are written in
+    # the kernel's layout without ufunc buffers.  A T(t) array per grid
+    # time, or a workspace per norm, adds a vector.
+    dim = 50000
+    m = _model(Family.LOG_SPECTRUM, dim + 1, order=2)
+    ts = np.geomspace(1.0, 5000.0, 9)
+    models.norm_curve(m, ts[:1], lambda: resolvent_blocks(m, 1.0), _TOL)
+    vector = dim * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        models.norm_curve(m, ts, lambda: resolvent_blocks(m, 1.0), _TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * vector + vector // 10 + 2**15, peak / vector
 
 
 def test_resolvent_blocks_match_dense_inverse():

@@ -28,16 +28,17 @@ def _model(family, max_index, **kw):
     return build_model(ModelSpec(family, max_index, **kw))
 
 
-def _record_calls(monkeypatch, name):
-    """Replace models.<name> by a wrapper; returns the list of its arguments."""
+def _record_calls(monkeypatch, name, module=models):
+    """Replace <module>.<name> by a wrapper; returns the list of its
+    arguments."""
     calls = []
-    original = getattr(models, name)
+    original = getattr(module, name)
 
     def recorded(*args, **kwargs):
         calls.append(args[1:])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(models, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -47,9 +48,9 @@ def _record_tables(monkeypatch):
     calls = []
     original = models.evolve_blocks
 
-    def recorded(model, t):
+    def recorded(model, t, **kwargs):
         calls.append((model.scalars, model.mid, model.half_gap, t))
-        return original(model, t)
+        return original(model, t, **kwargs)
 
     monkeypatch.setattr(models, "evolve_blocks", recorded)
     return calls
@@ -606,7 +607,7 @@ def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
         for t in ts]
     semi = _semi(m, ts)
     evolves = _record_calls(monkeypatch, "evolve_blocks")
-    norms = _record_calls(monkeypatch, "block_operator_norm")
+    norms = _record_calls(monkeypatch, "operator_norm", linalg)
     asked = []
     curve = hypothesis_b_check(
         m, proj, semi, lambda t: asked.append(t) or 5.0 * t + 1.0)

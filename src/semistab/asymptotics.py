@@ -84,9 +84,8 @@ def sample_norms(model: Model, ts, tol: float = linalg.LANCZOS_TOL_DEFAULT) -> t
     if np.any(ts < 0) or np.any(np.diff(ts) <= 0):
         raise ValueError("ts must be nonnegative and strictly increasing")
     models.check_truncation(model, float(ts[-1]))
-    mu = model.spec.mu_default
     semi, prod = models.norm_curve(
-        model, ts, lambda: models.resolvent_blocks(model, mu), tol)
+        model, ts, models.resolvent_blocks(model, model.spec.mu_default), tol)
     return (NormSamples(Quantity.SEMIGROUP_NORM, ts, semi),
             NormSamples(Quantity.RESOLVENT_PRODUCT_NORM, ts, prod))
 

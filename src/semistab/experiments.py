@@ -76,8 +76,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError(f"grid needs >= 2 points, got {self.points}")
-        if not (self.t_max > self.t_min):
-            raise ValueError("t_max must exceed t_min")
+        if not self.t_min < self.t_max < math.inf:
+            raise ValueError("t_max must be finite and exceed t_min")
         if self.spacing is Spacing.GEOMETRIC:
             if self.t_min <= 0:
                 raise ValueError("geometric grids need t_min > 0")

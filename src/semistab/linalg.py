@@ -26,6 +26,8 @@ one cumsum over the ``m`` column totals in the last row and one broadcast
 add of the shifted totals to the other rows; a difference pass is ``b - 1``
 row subtractions and one wrap row, for which one row is copied.  The
 transforms take either a 1-d vector, the one-row case, or such an array.
+The seeded start is defined in this layout: the unit rank-one matrix
+``a c^T`` of shape ``(b, m)``, whose factors are drawn once per shape.
 A :class:`Workspace` holds these arrays for a whole curve of norms (a 1-d
 diagonal given for one norm is read in place, not copied); each Gram
 application runs in place in the next Lanczos vector, so a norm allocates
@@ -164,32 +166,30 @@ def _partial_sums(order: int, vec, out, backward: bool) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _start_factors(m: int) -> tuple:
-    # Two complex Gaussian vectors of length m from a fixed seed, read-only
-    # so that every caller can share them; 2m draws, no numpy.random.
-    rng = random.Random(0)
-    pair = tuple(np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                           for _ in range(m)]) for _ in range(2))
+def _start_factors(shape: tuple) -> tuple:
+    # Unit complex Gaussian vectors a in C^b and c in C^m, (b, m) = shape,
+    # from a fixed seed: Box-Muller on 53-bit uniforms u in [0, 1), so
+    # log1p(-u) is finite.  Read-only, so that every caller can share them;
+    # no numpy.random (6 MB of RSS) and no Python loop per draw.
+    n = sum(shape)
+    bits = np.frombuffer(random.Random(0).randbytes(16 * n), dtype="<u8")
+    u = (bits >> np.uint64(11)) * 2.0 ** -53
+    z = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.exp(2j * np.pi * u[n:])
+    pair = np.split(z, [shape[0]])
     for factor in pair:
+        factor /= np.linalg.norm(factor)
         factor.flags.writeable = False
-    return pair
+    return tuple(pair)
 
 
-def _start_vector(n: int, out: np.ndarray) -> np.ndarray:
-    # Seeded start a (x) b cut to n entries, a and b complex Gaussian of
-    # length ceil(sqrt(n)): <x, a (x) b> is a nonzero bilinear form for any
-    # x != 0, so unlike all-ones it is almost surely not orthogonal to the top
-    # singular vector.  Written into out one row a_i b at a time, as numpy
-    # rounds them: only the factors are cached, and a broadcast outer
-    # product would allocate ufunc buffers (0.26 MB) on every norm.
-    a, b = _start_factors(math.isqrt(n - 1) + 1)
-    full, rest = divmod(n, b.size)
-    rows = out[:full * b.size].reshape(full, -1)
-    for i in range(full):
-        np.multiply(a[i], b, out=rows[i])
-    if rest:
-        np.multiply(a[full], b[:rest], out=out[full * b.size:])
-    out /= np.linalg.norm(out)
+def _start_vector(out: np.ndarray) -> np.ndarray:
+    # The unit rank-one matrix a c^T of the layout's shape: <x, a c^T> is a
+    # nonzero bilinear form for any x != 0, so unlike all-ones it is almost
+    # surely not orthogonal to the top singular vector.  Row by row, as a
+    # broadcast outer product allocates ufunc buffers on every norm.
+    a, c = _start_factors(out.shape)
+    for r in range(a.size):
+        np.multiply(a[r], c, out=out[r])
     return out
 
 
@@ -201,11 +201,12 @@ class Workspace:
     the column-major view ``a.reshape(diag.shape, order="F")``, which numpy
     runs without ufunc buffers.  A given 1-d ``diag`` is read through that
     view, not copied: the products are elementwise, so the norm is the
-    same to the bit."""
+    same to the bit.  The start's factors are drawn before the vectors."""
 
     def __init__(self, dim: int, diag: np.ndarray | None = None):
         b = _rows(dim)
         self.dim = dim
+        _start_factors((b, dim // b))
         self.v_prev, self.v, self.w = (
             np.empty((b, dim // b), dtype=complex) for _ in range(3))
         self.diag = (np.empty_like(self.v) if diag is None
@@ -242,11 +243,8 @@ def operator_norm(diag, order: int = 0,
     if not 0 <= order < n:
         raise ValueError(f"order must be >= 0, got {order}" if order < 0 else
                          f"dim must be >= order + 1, got dim={n}, order={order}")
-    # The start is formed in w in natural order, then laid out in v.
-    diag, v_prev, v, w = work.diag, work.v_prev, work.v, work.w
+    diag, v_prev, v, w = work.diag, work.v_prev, _start_vector(work.v), work.w
     v_prev.fill(0.0)
-    start = _start_vector(n, w.reshape(n))
-    np.copyto(v, start.reshape(v.shape, order="F"))
     alphas, betas = [], []
     theta = residual = beta = 0.0
     for step in range(LANCZOS_STEP_CAP):

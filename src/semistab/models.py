@@ -240,8 +240,8 @@ def build_model(spec: ModelSpec) -> Model:
     """Spectral table and the norm the family is measured in.
 
     Raises :class:`SpectrumHitError` when ``spec.mu_default`` lies on the
-    spectrum, and ``ValueError`` for a weighted norm whose order is not
-    below the dim.  The sorted spectrum is not formed here.
+    spectrum, ``ValueError`` when it is not finite or a weighted norm's
+    order is not below the dim.  The sorted spectrum is not formed here.
     """
     row = FAMILIES[spec.family]
     order = spec.order if row.weighted else 0
@@ -372,8 +372,8 @@ def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
     and exp(tb) at nearby eigenvalues a, b, and expm1 keeps it accurate at
     small t d; G is not formed as 1 + E, which cancels where Re(t d) << 0.
     """
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     d = model.half_gap
     carrier = np.exp(t * model.mid)
     gain = np.expm1(t * d)
@@ -403,8 +403,8 @@ def semigroup_norm(model: Model, t: float) -> float:
     norm the model is measured in.  It raises ``ValueError`` naming t where
     the supremum is not finite.
     """
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
     norm = 0.0
     for *_, part in reversed(list(model.chunked())):
         d = part.half_gap
@@ -426,7 +426,10 @@ def semigroup_norm(model: Model, t: float) -> float:
 
 def _gaps(model: Model, mu: complex) -> tuple:
     """The eigenvalues of the 1x1 blocks and of the 2x2 blocks' two
-    coordinates, less mu; :class:`SpectrumHitError` where mu is on them."""
+    coordinates, less mu; :class:`SpectrumHitError` where mu is on them,
+    ``ValueError`` where mu is not finite."""
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     s, a, b = model.scalars - mu, model.upper - mu, model.lower - mu
     dist = min(float(np.min(np.abs(x), initial=np.inf)) for x in (s, a, b))
     if dist < _SPECTRUM_MARGIN:
@@ -487,29 +490,24 @@ def _diagonal(model: Model, blocks: BlockDiagonal) -> np.ndarray:
     return blocks.scalars
 
 
-def norm_curve(model: Model, ts: np.ndarray,
-               factor: Callable[[], BlockDiagonal], tol: float,
+def norm_curve(model: Model, ts: np.ndarray, x: BlockDiagonal, tol: float,
                semi: np.ndarray | None = None) -> tuple:
-    """The curves t -> ||T(t)|| and t -> ||T(t) X||, X = ``factor()``, in the
-    model's norm, as the pair ``(semi, prod)``; ``semi``, when given, is
-    taken as the first.  X is built once: at order 0 after the last
-    ||T(t)||, so that it is not held while they are computed, and at the
-    weighted orders before the first T(t).
+    """The curves t -> ||T(t)|| and t -> ||T(t) X|| in the model's norm, as
+    the pair ``(semi, prod)``; ``semi``, when given, is taken as the first.
 
     At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
     it; ||T(t)|| comes from the block moduli (:func:`semigroup_norm`) and
     bounds :func:`_certified_curve`, so no whole T(t) is formed.  The
     weighted norms take a diagonal X (``ValueError`` for 2x2 blocks) and
-    one :class:`linalg.Workspace` per curve, allocated after X: at each
-    grid time T(t) is written into its ``diag`` (:func:`evolve_blocks`),
-    its norm taken unless ``semi`` is given, X multiplied in in place, and
-    the norm of T(t) X taken, so no dim-sized array is allocated per grid
-    time."""
+    one :class:`linalg.Workspace` per curve: at each grid time T(t) is
+    written into its ``diag`` (:func:`evolve_blocks`), its norm taken
+    unless ``semi`` is given, X multiplied in in place, and the norm of
+    T(t) X taken, so no dim-sized array is allocated per grid time."""
     if model.norm_order == 0:
         if semi is None:
             semi = np.array([semigroup_norm(model, float(t)) for t in ts])
-        return semi, _certified_curve(model, factor(), ts, semi)
-    x = _diagonal(model, factor())
+        return semi, _certified_curve(model, x, ts, semi)
+    x = _diagonal(model, x)
     work = linalg.Workspace(model.dim)
     m, x = work.diag, x.reshape(work.diag.shape, order="F")
     sample = semi is None

@@ -76,10 +76,11 @@ class Contour:
     nodes: int = DEFAULT_NODES
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        check_nodes(self.nodes)
         object.__setattr__(self, "center", complex(self.center))
+        if not (np.isfinite(self.center) and 0 < self.radius < np.inf):
+            raise ValueError(f"a contour needs a finite center and a finite "
+                             f"positive radius, got {self.center}, {self.radius}")
+        check_nodes(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,7 @@ def hypothesis_a_check(model: Model, lam: complex,
     same = np.concatenate(same)
     if not same.size:
         raise ValueError(f"{lam} is not an eigenvalue of the model")
-    contour = Contour(lam, min(gap / 2.0, radius_cap), nodes)
+    contour = Contour(lam, min(radius_cap, gap / 2.0), nodes)
     # An eigenvalue at the gap or beyond (gap >= 2 radius) is no closer to
     # the circle than lam's near-duplicates, which decide the approach.
     closest = float(np.min(np.abs(same - contour.radius)))
@@ -358,7 +359,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         return DecayCurve(ts, np.zeros(ts.size), None, True)
     part, proj = ((model.take(projection.index), projection.support)
                   if model.norm_order == 0 else (model, projection.blocks))
-    norms = models.norm_curve(part, ts, lambda: proj, tol, semi=semi.values)[1]
+    norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
     values = norms / f
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(part, proj, tol=tol)
     if np.count_nonzero(kept) < 2:

@@ -380,6 +380,12 @@ def test_time_grid_values():
         TimeGrid(1.0, 10.0, 1)
 
 
+def test_time_grid_rejects_an_infinite_t_max():
+    # The grid read [1, inf, inf].
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        TimeGrid(1.0, math.inf, 3)
+
+
 # ------------------------------------------------------------------ runners
 
 def test_run_simulate_outputs_and_determinism(tmp_path):

@@ -1,5 +1,7 @@
 import math
-import random
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest.mock import patch
 
@@ -688,19 +690,59 @@ def test_operator_norm_order_validation():
     assert operator_norm(np.ones(3), 2) == pytest.approx(1.0)
 
 
-def test_start_vector_is_a_fresh_copy_of_the_seeded_draws():
-    # The Gaussian factors are cached per length; the start vector, which
-    # the kernel overwrites, must not be.
-    import random
+@pytest.mark.parametrize("dim", [1, 2, 30, 1600, 4099, 50000, 160000])
+def test_start_is_the_unit_rank_one_matrix_of_its_factors(dim):
+    # Entry [r, c] of the laid-out start is a_r c_c, for the cached factors
+    # of the layout's shape; each factor is a unit vector, so the start is.
+    v = linalg.Workspace(dim).v
+    a, c = linalg._start_factors(v.shape)
+    assert (a.size, c.size) == v.shape
+    assert not (a.flags.writeable or c.flags.writeable)
+    assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-15)
+    assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-15)
+    start = linalg._start_vector(v)
+    assert start is v
+    assert np.array_equal(start, np.outer(a, c))
+    assert np.linalg.norm(start) == pytest.approx(1.0, rel=1e-14)
 
-    for n in (1, 2, 30, 1600, 1601):
-        rng = random.Random(0)
-        m = math.isqrt(n - 1) + 1
-        a, b = (np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                          for _ in range(m)]) for _ in range(2))
-        want = np.outer(a, b).ravel()[:n]
-        want /= np.linalg.norm(want)
-        first = linalg._start_vector(n, np.empty(n, dtype=complex))
-        first[:] = 0.0
-        assert np.array_equal(
-            linalg._start_vector(n, np.empty(n, dtype=complex)), want)
+
+@pytest.mark.parametrize("dim", [30, 4099, 160000])
+def test_start_is_the_same_across_calls_and_workspaces(dim):
+    # The kernel overwrites v; only the factors are cached, not the start.
+    first, second = linalg.Workspace(dim), linalg.Workspace(dim)
+    want = linalg._start_vector(first.v).copy()
+    first.v.fill(np.nan)
+    assert np.array_equal(linalg._start_vector(first.v), want)
+    assert np.array_equal(linalg._start_vector(second.v), want)
+
+
+@pytest.mark.parametrize("dim, rows", [(1600, 1), (160000, 16), (159979, 1)])
+def test_start_allocates_nothing_once_its_factors_are_drawn(dim, rows):
+    # The workspace draws the factors; forming the start from them takes
+    # one row product per row and no ufunc buffer.
+    work = linalg.Workspace(dim)
+    assert len(work.v) == rows
+    tracemalloc.start()
+    try:
+        linalg._start_vector(work.v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+def test_weighted_simulate_never_imports_numpy_random(tmp_path):
+    # The start is drawn with the random module: numpy.random would add
+    # about 6 MB to the RSS of every weighted run.
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    code = ("import sys, semistab\n"
+            "cfg = semistab.parse_config(sys.argv[1])\n"
+            "semistab.run_simulate(cfg, sys.argv[2])\n"
+            "print('numpy.random' in sys.modules)")
+    text = ("model.family = LOG_SPECTRUM\nmodel.order = 2\n"
+            "grid.t_min = 1.0\ngrid.t_max = 20.0\ngrid.points = 6\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, text, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -90,6 +90,16 @@ def test_build_model_rejects_mu_on_the_spectrum():
     assert build_model(ModelSpec(Family.JORDAN_PAIRS, 4, mu_default=2j)).dim == 6
 
 
+def test_non_finite_mu_is_named_where_it_enters():
+    # NaN built, and the resolvent then blamed an overflow of a finite mu.
+    with pytest.raises(ValueError, match=r"mu must be finite, got \(nan\+0j\)"):
+        build_model(ModelSpec(Family.JORDAN_PAIRS, 20, mu_default=math.nan))
+    m = _model(Family.JORDAN_PAIRS, 20)
+    for mu in (math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            resolvent_blocks(m, mu)
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_evolve_at_zero_is_identity(family):
     m = _model(family, 12)
@@ -120,6 +130,13 @@ def test_evolve_rejects_negative_time():
         for fn in (evolve_blocks, models.semigroup_norm):
             with pytest.raises(ValueError, match="t must be >= 0"):
                 fn(_model(Family.JORDAN_PAIRS, 4), t)
+
+
+def test_evolve_rejects_infinite_time():
+    # evolve_blocks returned NaN blocks, and semigroup_norm blamed its norm.
+    for fn in (evolve_blocks, models.semigroup_norm):
+        with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+            fn(_model(Family.JORDAN_PAIRS, 4), math.inf)
 
 
 def test_jordan_pairs_block_at_pi():
@@ -653,7 +670,7 @@ def test_weighted_curve_rejects_a_factor_with_2x2_blocks(family, monkeypatch):
     with pytest.raises(ValueError, match=r"order-2 norm takes a diagonal "
                                          r"operator, got \d+ 2x2 blocks"):
         models.norm_curve(m, np.array([1.0, 3.0]),
-                          lambda: resolvent_blocks(m, 1.0), _TOL)
+                          resolvent_blocks(m, 1.0), _TOL)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -666,12 +683,12 @@ def test_weighted_curve_is_the_one_off_norms_bitwise(dim, order):
     assert m.dim == dim and linalg._rows(dim) == (10 if dim == 50000 else 1)
     x = resolvent_blocks(m, 1.0 + 0.5j)
     ts = np.array([13.0, 250.0, 1000.0, 4000.0])
-    semi, prod = models.norm_curve(m, ts, lambda: x, _TOL)
+    semi, prod = models.norm_curve(m, ts, x, _TOL)
     for i, t in enumerate(ts.tolist()):
         op = evolve_blocks(m, t)
         assert semi[i] == linalg.operator_norm(op.scalars, order, _TOL)
         assert prod[i] == linalg.operator_norm((op @ x).scalars, order, _TOL)
-    given, _ = models.norm_curve(m, ts, lambda: x, _TOL, semi=semi[::-1])
+    given, _ = models.norm_curve(m, ts, x, _TOL, semi=semi[::-1])
     assert given.tolist() == semi[::-1].tolist()
 
 
@@ -685,11 +702,11 @@ def test_weighted_curve_holds_one_workspace_and_no_t_dependent_array():
     dim = 50000
     m = _model(Family.LOG_SPECTRUM, dim + 1, order=2)
     ts = np.geomspace(1.0, 5000.0, 9)
-    models.norm_curve(m, ts[:1], lambda: resolvent_blocks(m, 1.0), _TOL)
+    models.norm_curve(m, ts[:1], resolvent_blocks(m, 1.0), _TOL)
     vector = dim * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        models.norm_curve(m, ts, lambda: resolvent_blocks(m, 1.0), _TOL)
+        models.norm_curve(m, ts, resolvent_blocks(m, 1.0), _TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

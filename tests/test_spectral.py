@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -60,7 +61,7 @@ def _semi(model, ts):
     """||T(t)|| samples on ts; unlike sample_norms, at any truncation."""
     ts = np.asarray(ts, dtype=float)
     return NormSamples(Quantity.SEMIGROUP_NORM, ts, norm_curve(
-        model, ts, lambda: resolvent_blocks(model, 1.0), LANCZOS_TOL_DEFAULT)[0])
+        model, ts, resolvent_blocks(model, 1.0), LANCZOS_TOL_DEFAULT)[0])
 
 
 def test_contour_validation():
@@ -71,6 +72,24 @@ def test_contour_validation():
     with pytest.raises(ValueError):
         Contour(0j, 1.0, nodes=17)
     assert Contour(1j, 0.5).nodes == 64
+
+
+@pytest.mark.parametrize("center, radius", [(1.5j, math.nan),
+                                            (math.nan, 0.5), (math.inf, 0.5)])
+def test_contour_with_a_non_finite_part_raises(center, radius):
+    # Each projected onto nothing: rank 0, drift 0.0, no eigenvalue enclosed.
+    with pytest.raises(ValueError, match="finite center and a finite positive"):
+        riesz_projection_quadrature(_model(Family.JORDAN_PAIRS, 20),
+                                    Contour(center, radius))
+
+
+def test_hypothesis_a_passes_a_nan_radius_cap_to_the_contour():
+    # min(gap / 2, nan) dropped the NaN and gave radius 0.5, the half-gap.
+    m = _model(Family.JORDAN_PAIRS, 20)
+    lam = m.spectrum[0]
+    assert hypothesis_a_check(m, lam).radius == 0.5
+    with pytest.raises(ValueError, match="finite positive radius, got .* nan"):
+        hypothesis_a_check(m, lam, radius_cap=math.nan)
 
 
 def test_quadrature_jordan_pairs_single_eigenvalue():
@@ -445,7 +464,7 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
     tiny = np.array([complex(e)])
     factor = BlockDiagonal(np.array([complex(x)]), tiny, 0.0 * tiny, tiny)
     ts = np.array([t])
-    got = norm_curve(m, ts, lambda: factor, LANCZOS_TOL_DEFAULT)[1]
+    got = norm_curve(m, ts, factor, LANCZOS_TOL_DEFAULT)[1]
     want = whole_norm_curve(m, ts, factor)
     assert want[0] > x
     assert np.array_equal(got, want)
@@ -476,7 +495,7 @@ def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
 def _curves(model, ts, nodes=64):
     """||T(t)||, ||T(t) R_mu|| and, per eigenvalue, the projection and its
     hypothesis-(b) curve against f(t) = t + 1."""
-    rows = norm_curve(model, ts, lambda: resolvent_blocks(model, 1.0),
+    rows = norm_curve(model, ts, resolvent_blocks(model, 1.0),
                       LANCZOS_TOL_DEFAULT)
     semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, rows[0])
     projections = [riesz_projection_quadrature(

@@ -19,7 +19,10 @@ The passes over the whole table that a theorem-check repeats run in chunks
 of :data:`CHUNK` blocks (:func:`chunks`, :meth:`Model.chunked`), so that none
 holds a dim-sized temporary: the Euclidean norm of T(t), block norms and the
 lowest eigenvalues (:func:`lowest_eigenvalues`, which never sorts the table
-whole).  The resolvent and the weighted norms take the table whole.
+whole).  A few numbers per chunk (:meth:`Model.summary`) bound its blocks of
+T(t) at any t, so that the norm skips chunks whole, and give the spectral
+bound (:func:`spectral_bound`).  The resolvent and the weighted norms take
+the table whole.
 
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
@@ -30,7 +33,8 @@ kernel in :mod:`linalg` takes the entries of a diagonal one.
 with the dimension cap; :func:`evolve_blocks` is the one way to T(t), and
 :func:`norm_curve` the one for the pair t -> ||T(t)||, ||T(t) X||; in the
 Euclidean norm each value is a supremum over blocks, and :func:`_prune` is
-the one rule for which blocks it evaluates.
+the one rule for which blocks it evaluates (after whole chunks of T(t) are
+skipped by their bound, :func:`semigroup_norm`).
 """
 
 from __future__ import annotations
@@ -134,6 +138,18 @@ class Model:
     spectrum = property(lambda self: self._distinct[0])
     multiplicity = property(lambda self: self._distinct[1])
 
+    @functools.cached_property
+    def _summaries(self) -> dict:
+        return {}
+
+    def summary(self) -> np.ndarray:
+        """One :data:`_SUMMARY` row per run of :meth:`chunked`, formed a run
+        at a time on first read, and kept per :data:`CHUNK`."""
+        if CHUNK not in self._summaries:
+            self._summaries[CHUNK] = np.array(
+                [_summarize(part) for *_, part in self.chunked()], dtype=_SUMMARY)
+        return self._summaries[CHUNK]
+
     @property
     def dim(self) -> int:
         return self.scalars.size + 2 * self.mid.size
@@ -164,6 +180,29 @@ class Model:
         blocks = index[split:] - self.scalars.size
         return replace(self, scalars=self.scalars[index[:split]],
                        mid=self.mid[blocks], half_gap=self.half_gap[blocks])
+
+
+#: Per run of a table: the largest real part of its 1x1 eigenvalues and of
+#: its 2x2 ones (Re mid + |Re d|), the largest Re mid and |Re d|, the least
+#: and largest |Im d|, whether every real part of mid and d is zero (-0.0
+#: is, NaN is not), and whether every entry is finite.  An empty part reads
+#: -inf for its real parts and 0 for its |d|.
+_SUMMARY = np.dtype([("ones", float), ("top", float), ("mid", float),
+                    ("re", float), ("im_lo", float), ("im_hi", float),
+                    ("imaginary", bool), ("finite", bool)])
+
+
+def _summarize(part: Model) -> tuple:
+    # fl(a + |b|) is the larger of fl(a + b) and fl(a - b), so ``top`` is
+    # exact.
+    re_mid, d = part.mid.real, part.half_gap
+    re, im = np.abs(d.real), np.abs(d.imag)
+    return (np.max(part.scalars.real, initial=-np.inf),
+            np.max(re_mid + re, initial=-np.inf),
+            np.max(re_mid, initial=-np.inf), np.max(re, initial=0.0),
+            np.min(im) if im.size else 0.0, np.max(im, initial=0.0),
+            not (re_mid.any() or d.real.any()),
+            all(np.isfinite(x).all() for x in (part.scalars, part.mid, d)))
 
 
 def _diag_jordan_table(max_index: int):
@@ -388,6 +427,50 @@ def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
                          carrier * grow, corner, carrier / grow)
 
 
+def _chunk_bounds(summary: np.ndarray, t: float) -> np.ndarray:
+    """Per row of a :meth:`Model.summary`, a bound on the squared Frobenius
+    norms of its run's blocks of T(t): max(e^2tS, 2 e^2tE + e^2tR t^2 q),
+    S = ``ones``, E = ``top``, R = ``mid``.  A 2x2 block's corner is
+    e^(t Re mid) t |sinh(w) / w|, w = t d = x + iy, and |sinh(w) / w|^2 is a
+    mean of (sinh x / x)^2 and sinc^2 y; so q = max((sinh X / X)^2, psi^2),
+    X = t max |Re d| (psi^2 if X = 0), and psi = sinc(t min |Im d|) where
+    t max |Im d| <= pi (sinc falls there), else 1.  NaN (no run is skipped
+    by it) where an entry is not finite, t |Im d| overflows, or an overflow
+    meets an underflow (also at t = 0 for an empty part).
+    """
+    with np.errstate(all="ignore"):
+        x, y, y_hi = (t * summary[key] for key in ("re", "im_lo", "im_hi"))
+        psi = np.where(y_hi <= np.pi, np.divide(
+            np.sin(y), y, out=np.ones_like(y), where=y > 0), 1.0)
+        q = np.maximum(np.where(x > 0, (np.sinh(x) / x) ** 2, 0.0), psi * psi)
+        bound = np.maximum(np.exp(2 * t * summary["ones"]),
+                           2 * np.exp(2 * t * summary["top"])
+                           + np.exp(2 * t * summary["mid"]) * (t * t) * q)
+    bound[~(summary["finite"] & np.isfinite(y_hi))] = np.nan
+    return bound
+
+
+def _moduli(model: Model, ones: slice, twos: slice, t: float,
+            imaginary: bool) -> tuple:
+    """The moduli (s, u, c, l) of the blocks of T(t) in the run ``ones``,
+    ``twos`` (:func:`semigroup_norm`)."""
+    d = model.half_gap[twos]
+    size = np.abs(d)
+    if imaginary:  # exp(+-0) = 1, sinh(+-0) = +-0, hypot(+-0, y) = |y|
+        carrier, u = 1.0, np.ones(d.shape)
+        l, top = u, np.abs(np.sin(t * d.imag))
+    else:
+        carrier = np.exp(t * model.mid[twos].real)
+        x = t * d.real
+        grow = np.exp(x)
+        u, l = carrier * grow, carrier / grow
+        top = np.hypot(np.sinh(x), np.sin(t * d.imag))
+    corner = np.divide(top, size, out=np.full(d.shape, float(t)),
+                       where=size >= _TINY)
+    corner *= carrier
+    return np.exp(t * model.scalars[ones].real), u, corner, l
+
+
 def semigroup_norm(model: Model, t: float) -> float:
     """The Euclidean ||T(t)||, from the moduli of the blocks of T(t) alone.
 
@@ -396,32 +479,49 @@ def semigroup_norm(model: Model, t: float) -> float:
     |sinh(x + iy)|^2 = sinh^2 x + sin^2 y, carrier hypot(sinh x,
     sin(t Im d)) / |d| in the corner (carrier t where d is 0 or subnormal);
     a 1x1 block has modulus exp(t Re s).  So only real ufuncs run and no
-    complex T(t) is formed; :func:`_sup_norm` takes the supremum of each
-    chunk, pruned below the supremum of the chunks before it.  The last
-    chunks go first: the 2x2 families attain their supremum at large block
-    indices, so these prune the rest.  This is the Euclidean norm whatever
-    norm the model is measured in.  It raises ``ValueError`` naming t where
-    the supremum is not finite.
+    complex T(t) is formed.  Where every real part of a run's mid and d is
+    zero, its moduli are 1, |sin(t Im d)| / |d| and 1, with no exp or sinh.
+
+    The runs of :meth:`Model.chunked` go in descending order of their bound
+    at t (:func:`_chunk_bounds`).  A run whose bound is below
+    (1 - 1e-9) w^2, w the supremum so far (the margin of :func:`_prune`,
+    w^2 >= tiny), cannot reach w and is skipped whole, its moduli never
+    formed; the others are pruned below w by :func:`_sup_norm`.  So the
+    result is the supremum of all block norms to the last bit.  This is the
+    Euclidean norm whatever norm the model is measured in.  It raises
+    ``ValueError`` naming t where the supremum is not finite.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
+    summary = model.summary()
+    bounds = _chunk_bounds(summary, t)
+    runs = list(chunks(model.scalars.size, model.mid.size))
     norm = 0.0
-    for *_, part in reversed(list(model.chunked())):
-        d = part.half_gap
-        carrier = np.exp(t * part.mid.real)
-        x = t * d.real
-        size = np.abs(d)
-        corner = np.divide(np.hypot(np.sinh(x), np.sin(t * d.imag)), size,
-                           out=np.full(d.shape, float(t)), where=size >= _TINY)
-        corner *= carrier
-        grow = np.exp(x)
+    for k in np.argsort(-bounds, kind="stable").tolist():
+        if norm * norm >= _TINY and bounds[k] < (1.0 - 1e-9) * norm * norm:
+            continue
         # np.maximum keeps a NaN of any chunk; max(1.0, nan) is 1.0.
-        norm = float(np.maximum(norm, _sup_norm(
-            np.exp(t * part.scalars.real), carrier * grow, corner,
-            carrier / grow, floor=norm)))
+        norm = float(np.maximum(norm, _sup_norm(*_moduli(
+            model, *runs[k], t, summary["imaginary"][k]), floor=norm)))
     if not math.isfinite(norm):
         raise ValueError(f"||T(t)|| = {norm!r} at t = {t!r} is not finite")
     return norm
+
+
+def spectral_bound(model: Model) -> tuple:
+    """The table's spectral bound max Re lambda, exact, from
+    :meth:`Model.summary`, and an eigenvalue attaining it where it is
+    positive (one pass in chunks), else None."""
+    summary = model.summary()
+    bound = float(np.max(np.maximum(summary["ones"], summary["top"]),
+                         initial=-np.inf))
+    if not bound > 0:
+        return bound, None
+    for *_, part in model.chunked():
+        eigs = np.concatenate([part.scalars, part.upper, part.lower])
+        hit = np.flatnonzero(eigs.real == bound)
+        if hit.size:
+            return bound, complex(eigs[hit[0]])
 
 
 def _gaps(model: Model, mu: complex) -> tuple:
@@ -446,7 +546,10 @@ def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
         corner = -1.0 / (a * b)
     if not np.isfinite(corner).all():
         raise ValueError(f"mu {mu} is too large: the resolvent overflows")
-    return BlockDiagonal(1.0 / s, 1.0 / a, corner, 1.0 / b)
+    # 1/s in place: a freed dim-sized s left a heap hole that the weighted
+    # curve's Workspace reused or not by a few bytes of layout, 2.4 MB of
+    # peak RSS at dim 160000.
+    return BlockDiagonal(np.divide(1.0, s, out=s), 1.0 / a, corner, 1.0 / b)
 
 
 def lowest_eigenvalues(model: Model, k: int) -> np.ndarray:

@@ -242,6 +242,24 @@ def sup_block_norm_unpruned(op) -> float:
     return float(np.max(block_norms(op), initial=0.0))
 
 
+def semigroup_moduli(model, t: float) -> BlockDiagonal:
+    """The moduli of the blocks of T(t) on the whole table, by the one real
+    expression for every block: exp(t Re s), and with carrier
+    exp(t Re mid) and x = t Re d, carrier e^x, carrier hypot(sinh x,
+    sin(t Im d)) / |d| (carrier t where |d| is below tiny), carrier e^-x."""
+    d = model.half_gap
+    size = np.abs(d)
+    normal = size >= np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        carrier = np.exp(t * model.mid.real)
+        x = t * d.real
+        grow = np.exp(x)
+        corner = np.where(normal, np.hypot(np.sinh(x), np.sin(t * d.imag))
+                          / np.where(normal, size, 1.0), t)
+        return BlockDiagonal(np.exp(t * model.scalars.real), carrier * grow,
+                             corner * carrier, carrier / grow)
+
+
 def evolve_four_calls(model, t: float) -> BlockDiagonal:
     """The semigroup from three complex exp calls and one sinh per block:
     exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]], t where d = 0."""

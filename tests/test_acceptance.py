@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from oracles import riesz_projection_closed
 from semistab import models
-from semistab.asymptotics import (FitFamily, NormSamples, Quantity,
-                                  concave_envelope, fit_rate, sample_norms,
-                                  witness_lower_bound, witness_vector)
+from semistab.asymptotics import (TRANSLATION_TOL, FitFamily, NormSamples,
+                                  Quantity, concave_envelope, fit_rate,
+                                  sample_norms, witness_lower_bound,
+                                  witness_vector)
 from semistab.experiments import (format_complex, parse_config, run_hardy,
                                   run_simulate, run_theorem_check)
 from semistab.models import (Family, ModelSpec, build_model, eigenvalues,
@@ -292,29 +293,29 @@ SHIFT_GRIDS = {
 }
 
 
-def _shifted_row(row, omega):
-    """The row with i omega added to every eigenvalue."""
+def _shifted_row(row, shift):
+    """The row with ``shift`` added to every eigenvalue."""
     def table(max_index):
         scalars, mid, half_gap = row.table(max_index)
-        return scalars + 1j * omega, mid + 1j * omega, half_gap
+        return scalars + shift, mid + shift, half_gap
     return dataclasses.replace(row, table=table)
 
 
-def _shift_runs(family, omega):
-    """simulate and theorem-check of the family shifted by i omega, at
-    mu = 1 + i omega; no files are kept."""
-    row = _shifted_row(models.FAMILIES[family], omega)
+def _shift_runs(family, shift):
+    """simulate and theorem-check of the family shifted by ``shift``, at
+    mu = 1 + shift; no files are kept."""
+    row = _shifted_row(models.FAMILIES[family], shift)
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.dict(models.FAMILIES, {family: row}):
         cfg = parse_config(f"model.family = {family.value}\n"
-                           f"model.mu = {format_complex(1.0 + 1j * omega)}\n"
+                           f"model.mu = {format_complex(1.0 + shift)}\n"
                            f"{SHIFT_GRIDS[family]}output.directory = {out}\n")
         return cfg, run_simulate(cfg), run_theorem_check(cfg)
 
 
 @functools.lru_cache(maxsize=None)
 def _unshifted_runs(family):
-    return _shift_runs(family, 0.0)
+    return _shift_runs(family, 0j)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -327,7 +328,7 @@ def test_imaginary_shift_changes_no_norm_and_no_verdict(family, omega):
     # so every curve matches within rounding and every verdict stays, while
     # every contour moves by i omega.
     cfg, simulate, theorem = _unshifted_runs(family)
-    _, shifted_simulate, shifted_theorem = _shift_runs(family, omega)
+    _, shifted_simulate, shifted_theorem = _shift_runs(family, 1j * omega)
     for name, curve in simulate.samples.items():
         base = np.array(curve["value"])
         moved = np.array(shifted_simulate.samples[name]["value"])
@@ -339,6 +340,26 @@ def test_imaginary_shift_changes_no_norm_and_no_verdict(family, omega):
                            strict=True):
         drift = complex(moved["center"]) - complex(base["center"]) - 1j * omega
         assert abs(drift) <= 1e-12 * (1.0 + abs(omega))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_real_shift_fails_translation_by_the_spectral_bound(family):
+    # A -> A + eps I with mu -> mu + eps multiplies T(t) by e^{eps t}, so
+    # f(t+s)/f(s) cannot tend to 1.  At eps = 0.005 its end ratio is still
+    # within the tolerance on this window; the eigenvalue at Re = eps fails
+    # the verdict, and every other status stays as at eps = 0.
+    _, _, theorem = _unshifted_runs(family)
+    base = theorem.verdicts["envelope_translation"]
+    assert base.status == "PASS" and base.metrics["spectral_bound"] == 0.0
+    _, _, shifted = _shift_runs(family, 0.005)
+    verdict = shifted.verdicts["envelope_translation"]
+    assert verdict.status == "FAIL"
+    assert verdict.metrics["spectral_bound"] == 0.005
+    assert "has real part 0.005 > 0" in verdict.detail
+    assert abs(verdict.metrics["end_ratio"] - 1.0) <= TRANSLATION_TOL
+    for name, moved in shifted.verdicts.items():
+        if name != "envelope_translation":
+            assert moved.status == theorem.verdicts[name].status, name
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS_DIR)))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from oracles import (block_norms, contour_projection_closed, dense,
                      evolve_four_calls, generator_blocks,
-                     riesz_projection_closed, sup_block_norm_unpruned,
-                     weighted_vector_norm)
+                     riesz_projection_closed, semigroup_moduli,
+                     sup_block_norm_unpruned, weighted_vector_norm)
 from semistab import linalg, models, spectral
 from semistab.errors import (SemistabError, SpectrumHitError,
                              TruncationInadequateError)
@@ -466,33 +466,41 @@ def test_pruned_block_norm_is_the_full_formula_bitwise(op):
     assert op.sup_singular_value() == sup_block_norm_unpruned(op)
 
 
-def test_semigroup_norm_prunes_all_but_near_ties(monkeypatch):
-    # jordan_pairs_t2000 at t = 100: the corners n |sin(t/n)| of 99930 of
-    # its 99999 blocks are near their limit t, so a share of the largest
-    # Frobenius norm F keeps them all.  The norm v of the block of largest
-    # F keeps only blocks with s1 within s2^2 / 2v (about 5e-7) of v, the
-    # 1610 with n > 98390, that block among them and evaluated once, and the
-    # supremum is the unpruned one bitwise.  They lie in the last chunk,
-    # which goes first and prunes every other chunk whole.
+def _evaluated_runs(monkeypatch, m, t):
+    """semigroup_norm(m, t), and the start of each run whose moduli it
+    formed, in the order it formed them."""
+    moduli, runs = models._moduli, []
+
+    def recorded(model, ones, twos, *args):
+        runs.append(ones.start + twos.start)
+        return moduli(model, ones, twos, *args)
+
+    monkeypatch.setattr(models, "_moduli", recorded)
+    return models.semigroup_norm(m, t), runs
+
+
+def test_semigroup_norm_skips_all_but_the_chunks_of_near_ties(monkeypatch):
+    # jordan_pairs_t2000 at t = 100.  Chunk 0 (n <= 16385) has t/n up to
+    # 50 > pi, so its bound is 2 + t^2 and it goes first.  The last chunk
+    # (n >= 98306), of bound 2 + (t sinc(t/100000))^2, comes next.  Its
+    # block of largest F keeps only blocks with s1 within s2^2 / 2v (about
+    # 5e-7) of v: the 1610 with n > 98390, that block among them and
+    # evaluated once.  That supremum is above the bound
+    # 2 + (b sin(t/b))^2 of every other chunk, b its largest n, so they are
+    # skipped whole, and it is the unpruned supremum bitwise.
     m = _model(Family.JORDAN_PAIRS, 100000)
-    pair_norms, sup_norm = models._pair_norms, models._sup_norm
-    evaluated, moduli = [], []
+    pair_norms, evaluated = models._pair_norms, []
 
     def counted(u, c, l):
         evaluated.append(np.size(u))
         return pair_norms(u, c, l)
 
-    def recorded(*args, **floor):
-        moduli.append(args)
-        return sup_norm(*args, **floor)
-
     monkeypatch.setattr(models, "_pair_norms", counted)
-    monkeypatch.setattr(models, "_sup_norm", recorded)
-    got = models.semigroup_norm(m, 100.0)
-    assert sum(evaluated) == 1610
-    u, c, l = (np.concatenate(x) for x in list(zip(*moduli))[1:])
-    assert u.size == 99999
-    assert got == np.max(pair_norms(u, c, l))
+    got, runs = _evaluated_runs(monkeypatch, m, 100.0)
+    assert runs == [0, 6 * models.CHUNK]
+    # Chunk 0 keeps 7 blocks beside its top one; the last chunk, 1610.
+    assert evaluated == [1, 7, 1, 1609]
+    assert got == sup_block_norm_unpruned(semigroup_moduli(m, 100.0))
 
 
 _INF, _NAN = float("inf"), float("nan")
@@ -852,6 +860,116 @@ def test_semigroup_norm_raises_on_nan_in_the_first_or_last_chunk(at):
     with patch.object(models, "CHUNK", 2):
         with pytest.raises(ValueError, match="nan at t = 1.0"):
             models.semigroup_norm(m, 1.0)
+
+
+# Tables for the chunk bounds: half-gaps real, imaginary (also with a -0.0
+# real part), complex or 0, mids with real parts of either sign or zero,
+# 1x1 blocks; or a table whose real parts are all zero, of spread imaginary
+# parts, as in JORDAN_PAIRS, where whole chunks are skipped.
+_RE = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+_IM = st.floats(-40.0, 40.0)
+_GAPS = (st.just(0j) | st.builds(complex, st.floats(-3.0, 3.0), st.just(0.0))
+         | st.builds(complex, st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+         | st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+_TIMES = st.sampled_from([0.0, 1e-3, 1.0, 100.0, 2000.0, 1e6]) | st.floats(0.0, 60.0)
+
+
+@st.composite
+def _bound_tables(draw):
+    if draw(st.booleans()):
+        n = np.arange(2, draw(st.integers(3, 40)), dtype=float)
+        scale = draw(st.floats(0.1, 10.0))
+        return _table([1j] * draw(st.integers(0, 1)), 1j * n,
+                      complex(draw(st.sampled_from([0.0, -0.0])), 1.0) * scale / n)
+    scalars = draw(st.lists(st.builds(complex, st.floats(-2.0, 1.0), _IM),
+                            max_size=3))
+    pairs = draw(st.lists(st.tuples(st.builds(complex, _RE, _IM), _GAPS),
+                          max_size=12))
+    return _table(scalars, [mid for mid, _ in pairs], [d for _, d in pairs])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_bound_tables(), t=_TIMES, size=st.sampled_from([1, 2, 7]))
+@example(m=_table([], [1j, 2j], [0.5j, -1.0 + 0j]), t=0.0, size=1)
+@example(m=_table([-1.0], [complex(-0.0, 3.0)], [complex(-0.0, 0.25)]),
+         t=2000.0, size=1)
+def test_semigroup_norm_is_the_unpruned_supremum_bitwise(m, t, size):
+    # Skipped chunks, the zero-real moduli and the pruning in between give
+    # the supremum of every block's norm, or raise where that is not finite.
+    want = sup_block_norm_unpruned(semigroup_moduli(m, t))
+    with patch.object(models, "CHUNK", size):
+        if math.isfinite(want):
+            assert models.semigroup_norm(m, t) == want
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{want!r} at t = {t!r} is not finite")):
+                models.semigroup_norm(m, t)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_bound_tables(), t=_TIMES, size=st.sampled_from([1, 2, 7]))
+def test_each_chunk_bound_is_above_its_blocks(m, t, size):
+    # Within rounding, far inside the 1e-9 margin of a skip, of every squared
+    # Frobenius norm from tiny up; no bound (NaN) or inf where one is NaN.
+    moduli = semigroup_moduli(m, t)
+    with np.errstate(all="ignore"):
+        frob = np.concatenate([moduli.scalars ** 2, moduli.upper ** 2
+                               + moduli.corner ** 2 + moduli.lower ** 2])
+    with patch.object(models, "CHUNK", size):
+        bounds = models._chunk_bounds(m.summary(), t)
+        runs = list(models.chunks(m.scalars.size, m.mid.size))
+    assert bounds.size == len(runs)
+    for bound, (ones, twos) in zip(bounds.tolist(), runs):
+        worst = np.max(np.concatenate([frob[ones], frob[m.scalars.size:][twos]]))
+        if np.isnan(worst):
+            assert not bound < np.inf
+        elif worst >= np.finfo(float).tiny:
+            assert not bound < (1.0 - 1e-10) * worst, (bound, worst)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field, entry", [("mid", complex(np.nan, 30.0)),
+                                          ("half_gap", complex(0.0, np.inf))])
+def test_semigroup_norm_raises_on_a_non_finite_entry_in_a_chunk_it_skips(
+        monkeypatch, field, entry):
+    # JORDAN_PAIRS in chunks of 100 with chunk 5 damped by e^{-t}: at t = 100
+    # its bound is about e^{-200} t^2 and it is skipped.  An infinite
+    # half-gap there would leave psi = 1 and the bound small; a NaN makes it
+    # NaN.  Either way the chunk is evaluated and the NaN moduli raise.
+    m = _model(Family.JORDAN_PAIRS, 2000)
+    mid, half_gap = m.mid.copy(), m.half_gap.copy()
+    mid[500:600] -= 1.0
+    monkeypatch.setattr(models, "CHUNK", 100)
+    _, runs = _evaluated_runs(monkeypatch, _table([], mid, half_gap), 100.0)
+    assert 500 not in runs
+    {"mid": mid, "half_gap": half_gap}[field][557] = entry
+    with pytest.raises(ValueError, match="is not finite"):
+        models.semigroup_norm(_table([], mid, half_gap), 100.0)
+
+
+def test_the_summary_is_kept_per_chunk_size():
+    # Read under chunks of 10**9, then of 1: one row per run each time.
+    m = _model(Family.JORDAN_PAIRS, 40)
+    with patch.object(models, "CHUNK", 10 ** 9):
+        whole = models.semigroup_norm(m, 7.0)
+        assert m.summary().size == 1
+    with patch.object(models, "CHUNK", 1):
+        assert m.summary().size == m.mid.size
+        assert models.semigroup_norm(m, 7.0) == whole
+
+
+def test_spectral_bound_is_exact_and_names_an_eigenvalue():
+    # 0.1 + 0.2 rounds to 0.30000000000000004, the real part of the
+    # eigenvalue as the table holds it, and so the bound.
+    m = _table([0.5j, -0.25], [0.1 + 1j, 2j], [0.2, 3j])
+    bound, lam = models.spectral_bound(m)
+    want = np.max(np.concatenate([m.scalars, m.upper, m.lower]).real)
+    assert bound == want > 0 and lam == m.upper[0]
+    for family in Family:
+        assert models.spectral_bound(_model(family, 300)) == (0.0, None)
+    assert models.spectral_bound(_table([], [], [])) == (-np.inf, None)
 
 
 def test_distinct_and_the_enclosed_read_take_an_empty_set():

@@ -427,26 +427,46 @@ def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
                          carrier * grow, corner, carrier / grow)
 
 
+def _lobe(y_lo: np.ndarray, y_hi: np.ndarray) -> np.ndarray:
+    """psi >= |sinc y| = |sin y| / y for every y in [y_lo, y_hi], y_lo >= 0:
+    sinc falls on [0, pi], and beyond pi |sinc y| <= 1 / y < 1 / pi.  So
+    psi = sinc(y_lo) where y_hi <= pi, max(sinc(y_lo), 1 / pi) where
+    y_lo <= pi < y_hi, and 1 / y_lo where pi < y_lo; since fl(pi) < pi,
+    each comparison with fl(pi) holds for pi too."""
+    sinc = np.divide(np.sin(y_lo), y_lo, out=np.ones_like(y_lo), where=y_lo > 0)
+    return np.where(y_lo <= np.pi, np.where(y_hi <= np.pi, sinc, np.maximum(
+        sinc, 1.0 / np.pi)), 1.0 / y_lo)
+
+
 def _chunk_bounds(summary: np.ndarray, t: float) -> np.ndarray:
-    """Per row of a :meth:`Model.summary`, a bound on the squared Frobenius
-    norms of its run's blocks of T(t): max(e^2tS, 2 e^2tE + e^2tR t^2 q),
-    S = ``ones``, E = ``top``, R = ``mid``.  A 2x2 block's corner is
-    e^(t Re mid) t |sinh(w) / w|, w = t d = x + iy, and |sinh(w) / w|^2 is a
-    mean of (sinh x / x)^2 and sinc^2 y; so q = max((sinh X / X)^2, psi^2),
-    X = t max |Re d| (psi^2 if X = 0), and psi = sinc(t min |Im d|) where
-    t max |Im d| <= pi (sinc falls there), else 1.  NaN (no run is skipped
-    by it) where an entry is not finite, t |Im d| overflows, or an overflow
-    meets an underflow (also at t = 0 for an empty part).
+    """Per row of a :meth:`Model.summary`, a bound on the squared norms of
+    its run's blocks of T(t): the larger of e^2tS and the squared norm of
+    [[e^tE, e^tR t g], [0, e^tE]], S = ``ones``, E = ``top``, R = ``mid``.
+
+    A 2x2 block has diagonal moduli e^(t Re mid +- t Re d) <= e^tE and
+    corner e^(t Re mid) t |sinh(w) / w|, w = t d = x + iy; |sinh(w) / w|^2
+    is a mean of (sinh x / x)^2 and sinc^2 y, so the corner is at most
+    e^tR t g, g = sinh X / X where X = t max |Re d| > 0, else
+    :func:`_lobe` of t |Im d| over the run (then every x is 0).  The norm of
+    a nonnegative 2x2 matrix grows with its entries, so the block's norm is
+    at most the pair's.
+
+    NaN (no run is skipped by it) where an entry is not finite, t |Im d|
+    overflows, an overflow meets an underflow (also at t = 0 for an empty
+    part), or e^X or t g exceeds 2^500.  Below that, a subnormal e^(t Re mid)
+    or e^x, off by up to 2^-1074 rather than relatively, moves a block's
+    norm by at most about 2^-573, against w >= 2^-511 where a run is skipped
+    (:func:`semigroup_norm`); above it, by more than the margin.
     """
     with np.errstate(all="ignore"):
-        x, y, y_hi = (t * summary[key] for key in ("re", "im_lo", "im_hi"))
-        psi = np.where(y_hi <= np.pi, np.divide(
-            np.sin(y), y, out=np.ones_like(y), where=y > 0), 1.0)
-        q = np.maximum(np.where(x > 0, (np.sinh(x) / x) ** 2, 0.0), psi * psi)
-        bound = np.maximum(np.exp(2 * t * summary["ones"]),
-                           2 * np.exp(2 * t * summary["top"])
-                           + np.exp(2 * t * summary["mid"]) * (t * t) * q)
-    bound[~(summary["finite"] & np.isfinite(y_hi))] = np.nan
+        x, y_lo, y_hi = (t * summary[key] for key in ("re", "im_lo", "im_hi"))
+        gain = np.where(x > 0, np.sinh(x) / x, _lobe(y_lo, y_hi))
+        diagonal = np.exp(t * summary["top"])
+        pair = _pair_norms(diagonal, np.exp(t * summary["mid"]) * t * gain,
+                           diagonal)
+        bound = np.maximum(np.exp(2 * t * summary["ones"]), pair * pair)
+        small = np.maximum(np.exp(x), t * gain) <= 2.0 ** 500
+    bound[~(summary["finite"] & np.isfinite(y_hi) & small)] = np.nan
     return bound
 
 
@@ -466,7 +486,7 @@ def _moduli(model: Model, ones: slice, twos: slice, t: float,
         u, l = carrier * grow, carrier / grow
         top = np.hypot(np.sinh(x), np.sin(t * d.imag))
     corner = np.divide(top, size, out=np.full(d.shape, float(t)),
-                       where=size >= _TINY)
+                       where=~(size < _TINY))  # NaN where |d| is
     corner *= carrier
     return np.exp(t * model.scalars[ones].real), u, corner, l
 
@@ -484,12 +504,23 @@ def semigroup_norm(model: Model, t: float) -> float:
 
     The runs of :meth:`Model.chunked` go in descending order of their bound
     at t (:func:`_chunk_bounds`).  A run whose bound is below
-    (1 - 1e-9) w^2, w the supremum so far (the margin of :func:`_prune`,
-    w^2 >= tiny), cannot reach w and is skipped whole, its moduli never
-    formed; the others are pruned below w by :func:`_sup_norm`.  So the
-    result is the supremum of all block norms to the last bit.  This is the
-    Euclidean norm whatever norm the model is measured in.  It raises
-    ``ValueError`` naming t where the supremum is not finite.
+    (1 - 1e-12) w^2, w the supremum so far (w^2 >= tiny), cannot reach w
+    and is skipped whole, its moduli never formed; the others are pruned
+    below w by :func:`_sup_norm`.  So the result is the supremum of all
+    block norms to the last bit.  The margin covers the rounding of the
+    bound against the moduli, whose exponents are rounded apart: fl(t a)
+    is off t a by eps/2 |t a|, and each exp, product, sum and hypot adds an
+    ulp or two.  Where a bound is finite, |t Re mid| <= 710 for a normal
+    carrier, |t Re d| <= 347 and |t E| <= 710 (E = Re mid + |Re d|, itself
+    rounded), so a computed norm exceeds the exact one by at most
+    eps/2 (710 + 347) ~ 1.2e-13 relative, and the exact bound's root the
+    computed one by eps 710 ~ 1.6e-13: about 5.6e-13 on squares, inside
+    the margin with room for the ulps.  A subnormal carrier is covered by
+    :func:`_chunk_bounds`, and an overflowing or NaN bound is never below
+    the margin, so its run is evaluated.  This is the Euclidean norm
+    whatever norm the model is measured in.  It raises ``ValueError``
+    naming t where the supremum is not finite, also where a half-gap is
+    NaN (its corner is NaN).
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
@@ -498,7 +529,7 @@ def semigroup_norm(model: Model, t: float) -> float:
     runs = list(chunks(model.scalars.size, model.mid.size))
     norm = 0.0
     for k in np.argsort(-bounds, kind="stable").tolist():
-        if norm * norm >= _TINY and bounds[k] < (1.0 - 1e-9) * norm * norm:
+        if norm * norm >= _TINY and bounds[k] < (1.0 - 1e-12) * norm * norm:
             continue
         # np.maximum keeps a NaN of any chunk; max(1.0, nan) is 1.0.
         norm = float(np.maximum(norm, _sup_norm(*_moduli(

@@ -370,3 +370,44 @@ def test_shipped_config_hypotheses_imply_conclusion(name, tmp_path):
     statuses = {key: v.status for key, v in report.verdicts.items()}
     if all(statuses[key] == "PASS" for key in HYPOTHESES):
         assert statuses["conclusion_decay"] == "PASS", statuses
+
+
+@st.composite
+def _random_rows(draw):
+    """A FAMILIES row drawn as in ROADMAP item 10: 2x2 blocks with
+    mid = i s n + r/n and a half-gap a/n^p that is imaginary, zero, real or
+    complex, n = 2, ..., max_index, and up to two 1x1 blocks.  Every real
+    part drawn is 0 or at least 1e-3 in size, far above rounding."""
+    part = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+    spacing, real = draw(st.floats(0.5, 3.0)), draw(part)
+    kind = draw(st.sampled_from(["imaginary", "zero", "real", "complex"]))
+    unit = {"imaginary": 1j, "zero": 0.0, "real": 1.0,
+            "complex": complex(draw(part), 1.0)}[kind]
+    gap = unit * draw(st.floats(1e-3, 1.0))
+    power = draw(st.integers(1, 2))
+    scalars = np.array([complex(draw(part), draw(st.floats(-3.0, 3.0)))
+                        for _ in range(draw(st.integers(0, 2)))],
+                       dtype=complex)
+
+    def table(max_index):
+        n = np.arange(2, max_index + 1, dtype=float)
+        return (scalars, 1j * spacing * n + real / n,
+                np.full(n.size, complex(gap)) / n ** power)
+    return dataclasses.replace(models.FAMILIES[Family.JORDAN_PAIRS],
+                               table=table)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(row=_random_rows())
+def test_an_eigenvalue_right_of_the_axis_fails_translation(row):
+    # ROADMAP item 10, clause 1: Re lambda > 0 gives log f(t) >= t Re lambda,
+    # so f(t + s) / f(s) cannot tend to 1, whatever the window shows.
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.dict(models.FAMILIES, {Family.JORDAN_PAIRS: row}):
+        cfg = parse_config("model.family = JORDAN_PAIRS\nmodel.mu = 1+0.37j\n"
+                           "grid.t_min = 1.0\ngrid.t_max = 60.0\n"
+                           f"grid.points = 16\noutput.directory = {out}\n")
+        report = run_theorem_check(cfg)
+    scalars, mid, half_gap = row.table(cfg.model.max_index)
+    if np.concatenate([scalars, mid + half_gap, mid - half_gap]).real.max() > 0:
+        assert report.verdicts["envelope_translation"].status == "FAIL"

@@ -480,26 +480,31 @@ def _evaluated_runs(monkeypatch, m, t):
 
 
 def test_semigroup_norm_skips_all_but_the_chunks_of_near_ties(monkeypatch):
-    # jordan_pairs_t2000 at t = 100.  Chunk 0 (n <= 16385) has t/n up to
-    # 50 > pi, so its bound is 2 + t^2 and it goes first.  The last chunk
-    # (n >= 98306), of bound 2 + (t sinc(t/100000))^2, comes next.  Its
+    # jordan_pairs_t2000 at t = 100.  Each chunk's bound is the squared norm
+    # of [[1, t psi], [0, 1]], psi = sinc(t/b), b its largest n: chunk 0
+    # (n <= 16385) has t/n up to 50 > pi, but sinc(t/16385) is above 1/pi.
+    # The last chunk (b = 100000) has the largest bound and goes first.  Its
     # block of largest F keeps only blocks with s1 within s2^2 / 2v (about
     # 5e-7) of v: the 1610 with n > 98390, that block among them and
-    # evaluated once.  That supremum is above the bound
-    # 2 + (b sin(t/b))^2 of every other chunk, b its largest n, so they are
-    # skipped whole, and it is the unpruned supremum bitwise.
+    # evaluated once.  That supremum is above every other chunk's bound, so
+    # they are skipped whole, and it is the unpruned supremum bitwise.
     m = _model(Family.JORDAN_PAIRS, 100000)
-    pair_norms, evaluated = models._pair_norms, []
+    pair_norms, chunk_bounds = models._pair_norms, models._chunk_bounds
+    evaluated = []
 
     def counted(u, c, l):
         evaluated.append(np.size(u))
         return pair_norms(u, c, l)
 
+    def uncounted(summary, t):  # the bound's one call per chunk
+        with patch.object(models, "_pair_norms", pair_norms):
+            return chunk_bounds(summary, t)
+
     monkeypatch.setattr(models, "_pair_norms", counted)
+    monkeypatch.setattr(models, "_chunk_bounds", uncounted)
     got, runs = _evaluated_runs(monkeypatch, m, 100.0)
-    assert runs == [0, 6 * models.CHUNK]
-    # Chunk 0 keeps 7 blocks beside its top one; the last chunk, 1610.
-    assert evaluated == [1, 7, 1, 1609]
+    assert runs == [6 * models.CHUNK]
+    assert evaluated == [1, 1609]
     assert got == sup_block_norm_unpruned(semigroup_moduli(m, 100.0))
 
 
@@ -911,22 +916,83 @@ def test_semigroup_norm_is_the_unpruned_supremum_bitwise(m, t, size):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(m=_bound_tables(), t=_TIMES, size=st.sampled_from([1, 2, 7]))
 def test_each_chunk_bound_is_above_its_blocks(m, t, size):
-    # Within rounding, far inside the 1e-9 margin of a skip, of every squared
-    # Frobenius norm from tiny up; no bound (NaN) or inf where one is NaN.
+    # Within rounding, inside the 1e-12 margin of a skip, of every squared
+    # block norm from tiny up; no bound (NaN) or inf where one is NaN.
     moduli = semigroup_moduli(m, t)
     with np.errstate(all="ignore"):
-        frob = np.concatenate([moduli.scalars ** 2, moduli.upper ** 2
-                               + moduli.corner ** 2 + moduli.lower ** 2])
+        norms = np.concatenate([moduli.scalars, models._pair_norms(
+            moduli.upper, moduli.corner, moduli.lower)]) ** 2
     with patch.object(models, "CHUNK", size):
         bounds = models._chunk_bounds(m.summary(), t)
         runs = list(models.chunks(m.scalars.size, m.mid.size))
     assert bounds.size == len(runs)
     for bound, (ones, twos) in zip(bounds.tolist(), runs):
-        worst = np.max(np.concatenate([frob[ones], frob[m.scalars.size:][twos]]))
+        worst = np.max(np.concatenate([norms[ones], norms[m.scalars.size:][twos]]))
         if np.isnan(worst):
             assert not bound < np.inf
         elif worst >= np.finfo(float).tiny:
-            assert not bound < (1.0 - 1e-10) * worst, (bound, worst)
+            assert not bound < (1.0 - 1e-13) * worst, (bound, worst)
+
+
+def _sinc(y):
+    return np.divide(np.sin(y), y, out=np.ones_like(y), where=y > 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(y_lo=st.floats(0.0, 40.0), width=st.floats(0.0, 40.0),
+       at=st.floats(0.0, 1.0))
+# Just below pi, where sinc(y_lo) is near 0 and the second lobe is not.
+@example(y_lo=3.14, width=2.0, at=0.66)
+@example(y_lo=0.0, width=np.pi, at=1.0)
+def test_the_lobe_bound_is_above_sinc_on_its_interval(y_lo, width, at):
+    # Within the interval [y_lo, y_hi], also across pi and past it.
+    y_hi = y_lo + width
+    y = min(y_lo + at * width, y_hi)
+    with np.errstate(all="ignore"):  # 1 / y_lo where it is not taken
+        psi = models._lobe(np.array([y_lo]), np.array([y_hi]))[0]
+    assert psi * psi >= _sinc(np.array([y]))[0] ** 2 * (1.0 - 1e-15)
+
+
+def test_semigroup_norm_forms_one_chunk_per_grid_time_or_so(monkeypatch):
+    # jordan_pairs_t2000 over its 24 geometric grid times: the bound leaves
+    # one chunk per time, and two at one of them (25 of 168 chunk passes;
+    # 112 with the squared Frobenius norm as the bound).
+    m = _model(Family.JORDAN_PAIRS, 100000)
+    moduli, runs = models._moduli, []
+
+    def counted(*args):
+        runs.append(1)
+        return moduli(*args)
+
+    monkeypatch.setattr(models, "_moduli", counted)
+    for t in np.geomspace(1.0, 2000.0, 24).tolist():
+        models.semigroup_norm(m, t)
+    assert len(runs) == 25
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_subnormal_carrier_keeps_its_chunk_evaluated():
+    # e^(t Re mid) = e^-740 is subnormal, up to 0.6% off its exact value,
+    # and e^(t Re d) = e^709.7 carries that into u ~ e^-30.3.  A 1x1 block
+    # just below the computed u, but above the exact e^tE, must not hide
+    # it.
+    t = 1e-3
+    pair = _table([], [-740.0 / t], [709.7 / t])
+    top = sup_block_norm_unpruned(semigroup_moduli(pair, t))
+    m = _table([np.log(top * (1.0 - 1e-5)) / t], pair.mid, pair.half_gap)
+    with patch.object(models, "CHUNK", 1):
+        assert models.semigroup_norm(m, t) == top
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("size", [1, 16384])
+def test_semigroup_norm_raises_on_a_half_gap_with_a_nan_imaginary_part(size):
+    # |d| is NaN, so its corner must be NaN, not the t of a d below tiny.
+    m = _table([], [1j, 2j], [complex(0.0, np.nan), 0.5j])
+    assert np.isnan(evolve_blocks(m, 1.0).sup_singular_value())
+    with patch.object(models, "CHUNK", size):
+        with pytest.raises(ValueError, match="nan at t = 1.0 is not finite"):
+            models.semigroup_norm(m, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -19,10 +19,10 @@ The passes over the whole table that a theorem-check repeats run in chunks
 of :data:`CHUNK` blocks (:func:`chunks`, :meth:`Model.chunked`), so that none
 holds a dim-sized temporary: the Euclidean norm of T(t), block norms and the
 lowest eigenvalues (:func:`lowest_eigenvalues`, which never sorts the table
-whole).  A few numbers per chunk (:meth:`Model.summary`) bound its blocks of
-T(t) at any t, so that the norm skips chunks whole, and give the spectral
-bound (:func:`spectral_bound`).  The resolvent and the weighted norms take
-the table whole.
+whole).  A few numbers per chunk (:attr:`Model.summary`) bound its blocks of
+T(t) at any t, so that the norm leaves chunks out whole, and give the
+spectral bound (:func:`spectral_bound`).  The resolvent and the weighted
+norms take the table whole.
 
 Everything here is a pure function of its inputs.  Every operator derived
 from a table keeps the 2x2 blocks upper triangular, so :class:`BlockDiagonal`
@@ -33,8 +33,7 @@ kernel in :mod:`linalg` takes the entries of a diagonal one.
 with the dimension cap; :func:`evolve_blocks` is the one way to T(t), and
 :func:`norm_curve` the one for the pair t -> ||T(t)||, ||T(t) X||; in the
 Euclidean norm each value is a supremum over blocks, and :func:`_prune` is
-the one rule for which blocks it evaluates (after whole chunks of T(t) are
-skipped by their bound, :func:`semigroup_norm`).
+the one rule for which runs and blocks it evaluates.
 """
 
 from __future__ import annotations
@@ -139,16 +138,11 @@ class Model:
     multiplicity = property(lambda self: self._distinct[1])
 
     @functools.cached_property
-    def _summaries(self) -> dict:
-        return {}
-
     def summary(self) -> np.ndarray:
         """One :data:`_SUMMARY` row per run of :meth:`chunked`, formed a run
-        at a time on first read, and kept per :data:`CHUNK`."""
-        if CHUNK not in self._summaries:
-            self._summaries[CHUNK] = np.array(
-                [_summarize(part) for *_, part in self.chunked()], dtype=_SUMMARY)
-        return self._summaries[CHUNK]
+        at a time on first read."""
+        return np.array([_summarize(part) for *_, part in self.chunked()],
+                        dtype=_SUMMARY)
 
     @property
     def dim(self) -> int:
@@ -296,39 +290,49 @@ def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
     return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
 
 
-def _prune(bound_sq: np.ndarray, norm_at: Callable[[int], float],
-           floor: float = 0.0) -> tuple:
-    """Which blocks a supremum of block norms must evaluate.
+def _prune(bound_sq: np.ndarray, sup_on: Callable[[np.ndarray], float]) -> float:
+    """The supremum of a set of norms, from the items that can attain it.
 
-    ``bound_sq[k]`` bounds the squared norm of block k, which ``norm_at(k)``
-    evaluates; ``floor`` is a norm attained elsewhere.  Returns
-    ``(v, others)``: v is the norm of the block of largest bound and
-    ``others`` masks the other blocks with bound at least (1 - 1e-9) w^2,
-    w = max(v, floor); no block left out can exceed w.  Squared after any
-    product, bounds near w^2 >= tiny are within a few ulps of exact, as are
-    norms: far inside 1e-9, so the supremum is kept to the last bit.  All are
-    kept if w^2 < tiny, or (v = 0) if the top bound is NaN or not normal;
-    none (v = 0) if no bound reaches floor.
+    ``bound_sq[k]`` bounds the squared norm of item k (a block, or a run of
+    blocks), and ``sup_on(index)`` is the supremum of the norms of the items
+    ``index``, NaN if one is.  It evaluates the item of largest bound, of
+    norm v, then every other item whose bound is not below (1 - 1e-12) v^2,
+    each once; no item left out can exceed v.  A NaN is kept, and every item
+    is evaluated where the top bound is NaN, infinite or not normal, or
+    where v^2 < tiny.
+
+    The margin covers the rounding of a bound against the norm it bounds
+    where the two are computed apart, as a run's bound and its moduli are,
+    their exponents rounded apart: fl(t a) is off t a by eps/2 |t a|, and
+    each exp, product, sum and hypot adds an ulp or two.  Where a bound is
+    finite, |t Re mid| <= 710 for a normal carrier exp(t Re mid),
+    |t Re d| <= 347 and |t E| <= 710 (E = Re mid + |Re d|, itself rounded),
+    so a computed norm exceeds the exact one by at most
+    eps/2 (710 + 347) ~ 1.2e-13 relative, and the exact bound's root the
+    computed one by eps 710 ~ 1.6e-13: about 5.6e-13 on squares
+    (:func:`_chunk_bounds`), inside the margin with room for the ulps.  The
+    two corner terms of a block of T(t) X share the carrier exp(t mid), so
+    a product block is off by no more; Frobenius bounds are a few ulps from
+    exact.
     """
     top = np.max(bound_sq, initial=0.0)
-    if not _TINY <= top < np.inf:
-        return 0.0, np.ones(bound_sq.shape, dtype=bool)
-    if top < (1.0 - 1e-9) * floor * floor:
-        return 0.0, np.zeros(bound_sq.shape, dtype=bool)
-    at = int(np.argmax(bound_sq))
-    v = float(norm_at(at))
-    w = max(v, floor)
-    others = bound_sq >= ((1.0 - 1e-9) * w * w if w * w >= _TINY else 0.0)
-    others[at] = False
-    return v, others
+    keep = np.ones(bound_sq.shape, dtype=bool)
+    v = 0.0
+    if _TINY <= top < np.inf:
+        at = int(np.argmax(bound_sq))
+        v = float(sup_on(np.array([at])))
+        if v * v >= _TINY:
+            keep = bound_sq >= (1.0 - 1e-12) * v * v
+        keep[at] = False
+    rest = np.flatnonzero(keep)
+    # np.maximum keeps a NaN; max(1.0, nan) is 1.0.
+    return float(np.maximum(v, sup_on(rest))) if rest.size else v
 
 
 def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
-              l: np.ndarray, floor: float = 0.0) -> float:
+              l: np.ndarray) -> float:
     """Supremum of the norms of the 1x1 blocks ``s`` and the 2x2 blocks
     [[u, c], [0, l]], from the moduli of their entries; NaN if one is.
-    Where it is at most ``floor``, a norm attained elsewhere, it may read
-    less (:func:`_prune`).
 
     A block's singular values satisfy s1 +- s2 = hypot(u +- l, c), from
     s1 s2 = u l and s1^2 + s2^2 = u^2 + c^2 + l^2 = F; their mean avoids the
@@ -336,10 +340,8 @@ def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
     """
     with np.errstate(over="ignore"):
         frob = u * u + c * c + l * l
-    v, others = _prune(frob, lambda k: _pair_norms(u[k], c[k], l[k]), floor)
-    u, c, l = u[others], c[others], l[others]  # frees the unpruned moduli
-    return float(np.max([v, np.max(s, initial=0.0),
-                         np.max(_pair_norms(u, c, l), initial=0.0)]))
+    pairs = _prune(frob, lambda k: np.max(_pair_norms(u[k], c[k], l[k])))
+    return float(np.maximum(np.max(s, initial=0.0), pairs))
 
 
 @dataclass(frozen=True)
@@ -417,7 +419,11 @@ def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
     carrier = np.exp(t * model.mid)
     gain = np.expm1(t * d)
     grow = np.exp(t * d)
-    corner = np.divide(gain * (2.0 + gain), 2.0 * d * grow,
+    # np.multiply, not a * (b + c): from 16384 complex entries on numpy
+    # evaluates that as (b + c) *= a, which rounds differently, so a block
+    # would depend on the length of the table.
+    corner = np.divide(np.multiply(gain, 2.0 + gain),
+                       np.multiply(2.0 * d, grow),
                        out=np.full(d.shape, t, dtype=complex),
                        where=np.abs(d) >= _TINY)
     corner = corner * carrier
@@ -439,7 +445,7 @@ def _lobe(y_lo: np.ndarray, y_hi: np.ndarray) -> np.ndarray:
 
 
 def _chunk_bounds(summary: np.ndarray, t: float) -> np.ndarray:
-    """Per row of a :meth:`Model.summary`, a bound on the squared norms of
+    """Per row of a :attr:`Model.summary`, a bound on the squared norms of
     its run's blocks of T(t): the larger of e^2tS and the squared norm of
     [[e^tE, e^tR t g], [0, e^tE]], S = ``ones``, E = ``top``, R = ``mid``.
 
@@ -451,12 +457,13 @@ def _chunk_bounds(summary: np.ndarray, t: float) -> np.ndarray:
     a nonnegative 2x2 matrix grows with its entries, so the block's norm is
     at most the pair's.
 
-    NaN (no run is skipped by it) where an entry is not finite, t |Im d|
-    overflows, an overflow meets an underflow (also at t = 0 for an empty
-    part), or e^X or t g exceeds 2^500.  Below that, a subnormal e^(t Re mid)
-    or e^x, off by up to 2^-1074 rather than relatively, moves a block's
-    norm by at most about 2^-573, against w >= 2^-511 where a run is skipped
-    (:func:`semigroup_norm`); above it, by more than the margin.
+    NaN (then every run is evaluated, :func:`_prune`) where an entry is not
+    finite, t |Im d| overflows, an overflow meets an underflow (also at
+    t = 0 for an empty part), or e^X or t g exceeds 2^500.  Below that, a
+    subnormal e^(t Re mid) or e^x, off by up to 2^-1074 rather than
+    relatively, moves a block's norm by at most about 2^-573, against
+    v >= 2^-511 where a run is left out (:func:`_prune`); above it, by more
+    than the margin.
     """
     with np.errstate(all="ignore"):
         x, y_lo, y_hi = (t * summary[key] for key in ("re", "im_lo", "im_hi"))
@@ -502,38 +509,21 @@ def semigroup_norm(model: Model, t: float) -> float:
     complex T(t) is formed.  Where every real part of a run's mid and d is
     zero, its moduli are 1, |sin(t Im d)| / |d| and 1, with no exp or sinh.
 
-    The runs of :meth:`Model.chunked` go in descending order of their bound
-    at t (:func:`_chunk_bounds`).  A run whose bound is below
-    (1 - 1e-12) w^2, w the supremum so far (w^2 >= tiny), cannot reach w
-    and is skipped whole, its moduli never formed; the others are pruned
-    below w by :func:`_sup_norm`.  So the result is the supremum of all
-    block norms to the last bit.  The margin covers the rounding of the
-    bound against the moduli, whose exponents are rounded apart: fl(t a)
-    is off t a by eps/2 |t a|, and each exp, product, sum and hypot adds an
-    ulp or two.  Where a bound is finite, |t Re mid| <= 710 for a normal
-    carrier, |t Re d| <= 347 and |t E| <= 710 (E = Re mid + |Re d|, itself
-    rounded), so a computed norm exceeds the exact one by at most
-    eps/2 (710 + 347) ~ 1.2e-13 relative, and the exact bound's root the
-    computed one by eps 710 ~ 1.6e-13: about 5.6e-13 on squares, inside
-    the margin with room for the ulps.  A subnormal carrier is covered by
-    :func:`_chunk_bounds`, and an overflowing or NaN bound is never below
-    the margin, so its run is evaluated.  This is the Euclidean norm
-    whatever norm the model is measured in.  It raises ``ValueError``
-    naming t where the supremum is not finite, also where a half-gap is
-    NaN (its corner is NaN).
+    :func:`_prune` picks the runs of :meth:`Model.chunked` to evaluate by
+    their bounds at t (:func:`_chunk_bounds`), and within each run the
+    blocks by their Frobenius norms (:func:`_sup_norm`); a run left out is
+    never formed.  So the result is the supremum of all block norms to the
+    last bit.  This is the Euclidean norm whatever norm the model is
+    measured in.  It raises ``ValueError`` naming t where the supremum is
+    not finite, also where a half-gap is NaN (its corner is NaN).
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
-    summary = model.summary()
-    bounds = _chunk_bounds(summary, t)
+    summary = model.summary
     runs = list(chunks(model.scalars.size, model.mid.size))
-    norm = 0.0
-    for k in np.argsort(-bounds, kind="stable").tolist():
-        if norm * norm >= _TINY and bounds[k] < (1.0 - 1e-12) * norm * norm:
-            continue
-        # np.maximum keeps a NaN of any chunk; max(1.0, nan) is 1.0.
-        norm = float(np.maximum(norm, _sup_norm(*_moduli(
-            model, *runs[k], t, summary["imaginary"][k]), floor=norm)))
+    norm = _prune(_chunk_bounds(summary, t), lambda index: np.max([
+        _sup_norm(*_moduli(model, *runs[k], t, summary["imaginary"][k]))
+        for k in index.tolist()]))
     if not math.isfinite(norm):
         raise ValueError(f"||T(t)|| = {norm!r} at t = {t!r} is not finite")
     return norm
@@ -541,9 +531,9 @@ def semigroup_norm(model: Model, t: float) -> float:
 
 def spectral_bound(model: Model) -> tuple:
     """The table's spectral bound max Re lambda, exact, from
-    :meth:`Model.summary`, and an eigenvalue attaining it where it is
+    :attr:`Model.summary`, and an eigenvalue attaining it where it is
     positive (one pass in chunks), else None."""
-    summary = model.summary()
+    summary = model.summary
     bound = float(np.max(np.maximum(summary["ones"], summary["top"]),
                          initial=-np.inf))
     if not bound > 0:
@@ -671,13 +661,8 @@ def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
         return (semi @ factor.take(index)).sup_singular_value()
 
     norms = factor.block_norms()
-    out = np.empty(ts.size)
-    for i, (t, top) in enumerate(zip(ts.tolist(), bound.tolist())):
-        v, others = _prune((norms * top) ** 2,
-                           lambda k: norm_on(np.array([k]), t))
-        rest = np.flatnonzero(others)
-        out[i] = np.maximum(v, norm_on(rest, t)) if rest.size else v
-    return out
+    return np.array([_prune((norms * top) ** 2, lambda k: norm_on(k, t))
+                     for t, top in zip(ts.tolist(), bound.tolist())])
 
 
 def truncation(family: Family, t_max: float, order: int = 1,

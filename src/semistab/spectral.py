@@ -131,12 +131,14 @@ class DecayCurve:
 def _geometric(q: np.ndarray, n: int):
     """q^n and 1 + q + ... + q^(n-1) by binary splitting, in about 2 log2(n)
     array products: S_2m = S_m (1 + q^m) and S_(2m+1) = S_2m + q^2m.
-    Complex products are out of place: numpy rounds an in-place one on a
-    single element differently, and a sum must not depend on its blocks.
+    Complex products are out of place: numpy rounds an in-place one
+    differently, and a sum must not depend on its blocks.  ``np.multiply``
+    keeps them so where numpy would evaluate a * (b + c) as (b + c) *= a,
+    from 16384 entries (256 KiB) on.
     """
     power, total = q, np.ones_like(q)
     for bit in bin(n)[3:]:
-        total = total * (1.0 + power)
+        total = np.multiply(total, 1.0 + power)
         power = power * power
         if bit == "1":
             total += power
@@ -241,7 +243,7 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     for doubled in (False, True):
         if doubled:
             powers = [(power * power, outside) for power, outside in powers]
-            scale = scale * (1.0 + q_power)
+            scale = np.multiply(scale, 1.0 + q_power)
         (h_s, _), (h_a, g_a), (h_b, g_b) = (_filter(*p) for p in powers)
         g_a = g_a * h_b
         g_b = g_b * h_a
@@ -257,7 +259,7 @@ def _build_report(model: Model, support: BlockDiagonal, index: np.ndarray,
     idem = (support @ support - support).sup_singular_value()
     part = model.take(index)
     # Block k of A P - P A is [[0, g_k], [0, 0]]; 1x1 blocks commute.
-    comm = np.max(np.abs(support.corner * (part.upper - part.lower)
+    comm = np.max(np.abs(np.multiply(support.corner, part.upper - part.lower)
                          - (support.upper - support.lower)), initial=0.0)
     tr = support.trace()
     rank = round(tr.real)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -463,6 +464,35 @@ def test_theorem_check_never_reads_the_spectrum(tmp_path, monkeypatch, family):
     text = JP_TEXT.format(out=tmp_path).replace("JORDAN_PAIRS", family)
     report = run_theorem_check(parse_config(text))
     assert report.verdicts["hypothesis_b_decay"].metrics["checked"] == 5
+
+
+@pytest.mark.parametrize("scalars", [[1j, 1j + 1e-7],
+                                     [1j, 1j + 1e-7, 3j - 0.5]])
+def test_theorem_check_skips_clustered_eigenvalues(tmp_path, monkeypatch,
+                                                   scalars):
+    # 1j and 1j + 1e-7 admit no isolating circle: each is skipped by name,
+    # and with no other eigenvalue the verdict is SKIPPED.
+    table = (np.array(scalars), np.zeros(0, dtype=complex),
+             np.zeros(0, dtype=complex))
+    row = models.FAMILIES[Family.DIAG_JORDAN]
+    monkeypatch.setitem(models.FAMILIES, Family.DIAG_JORDAN,
+                        dataclasses.replace(row, table=lambda _: table))
+    text = JP_TEXT.format(out=tmp_path).replace("JORDAN_PAIRS", "DIAG_JORDAN")
+    verdict = run_theorem_check(parse_config(text)).verdicts[
+        "hypothesis_b_decay"]
+    named = [experiments.format_complex(z) for z in scalars[:2]]
+    assert verdict.metrics["skipped_eigenvalues"] == named
+    if len(scalars) == 2:
+        assert verdict.status == SKIPPED
+        assert all(name in verdict.detail for name in named)
+    else:
+        assert (verdict.metrics["checked"], verdict.metrics["skipped"]) == (1, 2)
+
+
+def test_atomic_write_leaves_no_temporary_file_after_a_failed_write(tmp_path):
+    with pytest.raises(TypeError):
+        experiments._atomic_write_text(str(tmp_path / "out.txt"), object())
+    assert os.listdir(tmp_path) == []
 
 
 def test_weighted_simulate_peak_memory(tmp_path):

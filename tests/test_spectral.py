@@ -139,6 +139,16 @@ def test_quadrature_nonconverged_when_pole_hugs_contour():
         riesz_projection_quadrature(m, Contour(center, radius, nodes=16))
 
 
+def test_quadrature_with_a_loose_drift_tolerance_checks_the_trace():
+    # The same near-singular circle, with node doubling let through: the
+    # trace of the sum is far from an integer, and that raises instead.
+    m = _model(Family.LOG_SPECTRUM, 6)
+    lo, hi = 1j * np.log(2), 1j * np.log(3)
+    contour = Contour((lo + hi) / 2.0, abs(hi - lo) / 2.0 - 2e-6, nodes=16)
+    with pytest.raises(NonconvergedError, match="not within 1e-06 of an integer"):
+        riesz_projection_quadrature(m, contour, drift_tol=np.inf)
+
+
 def test_closed_projection_jordan_block_is_block_identity():
     m = _model(Family.DIAG_JORDAN, 3)
     eigs = eigenvalues(m)
@@ -331,6 +341,17 @@ def test_hypothesis_b_rejects_an_envelope_that_is_not_finite_and_positive(bad):
                            lambda t: bad if t > 3.0 else 1.0)
 
 
+def test_hypothesis_b_fails_on_a_single_surviving_sample():
+    # T(t) P = e^(-40 t) P falls below the residue floor after the first
+    # time: one sample cannot carry a trend.
+    m = _with_table(_DJ, [1j, 2j - 40.0], [], [])
+    proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 2j - 40.0))
+    curve = hypothesis_b_check(m, proj, _semi(m, [0.1, 5.0, 10.0]),
+                               lambda t: 1.0)
+    assert curve.values[0] > 0.0
+    assert curve.slope is None and not curve.decaying
+
+
 def test_hypothesis_b_needs_semigroup_norm_samples():
     m = _model(Family.JORDAN_PAIRS, 3)
     proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 2.5j))
@@ -474,6 +495,10 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
 @given(family=st.sampled_from(list(Family)), t_max=st.floats(0.05, 20.0),
        points=st.integers(1, 12), mu_re=st.floats(0.05, 3.0),
        mu_im=st.floats(-5.0, 30.0))
+# 19999 blocks, past the 16384 complex entries from which numpy evaluates
+# a * (b + c) as (b + c) *= a.
+@example(family=Family.JORDAN_PAIRS, t_max=400.0, points=24, mu_re=1.0,
+         mu_im=0.0)
 def test_resolvent_curve_matches_full_evaluation(family, t_max, points,
                                                  mu_re, mu_im):
     # The order-0 rows of sample_norms at an adequate truncation, at the
@@ -723,6 +748,11 @@ def _support_cases(draw):
 # z = 68000 with r = 1e-6 a diagonal below tiny but a corner of 1.6e-306.
 @example(case=(_with_table(_DJ, [30000.0], [], []), Contour(0j, 0.5, 64)))
 @example(case=(_with_table(_DJ, [], [0.068], [0j]), Contour(0j, 1e-6, 64)))
+# 39999 blocks, past the 16384 complex entries from which numpy evaluates
+# a * (b + c) as (b + c) *= a, against supports of 4806 and 4557.
+@example(case=(_model(Family.JORDAN_PAIRS, 40000),
+               Contour(0.3 + 20j, 300.0, 256)))
+@example(case=(_model(Family.JORDAN_PAIRS, 40000), Contour(0.3 + 20j, 0.07)))
 def test_quadrature_on_the_support_is_the_whole_table_sum(case):
     # Off the support both sums are exactly 0 on the whole table, and on it
     # the sums of the support alone are the same to the last bit.

@@ -619,12 +619,12 @@ def norm_curve(model: Model, ts: np.ndarray, x: BlockDiagonal, tol: float,
     """The curves t -> ||T(t)|| and t -> ||T(t) X|| in the model's norm, as
     the pair ``(semi, prod)``; ``semi``, when given, is taken as the first.
 
-    At order 0 the model may be a part (:meth:`Model.take`), X being 0 off
+    At order 0 only, the model may be a part (:meth:`Model.take`), X 0 off
     it; ||T(t)|| comes from the block moduli (:func:`semigroup_norm`) and
-    bounds :func:`_certified_curve`, so no whole T(t) is formed.  The
-    weighted norms take a diagonal X (``ValueError`` for 2x2 blocks) and
-    one :class:`linalg.Workspace` per curve: at each grid time T(t) is
-    written into its ``diag`` (:func:`evolve_blocks`), its norm taken
+    bounds :func:`_certified_curve`, so no whole T(t) is formed.  A weighted
+    model must be the whole truncation, X diagonal (``ValueError`` for 2x2
+    blocks), with one :class:`linalg.Workspace` per curve: at each grid time
+    T(t) is written into its ``diag`` (:func:`evolve_blocks`), its norm taken
     unless ``semi`` is given, X multiplied in in place, and the norm of
     T(t) X taken, so no dim-sized array is allocated per grid time."""
     if model.norm_order == 0:

@@ -12,7 +12,8 @@ defects are read off its blocks and the spectral table; no semigroup is
 evaluated to build one.
 
 A projection is computed and held on its support, the blocks with an
-eigenvalue at |z| < R(N, r), z = (lam - c) / r.  Beyond R, every entry of
+eigenvalue at |z| < R(N, r), z = (lam - c) / r, or every block on a weighted
+model, whose norm couples every coordinate.  Beyond R, every entry of
 the N- and 2N-node sums, at most |z|^-N / (1 - |z|^-N) on the diagonal and
 |h(z_s)| N / (r |z_l| (1 - |z_l|^-N)) in the corner, is below tiny / 2, so
 0 once flushed (tiny the smallest normal float, 2 the rounding margin).
@@ -27,7 +28,6 @@ chunks of :meth:`models.Model.chunked`; the sorted spectrum is never formed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,28 +94,16 @@ class ProjectionReport:
     c_k(t) g_k, c_k(t) the corner of T(t): P commutes with the semigroup iff
     the defect is 0.  ``drift`` is the node-doubling drift of a quadrature;
     closed forms have none.  P is ``support`` on the blocks ``index``
-    (ascending, 1x1 first) of ``sizes`` = (1x1 blocks, 2x2 blocks), else 0;
-    ``blocks``, P on the full dimension, is formed on first use.
+    (ascending, 1x1 first; every block on a weighted model), else 0.
     """
 
     support: BlockDiagonal
     index: np.ndarray
-    sizes: tuple
     idempotency_defect: float
     commutation_defect: float
     rank: int
     enclosed: tuple
-    drift: float = 0.0
-
-    @functools.cached_property
-    def blocks(self) -> BlockDiagonal:
-        (count, pairs), p = self.sizes, self.support
-        split = np.searchsorted(self.index, count)
-        scalars = np.zeros(count, dtype=complex)
-        scalars[self.index[:split]] = p.scalars
-        rows = np.zeros((3, pairs), dtype=complex)
-        rows[:, self.index[split:] - count] = p.upper, p.corner, p.lower
-        return BlockDiagonal(scalars, *rows)
+    drift: float
 
 
 @dataclass(frozen=True)
@@ -177,13 +165,15 @@ def _flush_subnormal(op: BlockDiagonal) -> BlockDiagonal:
 
 
 def _support(model: Model, contour: Contour) -> tuple:
-    """The support, the blocks with an eigenvalue at |z| < R(N, r)
-    (ascending, 1x1 first), the distinct eigenvalues inside the circle in
-    spectral order, and the closest approach of an eigenvalue to the circle,
-    from one pass over the table in chunks."""
+    """The support, the blocks with an eigenvalue at |z| < R(N, r) (every
+    block on a weighted model; ascending, 1x1 first), the distinct enclosed
+    eigenvalues in spectral order, and the closest approach of an eigenvalue
+    to the circle, from one pass over the table in chunks."""
     # The least R with R^N and R^(N+1) r / N both at least 2 / tiny.
     n, r, flush = contour.nodes, contour.radius, np.log(2.0 / _TINY)
     reach = r * np.exp(max(flush / n, (flush + np.log(n / r)) / (n + 1)))
+    if model.norm_order > 0:  # a weighted norm couples every coordinate
+        reach = np.inf
     count, worst = model.scalars.size, np.inf
     index, inside = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     for ones, twos, part in model.chunked():
@@ -197,17 +187,6 @@ def _support(model: Model, contour: Contour) -> tuple:
                   + np.flatnonzero(near[1] | near[2])]
     enclosed = models.distinct(np.concatenate(inside))[0]
     return np.concatenate(index), tuple(enclosed.tolist()), worst
-
-
-def _enclosed(model: Model, contour: Contour) -> tuple:
-    """The support and the eigenvalues inside the circle (:func:`_support`),
-    if none is within the margin."""
-    index, enclosed, worst = _support(model, contour)
-    if worst < CONTOUR_MARGIN:
-        raise ContourTooCloseError(
-            f"an eigenvalue lies within {worst:.3e} of the contour "
-            f"(margin {CONTOUR_MARGIN})")
-    return index, enclosed
 
 
 def _quadrature_sum(model: Model, contour: Contour) -> tuple:
@@ -254,10 +233,9 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     return tuple(sums)
 
 
-def _build_report(model: Model, support: BlockDiagonal, index: np.ndarray,
-                  enclosed, drift: float = 0.0) -> ProjectionReport:
+def _build_report(part: Model, support: BlockDiagonal, index: np.ndarray,
+                  enclosed, drift: float) -> ProjectionReport:
     idem = (support @ support - support).sup_singular_value()
-    part = model.take(index)
     # Block k of A P - P A is [[0, g_k], [0, 0]]; 1x1 blocks commute.
     comm = np.max(np.abs(np.multiply(support.corner, part.upper - part.lower)
                          - (support.upper - support.lower)), initial=0.0)
@@ -266,9 +244,8 @@ def _build_report(model: Model, support: BlockDiagonal, index: np.ndarray,
     if abs(tr - rank) > _TRACE_INT_TOL:
         raise NonconvergedError(
             f"projection trace {tr} is not within {_TRACE_INT_TOL} of an integer")
-    return ProjectionReport(support, index, (model.scalars.size, model.mid.size),
-                            float(idem), float(comm), int(rank),
-                            tuple(enclosed), float(drift))
+    return ProjectionReport(support, index, float(idem), float(comm),
+                            int(rank), tuple(enclosed), float(drift))
 
 
 def riesz_projection_quadrature(model: Model, contour: Contour,
@@ -281,14 +258,18 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
     check, and a drift above ``drift_tol``, or not finite, raises
     :class:`NonconvergedError`.
     """
-    index, enclosed = _enclosed(model, contour)
-    p, p2 = _quadrature_sum(model.take(index), contour)
+    index, enclosed, worst = _support(model, contour)
+    if worst < CONTOUR_MARGIN:
+        raise ContourTooCloseError(f"an eigenvalue lies within {worst:.3e} of "
+                                   f"the contour (margin {CONTOUR_MARGIN})")
+    part = model.take(index)
+    p, p2 = _quadrature_sum(part, contour)
     drift = (p - p2).sup_singular_value()
     if not drift <= drift_tol:
         raise NonconvergedError(
             f"node doubling moved the projection by {drift:.3e} "
             f"(tolerance {drift_tol})")
-    return _build_report(model, p, index, enclosed, drift)
+    return _build_report(part, p, index, enclosed, drift)
 
 
 def hypothesis_a_check(model: Model, lam: complex,
@@ -336,7 +317,7 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     callable majorant f(t), which must be finite and positive on the grid
     (``ValueError`` naming the first t where it is not).  ||T(t) P|| is the
     second row of :func:`models.norm_curve`, handed ``semi`` as the first,
-    on the support of P in the Euclidean norm.
+    on the support of P: every block on a weighted model (else ValueError).
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
@@ -357,10 +338,13 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
         first = int(np.argmax(bad))
         raise ValueError(f"envelope f(t) = {f[first]!r} at t = {ts[first]!r} "
                          f"is not finite and positive")
+    blocks = model.scalars.size + model.mid.size
+    if model.norm_order > 0 and projection.index.size < blocks:
+        raise ValueError(f"a weighted norm couples every coordinate, but P "
+                         f"covers {projection.index.size} of {blocks} blocks")
     if projection.rank == 0:
         return DecayCurve(ts, np.zeros(ts.size), None, True)
-    part, proj = ((model.take(projection.index), projection.support)
-                  if model.norm_order == 0 else (model, projection.blocks))
+    part, proj = model.take(projection.index), projection.support
     norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
     values = norms / f
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(part, proj, tol=tol)

@@ -20,7 +20,8 @@ curve t -> ||T(t) X|| only on the blocks that ||T(t)|| cannot rule out;
 :func:`whole_norm_curve` takes the product on every block, and the two
 agree bitwise.  A projection's commutation defect is read off the
 generator; :func:`commutation_probe` takes the commutator with the whole
-semigroup at one time.
+semigroup at one time.  ``semistab.spectral`` holds a projection on its
+support only; :func:`whole_projection` scatters it onto the full dimension.
 
 The generator and the closed-form projections (each eigenvalue's blockwise
 indicator) are written out from the spectral table, as the references for
@@ -324,19 +325,32 @@ def riesz_projection_closed(model, eigenvalue_index: int):
     lam = complex(model.spectrum[eigenvalue_index])
     return spectral._build_report(
         model, closed_blocks(model, lam, spectral._SAME_VALUE),
-        every_block(model), (lam,))
+        every_block(model), (lam,), 0.0)
 
 
 def contour_projection_closed(model, contour):
     """Closed-form projection for everything enclosed by the circle."""
-    enclosed = spectral._enclosed(model, contour)[1]
+    enclosed = spectral._support(model, contour)[1]
     blocks = closed_blocks(model, contour.center, contour.radius)
-    return spectral._build_report(model, blocks, every_block(model), enclosed)
+    return spectral._build_report(model, blocks, every_block(model), enclosed,
+                                  0.0)
 
 
 def every_block(model) -> np.ndarray:
     """The index of all blocks, for an operator held on the full dimension."""
     return np.arange(model.scalars.size + model.mid.size)
+
+
+def whole_projection(model, report) -> BlockDiagonal:
+    """The projection of ``report`` on the full dimension of ``model``: its
+    support on the blocks ``report.index``, zeros elsewhere."""
+    count, p, index = model.scalars.size, report.support, report.index
+    split = np.searchsorted(index, count)
+    scalars = np.zeros(count, dtype=complex)
+    scalars[index[:split]] = p.scalars
+    rows = np.zeros((3, model.mid.size), dtype=complex)
+    rows[:, index[split:] - count] = p.upper, p.corner, p.lower
+    return BlockDiagonal(scalars, *rows)
 
 
 def hardy_one(seq) -> tuple:

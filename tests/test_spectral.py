@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (commutation_probe, contour_projection_closed, dense,
                      dense_operator_norm, every_block, generator_blocks,
                      riesz_projection_closed, trapezoid_exact,
-                     trapezoid_node_sum, whole_norm_curve)
+                     trapezoid_node_sum, whole_norm_curve, whole_projection)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import linalg, models, spectral
@@ -96,7 +96,7 @@ def test_quadrature_jordan_pairs_single_eigenvalue():
     m = _model(Family.JORDAN_PAIRS, 2)
     report = riesz_projection_quadrature(m, Contour(2.5j, 0.4))
     expected = np.array([[1.0, -1j], [0.0, 0.0]])
-    assert np.max(np.abs(dense(report.blocks) - expected)) <= 1e-8
+    assert np.max(np.abs(dense(whole_projection(m, report)) - expected)) <= 1e-8
     assert report.rank == 1
     assert report.enclosed == (2.5j,)
     assert report.idempotency_defect <= 1e-10
@@ -108,14 +108,14 @@ def test_quadrature_log_spectrum_coordinate_projection():
     report = riesz_projection_quadrature(m, Contour(1j * np.log(2), 0.1))
     expected = np.zeros((m.dim, m.dim))
     expected[0, 0] = 1.0
-    assert np.max(np.abs(dense(report.blocks) - expected)) <= 1e-10
+    assert np.max(np.abs(dense(whole_projection(m, report)) - expected)) <= 1e-10
     assert report.rank == 1
 
 
 def test_quadrature_empty_contour_is_zero():
     m = _model(Family.LOG_SPECTRUM, 6)
     report = riesz_projection_quadrature(m, Contour(0.5 + 0.0j, 0.1))
-    assert np.max(np.abs(dense(report.blocks))) <= 1e-10
+    assert np.max(np.abs(dense(whole_projection(m, report)))) <= 1e-10
     assert report.rank == 0
     assert report.enclosed == ()
 
@@ -154,7 +154,7 @@ def test_closed_projection_jordan_block_is_block_identity():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if e.multiplicity == 2)
     report = riesz_projection_closed(m, idx)
-    p = dense(report.blocks)
+    p = dense(whole_projection(m, report))
     lam = eigs[idx].value
     s = m.scalars.size + 2 * int(np.flatnonzero(m.upper == lam)[0])
     assert np.max(np.abs(p[s:s + 2, s:s + 2] - np.eye(2))) == 0.0
@@ -166,7 +166,7 @@ def test_closed_projection_jordan_pairs_upper():
     eigs = eigenvalues(m)
     idx = next(i for i, e in enumerate(eigs) if abs(e.value - 4.25j) < 1e-12)
     report = riesz_projection_closed(m, idx)
-    mat = dense(report.blocks)
+    mat = dense(whole_projection(m, report))
     block = mat[4:6, 4:6]
     assert np.max(np.abs(block - np.array([[1.0, -2j], [0.0, 0.0]]))) < 1e-12
     norm = dense_operator_norm(mat, 0)
@@ -189,7 +189,8 @@ def test_quadrature_matches_closed_form(family, max_index):
         contour = hypothesis_a_check(m, eig.value)
         quad = riesz_projection_quadrature(m, contour)
         closed = riesz_projection_closed(m, idx)
-        assert (quad.blocks - closed.blocks).sup_singular_value() <= 1e-8
+        gap = whole_projection(m, quad) - whole_projection(m, closed)
+        assert gap.sup_singular_value() <= 1e-8
         assert quad.idempotency_defect <= 1e-10
         assert quad.commutation_defect <= 1e-9
         assert quad.rank == closed.rank == eig.multiplicity
@@ -201,9 +202,9 @@ def test_disjoint_projections_are_additive():
     c2 = hypothesis_a_check(m, 1j * np.log(4))
     p1 = riesz_projection_quadrature(m, c1)
     p2 = riesz_projection_quadrature(m, c2)
-    prod = (p1.blocks @ p2.blocks).sup_singular_value()
-    assert prod <= 1e-12
-    combined = dense(p1.blocks) + dense(p2.blocks)
+    w1, w2 = whole_projection(m, p1), whole_projection(m, p2)
+    assert (w1 @ w2).sup_singular_value() <= 1e-12
+    combined = dense(w1) + dense(w2)
     assert np.max(np.abs(combined @ combined - combined)) <= 1e-12
     assert round(np.trace(combined).real) == p1.rank + p2.rank
 
@@ -215,7 +216,8 @@ def test_node_doubling_is_negligible():
     c128 = hypothesis_a_check(m, lam, nodes=128)
     p64 = riesz_projection_quadrature(m, c64)
     p128 = riesz_projection_quadrature(m, c128)
-    assert (p64.blocks - p128.blocks).sup_singular_value() <= 1e-10
+    gap = whole_projection(m, p64) - whole_projection(m, p128)
+    assert gap.sup_singular_value() <= 1e-10
 
 
 def test_hypothesis_a_log_spectrum_radius():
@@ -364,7 +366,7 @@ def test_hypothesis_b_needs_semigroup_norm_samples():
 def _assert_full_curve(model, proj, semi):
     """The certified curve against T(t) P evaluated on every block."""
     curve = hypothesis_b_check(model, proj, semi, lambda t: 1.0)
-    full = whole_norm_curve(model, semi.ts, proj.blocks)
+    full = whole_norm_curve(model, semi.ts, whole_projection(model, proj))
     assert np.array_equal(curve.values, full)
     return full
 
@@ -572,7 +574,7 @@ def test_certified_curve_takes_a_growing_tail_block(monkeypatch):
                         dataclasses.replace(row, table=lambda _: table))
     m = _model(Family.JORDAN_PAIRS, 2)
     proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j))
-    assert 0 < abs(proj.blocks.scalars[1]) < 1e-18
+    assert 0 < abs(whole_projection(m, proj).scalars[1]) < 1e-18
     full = _assert_full_curve(m, proj, _semi(m, np.geomspace(1.0, 2000.0, 16)))
     assert full[0] == pytest.approx(1.0)
     assert full[-1] > 1e20
@@ -600,7 +602,8 @@ def test_contour_projection_closed_matches_quadrature_for_pairs():
     contour = Contour(2j, 0.58, nodes=256)  # encloses 1.5j and 2.5j only
     quad = riesz_projection_quadrature(m, contour)
     closed = contour_projection_closed(m, contour)
-    assert (quad.blocks - closed.blocks).sup_singular_value() <= 1e-8
+    gap = whole_projection(m, quad) - whole_projection(m, closed)
+    assert gap.sup_singular_value() <= 1e-8
     assert quad.rank == closed.rank == 2
 
 
@@ -627,7 +630,7 @@ def test_commutation_defect_is_the_generator_commutator():
     # relative at t = 1.
     m = _model(Family.JORDAN_PAIRS, 12)
     report = riesz_projection_quadrature(m, hypothesis_a_check(m, 8j / 3))
-    p = report.blocks
+    p = whole_projection(m, report)
     perturbed = BlockDiagonal(p.scalars, p.upper, p.corner + 1e-6, p.lower)
     a = generator_blocks(m)
     g = np.abs((a @ perturbed - perturbed @ a).corner)
@@ -636,18 +639,66 @@ def test_commutation_defect_is_the_generator_commutator():
         assert commutation_probe(m, perturbed, t) == pytest.approx(
             np.max(corner * g), rel=1e-12)
     defect = spectral._build_report(m, perturbed, every_block(m),
-                                    report.enclosed).commutation_defect
+                                    report.enclosed, 0.0).commutation_defect
     assert defect == pytest.approx(np.max(g), rel=1e-12)
     assert defect > 1e-9
     assert report.commutation_defect <= 1e-9
+
+
+def test_commutation_defect_does_not_depend_on_the_table_size(monkeypatch):
+    # 20000 blocks with complex half-gaps, all on the support.  From 16384
+    # complex entries on numpy evaluates c * (u - l) as (u - l) *= c, which
+    # rounds differently and here moves the defect; on pieces of 8192 blocks
+    # it does not, and the defect taken piece by piece is the reported one.
+    k = np.arange(1, 20001)
+    table = (np.zeros(0, dtype=complex), -1.0 + 1j * k,
+             np.full(k.size, 0.3 + 0.2j))
+    row = models.FAMILIES[Family.JORDAN_PAIRS]
+    monkeypatch.setitem(models.FAMILIES, Family.JORDAN_PAIRS,
+                        dataclasses.replace(row, table=lambda _: table))
+    m = _model(Family.JORDAN_PAIRS, 2)
+    report = riesz_projection_quadrature(m, hypothesis_a_check(m, m.upper[0]))
+    assert report.index.size == k.size
+    part, p = m.take(report.index), report.support
+    pieces = [slice(j, j + 8192) for j in range(0, k.size, 8192)]
+    assert report.commutation_defect == max(np.max(np.abs(
+        p.corner[s] * (part.upper[s] - part.lower[s])
+        - (p.upper[s] - p.lower[s]))) for s in pieces)
+
+
+def test_weighted_projection_is_held_on_every_block():
+    # The Euclidean reach of this circle is about 0.14, one block of 400;
+    # the weighted norm couples every coordinate, so P is held on all.
+    m = _model(Family.LOG_SPECTRUM, 401, order=2)
+    contour = Contour(1j * np.log(2), 2e-6)
+    report = riesz_projection_quadrature(m, contour)
+    assert report.index.tolist() == every_block(m).tolist()
+    whole = spectral._quadrature_sum(m, contour)[0]
+    assert _entries(report.support).tobytes() == _entries(whole).tobytes()
+    ts = np.geomspace(1.0, 100.0, 6)
+    semi = _semi(m, ts)
+    curve = hypothesis_b_check(m, report, semi, lambda t: 1.0)
+    assert np.array_equal(curve.values, norm_curve(
+        m, ts, whole_projection(m, report), LANCZOS_TOL_DEFAULT,
+        semi=semi.values)[1])
+
+
+def test_hypothesis_b_rejects_a_weighted_projection_on_part_of_the_table():
+    m = _model(Family.LOG_SPECTRUM, 20)
+    report = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j * np.log(3)))
+    cut = dataclasses.replace(report, index=report.index[:5],
+                              support=report.support.take(np.arange(5)))
+    with pytest.raises(ValueError, match="couples every coordinate.* 5 of 19"):
+        hypothesis_b_check(m, cut, _semi(m, [1.0, 10.0]), lambda t: 1.0)
 
 
 def test_hypothesis_b_curve_is_norm_over_envelope_per_sample(monkeypatch):
     m = _model(Family.LOG_SPECTRUM, 20)
     proj = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j * np.log(3)))
     ts = np.geomspace(1.0, 100.0, 10)
+    whole = whole_projection(m, proj)
     expected = [models.block_operator_norm(
-        m, models.evolve_blocks(m, float(t)) @ proj.blocks) / (5.0 * t + 1.0)
+        m, models.evolve_blocks(m, float(t)) @ whole) / (5.0 * t + 1.0)
         for t in ts]
     semi = _semi(m, ts)
     evolves = _record_calls(monkeypatch, "evolve_blocks")
@@ -795,7 +846,8 @@ def test_hypothesis_a_circles_pass_the_quadrature_margin(table, cap):
             contour = hypothesis_a_check(m, lam, radius_cap=cap)
         except ClusteredSpectrumError:
             continue
-        enclosed = spectral._enclosed(m, contour)[1]
+        _, enclosed, worst = spectral._support(m, contour)
+        assert worst >= spectral.CONTOUR_MARGIN
         assert lam in enclosed
         assert all(abs(z - lam) <= spectral._SAME_VALUE for z in enclosed)
 

@@ -28,7 +28,8 @@ row subtractions and one wrap row, for which one row is copied.  The
 transforms take either a 1-d vector, the one-row case, or such an array.
 The seeded start is defined in this layout: the unit rank-one matrix
 ``a c^T`` of shape ``(b, m)``, whose factors are drawn once per shape.
-A :class:`Workspace` holds these arrays for a whole curve of norms (a 1-d
+A :class:`Workspace` holds these arrays for a whole curve of norms, and
+:meth:`Workspace.laid_out` is the one way a vector enters the layout (a 1-d
 diagonal given for one norm is read in place, not copied); each Gram
 application runs in place in the next Lanczos vector, so a norm allocates
 only temporaries of one row and small arrays.
@@ -101,22 +102,15 @@ def _differences(order: int, w: np.ndarray, adjoint: bool) -> np.ndarray:
     without a copy.  Returns ``w``.
     """
     y = np.atleast_2d(w)
-    b = len(y)
-    if adjoint:
-        ahead = y[0, 1:] if b == 1 else np.empty_like(y[0, 1:])
-        for _ in range(order):
-            if b > 1:
-                np.copyto(ahead, y[0, 1:])
-            for r in range(b - 1):
-                np.subtract(y[r], y[r + 1], out=y[r])
-            np.subtract(y[-1, :-1], ahead, out=y[-1, :-1])
-        return w
-    behind = np.empty_like(y[-1, :-1])
+    b, step = len(y), 1 if adjoint else -1
+    edge, wrap = (y[0, 1:], y[-1, :-1]) if adjoint else (y[-1, :-1], y[0, 1:])
+    copy = edge if adjoint and b == 1 else np.empty_like(edge)
     for _ in range(order):
-        np.copyto(behind, y[-1, :-1])
-        for r in range(b - 1, 0, -1):
-            np.subtract(y[r], y[r - 1], out=y[r])
-        np.subtract(y[0, 1:], behind, out=y[0, 1:])
+        if copy is not edge:
+            np.copyto(copy, edge)
+        for r in range(b - 1) if adjoint else range(b - 1, 0, -1):
+            np.subtract(y[r], y[r + step], out=y[r])
+        np.subtract(wrap, copy, out=wrap)
     return w
 
 
@@ -196,12 +190,10 @@ def _start_vector(out: np.ndarray) -> np.ndarray:
 class Workspace:
     """The kernel's arrays for one dim, allocated once: the multiplier
     ``diag`` and the Lanczos vectors ``v_prev``, ``v`` and ``w``, each
-    C-contiguous in the ``(b, m)`` layout, ``b = _rows(dim)``.  Entry j of
-    a diagonal sits at ``diag.ravel("F")[j]``; a caller writes one through
-    the column-major view ``a.reshape(diag.shape, order="F")``, which numpy
-    runs without ufunc buffers.  A given 1-d ``diag`` is read through that
-    view, not copied: the products are elementwise, so the norm is the
-    same to the bit.  The start's factors are drawn before the vectors."""
+    C-contiguous in the ``(b, m)`` layout, ``b = _rows(dim)``.  A given
+    1-d ``diag`` is read through :meth:`laid_out`, not copied: the products
+    are elementwise, so the norm is the same to the bit.  The start's
+    factors are drawn before the vectors."""
 
     def __init__(self, dim: int, diag: np.ndarray | None = None):
         b = _rows(dim)
@@ -210,7 +202,13 @@ class Workspace:
         self.v_prev, self.v, self.w = (
             np.empty((b, dim // b), dtype=complex) for _ in range(3))
         self.diag = (np.empty_like(self.v) if diag is None
-                     else diag.reshape(self.v.shape, order="F"))
+                     else self.laid_out(diag))
+
+    def laid_out(self, vec: np.ndarray) -> np.ndarray:
+        """A vector of dim entries as a view in the kernel's layout: entry j
+        at ``[j % b, j // b]``, so ``vec`` is the view's ``ravel("F")``.
+        numpy writes through the view without ufunc buffers."""
+        return vec.reshape(self.v.shape, order="F")
 
 
 def operator_norm(diag, order: int = 0,

@@ -398,12 +398,11 @@ class BlockDiagonal:
                              self.corner[blocks], self.lower[blocks])
 
 
-def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
-    """The semigroup at time t as a block-diagonal operator; with ``out``,
-    an array of as many entries as there are 1x1 blocks (the weighted
-    norms pass :attr:`linalg.Workspace.diag`), the 1x1 blocks exp(t s) are
-    written into it in column-major order, s_j at ``out.ravel("F")[j]``,
-    and it is ``scalars``.
+def evolve_blocks(model: Model, t: float, work=None) -> BlockDiagonal:
+    """The semigroup at time t as a block-diagonal operator; with ``work``,
+    a :class:`linalg.Workspace` with as many entries as there are 1x1
+    blocks (the weighted norms), the 1x1 blocks exp(t s) are written into
+    its ``diag``, and it is ``scalars``.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
     (t in place of sinh(t d) / d where d is 0 or subnormal), from three
@@ -427,8 +426,8 @@ def evolve_blocks(model: Model, t: float, out=None) -> BlockDiagonal:
                        out=np.full(d.shape, t, dtype=complex),
                        where=np.abs(d) >= _TINY)
     corner = corner * carrier
-    scalars = (model.scalars if out is None
-               else model.scalars.reshape(out.shape, order="F"))
+    scalars, out = ((model.scalars, None) if work is None
+                    else (work.laid_out(model.scalars), work.diag))
     return BlockDiagonal(np.exp(np.multiply(t, scalars, out=out), out=out),
                          carrier * grow, corner, carrier / grow)
 
@@ -633,13 +632,13 @@ def norm_curve(model: Model, ts: np.ndarray, x: BlockDiagonal, tol: float,
         return semi, _certified_curve(model, x, ts, semi)
     x = _diagonal(model, x)
     work = linalg.Workspace(model.dim)
-    m, x = work.diag, x.reshape(work.diag.shape, order="F")
+    m, x = work.diag, work.laid_out(x)
     sample = semi is None
     if sample:
         semi = np.empty(ts.size)
     prod = np.empty(ts.size)
     for i, t in enumerate(ts.tolist()):
-        evolve_blocks(model, t, out=m)
+        evolve_blocks(model, t, work=work)
         if sample:
             semi[i] = linalg.operator_norm(work, model.norm_order, tol)
         # T(t) first, as in BlockDiagonal.__matmul__.

@@ -31,7 +31,12 @@ the resolvent and for the quadrature.
 reductions over their concatenation, and ``run_hardy`` feeds it a batch of
 draws at a time; :func:`hardy_one` takes the two Hardy sums of one sequence
 by whole-array sums, and :func:`hardy_run` checks ``run_hardy``'s draws one
-case at a time.
+case at a time.  :func:`hardy_extremal` is the exact worst ratio at a length,
+from a dense generalized eigenproblem.
+
+``semistab.linalg.operator_norm`` on ``LOG_SPECTRUM``'s multiplier
+``n^{it}`` is a truncation of an operator whose Mellin symbol is known;
+:func:`mellin_sup` is the supremum of that symbol's modulus.
 """
 
 import math
@@ -380,3 +385,40 @@ def hardy_run(cases: int, max_len: int, seed: int) -> tuple:
         if ratio > worst[0]:
             worst = (ratio, case, seq)
     return worst
+
+
+def hardy_extremal(length: int) -> tuple:
+    """(ratio, vector): the top eigenpair of ``diag(1/n^2)`` against 4 times
+    the Dirichlet difference form ``tridiag(-1, 2, -1)`` on C^length, the
+    largest ratio ``hardy_check`` can return at that length.  By Cholesky,
+    4 B = C C^T, and ``eigh`` of the symmetric C^-1 A C^-T."""
+    n = np.arange(1.0, length + 1.0)
+    form = 4.0 * (2.0 * np.eye(length) - np.eye(length, k=1)
+                  - np.eye(length, k=-1))
+    chol = np.linalg.cholesky(form)
+    inv = np.linalg.inv(chol)
+    values, vectors = np.linalg.eigh((inv / n ** 2) @ inv.T)
+    return float(values[-1]), inv.T @ vectors[:, -1]
+
+
+def _mellin_log_modulus(order: int, t: float, xi: np.ndarray) -> np.ndarray:
+    # log |sigma_N(xi, t)|, one factor (k - 1/2 + i(xi + t)) / (k - 1/2 + i xi)
+    # per k; hypot keeps each modulus exact to rounding at large xi.
+    k = np.arange(1, order + 1)[:, None] - 0.5
+    return np.sum(np.log(np.hypot(k, xi + t)) - np.log(np.hypot(k, xi)),
+                  axis=0)
+
+
+def mellin_sup(order: int, t: float) -> float:
+    """sup over real xi of |prod_{k=1..N} (k - 1/2 + i(xi + t)) /
+    (k - 1/2 + i xi)|, the modulus of the Mellin symbol of multiplication by
+    s^{it} in the order-N derivative norm.  A dense xi grid, dense near 0
+    and out to 1e4 (N + t), then ten rounds of a finer grid around the best
+    point; the modulus tends to 1 as |xi| grows."""
+    reach = math.asinh(1e4 * (order + t))
+    xi = np.sinh(np.linspace(-reach, reach, 200001))
+    for _ in range(10):
+        best = int(np.argmax(_mellin_log_modulus(order, t, xi)))
+        lo, hi = xi[max(best - 1, 0)], xi[min(best + 1, xi.size - 1)]
+        xi = np.linspace(lo, hi, 201)
+    return float(np.exp(np.max(_mellin_log_modulus(order, t, xi))))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense, dense_operator_norm, hardy_one,
+from oracles import (dense, dense_operator_norm, hardy_extremal, hardy_one,
                      weighted_vector_norm)
 from semistab.asymptotics import (FitFamily, HardyReport, NormSamples,
                                   Quantity, concave_envelope,
@@ -15,8 +15,8 @@ from semistab.asymptotics import (FitFamily, HardyReport, NormSamples,
                                   witness_lower_bound, witness_vector)
 from semistab.errors import (InsufficientSamplesError,
                              TruncationInadequateError)
-from semistab.experiments import parse_config, run_simulate
-from semistab import models
+from semistab.experiments import parse_config, run_hardy, run_simulate
+from semistab import linalg, models
 from semistab.models import (Family, ModelSpec, build_model, evolve_blocks,
                              resolvent_blocks)
 
@@ -42,6 +42,8 @@ def test_norm_samples_validation():
         _samples([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         _samples([1.0, 2.0], [1.0, np.inf])
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        _samples([1.0, 2.0], [1.0])
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -55,6 +57,16 @@ def test_jordan_pairs_norm_at_100():
     m = _model(Family.JORDAN_PAIRS, 5000)
     got = sample_norms(m, [100.0])[0]
     assert 99.0 <= got.values[0] <= 101.0
+
+
+@pytest.mark.parametrize("ts, message", [
+    ([], "nonempty 1-d grid"), ([[1.0, 2.0]], "nonempty 1-d grid"),
+    ([-1.0, 1.0], "nonnegative and strictly increasing"),
+    ([2.0, 1.0], "nonnegative and strictly increasing"),
+])
+def test_sample_norms_rejects_a_bad_grid(ts, message):
+    with pytest.raises(ValueError, match=message):
+        sample_norms(_model(Family.JORDAN_PAIRS, 100), ts)
 
 
 def test_sample_norms_truncation_gate():
@@ -233,6 +245,10 @@ def test_translation_check_rejects_out_of_range_grid():
     env = concave_envelope(_samples(ts, ts))
     with pytest.raises(ValueError):
         envelope_translation_check(env, 1.0, np.array([0.1, 50.0]))
+    with pytest.raises(ValueError, match="shift t must be positive, got 0.0"):
+        envelope_translation_check(env, 0.0, ts)
+    with pytest.raises(ValueError, match="s_grid must be a nonempty 1-d grid"):
+        envelope_translation_check(env, 1.0, np.array([]))
 
 
 # ---------------------------------------------------------------- rate fits
@@ -259,6 +275,25 @@ def test_fit_window_respects_floor_and_count():
         fit_rate(_samples(ts, ts), FitFamily.POWER)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_fit_power_reads_the_resolvent_growth_rate(alpha):
+    # A bounded semigroup with iR in the resolvent set has ||T(t) A^-1|| =
+    # O(t^(-1/alpha)) exactly when ||R(is, A)|| = O(|s|^alpha) (Borichev and
+    # Tomilov, 2010).  The diagonal table lambda_n = -n^(-alpha) + i n has
+    # that resolvent growth; the fitted exponents read -1.9995, -0.9979 and
+    # -0.4902, the same at n up to 40000.
+    n = np.arange(1.0, 10001.0)
+    empty = np.empty(0, dtype=complex)
+    m = models.Model(ModelSpec(Family.DIAG_JORDAN, 2), 0,
+                     -n ** -alpha + 1j * n, empty, empty)
+    ts = np.geomspace(1.0, 200.0, 24)
+    prod = models.norm_curve(m, ts, resolvent_blocks(m, 1.0),
+                             linalg.LANCZOS_TOL_DEFAULT)[1]
+    fit = fit_rate(_samples(ts, prod, Quantity.RESOLVENT_PRODUCT_NORM),
+                   FitFamily.POWER)
+    assert abs(fit.exponent_or_scale + 1.0 / alpha) <= 0.03
+
+
 # ---------------------------------------------------------------- hardy
 
 def test_hardy_single_spike():
@@ -281,6 +316,23 @@ def test_hardy_plateau_oracle():
 def test_hardy_zero_sequence():
     report = hardy_check(np.zeros(5))
     assert report.lhs == report.rhs == report.ratio == 0.0
+    assert hardy_check([]) == HardyReport(0.0, 0.0, 0.0)
+
+
+def test_hardy_ratio_of_the_extremal_sequence_is_the_exact_worst(tmp_path):
+    # The exact worst ratio at length L is the top eigenvalue of diag(1/n^2)
+    # against 4 tridiag(-1, 2, -1); it rises with L towards the constant 1
+    # only logarithmically, so the <= 1 verdict alone would pass a kernel
+    # whose constant 4 were 3 (0.658 * 4/3 = 0.88 at L = 512).
+    worst = {}
+    for length in (64, 512):
+        worst[length], vector = hardy_extremal(length)
+        assert hardy_check(vector).ratio == pytest.approx(worst[length],
+                                                          rel=1e-12, abs=0.0)
+    assert worst[64] == pytest.approx(0.5188448014, abs=1e-10)
+    assert worst[64] < worst[512] < 1.0
+    drawn = run_hardy(2000, max_len=64, out_dir=str(tmp_path / "hardy"))
+    assert drawn.verdicts["hardy_bound"].metrics["worst_ratio"] <= worst[64]
 
 
 def test_hardy_near_extremal_sequence():

@@ -196,6 +196,12 @@ def test_config_errors_name_lines():
     with pytest.raises(ConfigError, match="line 3"):
         parse_config("model.family = JORDAN_PAIRS\ngrid.t_min = 1\n"
                       "grid.t_min = 2\n")
+    with pytest.raises(ConfigError, match="line 2: expected 'key = value', "
+                                          "got 'grid.points 12'"):
+        parse_config("model.family = JORDAN_PAIRS\ngrid.points 12\n")
+    with pytest.raises(ConfigError, match="line 2: empty value for "
+                                          "'grid.points'"):
+        parse_config("model.family = JORDAN_PAIRS\ngrid.points =\n")
     with pytest.raises(ConfigError, match="missing required"):
         parse_config("model.family = JORDAN_PAIRS\n")
     with pytest.raises(ConfigError, match="bad value"):
@@ -927,6 +933,8 @@ def test_witness_rejects_a_repeated_t(tmp_path, capsys):
     # (exit 1) judged malformed input.
     with pytest.raises(ConfigError, match="t = 10.0 more than once"):
         run_witness([10.0, 20.0, 10.0], out_dir=str(tmp_path / "w"))
+    with pytest.raises(ConfigError, match="need at least one t value"):
+        run_witness([], out_dir=str(tmp_path / "w"))
     assert main(["witness", "--t", "10,10,20",
                  "--out", str(tmp_path / "w")]) == 2
     assert "t = 10.0 more than once" in capsys.readouterr().err
@@ -944,6 +952,11 @@ def test_theorem_check_rejects_a_grid_from_zero(tmp_path, capsys,
         "grid.t_min = 1.0", "grid.t_min = 0").replace("GEOMETRIC", "LINEAR")
     with pytest.raises(ConfigError, match="grid.t_min > 0, got 0.0"):
         run_theorem_check(parse_config(text))
+    with pytest.raises(ConfigError, match="t_min must be >= 0"):
+        parse_config(text.replace("grid.t_min = 0", "grid.t_min = -1"))
+    with pytest.raises(ConfigError, match="grid of at least 3 points"):
+        run_theorem_check(parse_config(text.replace("grid.points = 14",
+                                                    "grid.points = 2")))
     cfg_path = tmp_path / "zero.cfg"
     cfg_path.write_text(text)
     assert main(["theorem-check", "--config", str(cfg_path)]) == 2

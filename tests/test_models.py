@@ -78,6 +78,9 @@ def test_build_log_spectrum_layout():
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(Family.JORDAN_PAIRS, 1)
+    with pytest.raises(ValueError, match="family must be a Family, got "
+                                         "'JORDAN_PAIRS'"):
+        ModelSpec("JORDAN_PAIRS", 10)
     with pytest.raises(ValueError):
         ModelSpec(Family.LOG_SPECTRUM, 10, order=0)
     spec = ModelSpec(Family.LOG_SPECTRUM, 10)

@@ -361,6 +361,11 @@ def test_hypothesis_b_needs_semigroup_norm_samples():
     ratio = NormSamples(Quantity.RATIO, semi.ts, semi.values)
     with pytest.raises(ValueError, match="SEMIGROUP_NORM"):
         hypothesis_b_check(m, proj, ratio, lambda t: 1.0)
+    for ts in ([5.0], [0.0, 1.0, 2.0]):
+        semi = NormSamples(Quantity.SEMIGROUP_NORM, np.array(ts),
+                           np.ones(len(ts)))
+        with pytest.raises(ValueError, match="grid of positive times"):
+            hypothesis_b_check(m, proj, semi, lambda t: 1.0)
 
 
 def _assert_full_curve(model, proj, semi):

@@ -11,12 +11,18 @@ evaluated in closed form.  A projection's idempotency and commutation
 defects are read off its blocks and the spectral table; no semigroup is
 evaluated to build one.
 
-A projection is computed and held on its support, the blocks with an
-eigenvalue at |z| < R(N, r), z = (lam - c) / r, or every block on a weighted
-model, whose norm couples every coordinate.  Beyond R, every entry of
-the N- and 2N-node sums, at most |z|^-N / (1 - |z|^-N) on the diagonal and
+A projection's support is the blocks with an eigenvalue at |z| < R(N, r),
+z = (lam - c) / r, or every block on a weighted model, whose norm couples
+every coordinate.  Beyond R, every entry of the N- and 2N-node sums, at
+most |z|^-N / (1 - |z|^-N) on the diagonal and
 |h(z_s)| N / (r |z_l| (1 - |z_l|^-N)) in the corner, is below tiny / 2, so
 0 once flushed (tiny the smallest normal float, 2 the rounding margin).
+Every number a projection reports is a supremum over blocks, attained
+within a few radii of the circle, so the support is evaluated in rings of
+blocks by their least |z|, |z| < 4, 16, 64, ..., innermost first, and only
+out to the first ring beyond which the same two bounds show that no block
+reaches any of them (:func:`_majorants`); the last ring ends at R.  A
+projection is held on its evaluated rings, every block on a weighted model.
 
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
@@ -59,6 +65,14 @@ _RESIDUE_REL = 1e-13
 
 _TINY = np.finfo(float).tiny
 
+#: Each ring of a projection's support reaches this factor further out in
+#: |z| than the ring inside it.
+_RING_GROWTH = 4.0
+
+#: A supremum is final once every value it leaves out is below this
+#: multiple of it: the margin of the pruning rule in :mod:`models`.
+_MARGIN = 1.0 - 1e-12
+
 
 def check_nodes(nodes: int) -> int:
     """``nodes`` if it is a valid quadrature node count, else ValueError."""
@@ -94,7 +108,12 @@ class ProjectionReport:
     c_k(t) g_k, c_k(t) the corner of T(t): P commutes with the semigroup iff
     the defect is 0.  ``drift`` is the node-doubling drift of a quadrature;
     closed forms have none.  P is ``support`` on the blocks ``index``
-    (ascending, 1x1 first; every block on a weighted model), else 0.
+    (ascending, 1x1 first): the rings of its support that a quadrature
+    evaluated, every block on a weighted model.  On each other block of
+    the support ||P_k|| <= ``beyond`` (0 when there is none), and every
+    reported supremum is attained on ``index``; ``contour`` is the circle
+    that P projects for, from which the rest of the support is evaluated
+    where a supremum of ||T(t) P|| needs it.
     """
 
     support: BlockDiagonal
@@ -104,6 +123,8 @@ class ProjectionReport:
     rank: int
     enclosed: tuple
     drift: float
+    beyond: float = 0.0
+    contour: Contour | None = None
 
 
 @dataclass(frozen=True)
@@ -164,9 +185,10 @@ def _flush_subnormal(op: BlockDiagonal) -> BlockDiagonal:
     return op
 
 
-def _support(model: Model, contour: Contour) -> tuple:
+def _scan(model: Model, contour: Contour) -> tuple:
     """The support, the blocks with an eigenvalue at |z| < R(N, r) (every
-    block on a weighted model; ascending, 1x1 first), the distinct enclosed
+    block on a weighted model; ascending, 1x1 first), each support block's
+    least |z| and |a - b| (0 on a 1x1 block), the distinct enclosed
     eigenvalues in spectral order, and the closest approach of an eigenvalue
     to the circle, from one pass over the table in chunks."""
     # The least R with R^N and R^(N+1) r / N both at least 2 / tiny.
@@ -175,18 +197,34 @@ def _support(model: Model, contour: Contour) -> tuple:
     if model.norm_order > 0:  # a weighted norm couples every coordinate
         reach = np.inf
     count, worst = model.scalars.size, np.inf
-    index, inside = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    index, least = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    spread = [np.zeros(0)]
+    inside = [np.zeros(0, dtype=complex)]
     for ones, twos, part in model.chunked():
-        near = []
-        for eigs in (part.scalars, part.upper, part.lower):
-            dist = np.abs(eigs - contour.center)
-            worst = min(worst, float(np.min(np.abs(dist - r), initial=np.inf)))
-            inside.append(eigs[dist < r])
-            near.append(dist < reach)
-        index += [ones.start + np.flatnonzero(near[0]), count + twos.start
-                  + np.flatnonzero(near[1] | near[2])]
+        upper, lower = part.upper, part.lower
+        dist = []
+        for eigs in (part.scalars, upper, lower):
+            dist.append(np.abs(eigs - contour.center))
+            worst = min(worst, float(np.min(np.abs(dist[-1] - r),
+                                            initial=np.inf)))
+            inside.append(eigs[dist[-1] < r])
+        # fmin: a block is near where either eigenvalue is, NaN or not.
+        dist[1:] = [np.fmin(dist[1], dist[2])]
+        near = [np.flatnonzero(d < reach) for d in dist]
+        index += [ones.start + near[0], count + twos.start + near[1]]
+        least += [d[k] / r for d, k in zip(dist, near)]
+        spread += [np.zeros(near[0].size),
+                   np.abs(upper[near[1]] - lower[near[1]])]
     enclosed = models.distinct(np.concatenate(inside))[0]
-    return np.concatenate(index), tuple(enclosed.tolist()), worst
+    return (np.concatenate(index), np.concatenate(least),
+            np.concatenate(spread), tuple(enclosed.tolist()), worst)
+
+
+def _support(model: Model, contour: Contour) -> tuple:
+    """The support, the enclosed eigenvalues and the closest approach, of
+    :func:`_scan`."""
+    index, _, _, enclosed, worst = _scan(model, contour)
+    return index, enclosed, worst
 
 
 def _quadrature_sum(model: Model, contour: Contour) -> tuple:
@@ -233,19 +271,146 @@ def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     return tuple(sums)
 
 
-def _build_report(part: Model, support: BlockDiagonal, index: np.ndarray,
-                  enclosed, drift: float) -> ProjectionReport:
+def _defects(part: Model, support: BlockDiagonal) -> tuple:
+    """The idempotency and commutation defects and the trace of P held as
+    ``support`` on the blocks of ``part``."""
     idem = (support @ support - support).sup_singular_value()
     # Block k of A P - P A is [[0, g_k], [0, 0]]; 1x1 blocks commute.
     comm = np.max(np.abs(np.multiply(support.corner, part.upper - part.lower)
                          - (support.upper - support.lower)), initial=0.0)
-    tr = support.trace()
-    rank = round(tr.real)
-    if abs(tr - rank) > _TRACE_INT_TOL:
+    return float(idem), float(comm), support.trace()
+
+
+def _rank(trace: complex) -> int:
+    """The rank of a projection of trace ``trace``, which must be within
+    ``_TRACE_INT_TOL`` of an integer (else :class:`NonconvergedError`)."""
+    rank = round(trace.real)
+    if abs(trace - rank) > _TRACE_INT_TOL:
+        raise NonconvergedError(f"projection trace {trace} is not within "
+                                f"{_TRACE_INT_TOL} of an integer")
+    return int(rank)
+
+
+def _build_report(part: Model, support: BlockDiagonal, index: np.ndarray,
+                  enclosed, drift: float) -> ProjectionReport:
+    """The report of P held as ``support`` on the blocks ``index``, the
+    blocks of ``part``, and 0 elsewhere."""
+    idem, comm, trace = _defects(part, support)
+    return ProjectionReport(support, index, idem, comm, _rank(trace),
+                            tuple(enclosed), float(drift))
+
+
+def _majorants(contour: Contour, closest: float, spread: float) -> tuple:
+    """Bounds over the blocks whose eigenvalues all lie at |z| >= ``closest``
+    > 1, ``spread`` the largest |a - b| of their 2x2 blocks: on a block's
+    drift, idempotency defect, commutation defect and norm, in the order of
+    :func:`_project`'s suprema, and on a diagonal entry of P.
+
+    With w = 1 / closest, a diagonal entry h(z) is at most
+    |z|^-N / (1 - |z|^-N) <= D = w^N / (1 - w^N), and a corner
+    h(z_s) z_l^N h(z_l) S(q) / (r z_l) at most C = D N w / (r (1 - w^N)),
+    as |S(q)| <= N.  The 2N-node entries are below both: D_2N =
+    D w^N / (1 + w^N), and the corner takes 2N D_2N / (1 - w^2N), which is
+    2 w^N / (1 + w^N)^2 <= 1 times C's.  So ||P_k|| <= b = 2D + C for either
+    sum, the drift is at most 2b, ||P_k^2 - P_k|| at most b (1 + b), and
+    |g_k| = |P_c (a - b) - (P_a - P_b)| at most C spread + 2D; it is 0 where
+    every such block has a = b bitwise, as P_a = P_b then is.
+
+    Rounding.  w is taken 8 eps = 2^-49 relative above 1 / closest: the
+    quadrature's |u| = 1 / |z|, from z = (lam - c) / r as rounded, exceeds
+    1 / closest by about 5 eps at most, so |u|^N stays below w^N at any N.
+    Forming u^N adds at most 100 complex products of 2.3 eps each below 100
+    nodes, and above that the 708 eps of exp(N log u) where it is normal;
+    the filter, the corner and the block norms add a few ulps more.  About
+    2e-13 relative in all, inside the margin by which :func:`_final` asks a
+    supremum to exceed its bound.  Where w^N is not a normal float, and so
+    not exact relatively, the bounds read NaN, which no supremum exceeds.
+    """
+    # Python floats, which overflow to inf without a warning.
+    n, r = contour.nodes, float(contour.radius)
+    w = (1.0 + 2.0 ** -49) / closest
+    power = w ** n
+    if not power >= _TINY:
+        return np.full(4, np.nan), np.nan
+    diagonal = power / (1.0 - power)
+    corner = diagonal * n * w / (r * (1.0 - power))
+    norm = 2.0 * diagonal + corner
+    comm = corner * spread + 2.0 * diagonal if spread else 0.0
+    return np.array([2.0 * norm, norm * (1.0 + norm), comm, norm]), diagonal
+
+
+def _final(sup, bound):
+    """Where a supremum ``sup`` is attained whatever the values that
+    ``bound`` bounds: the bound is 0, which it is only where each of them
+    is, or below the margin times a normal ``sup`` (a subnormal one is off
+    by 2^-1074, not relatively)."""
+    return (bound == 0) | ((bound < _MARGIN * sup) & (sup >= _TINY))
+
+
+def _merge(held: list, count: int) -> tuple:
+    """The index and the operator of the rings ``held``, as pairs (index,
+    operator), in one ascending index, 1x1 first."""
+    if len(held) == 1:
+        return held[0]
+    index = np.concatenate([ring for ring, _ in held])
+    ones = index < count
+    fields = [np.concatenate([getattr(p, name) for _, p in held])
+              for name in ("scalars", "upper", "corner", "lower")]
+    first, second = (np.argsort(index[mask]) for mask in (ones, ~ones))
+    return (np.concatenate([index[ones][first], index[~ones][second]]),
+            BlockDiagonal(fields[0][first], *(f[second] for f in fields[1:])))
+
+
+def _project(model: Model, contour: Contour, drift_tol: float,
+             whole: bool = False) -> ProjectionReport:
+    """:func:`riesz_projection_quadrature`, on the rings of the support
+    innermost first (all of it at once where ``whole`` or the model is
+    weighted).  Each ring's blocks are summed once, and the suprema taken
+    over them join those of the rings inside.  The loop stops at the first
+    ring beyond which no block can reach any supremum (:func:`_majorants`,
+    :func:`_final`) nor move the rank or its integrality check: the
+    diagonal bound times the blocks beyond, twice, is below half the check's
+    tolerance less the trace's distance from an integer, and the other half
+    covers the rounding of summing the trace in another order."""
+    index, least, spread, enclosed, worst = _scan(model, contour)
+    if worst < CONTOUR_MARGIN:
+        raise ContourTooCloseError(f"an eigenvalue lies within {worst:.3e} of "
+                                   f"the contour (margin {CONTOUR_MARGIN})")
+    # Drift, idempotency defect, commutation defect and ||P||.
+    held, sups, trace, low = [], np.zeros(4), 0j, 0.0
+    high = np.inf if whole or model.norm_order > 0 else _RING_GROWTH
+    while True:
+        ring = index[(low <= least) & (least < high)]
+        part = model.take(ring)
+        p, p2 = _quadrature_sum(part, contour)
+        idem, comm, tr = _defects(part, p)
+        sups = np.maximum(sups, [(p - p2).sup_singular_value(), idem, comm,
+                                 p.sup_singular_value()])
+        trace += tr
+        held.append((ring, p))
+        far = high <= least
+        if not far.any():
+            beyond = 0.0
+            break
+        closest = float(np.min(least, where=far, initial=np.inf))
+        bounds, diagonal = _majorants(
+            contour, closest, float(np.max(spread, where=far, initial=0.0)))
+        beyond = float(bounds[3])
+        slack = abs(trace - np.rint(trace.real))
+        if (np.all(_final(sups, bounds)) and slack + 2.0 * diagonal
+                * np.count_nonzero(far) < _TRACE_INT_TOL / 2):
+            break
+        low = high
+        while high <= closest:  # on to the next ring that holds a block
+            high *= _RING_GROWTH
+    drift = float(sups[0])
+    if not drift <= drift_tol:
         raise NonconvergedError(
-            f"projection trace {tr} is not within {_TRACE_INT_TOL} of an integer")
-    return ProjectionReport(support, index, float(idem), float(comm),
-                            int(rank), tuple(enclosed), float(drift))
+            f"node doubling moved the projection by {drift:.3e} "
+            f"(tolerance {drift_tol})")
+    index, support = _merge(held, model.scalars.size)
+    return ProjectionReport(support, index, float(sups[1]), float(sups[2]),
+                            _rank(trace), enclosed, drift, beyond, contour)
 
 
 def riesz_projection_quadrature(model: Model, contour: Contour,
@@ -253,23 +418,13 @@ def riesz_projection_quadrature(model: Model, contour: Contour,
                                 ) -> ProjectionReport:
     """Spectral projection for the circle, by trapezoidal quadrature.
 
-    The report carries the projection at the requested node count on its
-    support, and its drift: the node count is doubled once as a convergence
-    check, and a drift above ``drift_tol``, or not finite, raises
+    The report carries the projection at the requested node count on the
+    rings of its support that reach every reported supremum, and its
+    drift: the node count is doubled once as a convergence check, and a
+    drift above ``drift_tol``, or not finite, raises
     :class:`NonconvergedError`.
     """
-    index, enclosed, worst = _support(model, contour)
-    if worst < CONTOUR_MARGIN:
-        raise ContourTooCloseError(f"an eigenvalue lies within {worst:.3e} of "
-                                   f"the contour (margin {CONTOUR_MARGIN})")
-    part = model.take(index)
-    p, p2 = _quadrature_sum(part, contour)
-    drift = (p - p2).sup_singular_value()
-    if not drift <= drift_tol:
-        raise NonconvergedError(
-            f"node doubling moved the projection by {drift:.3e} "
-            f"(tolerance {drift_tol})")
-    return _build_report(part, p, index, enclosed, drift)
+    return _project(model, contour, drift_tol)
 
 
 def hypothesis_a_check(model: Model, lam: complex,
@@ -317,7 +472,11 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
     callable majorant f(t), which must be finite and positive on the grid
     (``ValueError`` naming the first t where it is not).  ||T(t) P|| is the
     second row of :func:`models.norm_curve`, handed ``semi`` as the first,
-    on the support of P: every block on a weighted model (else ValueError).
+    on the blocks P is held on: every block on a weighted model (else
+    ValueError).  A block left out has norm at most ||T(t)|| times
+    ``projection.beyond``; unless that is below the margin of
+    :func:`_final` times the curve at every grid time, P is evaluated on
+    its whole support and the curve taken again.
 
     The verdict is decaying when the log-log least-squares slope is <= -0.5
     and the last sample is below a tenth of the first.  A rank-zero
@@ -344,8 +503,15 @@ def hypothesis_b_check(model: Model, projection: ProjectionReport,
                          f"covers {projection.index.size} of {blocks} blocks")
     if projection.rank == 0:
         return DecayCurve(ts, np.zeros(ts.size), None, True)
-    part, proj = model.take(projection.index), projection.support
-    norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
+    while True:
+        part, proj = model.take(projection.index), projection.support
+        norms = models.norm_curve(part, ts, proj, tol, semi=semi.values)[1]
+        # Block k of T(t) P has norm at most ||T(t)|| ||P_k||.
+        ratio = np.divide(norms, semi.values, out=np.zeros(ts.size),
+                          where=semi.values > 0)
+        if np.all(_final(ratio, projection.beyond)):
+            break
+        projection = _project(model, projection.contour, np.inf, whole=True)
     values = norms / f
     kept = norms >= _RESIDUE_REL * models.block_operator_norm(part, proj, tol=tol)
     if np.count_nonzero(kept) < 2:

@@ -341,6 +341,17 @@ def contour_projection_closed(model, contour):
                                   0.0)
 
 
+def full_support_projection(model, contour):
+    """The quadrature's projection held on its whole support, not on rings:
+    ``_support``'s index, both trapezoid sums on that slice of the table,
+    and the report of the N-node sum with the drift between them."""
+    index, enclosed, _ = spectral._support(model, contour)
+    part = model.take(index)
+    p, p2 = spectral._quadrature_sum(part, contour)
+    return spectral._build_report(part, p, index, enclosed,
+                                  (p - p2).sup_singular_value())
+
+
 def every_block(model) -> np.ndarray:
     """The index of all blocks, for an operator held on the full dimension."""
     return np.arange(model.scalars.size + model.mid.size)

@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (commutation_probe, contour_projection_closed, dense,
-                     dense_operator_norm, every_block, generator_blocks,
-                     riesz_projection_closed, trapezoid_exact,
-                     trapezoid_node_sum, whole_norm_curve, whole_projection)
+                     dense_operator_norm, every_block, full_support_projection,
+                     generator_blocks, riesz_projection_closed,
+                     trapezoid_exact, trapezoid_node_sum, whole_norm_curve,
+                     whole_projection)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import linalg, models, spectral
@@ -472,11 +473,15 @@ def test_semigroup_norm_raises_where_the_moduli_are_nan():
        points=st.integers(2, 12))
 def test_certified_curve_matches_full_evaluation(family, max_index, t_first,
                                                  span, points):
+    # Against P on its whole support, where the rings leave blocks out.
     m = _euclidean(_model(family, max_index))
     semi = _semi(m, np.geomspace(t_first, t_first * span, points))
     for lam in m.spectrum.tolist():
-        proj = riesz_projection_quadrature(m, hypothesis_a_check(m, lam))
-        _assert_full_curve(m, proj, semi)
+        contour = hypothesis_a_check(m, lam)
+        curve = hypothesis_b_check(m, riesz_projection_quadrature(m, contour),
+                                   semi, lambda t: 1.0)
+        full = whole_projection(m, full_support_projection(m, contour))
+        assert np.array_equal(curve.values, whole_norm_curve(m, semi.ts, full))
 
 
 # T(t) = diag(1, [[1, t], [0, 1]]) against X = diag(x, e I), where block 1
@@ -651,10 +656,12 @@ def test_commutation_defect_is_the_generator_commutator():
 
 
 def test_commutation_defect_does_not_depend_on_the_table_size(monkeypatch):
-    # 20000 blocks with complex half-gaps, all on the support.  From 16384
-    # complex entries on numpy evaluates c * (u - l) as (u - l) *= c, which
-    # rounds differently and here moves the defect; on pieces of 8192 blocks
-    # it does not, and the defect taken piece by piece is the reported one.
+    # 20000 blocks with complex half-gaps, all on the support, which the
+    # whole-support report takes at once.  From 16384 complex entries on
+    # numpy evaluates c * (u - l) as (u - l) *= c, which rounds differently
+    # and here moves the defect; on pieces of 8192 blocks it does not, and
+    # the defect taken piece by piece is the reported one, as is the
+    # defect the rings report.
     k = np.arange(1, 20001)
     table = (np.zeros(0, dtype=complex), -1.0 + 1j * k,
              np.full(k.size, 0.3 + 0.2j))
@@ -662,13 +669,16 @@ def test_commutation_defect_does_not_depend_on_the_table_size(monkeypatch):
     monkeypatch.setitem(models.FAMILIES, Family.JORDAN_PAIRS,
                         dataclasses.replace(row, table=lambda _: table))
     m = _model(Family.JORDAN_PAIRS, 2)
-    report = riesz_projection_quadrature(m, hypothesis_a_check(m, m.upper[0]))
-    assert report.index.size == k.size
-    part, p = m.take(report.index), report.support
+    contour = hypothesis_a_check(m, m.upper[0])
+    full = full_support_projection(m, contour)
+    assert full.index.size == k.size
+    part, p = m.take(full.index), full.support
     pieces = [slice(j, j + 8192) for j in range(0, k.size, 8192)]
-    assert report.commutation_defect == max(np.max(np.abs(
+    assert full.commutation_defect == max(np.max(np.abs(
         p.corner[s] * (part.upper[s] - part.lower[s])
         - (p.upper[s] - p.lower[s]))) for s in pieces)
+    report = riesz_projection_quadrature(m, contour)
+    assert report.commutation_defect == full.commutation_defect
 
 
 def test_weighted_projection_is_held_on_every_block():
@@ -819,6 +829,91 @@ def test_quadrature_on_the_support_is_the_whole_table_sum(case):
                            spectral._quadrature_sum(m.take(index), contour)):
         assert not np.any(_entries(whole.take(off)))
         assert _entries(whole.take(index)).tobytes() == _entries(held).tobytes()
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_support_cases())
+@example(case=(_model(Family.DIAG_JORDAN, 4), Contour(3j - 1.0 / 3.0, 0.5)))
+@example(case=(_model(Family.JORDAN_PAIRS, 40000), Contour(0.3 + 20j, 0.07)))
+# A drift of 1.5e-35 at |z| = 3.5 and, beyond the first ring, a Jordan block
+# at |z| = 4.2 whose diagonal is below 1e-40 but whose corner, 1 / r = 1e6
+# times larger, drifts by 2.0e-33.
+@example(case=(_with_table(_DJ, [3.5e-6], [4.2e-6], [0j]), Contour(0j, 1e-6)))
+def test_rings_report_the_whole_support_suprema(case):
+    # The rings stop where no block beyond them can reach a supremum: the
+    # drift, both defects, the rank, ||P|| and the hypothesis-(b) curve are
+    # those of P on its whole support, to the last bit.
+    m, contour = case
+    m = _euclidean(m)
+    assume(spectral._support(m, contour)[2] >= spectral.CONTOUR_MARGIN)
+    try:
+        full = full_support_projection(m, contour)
+    except NonconvergedError:
+        with pytest.raises(NonconvergedError):
+            riesz_projection_quadrature(m, contour, drift_tol=np.inf)
+        return
+    report = riesz_projection_quadrature(m, contour, drift_tol=np.inf)
+    for name in ("drift", "idempotency_defect", "commutation_defect"):
+        assert _bits(getattr(report, name)) == _bits(getattr(full, name)), name
+    assert report.rank == full.rank
+    norms = [models.block_operator_norm(m.take(r.index), r.support)
+             for r in (report, full)]
+    assert _bits(norms[0]) == _bits(norms[1])
+    # Times short enough that exp(t Re lam) stays finite.
+    eigs = np.concatenate([m.scalars, m.upper, m.lower])
+    ts = np.geomspace(0.5, 300.0, 6) / max(1.0, float(np.max(eigs.real)))
+    try:
+        semi = NormSamples(Quantity.SEMIGROUP_NORM, ts, np.array(
+            [models.semigroup_norm(m, t) for t in ts.tolist()]))
+    except ValueError:  # a norm that is not finite
+        return
+    curves = [hypothesis_b_check(m, r, semi, lambda t: 1.0).values
+              for r in (report, full)]
+    assert curves[0].tobytes() == curves[1].tobytes()
+
+
+def test_hypothesis_b_takes_the_whole_support_where_a_far_block_reaches():
+    # Around -1/3 + 3i the rings hold the blocks of 2i - 1/2 and 3i - 1/3.
+    # By t = 288, T(t) P there has decayed below the residue P leaves on
+    # the unimodular block of i, at |z| = 4.06 outside them, which carries
+    # the curve: 1.22e-39 on the whole support, 5.85e-40 on the rings.
+    m = _model(Family.DIAG_JORDAN, 4)
+    contour = hypothesis_a_check(m, 3j - 1.0 / 3.0)
+    report = riesz_projection_quadrature(m, contour)
+    full = full_support_projection(m, contour)
+    assert report.index.tolist() == [2, 3] and report.beyond > 0
+    assert full.index.tolist() == [0, 1, 2, 3]
+    ts = np.array([8.0, 288.0])
+    rings = whole_norm_curve(m, ts, whole_projection(m, report))
+    want = whole_norm_curve(m, ts, whole_projection(m, full))
+    assert rings[1] == pytest.approx(5.84961739e-40)
+    assert want[1] == pytest.approx(1.22288441e-39)
+    curve = hypothesis_b_check(m, report, _semi(m, ts), lambda t: 1.0)
+    assert np.array_equal(curve.values, want)
+
+
+def test_a_block_on_the_edge_of_a_ring_is_held_once():
+    # |z| = 0, 4 and 16 exactly.  The first ring has no drift, which no
+    # bound beyond can be below; the second holds the block at |z| = 4, and
+    # beyond it the block at 16 is bounded by 16^-64 against a drift of
+    # about 4^-64.
+    m = _with_table(_DJ, [0j, 2.0, 8.0], [], [])
+    report = riesz_projection_quadrature(m, Contour(0j, 0.5))
+    assert report.index.tolist() == [0, 1]
+    assert 0 < report.beyond < 1e-76 < report.drift
+
+
+def test_a_bound_at_the_margin_leaves_a_supremum_open():
+    # The rule is strict, and a subnormal supremum is never final.
+    sup = np.array([1.0, 1e-300, 1e-310, 0.0])
+    bound = spectral._MARGIN * sup
+    assert spectral._final(sup, bound).tolist() == [False, False, False, True]
+    below = np.nextafter(bound, 0.0)
+    assert spectral._final(sup, below).tolist() == [True, True, False, True]
 
 
 @st.composite

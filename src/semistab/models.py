@@ -33,7 +33,12 @@ kernel in :mod:`linalg` takes the entries of a diagonal one.
 with the dimension cap; :func:`evolve_blocks` is the one way to T(t), and
 :func:`norm_curve` the one for the pair t -> ||T(t)||, ||T(t) X||; in the
 Euclidean norm each value is a supremum over blocks, and :func:`_prune` is
-the one rule for which runs and blocks it evaluates.
+the one rule for which runs and blocks it evaluates.  A Euclidean curve
+t -> ||T(t) X|| is taken for the whole grid at once, in batches of (grid
+time, block) pairs, :func:`evolve_blocks` taking a time per block; each
+pair gets the elementwise operations, in the order, of the whole T(t) X at
+its time, so the curve is the whole evaluation's to the bit
+(:func:`_certified_curve`).
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ _TINY = np.finfo(float).tiny
 #: Blocks per run of a whole-table pass, so that no temporary of the pass is
 #: dim-sized.  Fixed: at dim 2e5 it ran faster than 8192 and 32768.
 CHUNK = 16384
+
+#: Items per call of a pruned supremum's evaluation (:func:`_prune`), such as
+#: (grid time, block) pairs of T(t) X: each holds complex temporaries where a
+#: run of :data:`CHUNK` blocks' moduli holds real ones, so a quarter of it.
+BATCH = CHUNK // 4
 
 
 def chunks(scalars: int, pairs: int):
@@ -274,12 +284,15 @@ def build_model(spec: ModelSpec) -> Model:
 
     Raises :class:`SpectrumHitError` when ``spec.mu_default`` lies on the
     spectrum, ``ValueError`` when it is not finite or a weighted norm's
-    order is not below the dim.  The sorted spectrum is not formed here.
+    order is not below the dim.  ``mu`` is checked against the table in the
+    runs of :meth:`Model.chunked`, and the sorted spectrum is not formed.
     """
     row = FAMILIES[spec.family]
     order = spec.order if row.weighted else 0
     model = Model(spec, order, *row.table(spec.max_index))
-    _gaps(model, spec.mu_default)
+    mu = spec.mu_default
+    _off_spectrum(mu, (eigs - mu for *_, part in model.chunked()
+                       for eigs in (part.scalars, part.upper, part.lower)))
     if model.dim <= order:
         raise ValueError(f"order {order} needs dim >= {order + 1}, got {model.dim}")
     return model
@@ -290,16 +303,30 @@ def _pair_norms(u: np.ndarray, c: np.ndarray, l: np.ndarray) -> np.ndarray:
     return (np.hypot(u + l, c) + np.hypot(u - l, c)) / 2.0
 
 
-def _prune(bound_sq: np.ndarray, sup_on: Callable[[np.ndarray], float]) -> float:
-    """The supremum of a set of norms, from the items that can attain it.
+def _prune(bound: np.ndarray, norms_of: Callable, scale: np.ndarray | None = None
+           ) -> np.ndarray:
+    """The supremum of a set of norms, from the items that can attain it;
+    with ``scale``, that of one set per entry of ``scale``, over the same
+    items: an array of one supremum per set.
 
-    ``bound_sq[k]`` bounds the squared norm of item k (a block, or a run of
-    blocks), and ``sup_on(index)`` is the supremum of the norms of the items
-    ``index``, NaN if one is.  It evaluates the item of largest bound, of
-    norm v, then every other item whose bound is not below (1 - 1e-12) v^2,
-    each once; no item left out can exceed v.  A NaN is kept, and every item
-    is evaluated where the top bound is NaN, infinite or not normal, or
-    where v^2 < tiny.
+    The squared norm of item k is at most ``bound[k]``, or in set i with
+    ``scale``, (bound[k] scale[i])^2.  ``norms_of(sets, items)`` takes index
+    arrays of equal length and returns the pairs ``(sets, norms)`` of those
+    items, in any order, NaN where a norm is.  In each set it evaluates the
+    item of largest ``bound`` (the first), of norm v, then every other item
+    whose bound is not below (1 - 1e-12) v^2, each once; no item left out
+    can exceed v.  Each step takes every set at once, the first in one call
+    of ``norms_of`` and the second in calls of at most :data:`BATCH` items,
+    and a set's supremum is the maximum over its pairs.  A NaN is kept, and
+    every item of a set is evaluated where its top bound is NaN, infinite
+    or not normal, or where v^2 < tiny.
+
+    With ``scale`` the bound is rank one: a larger ``bound[k]`` is no
+    smaller a bound in any set, so the items any set keeps are those of
+    ``bound`` at least a least value, and only those are compared set by
+    set.  The least value starts at the smallest root of a set's threshold
+    over its scale, and is lowered to the next value of ``bound`` below it
+    for as long as some set keeps that value.
 
     The margin covers the rounding of a bound against the norm it bounds
     where the two are computed apart, as a run's bound and its moduli are,
@@ -315,18 +342,52 @@ def _prune(bound_sq: np.ndarray, sup_on: Callable[[np.ndarray], float]) -> float
     a product block is off by no more; Frobenius bounds are a few ulps from
     exact.
     """
-    top = np.max(bound_sq, initial=0.0)
-    keep = np.ones(bound_sq.shape, dtype=bool)
-    v = 0.0
-    if _TINY <= top < np.inf:
-        at = int(np.argmax(bound_sq))
-        v = float(sup_on(np.array([at])))
-        if v * v >= _TINY:
-            keep = bound_sq >= (1.0 - 1e-12) * v * v
-        keep[at] = False
-    rest = np.flatnonzero(keep)
-    # np.maximum keeps a NaN; max(1.0, nan) is 1.0.
-    return float(np.maximum(v, sup_on(rest))) if rest.size else v
+    count = 1 if scale is None else scale.size
+    sups = np.zeros(count)
+    if not bound.size:
+        return sups
+    at = int(np.argmax(bound))  # the first NaN, if there is one
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, 0 * inf
+        top = bound[at:at + 1] if scale is None else (bound[at] * scale) ** 2
+    normal = (_TINY <= top) & (top < np.inf)
+    tops = np.flatnonzero(normal)
+    if tops.size:
+        sets, norms = norms_of(tops, np.full(tops.size, at))
+        sups[sets] = norms
+    with np.errstate(over="ignore"):
+        floor = np.where(sups * sups >= _TINY, (1.0 - 1e-12) * sups * sups,
+                         -np.inf)
+    if scale is None:
+        keep = ~(bound < floor[0])
+        keep[at] &= not normal[0]
+        items = np.flatnonzero(keep)
+        sets = np.zeros_like(items)
+    else:
+        # Rank one: the items a set with a floor keeps are those of ``bound``
+        # at least ``least``, and only they are compared with its floor; a
+        # set without one keeps every item.
+        every, ruled = np.arange(count), floor > -np.inf
+        rows, floor, scale = every[ruled], floor[ruled], scale[ruled]
+        least = np.min(np.sqrt(floor) / scale, initial=np.inf)
+        with np.errstate(over="ignore"):
+            while True:
+                below = np.max(bound, where=bound < least, initial=-np.inf)
+                if below == -np.inf or np.all((below * scale) ** 2 < floor):
+                    break
+                least = below
+            candidates = np.flatnonzero(bound >= least)
+            row, column = np.nonzero((bound[candidates] * scale[:, None]) ** 2
+                                     >= floor[:, None])
+        sets = np.concatenate([rows[row], np.repeat(every[~ruled], bound.size)])
+        items = np.concatenate([candidates[column], np.tile(
+            np.arange(bound.size), count - rows.size)])
+        rest = ~((items == at) & normal[sets])
+        sets, items = sets[rest], items[rest]
+    for lo in range(0, items.size, BATCH):
+        batch = norms_of(sets[lo:lo + BATCH], items[lo:lo + BATCH])
+        with np.errstate(invalid="ignore"):  # a NaN norm
+            np.maximum.at(sups, *batch)
+    return sups
 
 
 def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
@@ -340,8 +401,8 @@ def _sup_norm(s: np.ndarray, u: np.ndarray, c: np.ndarray,
     """
     with np.errstate(over="ignore"):
         frob = u * u + c * c + l * l
-    pairs = _prune(frob, lambda k: np.max(_pair_norms(u[k], c[k], l[k])))
-    return float(np.maximum(np.max(s, initial=0.0), pairs))
+    pairs = _prune(frob, lambda sets, k: (sets, _pair_norms(u[k], c[k], l[k])))
+    return float(np.maximum(np.max(s, initial=0.0), pairs[0]))
 
 
 @dataclass(frozen=True)
@@ -390,19 +451,15 @@ class BlockDiagonal:
                 self.upper, self.corner, self.lower)))
         return out
 
-    def take(self, index: np.ndarray) -> "BlockDiagonal":
-        """The operator on the blocks ``index`` (ascending, 1x1 first) only."""
-        split = np.searchsorted(index, self.scalars.size)
-        scalars, blocks = index[:split], index[split:] - self.scalars.size
-        return BlockDiagonal(self.scalars[scalars], self.upper[blocks],
-                             self.corner[blocks], self.lower[blocks])
 
-
-def evolve_blocks(model: Model, t: float, work=None) -> BlockDiagonal:
-    """The semigroup at time t as a block-diagonal operator; with ``work``,
-    a :class:`linalg.Workspace` with as many entries as there are 1x1
-    blocks (the weighted norms), the 1x1 blocks exp(t s) are written into
-    its ``diag``, and it is ``scalars``.
+def evolve_blocks(model: Model, t, work=None) -> BlockDiagonal:
+    """The semigroup at time t as a block-diagonal operator; ``t`` is one
+    time, or an array of one time per block of ``model`` (1x1 blocks
+    first), each block then taken at its own time.  With ``work``, a
+    :class:`linalg.Workspace` with as many entries as there are 1x1 blocks
+    (the weighted norms), the 1x1 blocks exp(t s) are written into its
+    ``diag``, and it is ``scalars``.  ``ValueError`` names the first time
+    that is negative or not finite.
 
     Each 2x2 block is exp(t mid) [[exp(t d), sinh(t d) / d], [0, exp(-t d)]]
     (t in place of sinh(t d) / d where d is 0 or subnormal), from three
@@ -411,9 +468,21 @@ def evolve_blocks(model: Model, t: float, work=None) -> BlockDiagonal:
     The carrier C keeps the corner free of the cancellation between exp(ta)
     and exp(tb) at nearby eigenvalues a, b, and expm1 keeps it accurate at
     small t d; G is not formed as 1 + E, which cancels where Re(t d) << 0.
+    Every operation is elementwise, so a block's entries are the same to
+    the bit whether it is taken at one time with the whole table or at its
+    own time among other blocks.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+    times = np.ravel(t)
+    bad = ~((times >= 0) & (times < math.inf))
+    if bad.any():
+        raise ValueError(f"t must be >= 0 and finite, got {times[np.argmax(bad)]}")
+    count, blocks = model.scalars.size, model.scalars.size + model.mid.size
+    if np.ndim(t) == 0:
+        t_ones = t
+    elif np.shape(t) == (blocks,):
+        t_ones, t = t[:count], t[count:]
+    else:
+        raise ValueError(f"t has shape {np.shape(t)} for {blocks} blocks")
     d = model.half_gap
     carrier = np.exp(t * model.mid)
     gain = np.expm1(t * d)
@@ -423,12 +492,12 @@ def evolve_blocks(model: Model, t: float, work=None) -> BlockDiagonal:
     # would depend on the length of the table.
     corner = np.divide(np.multiply(gain, 2.0 + gain),
                        np.multiply(2.0 * d, grow),
-                       out=np.full(d.shape, t, dtype=complex),
+                       out=np.broadcast_to(t, d.shape).astype(complex),
                        where=np.abs(d) >= _TINY)
     corner = corner * carrier
     scalars, out = ((model.scalars, None) if work is None
                     else (work.laid_out(model.scalars), work.diag))
-    return BlockDiagonal(np.exp(np.multiply(t, scalars, out=out), out=out),
+    return BlockDiagonal(np.exp(np.multiply(t_ones, scalars, out=out), out=out),
                          carrier * grow, corner, carrier / grow)
 
 
@@ -520,9 +589,9 @@ def semigroup_norm(model: Model, t: float) -> float:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
     summary = model.summary
     runs = list(chunks(model.scalars.size, model.mid.size))
-    norm = _prune(_chunk_bounds(summary, t), lambda index: np.max([
+    norm = _prune(_chunk_bounds(summary, t), lambda sets, index: (sets, np.array([
         _sup_norm(*_moduli(model, *runs[k], t, summary["imaginary"][k]))
-        for k in index.tolist()]))
+        for k in index.tolist()])))[0].item()
     if not math.isfinite(norm):
         raise ValueError(f"||T(t)|| = {norm!r} at t = {t!r} is not finite")
     return norm
@@ -544,24 +613,26 @@ def spectral_bound(model: Model) -> tuple:
             return bound, complex(eigs[hit[0]])
 
 
-def _gaps(model: Model, mu: complex) -> tuple:
-    """The eigenvalues of the 1x1 blocks and of the 2x2 blocks' two
-    coordinates, less mu; :class:`SpectrumHitError` where mu is on them,
-    ``ValueError`` where mu is not finite."""
+def _off_spectrum(mu: complex, gaps) -> None:
+    """``ValueError`` where mu is not finite, else :class:`SpectrumHitError`
+    where it lies on the spectrum: ``gaps`` yields the eigenvalues less mu,
+    as arrays, and is read only once mu is known finite, a run of
+    :data:`CHUNK` at a time, so that no distance array is dim-sized."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    s, a, b = model.scalars - mu, model.upper - mu, model.lower - mu
-    dist = min(float(np.min(np.abs(x), initial=np.inf)) for x in (s, a, b))
+    dist = min((float(np.min(np.abs(x[lo:lo + CHUNK]), initial=np.inf))
+                for x in gaps for lo in range(0, x.size, CHUNK)),
+               default=np.inf)
     if dist < _SPECTRUM_MARGIN:
         raise SpectrumHitError(f"mu {mu} is within {dist:.3e} of the spectrum")
-    return s, a, b
 
 
 def resolvent_blocks(model: Model, mu: complex) -> BlockDiagonal:
     """(A - mu I)^-1 as a block-diagonal operator, blockwise closed form;
     ``ValueError`` naming mu where its corner -1/(ab) overflows."""
     mu = complex(mu)
-    s, a, b = _gaps(model, mu)
+    s, a, b = model.scalars - mu, model.upper - mu, model.lower - mu
+    _off_spectrum(mu, (s, a, b))
     with np.errstate(over="ignore", invalid="ignore"):
         corner = -1.0 / (a * b)
     if not np.isfinite(corner).all():
@@ -649,19 +720,39 @@ def norm_curve(model: Model, ts: np.ndarray, x: BlockDiagonal, tol: float,
 
 def _certified_curve(model: Model, factor: BlockDiagonal, ts: np.ndarray,
                      bound: np.ndarray) -> np.ndarray:
-    """t -> ||T(t) X|| in the Euclidean norm, from ``bound`` = ||T(t)||.
+    """t -> ||T(t) X|| in the Euclidean norm, from ``bound`` = ||T(t)||,
+    for the whole grid at once.
 
-    Block k of T(t) X has norm at most ||T(t)|| ||X_k||, which :func:`_prune`
-    selects by; T(t) X is evaluated from the sliced table on the selected
-    blocks alone, bitwise the supremum of the whole product's block norms.
+    Block k of T(t) X has norm at most ||T(t)|| ||X_k||, a bound of rank one
+    over the (grid time, block) pairs, by which :func:`_prune` selects
+    them: the block of largest ||X_k|| at every grid time, in one batch,
+    then every pair the rule keeps, in batches of at most :data:`BATCH`.  A
+    batch is one :func:`evolve_blocks` call on the slice of the table its
+    pairs hold, each block at its own time, one product with the slice of X
+    and :meth:`BlockDiagonal.block_norms`.
+
+    Rounding.  Each pair gets the operations, in the order, of the
+    scalar-t :func:`evolve_blocks` and :meth:`BlockDiagonal.__matmul__` on
+    the whole table, then the formula of
+    :meth:`BlockDiagonal.sup_singular_value`.  All are elementwise, and
+    none is an in-place product, which numpy would round by the length of
+    the batch.  So a pair's norm is its block's in the whole T(t) X to the
+    bit, the maximum over a grid time's pairs is exact, and the curve is
+    the supremum of the whole product's block norms, bitwise.
     """
-    def norm_on(index, t):
-        semi = evolve_blocks(model.take(index), t)
-        return (semi @ factor.take(index)).sup_singular_value()
+    count = model.scalars.size
 
-    norms = factor.block_norms()
-    return np.array([_prune((norms * top) ** 2, lambda k: norm_on(k, t))
-                     for t, top in zip(ts.tolist(), bound.tolist())])
+    def norms_of(sets, items):
+        one = items < count
+        ones, twos = items[one], items[~one] - count
+        part = replace(model, scalars=model.scalars[ones], mid=model.mid[twos],
+                       half_gap=model.half_gap[twos])
+        x = BlockDiagonal(factor.scalars[ones], factor.upper[twos],
+                          factor.corner[twos], factor.lower[twos])
+        sets = np.concatenate([sets[one], sets[~one]])
+        return sets, (evolve_blocks(part, ts[sets]) @ x).block_norms()
+
+    return _prune(factor.block_norms(), norms_of, scale=bound)
 
 
 def truncation(family: Family, t_max: float, order: int = 1,

@@ -220,13 +220,6 @@ def _scan(model: Model, contour: Contour) -> tuple:
             np.concatenate(spread), tuple(enclosed.tolist()), worst)
 
 
-def _support(model: Model, contour: Contour) -> tuple:
-    """The support, the enclosed eigenvalues and the closest approach, of
-    :func:`_scan`."""
-    index, _, _, enclosed, worst = _scan(model, contour)
-    return index, enclosed, worst
-
-
 def _quadrature_sum(model: Model, contour: Contour) -> tuple:
     """The trapezoid sums at N = contour.nodes and 2N nodes, in closed form.
 
@@ -289,15 +282,6 @@ def _rank(trace: complex) -> int:
         raise NonconvergedError(f"projection trace {trace} is not within "
                                 f"{_TRACE_INT_TOL} of an integer")
     return int(rank)
-
-
-def _build_report(part: Model, support: BlockDiagonal, index: np.ndarray,
-                  enclosed, drift: float) -> ProjectionReport:
-    """The report of P held as ``support`` on the blocks ``index``, the
-    blocks of ``part``, and 0 elsewhere."""
-    idem, comm, trace = _defects(part, support)
-    return ProjectionReport(support, index, idem, comm, _rank(trace),
-                            tuple(enclosed), float(drift))
 
 
 def _majorants(contour: Contour, closest: float, spread: float) -> tuple:

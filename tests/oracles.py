@@ -328,33 +328,49 @@ def riesz_projection_closed(model, eigenvalue_index: int):
         raise IndexError(
             f"eigenvalue index {eigenvalue_index} out of range (0..{count - 1})")
     lam = complex(model.spectrum[eigenvalue_index])
-    return spectral._build_report(
-        model, closed_blocks(model, lam, spectral._SAME_VALUE),
-        every_block(model), (lam,), 0.0)
+    return held_report(model, closed_blocks(model, lam, spectral._SAME_VALUE),
+                       every_block(model), (lam,), 0.0)
 
 
 def contour_projection_closed(model, contour):
     """Closed-form projection for everything enclosed by the circle."""
-    enclosed = spectral._support(model, contour)[1]
+    enclosed = spectral._scan(model, contour)[3]
     blocks = closed_blocks(model, contour.center, contour.radius)
-    return spectral._build_report(model, blocks, every_block(model), enclosed,
-                                  0.0)
+    return held_report(model, blocks, every_block(model), enclosed, 0.0)
 
 
 def full_support_projection(model, contour):
     """The quadrature's projection held on its whole support, not on rings:
-    ``_support``'s index, both trapezoid sums on that slice of the table,
-    and the report of the N-node sum with the drift between them."""
-    index, enclosed, _ = spectral._support(model, contour)
+    ``_scan``'s index, both trapezoid sums on that slice of the table, and
+    the report of the N-node sum with the drift between them."""
+    index, _, _, enclosed, _ = spectral._scan(model, contour)
     part = model.take(index)
     p, p2 = spectral._quadrature_sum(part, contour)
-    return spectral._build_report(part, p, index, enclosed,
-                                  (p - p2).sup_singular_value())
+    return held_report(part, p, index, enclosed, (p - p2).sup_singular_value())
+
+
+def held_report(part, support, index, enclosed, drift: float):
+    """The report of P held as ``support`` on the blocks ``index``, the
+    blocks of ``part``, and 0 elsewhere: its defects and rank as a
+    quadrature reads them (``spectral._defects``, ``spectral._rank``)."""
+    idem, comm, trace = spectral._defects(part, support)
+    return spectral.ProjectionReport(support, index, idem, comm,
+                                     spectral._rank(trace), tuple(enclosed),
+                                     float(drift))
 
 
 def every_block(model) -> np.ndarray:
     """The index of all blocks, for an operator held on the full dimension."""
     return np.arange(model.scalars.size + model.mid.size)
+
+
+def blocks_on(op, index) -> BlockDiagonal:
+    """The operator ``op`` on the blocks ``index`` (ascending, 1x1 first)
+    only."""
+    split = np.searchsorted(index, op.scalars.size)
+    scalars, blocks = index[:split], index[split:] - op.scalars.size
+    return BlockDiagonal(op.scalars[scalars], op.upper[blocks],
+                         op.corner[blocks], op.lower[blocks])
 
 
 def whole_projection(model, report) -> BlockDiagonal:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (block_norms, contour_projection_closed, dense,
+from oracles import (block_norms, blocks_on, contour_projection_closed, dense,
                      evolve_four_calls, generator_blocks,
                      riesz_projection_closed, semigroup_moduli,
                      sup_block_norm_unpruned, weighted_vector_norm,
@@ -566,14 +566,68 @@ def test_prune_keeps_the_supremum_bitwise(case):
     norms, bound_sq = case
     seen = []
 
-    def sup_on(index):
+    def norms_of(sets, index):
         seen.extend(index.tolist())
-        return np.max(norms[index])
+        return sets, norms[index]
 
-    got = models._prune(bound_sq, sup_on)
+    [got] = models._prune(bound_sq, norms_of)
     assert len(seen) == len(set(seen))
     want = np.max(norms, initial=0.0)
     assert np.isnan(got) if np.isnan(want) else got == want
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """Weights led by item 0, whose norm in each set is drawn at most its
+    bound, and other items at random below it or within a few ulps of a
+    set's threshold sqrt((1 - 1e-12) v^2) / scale, either side."""
+    scale = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=1,
+                                   max_size=5)))
+    lead = draw(st.floats(1e-3, 1e3))
+    top = lead * scale * np.array([draw(st.floats(1e-6, 0.5))
+                                   for _ in scale.tolist()])
+    near = (np.sqrt((1.0 - 1e-12) * top * top) / scale)[
+        draw(st.integers(0, scale.size - 1))]
+    others = [near + k * np.spacing(near) for k in draw(st.lists(
+        st.integers(-4, 4), max_size=6))]
+    others += draw(st.lists(st.floats(0.0, lead / 2), max_size=6))
+    return np.array([lead] + draw(st.permutations(others))), scale, top
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_rank_one_cases())
+# The float below a threshold's root, 13.350303324183203, is kept: its
+# bound rounds up to the threshold.
+@example(case=(np.array([100.0, 13.350303324183201, 13.350303324183203]),
+               np.array([39.59383707132619]), np.array([528.5897346707584])))
+def test_rank_one_prune_is_the_rule_in_each_set(case):
+    # With a bound of rank one, (weight[k] scale[i])^2, each set evaluates
+    # the items that the one-set rule evaluates on its own squared bounds,
+    # ties at the threshold included, and takes the same supremum.
+    weight, scale, top = case
+
+    def norms(sets, items):
+        return np.where(items == 0, top[sets],
+                        0.5 * weight[items] * scale[sets])
+
+    seen = []
+
+    def norms_of(sets, items):
+        seen.extend(zip(sets.tolist(), items.tolist()))
+        return sets, norms(sets, items)
+
+    got = models._prune(weight, norms_of, scale=scale)
+    assert len(seen) == len(set(seen))
+    for i, s in enumerate(scale.tolist()):
+        want = []
+
+        def one(sets, items):
+            want.extend(items.tolist())
+            return sets, norms(np.full(items.size, i), items)
+
+        [sup] = models._prune((weight * s) ** 2, one)
+        assert sorted(k for j, k in seen if j == i) == sorted(want)
+        assert got[i] == sup
 
 
 @st.composite
@@ -798,6 +852,39 @@ def test_a_part_derives_its_own_spectrum(family):
     assert part.multiplicity.tolist() == counts[order].tolist()
 
 
+@pytest.mark.parametrize("family", [Family.DIAG_JORDAN, Family.JORDAN_PAIRS])
+@pytest.mark.parametrize("blocks", [16383, 16384, 20000])
+def test_evolve_blocks_at_a_time_per_block_is_the_one_time_call_bitwise(
+        family, blocks):
+    # Either side of the 16384 complex entries from which numpy evaluates
+    # a * (b + c) as (b + c) *= a: each block taken at its own time is the
+    # block of the call at that one time, to the bit.
+    m = _model(family, blocks + (family is Family.JORDAN_PAIRS))
+    count = m.scalars.size
+    assert count + m.mid.size == blocks
+    times = np.array([0.0, 0.5, 3.0, 77.0, 1000.0])
+    t = times[np.arange(blocks) % times.size]
+    mixed = evolve_blocks(m, t)
+    for time in times.tolist():
+        one, at = evolve_blocks(m, time), t == time
+        assert (mixed.scalars[at[:count]].tobytes()
+                == one.scalars[at[:count]].tobytes())
+        for field in ("upper", "corner", "lower"):
+            assert (getattr(mixed, field)[at[count:]].tobytes()
+                    == getattr(one, field)[at[count:]].tobytes()), (time, field)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_evolve_blocks_names_the_first_bad_time(bad):
+    m = _model(Family.DIAG_JORDAN, 6)
+    t = np.full(6, 2.0)
+    t[[3, 5]] = bad, -7.0
+    with pytest.raises(ValueError, match=f"t must be >= 0 and finite, got {bad}$"):
+        evolve_blocks(m, t)
+    with pytest.raises(ValueError, match=r"t has shape \(5,\) for 6 blocks"):
+        evolve_blocks(m, np.full(5, 2.0))
+
+
 @pytest.mark.parametrize("step", [3, 7])
 def test_evolve_blocks_on_a_part_is_the_whole_table_bitwise(step):
     # 19999 blocks: from 16384 complex entries on numpy evaluates
@@ -807,7 +894,7 @@ def test_evolve_blocks_on_a_part_is_the_whole_table_bitwise(step):
     m = _model(Family.JORDAN_PAIRS, 20000)
     index = np.arange(0, m.mid.size, step)
     for t in (0.5, 3.0, 77.0, 1000.0):
-        whole = evolve_blocks(m, t).take(index)
+        whole = blocks_on(evolve_blocks(m, t), index)
         part = evolve_blocks(m.take(index), t)
         for field in ("upper", "corner", "lower"):
             assert (getattr(part, field).tobytes()
@@ -1072,7 +1159,7 @@ def test_distinct_and_the_enclosed_read_take_an_empty_set():
     values, counts = models.distinct(np.zeros(0, dtype=complex))
     assert values.size == counts.size == 0
     m = _model(Family.JORDAN_PAIRS, 40)
-    index, enclosed, worst = spectral._support(m, Contour(100.0 + 0j, 0.5))
+    *_, enclosed, worst = spectral._scan(m, Contour(100.0 + 0j, 0.5))
     assert enclosed == () and worst > 99.0
     assert models.lowest_eigenvalues(_table([], [], []), 5).size == 0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (commutation_probe, contour_projection_closed, dense,
-                     dense_operator_norm, every_block, full_support_projection,
-                     generator_blocks, riesz_projection_closed,
-                     trapezoid_exact, trapezoid_node_sum, whole_norm_curve,
-                     whole_projection)
+from oracles import (block_norms, blocks_on, commutation_probe,
+                     contour_projection_closed, dense, dense_operator_norm,
+                     every_block, full_support_projection, generator_blocks,
+                     riesz_projection_closed, trapezoid_exact,
+                     trapezoid_node_sum, whole_norm_curve, whole_projection)
 from semistab.errors import (ClusteredSpectrumError, ContourTooCloseError,
                              NonconvergedError)
 from semistab import linalg, models, spectral
@@ -44,14 +45,18 @@ def _record_calls(monkeypatch, name, module=models):
     return calls
 
 
-def _record_tables(monkeypatch):
-    """Record the spectral tables the semigroup is evaluated on, as
-    (scalars, mid, half_gap, t)."""
+def _record_pairs(monkeypatch):
+    """Record the (t, block) pairs each call of the semigroup evaluates, one
+    list per call: a 1x1 block as its eigenvalue, a 2x2 block as (mid,
+    half_gap), each at its own time."""
     calls = []
     original = models.evolve_blocks
 
     def recorded(model, t, **kwargs):
-        calls.append((model.scalars, model.mid, model.half_gap, t))
+        blocks = model.scalars.tolist() + list(zip(model.mid.tolist(),
+                                                   model.half_gap.tolist()))
+        calls.append(list(zip(np.broadcast_to(t, len(blocks)).tolist(),
+                              blocks)))
         return original(model, t, **kwargs)
 
     monkeypatch.setattr(models, "evolve_blocks", recorded)
@@ -503,6 +508,71 @@ def test_certified_curve_keeps_blocks_of_subnormal_square(x, e, t):
     assert np.array_equal(got, want)
 
 
+#: Half-gaps 0, subnormal, real, imaginary and complex.
+_HALF_GAPS = st.sampled_from([0j, 5e-324 + 0j, 1e-310j, 0.3 + 0j, -0.2 + 0j,
+                              0.7j, 0.25 - 1.5j])
+
+#: Bounds that are not normal, so that every pair of their time is evaluated.
+_NOT_NORMAL = st.sampled_from([0.0, 5e-324, math.inf, math.nan])
+
+
+@st.composite
+def _curve_cases(draw):
+    """A Euclidean table of 1x1 and 2x2 blocks; a factor with zero blocks,
+    or zero; a grid that may start at t = 0; and ||T(t)|| on it, but where
+    drawn, a bound that is not normal."""
+    value = st.builds(complex, st.floats(-0.4, 0.1), st.floats(-3.0, 3.0))
+    scalars = draw(st.lists(value, max_size=4))
+    pairs = draw(st.lists(st.tuples(value, _HALF_GAPS),
+                          min_size=0 if scalars else 1, max_size=4))
+    m = _with_table(_DJ, scalars, [mid for mid, _ in pairs],
+                    [d for _, d in pairs])
+    entry = st.just(0j) | st.builds(complex, st.floats(-2.0, 2.0),
+                                    st.floats(-2.0, 2.0))
+    zero = draw(st.booleans())
+    factor = BlockDiagonal(*(np.array([0j if zero else draw(entry)
+                                       for _ in range(size)], dtype=complex)
+                             for size in [len(scalars)] + 3 * [len(pairs)]))
+    times = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6,
+                          unique=True))
+    ts = np.array(sorted(times + [0.0] * draw(st.booleans())))
+    ts = np.unique(ts)
+    bound = np.array([models.semigroup_norm(m, t) for t in ts.tolist()])
+    for i in draw(st.sets(st.integers(0, ts.size - 1))):
+        bound[i] = draw(_NOT_NORMAL)
+    return m, factor, ts, bound
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_curve_cases())
+# A zero factor: no bound is normal, and every pair is evaluated.
+@example(case=(_with_table(_DJ, [0.1j], [-0.3 + 1j], [0.7j]),
+               BlockDiagonal(*4 * [np.zeros(1, dtype=complex)]),
+               np.array([0.0, 2.0]), np.array([1.0, 2.0])))
+def test_batched_curve_is_the_whole_evaluation_bitwise(case):
+    # The curve from the two batches of (grid time, block) pairs is the
+    # supremum of the whole product's block norms at each grid time, and
+    # where the bound is not normal every block is evaluated, once.
+    m, factor, ts, bound = case
+    times = []
+    original = models.evolve_blocks
+
+    def recorded(model, t, **kwargs):
+        times.extend(np.broadcast_to(t, model.scalars.size
+                                     + model.mid.size).tolist())
+        return original(model, t, **kwargs)
+
+    with patch.object(models, "evolve_blocks", recorded):
+        got = norm_curve(m, ts, factor, LANCZOS_TOL_DEFAULT, semi=bound)[1]
+    assert np.array_equal(got, whole_norm_curve(m, ts, factor))
+    blocks = m.scalars.size + m.mid.size
+    for t, b in zip(ts.tolist(), bound.tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf
+            top = (np.max(block_norms(factor)) * b) ** 2
+        if not np.finfo(float).tiny <= top < math.inf:
+            assert times.count(t) == blocks
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(family=st.sampled_from(list(Family)), t_max=st.floats(0.05, 20.0),
        points=st.integers(1, 12), mu_re=st.floats(0.05, 3.0),
@@ -599,10 +669,12 @@ def test_certified_curve_widens_the_tail_as_the_head_decays(monkeypatch):
     semi = _semi(m, ts)
     full = _assert_full_curve(m, proj, semi)
     assert full[-1] > 1e3 * 60.0 * np.exp(-60.0)
-    tables = _record_tables(monkeypatch)
+    calls = _record_pairs(monkeypatch)
     hypothesis_b_check(m, proj, semi, lambda t: 1.0)
-    widened = [t for scalars, mid, _, t in tables if scalars.size + mid.size > 1]
-    assert widened == [ts[-1]]
+    # The Jordan block at every grid time, then the tail at the last only.
+    top, widened = calls
+    assert top == [(t, (m.mid[0], m.half_gap[0])) for t in ts.tolist()]
+    assert {t for t, _ in widened} == {ts[-1]} and len(widened) > 1
 
 
 def test_contour_projection_closed_matches_quadrature_for_pairs():
@@ -625,10 +697,10 @@ def test_quadrature_evaluates_no_semigroup(monkeypatch):
     contour = hypothesis_a_check(m, 2.5j)
     recorded = [_record_calls(monkeypatch, name) for name in
                 ("evolve_blocks", "semigroup_norm", "resolvent_blocks")]
-    tables = _record_tables(monkeypatch)
+    calls = _record_pairs(monkeypatch)
     riesz_projection_quadrature(m, contour)
     assert recorded == [[], [], []]
-    assert tables == []
+    assert calls == []
 
 
 def test_commutation_defect_is_the_generator_commutator():
@@ -648,8 +720,7 @@ def test_commutation_defect_is_the_generator_commutator():
         corner = np.abs(evolve_blocks(m, t).corner)
         assert commutation_probe(m, perturbed, t) == pytest.approx(
             np.max(corner * g), rel=1e-12)
-    defect = spectral._build_report(m, perturbed, every_block(m),
-                                    report.enclosed, 0.0).commutation_defect
+    defect = spectral._defects(m, perturbed)[1]
     assert defect == pytest.approx(np.max(g), rel=1e-12)
     assert defect > 1e-9
     assert report.commutation_defect <= 1e-9
@@ -702,7 +773,7 @@ def test_hypothesis_b_rejects_a_weighted_projection_on_part_of_the_table():
     m = _model(Family.LOG_SPECTRUM, 20)
     report = riesz_projection_quadrature(m, hypothesis_a_check(m, 1j * np.log(3)))
     cut = dataclasses.replace(report, index=report.index[:5],
-                              support=report.support.take(np.arange(5)))
+                              support=blocks_on(report.support, np.arange(5)))
     with pytest.raises(ValueError, match="couples every coordinate.* 5 of 19"):
         hypothesis_b_check(m, cut, _semi(m, [1.0, 10.0]), lambda t: 1.0)
 
@@ -823,12 +894,13 @@ def test_quadrature_on_the_support_is_the_whole_table_sum(case):
     # Off the support both sums are exactly 0 on the whole table, and on it
     # the sums of the support alone are the same to the last bit.
     m, contour = case
-    index = spectral._support(m, contour)[0]
+    index = spectral._scan(m, contour)[0]
     off = np.setdiff1d(np.arange(m.scalars.size + m.mid.size), index)
     for whole, held in zip(spectral._quadrature_sum(m, contour),
                            spectral._quadrature_sum(m.take(index), contour)):
-        assert not np.any(_entries(whole.take(off)))
-        assert _entries(whole.take(index)).tobytes() == _entries(held).tobytes()
+        assert not np.any(_entries(blocks_on(whole, off)))
+        assert (_entries(blocks_on(whole, index)).tobytes()
+                == _entries(held).tobytes())
 
 
 def _bits(x) -> bytes:
@@ -849,7 +921,7 @@ def test_rings_report_the_whole_support_suprema(case):
     # those of P on its whole support, to the last bit.
     m, contour = case
     m = _euclidean(m)
-    assume(spectral._support(m, contour)[2] >= spectral.CONTOUR_MARGIN)
+    assume(spectral._scan(m, contour)[4] >= spectral.CONTOUR_MARGIN)
     try:
         full = full_support_projection(m, contour)
     except NonconvergedError:
@@ -946,7 +1018,7 @@ def test_hypothesis_a_circles_pass_the_quadrature_margin(table, cap):
             contour = hypothesis_a_check(m, lam, radius_cap=cap)
         except ClusteredSpectrumError:
             continue
-        _, enclosed, worst = spectral._support(m, contour)
+        _, _, _, enclosed, worst = spectral._scan(m, contour)
         assert worst >= spectral.CONTOUR_MARGIN
         assert lam in enclosed
         assert all(abs(z - lam) <= spectral._SAME_VALUE for z in enclosed)
@@ -1003,13 +1075,13 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "t"))
     resolvents = _record_calls(monkeypatch, "resolvent_blocks")
     norms = _record_calls(monkeypatch, "semigroup_norm")
-    tables = _record_tables(monkeypatch)
+    calls = _record_pairs(monkeypatch)
     # The first hypothesis-(b) check ends the sampling of ||T(t) R_mu||.
     started = []
     check = spectral.hypothesis_b_check
 
     def recorded_check(*args, **kwargs):
-        started.append(len(tables))
+        started.append(len(calls))
         return check(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "hypothesis_b_check", recorded_check)
@@ -1020,38 +1092,43 @@ def test_theorem_check_shares_one_semigroup_per_grid_time(monkeypatch,
     assert len(resolvents) == 1
     assert [t for (t,) in norms] == cfg.grid.values().tolist()
     m = build_model(cfg.model)
-    assert tables and all(mid.size < m.mid.size for _, mid, _, _ in tables)
-    sampled, projected = tables[:started[0]], tables[started[0]:]
+    assert calls and all(len({block for _, block in pairs}) < m.mid.size
+                         for pairs in calls)
+    sampled, projected = calls[:started[0]], calls[started[0]:]
     grid = cfg.grid.values().tolist()
-    # Each grid time of ||T(t) R_mu|| evaluates the block of largest bound,
-    # and from t = 3.08 on the blocks it cannot rule out, in one more slice.
-    times = [t for *_, t in sampled]
-    assert sorted(set(times)) == grid
-    assert [times.count(t) for t in grid] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
-    assert all(sampled[times.index(t)][1].size == 1 for t in grid)
-    assert len(projected) == checked * points
+    # ||T(t) R_mu|| evaluates the block of largest bound at every grid time,
+    # in one batch, and from t = 3.08 on the blocks it cannot rule out, in
+    # one more.
+    top, rest = sampled
+    assert [t for t, _ in top] == grid and len({b for _, b in top}) == 1
+    assert sorted({t for t, _ in rest}) == grid[3:]
+    assert not set(top) & set(rest)
+    # Each projected curve: the one block of P at every grid time.
+    assert len(projected) == checked
     lowest = m.spectrum[:checked]
-    for scalars, mid, half_gap, _ in projected:
-        assert scalars.size == 0 and mid.size == 1
-        assert np.any(np.isin(lowest, [mid[0] + half_gap[0], mid[0] - half_gap[0]]))
+    for pairs in projected:
+        assert [t for t, _ in pairs] == grid
+        [(mid, half_gap)] = {block for _, block in pairs}
+        assert np.any(np.isin(lowest, [mid + half_gap, mid - half_gap]))
 
 
 def test_simulate_evaluates_the_semigroup_once_per_grid_time(monkeypatch,
                                                              tmp_path):
     # In the Euclidean norm once per grid time means one norm from the
     # block moduli, and no whole semigroup: T(t) R_mu is evaluated on the
-    # slices that theorem-check's sampling evaluates.
+    # (t, block) pairs that theorem-check's sampling evaluates.
     cfg = parse_config(_SMALL_RUN.format(out=tmp_path / "s"))
-    tables = _record_tables(monkeypatch)
+    calls = _record_pairs(monkeypatch)
     norms = _record_calls(monkeypatch, "semigroup_norm")
     run_simulate(cfg)
     assert len(norms) == cfg.grid.points
     m = build_model(cfg.model)
-    assert all(mid.size < m.mid.size for _, mid, _, _ in tables)
-    times = [t for *_, t in tables]
+    assert all(len({block for _, block in pairs}) < m.mid.size
+               for pairs in calls)
     grid = cfg.grid.values().tolist()
-    assert sorted(set(times)) == grid
-    assert [times.count(t) for t in grid] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
+    top, rest = calls
+    assert [t for t, _ in top] == grid and len({b for _, b in top}) == 1
+    assert sorted({t for t, _ in rest}) == grid[3:]
 
 
 def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
@@ -1060,11 +1137,13 @@ def test_simulate_evaluates_the_weighted_semigroup_once_per_grid_time(
     text = _SMALL_RUN.replace("JORDAN_PAIRS", "LOG_SPECTRUM\nmodel.order = 2")
     cfg = parse_config(text.format(out=tmp_path / "w"))
     evolves = _record_calls(monkeypatch, "evolve_blocks")
-    tables = _record_tables(monkeypatch)
+    calls = _record_pairs(monkeypatch)
     run_simulate(cfg)
-    assert len(evolves) == len(tables) == cfg.grid.points
+    assert len(evolves) == len(calls) == cfg.grid.points
     m = build_model(cfg.model)
-    assert all(scalars.size == m.scalars.size for scalars, *_ in tables)
+    grid = cfg.grid.values().tolist()
+    assert [{t for t, _ in pairs} for pairs in calls] == [{t} for t in grid]
+    assert all(len(pairs) == m.scalars.size for pairs in calls)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

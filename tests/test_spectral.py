@@ -535,8 +535,7 @@ def _curve_cases(draw):
                              for size in [len(scalars)] + 3 * [len(pairs)]))
     times = draw(st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6,
                           unique=True))
-    ts = np.array(sorted(times + [0.0] * draw(st.booleans())))
-    ts = np.unique(ts)
+    ts = np.unique(times + [0.0] * draw(st.booleans()))
     bound = np.array([models.semigroup_norm(m, t) for t in ts.tolist()])
     for i in draw(st.sets(st.integers(0, ts.size - 1))):
         bound[i] = draw(_NOT_NORMAL)

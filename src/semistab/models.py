@@ -67,6 +67,11 @@ CHUNK = 16384
 #: run of :data:`CHUNK` blocks' moduli holds real ones, so a quarter of it.
 BATCH = CHUNK // 4
 
+#: A value is ruled out once its bound is below this multiple of a value
+#: attained: the margin for rounding of :func:`_prune`, and of the rule by
+#: which :mod:`spectral` stops summing a projection's rings.
+MARGIN = 1.0 - 1e-12
+
 
 def chunks(scalars: int, pairs: int):
     """The blocks of a table of ``scalars`` 1x1 blocks, then ``pairs`` 2x2
@@ -314,7 +319,7 @@ def _prune(bound: np.ndarray, norms_of: Callable, scale: np.ndarray | None = Non
     arrays of equal length and returns the pairs ``(sets, norms)`` of those
     items, in any order, NaN where a norm is.  In each set it evaluates the
     item of largest ``bound`` (the first), of norm v, then every other item
-    whose bound is not below (1 - 1e-12) v^2, each once; no item left out
+    whose bound is not below :data:`MARGIN` v^2, each once; no item left out
     can exceed v.  Each step takes every set at once, the first in one call
     of ``norms_of`` and the second in calls of at most :data:`BATCH` items,
     and a set's supremum is the maximum over its pairs.  A NaN is kept, and
@@ -355,7 +360,7 @@ def _prune(bound: np.ndarray, norms_of: Callable, scale: np.ndarray | None = Non
         sets, norms = norms_of(tops, np.full(tops.size, at))
         sups[sets] = norms
     with np.errstate(over="ignore"):
-        floor = np.where(sups * sups >= _TINY, (1.0 - 1e-12) * sups * sups,
+        floor = np.where(sups * sups >= _TINY, MARGIN * sups * sups,
                          -np.inf)
     if scale is None:
         keep = ~(bound < floor[0])

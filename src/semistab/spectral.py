@@ -22,7 +22,8 @@ within a few radii of the circle, so the support is evaluated in rings of
 blocks by their least |z|, |z| < 4, 16, 64, ..., innermost first, and only
 out to the first ring beyond which the same two bounds show that no block
 reaches any of them (:func:`_majorants`); the last ring ends at R.  A
-projection is held on its evaluated rings, every block on a weighted model.
+projection is held on its evaluated rings, every block on a weighted model;
+one that needs several rings is summed once more on their union.
 
 Also provides the two checkable conditions used by the decay-criterion
 pipeline: existence of an isolating circle around an eigenvalue, and decay
@@ -69,10 +70,6 @@ _TINY = np.finfo(float).tiny
 #: |z| than the ring inside it.
 _RING_GROWTH = 4.0
 
-#: A supremum is final once every value it leaves out is below this
-#: multiple of it: the margin of the pruning rule in :mod:`models`.
-_MARGIN = 1.0 - 1e-12
-
 
 def check_nodes(nodes: int) -> int:
     """``nodes`` if it is a valid quadrature node count, else ValueError."""
@@ -109,11 +106,12 @@ class ProjectionReport:
     the defect is 0.  ``drift`` is the node-doubling drift of a quadrature;
     closed forms have none.  P is ``support`` on the blocks ``index``
     (ascending, 1x1 first): the rings of its support that a quadrature
-    evaluated, every block on a weighted model.  On each other block of
-    the support ||P_k|| <= ``beyond`` (0 when there is none), and every
-    reported supremum is attained on ``index``; ``contour`` is the circle
-    that P projects for, from which the rest of the support is evaluated
-    where a supremum of ||T(t) P|| needs it.
+    evaluated, summed as one where there are several, every block on a
+    weighted model.  On each other block of the support ||P_k|| <=
+    ``beyond`` (0 when there is none), and every reported supremum is
+    attained on ``index``; ``contour`` is the circle that P projects for,
+    from which the rest of the support is evaluated where a supremum of
+    ||T(t) P|| needs it.
     """
 
     support: BlockDiagonal
@@ -326,52 +324,39 @@ def _majorants(contour: Contour, closest: float, spread: float) -> tuple:
 def _final(sup, bound):
     """Where a supremum ``sup`` is attained whatever the values that
     ``bound`` bounds: the bound is 0, which it is only where each of them
-    is, or below the margin times a normal ``sup`` (a subnormal one is off
-    by 2^-1074, not relatively)."""
-    return (bound == 0) | ((bound < _MARGIN * sup) & (sup >= _TINY))
-
-
-def _merge(held: list, count: int) -> tuple:
-    """The index and the operator of the rings ``held``, as pairs (index,
-    operator), in one ascending index, 1x1 first."""
-    if len(held) == 1:
-        return held[0]
-    index = np.concatenate([ring for ring, _ in held])
-    ones = index < count
-    fields = [np.concatenate([getattr(p, name) for _, p in held])
-              for name in ("scalars", "upper", "corner", "lower")]
-    first, second = (np.argsort(index[mask]) for mask in (ones, ~ones))
-    return (np.concatenate([index[ones][first], index[~ones][second]]),
-            BlockDiagonal(fields[0][first], *(f[second] for f in fields[1:])))
+    is, or below :data:`models.MARGIN` times a normal ``sup`` (a subnormal
+    one is off by 2^-1074, not relatively)."""
+    return (bound == 0) | ((bound < models.MARGIN * sup) & (sup >= _TINY))
 
 
 def _project(model: Model, contour: Contour, drift_tol: float,
              whole: bool = False) -> ProjectionReport:
     """:func:`riesz_projection_quadrature`, on the rings of the support
     innermost first (all of it at once where ``whole`` or the model is
-    weighted).  Each ring's blocks are summed once, and the suprema taken
-    over them join those of the rings inside.  The loop stops at the first
-    ring beyond which no block can reach any supremum (:func:`_majorants`,
-    :func:`_final`) nor move the rank or its integrality check: the
-    diagonal bound times the blocks beyond, twice, is below half the check's
-    tolerance less the trace's distance from an integer, and the other half
-    covers the rounding of summing the trace in another order."""
+    weighted).  Each ring's blocks are summed, and the suprema and trace
+    taken over them join those of the rings inside; no ring's sum is kept.
+    The loop stops at the first ring beyond which no block can reach any
+    supremum (:func:`_majorants`, :func:`_final`) nor move the rank or its
+    integrality check: the diagonal bound times the blocks beyond, twice,
+    is below half the check's tolerance less the trace's distance from an
+    integer, and the other half covers the rounding of summing the trace in
+    another order.  P is the one ring's sum or, after several, the N-node
+    sum once more on their union: the filter is elementwise, so either is
+    the whole support's P on its blocks to the bit."""
     index, least, spread, enclosed, worst = _scan(model, contour)
     if worst < CONTOUR_MARGIN:
         raise ContourTooCloseError(f"an eigenvalue lies within {worst:.3e} of "
                                    f"the contour (margin {CONTOUR_MARGIN})")
     # Drift, idempotency defect, commutation defect and ||P||.
-    held, sups, trace, low = [], np.zeros(4), 0j, 0.0
+    sups, trace, low = np.zeros(4), 0j, 0.0
     high = np.inf if whole or model.norm_order > 0 else _RING_GROWTH
     while True:
-        ring = index[(low <= least) & (least < high)]
-        part = model.take(ring)
+        part = model.take(index[(low <= least) & (least < high)])
         p, p2 = _quadrature_sum(part, contour)
         idem, comm, tr = _defects(part, p)
         sups = np.maximum(sups, [(p - p2).sup_singular_value(), idem, comm,
                                  p.sup_singular_value()])
         trace += tr
-        held.append((ring, p))
         far = high <= least
         if not far.any():
             beyond = 0.0
@@ -392,8 +377,10 @@ def _project(model: Model, contour: Contour, drift_tol: float,
         raise NonconvergedError(
             f"node doubling moved the projection by {drift:.3e} "
             f"(tolerance {drift_tol})")
-    index, support = _merge(held, model.scalars.size)
-    return ProjectionReport(support, index, float(sups[1]), float(sups[2]),
+    index = index[least < high]
+    if low > 0:  # several rings, which partition ``index``
+        p = _quadrature_sum(model.take(index), contour)[0]
+    return ProjectionReport(p, index, float(sups[1]), float(sups[2]),
                             _rank(trace), enclosed, drift, beyond, contour)
 
 

@@ -430,6 +430,7 @@ def _norm_cases(draw):
 
 
 _DJ = _euclidean(_model(Family.DIAG_JORDAN, 12))
+_JP = _euclidean(_model(Family.JORDAN_PAIRS, 12))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -914,10 +915,14 @@ def _bits(x) -> bytes:
 # at |z| = 4.2 whose diagonal is below 1e-40 but whose corner, 1 / r = 1e6
 # times larger, drifts by 2.0e-33.
 @example(case=(_with_table(_DJ, [3.5e-6], [4.2e-6], [0j]), Contour(0j, 1e-6)))
+# Projections summed on 2 and on 4 rings (8 and 11 of 11 support blocks).
+@example(case=(_JP, hypothesis_a_check(_JP, 1.5j)))
+@example(case=(_JP, hypothesis_a_check(_JP, 2.5j)))
 def test_rings_report_the_whole_support_suprema(case):
     # The rings stop where no block beyond them can reach a supremum: the
-    # drift, both defects, the rank, ||P|| and the hypothesis-(b) curve are
-    # those of P on its whole support, to the last bit.
+    # drift, both defects, the rank, ||P||, the entries of P and the
+    # hypothesis-(b) curve are those of P on its whole support, to the last
+    # bit.
     m, contour = case
     m = _euclidean(m)
     assume(spectral._scan(m, contour)[4] >= spectral.CONTOUR_MARGIN)
@@ -931,6 +936,10 @@ def test_rings_report_the_whole_support_suprema(case):
     for name in ("drift", "idempotency_defect", "commutation_defect"):
         assert _bits(getattr(report, name)) == _bits(getattr(full, name)), name
     assert report.rank == full.rank
+    assert np.all(np.diff(report.index) > 0)
+    assert np.all(np.isin(report.index, full.index))
+    want = blocks_on(whole_projection(m, full), report.index)
+    assert _entries(report.support).tobytes() == _entries(want).tobytes()
     norms = [models.block_operator_norm(m.take(r.index), r.support)
              for r in (report, full)]
     assert _bits(norms[0]) == _bits(norms[1])
@@ -978,10 +987,47 @@ def test_a_block_on_the_edge_of_a_ring_is_held_once():
     assert 0 < report.beyond < 1e-76 < report.drift
 
 
+def test_a_projection_on_several_rings_is_their_union_sum():
+    # Three of the five lowest eigenvalues of _JP need more than the first
+    # ring, |z| < 4; P is then the whole support's P on the rings' blocks,
+    # not the last ring's sum.
+    several = 0
+    for lam in models.lowest_eigenvalues(_JP, 5).tolist():
+        contour = hypothesis_a_check(_JP, lam)
+        index, least = spectral._scan(_JP, contour)[:2]
+        report = riesz_projection_quadrature(_JP, contour)
+        full = full_support_projection(_JP, contour)
+        want = blocks_on(whole_projection(_JP, full), report.index)
+        assert _entries(report.support).tobytes() == _entries(want).tobytes()
+        several += bool(np.any(least[np.isin(index, report.index)]
+                               >= spectral._RING_GROWTH))
+    assert several == 3
+
+
+def test_one_margin_rules_pruning_and_the_rings(monkeypatch):
+    # A bound between 1 - 1e-6 and 1 - 1e-12 times a value attained is ruled
+    # out by the shipped margin and kept by the wider one, in _prune's keep
+    # rule and in spectral._final alike.
+    bound = np.array([1.0, 1.0 - 1e-9])
+    decisions = []
+    for margin in (models.MARGIN, 1.0 - 1e-6):
+        monkeypatch.setattr(models, "MARGIN", margin)
+        seen = []
+
+        def norms_of(sets, items):
+            seen.extend(items.tolist())
+            return sets, np.sqrt(bound[items])
+
+        models._prune(bound, norms_of)
+        final = spectral._final(np.array([1.0]), bound[1])
+        decisions.append((1 in seen, bool(final[0])))
+    assert decisions == [(False, True), (True, False)]
+
+
 def test_a_bound_at_the_margin_leaves_a_supremum_open():
     # The rule is strict, and a subnormal supremum is never final.
     sup = np.array([1.0, 1e-300, 1e-310, 0.0])
-    bound = spectral._MARGIN * sup
+    bound = models.MARGIN * sup
     assert spectral._final(sup, bound).tolist() == [False, False, False, True]
     below = np.nextafter(bound, 0.0)
     assert spectral._final(sup, below).tolist() == [True, True, False, True]
